@@ -78,7 +78,6 @@ from .petrinet import (
     PetriNet,
     build_example,
     check_net_morphism,
-    example_default,
     net_compose,
     net_from_arcs,
     net_hom,
@@ -87,12 +86,12 @@ from .petrinet import (
     net_oplus,
     net_tensor,
     net_with,
-    petri_net,
 )
 from .netdoc import (
     MorphismDocument,
     NetDocument,
     document_to_net,
+    example_default,
     example_path,
     export_dot,
     load_net,

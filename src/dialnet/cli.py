@@ -28,11 +28,13 @@ from .laws import DEFAULT_SEED, mutate_imp, run_all
 from .lineale import get_lineale
 from .netdoc import (
     document_to_net,
+    example_default,
     export_dot,
     load_net,
     net_to_document,
     parse_morphism_document,
     parse_net_document,
+    read_text,
     resolve_morphism_document,
     save_net,
     serialize_net_document,
@@ -41,7 +43,6 @@ from .petrinet import (
     EXAMPLE_NAMES,
     build_example,
     check_net_morphism,
-    example_default,
     net_hom,
     net_oplus,
     net_tensor,
@@ -58,15 +59,8 @@ _COMBINE_OPS = {
 }
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
-
-
 def _cmd_validate(args) -> int:
-    doc = parse_net_document(_read(args.net))
+    doc = parse_net_document(read_text(args.net))
     net = document_to_net(doc)
     print(f"ok: {args.net}")
     print(f"  lineale: {doc.lineale}")
@@ -80,7 +74,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check_morphism(args) -> int:
-    mdoc = parse_morphism_document(_read(args.morphism))
+    mdoc = parse_morphism_document(read_text(args.morphism))
     base = Path(args.morphism).resolve().parent
     source, target, fwd, bwd = resolve_morphism_document(mdoc, base)
     violations = check_net_morphism(source, target, fwd, bwd)
@@ -123,7 +117,7 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    doc = parse_net_document(_read(args.net))
+    doc = parse_net_document(read_text(args.net))
     net = document_to_net(doc)
     default = get_lineale(doc.lineale).parse(doc.default_weight)
     text = export_dot(net, default)
@@ -144,6 +138,16 @@ def _cmd_example(args) -> int:
     else:
         sys.stdout.write(serialize_net_document(net_to_document(net, default)))
     return 0
+
+
+def _case_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="run the law suites for a lineale")
     p.add_argument("--lineale", required=True, help="tag, e.g. nat or prod(prob,int)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--cases", type=_case_count, default=100)
     p.add_argument(
         "--mutate-imp",
         action="store_true",

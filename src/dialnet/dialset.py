@@ -22,14 +22,17 @@ tensor and hom are adjoint; curry_dial / uncurry_dial realize the
 bijection between hom-sets.  Every constructor here returns morphisms
 that are valid by the corresponding proof, but nothing is trusted:
 check_morphism recomputes the condition pointwise and the test suite
-always recchecks constructor outputs.
+always rechecks constructor outputs.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
-exponentials) are inherited from the finset module.
+exponentials, response-table pairs) and carrier shapes come from the
+finset module; every constructor checks the cap on the shape before it
+builds any label or row.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -38,13 +41,23 @@ from .finset import (
     DEFAULT_CAP,
     FinSet,
     FnTable,
+    copair,
     coproduct_set,
     exp_set,
     fn_from_index,
-    fn_index,
+    fn_pair_from_index,
+    fn_pair_index,
+    hom_shape,
+    inl,
+    inr,
+    pair_index,
+    pairing,
     product_fn,
     product_set,
+    proj1,
+    proj2,
     singleton,
+    tensor_shape,
 )
 from .finset import compose as table_compose
 from .finset import identity as table_identity
@@ -56,6 +69,7 @@ __all__ = [
     "DialMorphism",
     "Violation",
     "dial_object",
+    "check_shapes",
     "check_morphism",
     "dial_morphism",
     "identity",
@@ -115,6 +129,11 @@ class DialObject:
                         f"weight entry {v!r} does not belong to {self.lin.tag}"
                     )
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The carrier sizes (|pos|, |neg|), as the finset shape functions take them."""
+        return self.pos.size, self.neg.size
+
     def weight_at(self, u: int, x: int) -> LinealeValue:
         return self.weight[u][x]
 
@@ -151,6 +170,18 @@ def _same_lineale(a: DialObject, b: DialObject) -> Lineale:
     return a.lin
 
 
+def check_shapes(
+    source: DialObject, target: DialObject, fwd: FnTable, bwd: FnTable
+) -> None:
+    """Raise unless both objects share a lineale, fwd maps the positive
+    carriers forward and bwd maps the negative carriers backward."""
+    _same_lineale(source, target)
+    if fwd.dom.size != source.pos.size or fwd.cod.size != target.pos.size:
+        raise ShapeMismatch("forward table does not map the positive carriers")
+    if bwd.dom.size != target.neg.size or bwd.cod.size != source.neg.size:
+        raise ShapeMismatch("backward table does not map the negative carriers")
+
+
 def check_morphism(
     source: DialObject, target: DialObject, fwd: FnTable, bwd: FnTable
 ) -> list[Violation]:
@@ -158,11 +189,7 @@ def check_morphism(
 
     An empty list means (fwd, bwd) is a morphism from source to target.
     """
-    _same_lineale(source, target)
-    if fwd.dom.size != source.pos.size or fwd.cod.size != target.pos.size:
-        raise ShapeMismatch("forward table does not map the positive carriers")
-    if bwd.dom.size != target.neg.size or bwd.cod.size != source.neg.size:
-        raise ShapeMismatch("backward table does not map the negative carriers")
+    check_shapes(source, target, fwd, bwd)
     leq = source.lin.leq
     out = []
     for u in range(source.pos.size):
@@ -189,17 +216,7 @@ class DialMorphism:
     bwd: FnTable
 
     def __post_init__(self):
-        _same_lineale(self.source, self.target)
-        if (
-            self.fwd.dom.size != self.source.pos.size
-            or self.fwd.cod.size != self.target.pos.size
-        ):
-            raise ShapeMismatch("forward table does not map the positive carriers")
-        if (
-            self.bwd.dom.size != self.target.neg.size
-            or self.bwd.cod.size != self.source.neg.size
-        ):
-            raise ShapeMismatch("backward table does not map the negative carriers")
+        check_shapes(self.source, self.target, self.fwd, self.bwd)
 
 
 def dial_morphism(
@@ -246,10 +263,9 @@ def inverse(m: DialMorphism) -> DialMorphism:
     return DialMorphism(m.target, m.source, _invert_table(m.fwd), _invert_table(m.bwd))
 
 
-def _guard(n: int, cap: int) -> int:
+def _guard(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceeded(n, cap)
-    return n
 
 
 # -- cartesian and cocartesian structure -------------------------------------
@@ -258,9 +274,9 @@ def _guard(n: int, cap: int) -> int:
 def with_product(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     """The cartesian product: pairs of rows, disjoint union of columns."""
     lin = _same_lineale(a, b)
+    _guard(a.pos.size * b.pos.size, cap)
     pos = product_set(a.pos, b.pos)
     neg = coproduct_set(a.neg, b.neg)
-    _guard(pos.size, cap)
     rows = []
     for u in range(a.pos.size):
         for v in range(b.pos.size):
@@ -269,16 +285,12 @@ def with_product(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialOb
 
 
 def with_proj1(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    from .finset import inl, proj1
-
     return DialMorphism(
         with_product(a, b, cap), a, proj1(a.pos, b.pos), inl(a.neg, b.neg)
     )
 
 
 def with_proj2(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    from .finset import inr, proj2
-
     return DialMorphism(
         with_product(a, b, cap), b, proj2(a.pos, b.pos), inr(a.neg, b.neg)
     )
@@ -288,8 +300,6 @@ def with_pairing(
     m1: DialMorphism, m2: DialMorphism, cap: int = DEFAULT_CAP
 ) -> DialMorphism:
     """The mediating morphism into a cartesian product from a shared source."""
-    from .finset import copair, pairing
-
     if m1.source != m2.source:
         raise ShapeMismatch("pairing needs a shared source object")
     prod = with_product(m1.target, m2.target, cap)
@@ -301,9 +311,9 @@ def with_pairing(
 def oplus(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     """The coproduct: disjoint union of rows, pairs of columns."""
     lin = _same_lineale(a, b)
+    _guard(a.neg.size * b.neg.size, cap)
     pos = coproduct_set(a.pos, b.pos)
     neg = product_set(a.neg, b.neg)
-    _guard(neg.size, cap)
     rows = []
     for u in range(a.pos.size):
         rows.append(
@@ -325,14 +335,10 @@ def oplus(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
 
 
 def oplus_inl(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    from .finset import inl, proj1
-
     return DialMorphism(a, oplus(a, b, cap), inl(a.pos, b.pos), proj1(a.neg, b.neg))
 
 
 def oplus_inr(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    from .finset import inr, proj2
-
     return DialMorphism(b, oplus(a, b, cap), inr(a.pos, b.pos), proj2(a.neg, b.neg))
 
 
@@ -340,8 +346,6 @@ def oplus_copair(
     m1: DialMorphism, m2: DialMorphism, cap: int = DEFAULT_CAP
 ) -> DialMorphism:
     """The mediating morphism out of a coproduct into a shared target."""
-    from .finset import copair, pairing
-
     if m1.target != m2.target:
         raise ShapeMismatch("copairing needs a shared target object")
     cop = oplus(m1.source, m2.source, cap)
@@ -366,14 +370,11 @@ def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObje
     tensor(weight_a(u, f(v)), weight_b(v, g(u))).
     """
     lin = _same_lineale(a, b)
+    _guard(max(tensor_shape(a.shape, b.shape)), cap)
     pos = product_set(a.pos, b.pos)
-    _guard(pos.size, cap)
     xs = exp_set(a.neg, b.pos, cap)
     ys = exp_set(b.neg, a.pos, cap)
-    neg = FinSet(
-        _guard(xs.size * ys.size, cap),
-        tuple(f"({lf},{lg})" for lf in xs.labels for lg in ys.labels),
-    )
+    neg = product_set(xs, ys)
     f_tabs = [fn_from_index(fi, b.pos.size, a.neg.size) for fi in range(xs.size)]
     g_tabs = [fn_from_index(gi, a.pos.size, b.neg.size) for gi in range(ys.size)]
     tag = lin.tag
@@ -410,19 +411,13 @@ def tensor_mor(
     f, g = m1.fwd.table, m2.fwd.table
     fb, gb = m1.bwd.table, m2.bwd.table
     xn_s, yn_s = m1.source.neg.size, m2.source.neg.size
-    xn_t, yn_t = m1.target.neg.size, m2.target.neg.size
-    up_s, vp_s = m1.source.pos.size, m2.source.pos.size
-    up_t, vp_t = m1.target.pos.size, m2.target.pos.size
-    ny_s = yn_s**up_s
-    ns_t = yn_t**up_t
+    (up_t, xn_t), (vp_t, yn_t) = m1.target.shape, m2.target.shape
     table = []
     for c in range(tgt.neg.size):
-        fpi, gpi = divmod(c, ns_t)
-        fp = fn_from_index(fpi, vp_t, xn_t)
-        gp = fn_from_index(gpi, up_t, yn_t)
-        new_f = tuple(fb[fp[g[v]]] for v in range(vp_s))
-        new_g = tuple(gb[gp[f[u]]] for u in range(up_s))
-        table.append(fn_index(new_f, xn_s) * ny_s + fn_index(new_g, yn_s))
+        fp, gp = fn_pair_from_index(c, vp_t, xn_t, up_t, yn_t)
+        new_f = tuple(fb[fp[gv]] for gv in g)
+        new_g = tuple(gb[gp[fu]] for fu in f)
+        table.append(fn_pair_index(new_f, xn_s, new_g, yn_s))
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
 
 
@@ -436,14 +431,11 @@ def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     its weights sit above the unit.
     """
     lin = _same_lineale(a, b)
+    _guard(max(hom_shape(a.shape, b.shape)), cap)
     fs = exp_set(b.pos, a.pos, cap)
     bs = exp_set(a.neg, b.neg, cap)
-    pos = FinSet(
-        _guard(fs.size * bs.size, cap),
-        tuple(f"({lf},{lg})" for lf in fs.labels for lg in bs.labels),
-    )
+    pos = product_set(fs, bs)
     neg = product_set(a.pos, b.neg)
-    _guard(neg.size, cap)
     f_tabs = [fn_from_index(fi, a.pos.size, b.pos.size) for fi in range(fs.size)]
     b_tabs = [fn_from_index(bi, b.neg.size, a.neg.size) for bi in range(bs.size)]
     tag = lin.tag
@@ -480,23 +472,15 @@ def hom_mor(
 
     f, fb = m_in.fwd.table, m_in.bwd.table
     g, gb = m_out.fwd.table, m_out.bwd.table
-    n_b = a.neg.size ** b.neg.size
-    n_b_t = a_prime.neg.size ** b_prime.neg.size
     fwd_table = []
     for idx in range(src.pos.size):
-        hi, Hi = divmod(idx, n_b)
-        h = fn_from_index(hi, a.pos.size, b.pos.size)
-        H = fn_from_index(Hi, b.neg.size, a.neg.size)
-        new_h = tuple(g[h[f[u]]] for u in range(a_prime.pos.size))
-        new_H = tuple(fb[H[gb[y]]] for y in range(b_prime.neg.size))
+        h, H = fn_pair_from_index(idx, a.pos.size, b.pos.size, b.neg.size, a.neg.size)
+        new_h = tuple(g[h[fu]] for fu in f)
+        new_H = tuple(fb[H[gy]] for gy in gb)
         fwd_table.append(
-            fn_index(new_h, b_prime.pos.size) * n_b_t
-            + fn_index(new_H, a_prime.neg.size)
+            fn_pair_index(new_h, b_prime.pos.size, new_H, a_prime.neg.size)
         )
-    bwd_table = []
-    for idx in range(tgt.neg.size):
-        u_p, y_p = divmod(idx, b_prime.neg.size)
-        bwd_table.append(f[u_p] * b.neg.size + gb[y_p])
+    bwd_table = [pair_index(fu, gy, b.neg.size) for fu in f for gy in gb]
     return DialMorphism(
         src,
         tgt,
@@ -523,30 +507,22 @@ def curry_dial(
     """
     if m.source.lin.tag != a.lin.tag or a.lin.tag != b.lin.tag:
         raise TagMismatch("factors are over a different lineale than the morphism")
-    if m.source.pos.size != a.pos.size * b.pos.size or m.source.neg.size != (
-        a.neg.size**b.pos.size
-    ) * (b.neg.size**a.pos.size):
+    if m.source.shape != tensor_shape(a.shape, b.shape):
         raise ShapeMismatch("morphism source is not shaped like the tensor of the factors")
     c = m.target
-    au, bv = a.pos.size, b.pos.size
-    ax, by = a.neg.size, b.neg.size
-    cw, cz = c.pos.size, c.neg.size
+    (au, ax), (bv, by) = a.shape, b.shape
     tgt = hom_obj(b, c, cap)
 
     f = m.fwd.table
-    nyu = by**au
-    nyz = by**cz
-    first = [fn_from_index(k // nyu, bv, ax) for k in m.bwd.table]
-    second = [fn_from_index(k % nyu, au, by) for k in m.bwd.table]
-    fwd_table = []
-    for u in range(au):
-        p = fn_index(tuple(f[u * bv + v] for v in range(bv)), cw)
-        q = fn_index(tuple(second[z][u] for z in range(cz)), by)
-        fwd_table.append(p * nyz + q)
-    bwd_table = []
-    for v in range(bv):
-        for z in range(cz):
-            bwd_table.append(first[z][v])
+    # the response-table pair that m's backward map sends each z to
+    responses = [fn_pair_from_index(k, bv, ax, au, by) for k in m.bwd.table]
+    fwd_table = [
+        fn_pair_index(
+            f[u * bv : (u + 1) * bv], c.pos.size, tuple(g[u] for _, g in responses), by
+        )
+        for u in range(au)
+    ]
+    bwd_table = [fz[v] for v in range(bv) for fz, _ in responses]
     return DialMorphism(
         a,
         tgt,
@@ -561,32 +537,22 @@ def uncurry_dial(
     """Transpose m: a -> hom(b, c) back into tensor(a, b) -> c."""
     if m.target.lin.tag != b.lin.tag or b.lin.tag != c.lin.tag:
         raise TagMismatch("factors are over a different lineale than the morphism")
-    if m.target.pos.size != (c.pos.size**b.pos.size) * (
-        b.neg.size**c.neg.size
-    ) or m.target.neg.size != b.pos.size * c.neg.size:
+    if m.target.shape != hom_shape(b.shape, c.shape):
         raise ShapeMismatch("morphism target is not shaped like the hom of the factors")
     a = m.source
-    au, bv = a.pos.size, b.pos.size
-    ax, by = a.neg.size, b.neg.size
-    cw, cz = c.pos.size, c.neg.size
+    bv, by = b.shape
+    cw, cz = c.shape
     src = tensor_obj(a, b, cap)
 
-    g = m.fwd.table
     G = m.bwd.table
-    nyz = by**cz
-    nyu = by**au
-    fwd_table = []
-    for u in range(au):
-        g1 = fn_from_index(g[u] // nyz, bv, cw)
-        for v in range(bv):
-            fwd_table.append(g1[v])
-    bwd_table = []
-    for z in range(cz):
-        c1 = fn_index(tuple(G[v * cz + z] for v in range(bv)), ax)
-        c2 = fn_index(
-            tuple(fn_from_index(g[u] % nyz, cz, by)[z] for u in range(au)), by
-        )
-        bwd_table.append(c1 * nyu + c2)
+    # the forward/backward candidate pair that m's forward map sends each u to
+    candidates = [fn_pair_from_index(k, bv, cw, cz, by) for k in m.fwd.table]
+    fwd_table = [w for h, _ in candidates for w in h]
+    # G runs over the row-major B.pos x C.neg; G[z::cz] is its column z
+    bwd_table = [
+        fn_pair_index(G[z::cz], a.neg.size, tuple(H[z] for _, H in candidates), by)
+        for z in range(cz)
+    ]
     return DialMorphism(
         src,
         c,
@@ -609,64 +575,45 @@ def associator(
     """
     src = tensor_obj(tensor_obj(a, b, cap), c, cap)
     tgt = tensor_obj(a, tensor_obj(b, c, cap), cap)
-    au, bv, cw = a.pos.size, b.pos.size, c.pos.size
-    ax, by, cz = a.neg.size, b.neg.size, c.neg.size
+    (au, ax), (bv, by), (cw, cz) = a.shape, b.shape, c.shape
+    ab_neg = tensor_shape(a.shape, b.shape)[1]
+    bc_neg = tensor_shape(b.shape, c.shape)[1]
 
     fwd = FnTable(src.pos, tgt.pos, tuple(range(src.pos.size)))
 
-    byw = by**cw
-    czv = cz**bv
-    nk = (byw * czv) ** au
-    nxv = ax**bv
-    nyu = by**au
-    inner = nxv * nyu
-    nn = cz ** (au * bv)
     table = []
     for idx in range(tgt.neg.size):
-        fi, ki = divmod(idx, nk)
-        f = fn_from_index(fi, bv * cw, ax)
-        kd = fn_from_index(ki, au, byw * czv)
-        g = []
-        h = []
-        for u in range(au):
-            gi, hi = divmod(kd[u], czv)
-            g.append(fn_from_index(gi, cw, by))
-            h.append(fn_from_index(hi, bv, cz))
-        m_digits = []
-        for w in range(cw):
-            p = fn_index(tuple(f[v * cw + w] for v in range(bv)), ax)
-            q = fn_index(tuple(g[u][w] for u in range(au)), by)
-            m_digits.append(p * nyu + q)
-        m_idx = fn_index(tuple(m_digits), inner)
-        n_idx = fn_index(
-            tuple(h[u][v] for u in range(au) for v in range(bv)), cz
+        # target response: f on V x W, and per u a pair (g_u on W, h_u on V)
+        f, k = fn_pair_from_index(idx, bv * cw, ax, au, bc_neg)
+        gh = [fn_pair_from_index(ku, cw, by, bv, cz) for ku in k]
+        # source response: per w a pair (f(-, w), g_-(w)), and h on U x V
+        m = tuple(
+            fn_pair_index(f[w::cw], ax, tuple(g[w] for g, _ in gh), by)
+            for w in range(cw)
         )
-        table.append(m_idx * nn + n_idx)
+        n = tuple(z for _, h in gh for z in h)
+        table.append(fn_pair_index(m, ab_neg, n, cz))
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
+
+
+def _unitor(src: DialObject, a: DialObject) -> DialMorphism:
+    # tensoring with the singleton unit leaves both carriers' indices alone
+    return DialMorphism(
+        src,
+        a,
+        FnTable(src.pos, a.pos, tuple(range(a.pos.size))),
+        FnTable(a.neg, src.neg, tuple(range(a.neg.size))),
+    )
 
 
 def left_unitor(a: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
     """tensor(I, a) -> a.  Both tables are identities under our indexing."""
-    i = tensor_unit(a.lin)
-    src = tensor_obj(i, a, cap)
-    return DialMorphism(
-        src,
-        a,
-        FnTable(src.pos, a.pos, tuple(range(a.pos.size))),
-        FnTable(a.neg, src.neg, tuple(range(a.neg.size))),
-    )
+    return _unitor(tensor_obj(tensor_unit(a.lin), a, cap), a)
 
 
 def right_unitor(a: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
     """tensor(a, I) -> a.  Both tables are identities under our indexing."""
-    i = tensor_unit(a.lin)
-    src = tensor_obj(a, i, cap)
-    return DialMorphism(
-        src,
-        a,
-        FnTable(src.pos, a.pos, tuple(range(a.pos.size))),
-        FnTable(a.neg, src.neg, tuple(range(a.neg.size))),
-    )
+    return _unitor(tensor_obj(a, tensor_unit(a.lin), cap), a)
 
 
 def symmetry(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
@@ -677,12 +624,11 @@ def symmetry(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphi
     src = tensor_obj(a, b, cap)
     tgt = tensor_obj(b, a, cap)
     fwd = table_swap(a.pos, b.pos)
-    nxv = a.neg.size**b.pos.size
-    nyu = b.neg.size**a.pos.size
+    (au, ax), (bv, by) = a.shape, b.shape
     table = []
     for idx in range(tgt.neg.size):
-        gi, fi = divmod(idx, nxv)
-        table.append(fi * nyu + gi)
+        g, f = fn_pair_from_index(idx, au, by, bv, ax)
+        table.append(fn_pair_index(f, ax, g, by))
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
 
 
@@ -697,21 +643,18 @@ def enumerate_morphisms(
     The candidate space has |B.pos|^|A.pos| * |A.neg|^|B.neg| elements
     and is capped.  This is the oracle the law suites compare against.
     """
-    nf = b.pos.size**a.pos.size
-    nb = a.neg.size**b.neg.size
-    if nf * nb > cap:
-        raise CapExceeded(nf * nb, cap, what="morphism candidate space")
+    n = hom_shape(a.shape, b.shape)[0]
+    if n > cap:
+        raise CapExceeded(n, cap, what="morphism candidate space")
     leq = a.lin._leq
     alpha = a.payloads()
     beta = b.payloads()
-    us = range(a.pos.size)
     ys = range(b.neg.size)
     out = []
-    for fi in range(nf):
-        f = fn_from_index(fi, a.pos.size, b.pos.size)
-        rows = [(alpha[u], beta[f[u]]) for u in us]
-        for bi in range(nb):
-            bt = fn_from_index(bi, b.neg.size, a.neg.size)
+    # itertools.product yields tables in exponential index order
+    for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
+        rows = [(alpha[u], beta[fu]) for u, fu in enumerate(f)]
+        for bt in itertools.product(range(a.neg.size), repeat=b.neg.size):
             ok = True
             for au, bu in rows:
                 for y in ys:

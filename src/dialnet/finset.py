@@ -10,15 +10,22 @@ independently built tables agree:
 * exponential X^B: a table (t_0, .., t_{n-1}) is read as a base-|X|
   numeral with t_0 the most significant digit, so index 0 is the
   constant-0 function and the top index is constant |X|-1
+* pair of response tables (f, g) in X^V x Y^U: index
+  fn_index(f) * |Y|**|U| + fn_index(g), encoded by fn_pair_index and
+  decoded by fn_pair_from_index
 
-Exponential carriers blow up quickly, so any constructor that builds
-one takes a cap (default 4096) and raises CapExceeded beyond it.
+This module is the one place for that index arithmetic.  tensor_shape
+and hom_shape give the carrier sizes of the tensor and the internal hom
+from the sizes of their factors, so callers can check a cap before they
+build anything.  Exponential carriers blow up quickly, so any
+constructor that builds one takes a cap (default 4096) and raises
+CapExceeded beyond it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import CapExceeded, ShapeMismatch
 
@@ -30,13 +37,11 @@ __all__ = [
     "compose",
     "product_set",
     "pair_index",
-    "unpair_index",
     "proj1",
     "proj2",
     "pairing",
     "product_fn",
     "swap",
-    "diagonal",
     "coproduct_set",
     "inl",
     "inr",
@@ -46,10 +51,10 @@ __all__ = [
     "exp_set",
     "fn_index",
     "fn_from_index",
-    "eval_at",
-    "all_tables",
-    "curry_fn",
-    "uncurry_fn",
+    "fn_pair_index",
+    "fn_pair_from_index",
+    "tensor_shape",
+    "hom_shape",
 ]
 
 DEFAULT_CAP = 4096
@@ -79,9 +84,6 @@ class FinSet:
 
     def __hash__(self) -> int:
         return hash(("FinSet", self.size))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.size))
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -151,10 +153,6 @@ def pair_index(i: int, j: int, b_size: int) -> int:
     return i * b_size + j
 
 
-def unpair_index(k: int, b_size: int) -> tuple[int, int]:
-    return divmod(k, b_size)
-
-
 def product_set(a: FinSet, b: FinSet) -> FinSet:
     labels = None
     if a.labels is not None and b.labels is not None:
@@ -203,10 +201,6 @@ def swap(a: FinSet, b: FinSet) -> FnTable:
         pair_index(j, i, a.size) for i in range(a.size) for j in range(b.size)
     )
     return FnTable(dom, cod, table)
-
-
-def diagonal(a: FinSet) -> FnTable:
-    return FnTable(a, product_set(a, a), tuple(pair_index(i, i, a.size) for i in a))
 
 
 # -- coproducts ---------------------------------------------------------------
@@ -275,38 +269,32 @@ def fn_from_index(k: int, dom_size: int, base_size: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def eval_at(k: int, b: int, dom_size: int, base_size: int) -> int:
-    """Value at b of the function with index k in base^dom, without full decode."""
-    return (k // base_size ** (dom_size - 1 - b)) % base_size
+def fn_pair_index(
+    f: tuple[int, ...], f_base: int, g: tuple[int, ...], g_base: int
+) -> int:
+    """Index of the table pair (f, g) in X^V x Y^U, with |X| = f_base, |Y| = g_base."""
+    return fn_index(f, f_base) * g_base ** len(g) + fn_index(g, g_base)
 
 
-def all_tables(dom: FinSet, cod: FinSet, cap: int = DEFAULT_CAP) -> Iterator[FnTable]:
-    """Every function dom -> cod, in exponential index order."""
-    n = exp_size(cod, dom, cap)
-    for k in range(n):
-        yield FnTable(dom, cod, fn_from_index(k, dom.size, cod.size))
+def fn_pair_from_index(
+    k: int, f_dom: int, f_base: int, g_dom: int, g_base: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The table pair with index k in f_base^f_dom x g_base^g_dom."""
+    fi, gi = divmod(k, g_base**g_dom)
+    return fn_from_index(fi, f_dom, f_base), fn_from_index(gi, g_dom, g_base)
 
 
-def curry_fn(f: FnTable, a: FinSet, b: FinSet, cap: int = DEFAULT_CAP) -> FnTable:
-    """Transpose a x b -> c into a -> c^b."""
-    if f.dom.size != a.size * b.size:
-        raise ShapeMismatch("curry: domain is not the expected product")
-    cod = exp_set(f.cod, b, cap)
-    table = []
-    for i in range(a.size):
-        row = tuple(f.table[pair_index(i, j, b.size)] for j in range(b.size))
-        table.append(fn_index(row, f.cod.size))
-    return FnTable(a, cod, tuple(table))
+# -- carrier shapes -------------------------------------------------------------
+# A shape is the (positive, negative) pair of carrier sizes of an object.
 
 
-def uncurry_fn(g: FnTable, b: FinSet, c: FinSet) -> FnTable:
-    """Transpose a -> c^b back into a x b -> c."""
-    if g.cod.size != c.size**b.size:
-        raise ShapeMismatch("uncurry: codomain is not the expected function space")
-    dom = product_set(g.dom, b)
-    table = tuple(
-        eval_at(g.table[i], j, b.size, c.size)
-        for i in range(g.dom.size)
-        for j in range(b.size)
-    )
-    return FnTable(dom, c, table)
+def tensor_shape(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Shape of the tensor: (U x V, X^V x Y^U) for a = (U, X), b = (V, Y)."""
+    (u, x), (v, y) = a, b
+    return u * v, x**v * y**u
+
+
+def hom_shape(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Shape of the internal hom: (V^U x X^Y, U x Y) for a = (U, X), b = (V, Y)."""
+    (u, x), (v, y) = a, b
+    return v**u * x**y, u * y

@@ -49,8 +49,8 @@ from .dialset import (
     with_proj1,
     with_proj2,
 )
-from .errors import DialnetError
-from .finset import DEFAULT_CAP, FinSet, FnTable
+from .errors import CapExceeded, DialnetError
+from .finset import DEFAULT_CAP, FinSet, FnTable, tensor_shape
 from .lineale import KLEENE3, Lineale, LinealeValue
 
 __all__ = [
@@ -515,40 +515,19 @@ def functoriality_laws(
 # -- monoidal coherence ------------------------------------------------------------------
 
 
-def _tensor_size(a, b, cap):
-    (up, un), (vp, vn) = a, b
-    nx = un**vp
-    ny = vn**up
-    if nx > cap or ny > cap or nx * ny > cap or up * vp > cap:
-        return None
-    return (up * vp, nx * ny)
-
-
 # weight-matrix entries we are willing to materialize per pentagon instance;
 # keeps the worst sampled corner to a fraction of a second
 _PENTAGON_ENTRY_BUDGET = 80_000
 
 
-def _pentagon_cost(sz, cap) -> Optional[int]:
-    """Total weight entries along both pentagon paths, or None if capped out."""
+def _pentagon_stages(sz) -> list[tuple[int, int]]:
+    """Shapes of every tensor built along both pentagon paths."""
     a, b, c, d = sz
-    ab = _tensor_size(a, b, cap)
-    bc = _tensor_size(b, c, cap)
-    cd = _tensor_size(c, d, cap)
-    if not (ab and bc and cd):
-        return None
-    abc = _tensor_size(ab, c, cap)
-    a_bc = _tensor_size(a, bc, cap)
-    b_cd = _tensor_size(b, cd, cap)
-    bc_d = _tensor_size(bc, d, cap)
-    ab_cd = _tensor_size(ab, cd, cap)
-    if not (abc and a_bc and b_cd and bc_d and ab_cd):
-        return None
-    four = [_tensor_size(x, y, cap) for x, y in ((abc, d), (a_bc, d), (a, bc_d), (a, b_cd))]
-    if not all(four):
-        return None
-    stages = [ab, bc, cd, abc, a_bc, b_cd, bc_d, ab_cd] + four
-    return sum(p * n for p, n in stages)
+    ab, bc, cd = tensor_shape(a, b), tensor_shape(b, c), tensor_shape(c, d)
+    abc, a_bc = tensor_shape(ab, c), tensor_shape(a, bc)
+    b_cd, bc_d = tensor_shape(b, cd), tensor_shape(bc, d)
+    four = [tensor_shape(x, y) for x, y in ((abc, d), (a_bc, d), (a, bc_d), (a, b_cd))]
+    return [ab, bc, cd, abc, a_bc, b_cd, bc_d, tensor_shape(ab, cd)] + four
 
 
 def coherence_laws(
@@ -568,11 +547,20 @@ def coherence_laws(
     sides = tuple(
         itertools.product(_SIZES, repeat=2)
     )  # (pos, neg) choices per object
-    pentagon_sizes = []
+    # (largest carrier, total weight entries) per choice of four shapes;
+    # sizes stay in {1, 2}, so even the uncapped stages are small integers
+    plans = {}
     for combo in itertools.product(sides, repeat=4):
-        cost = _pentagon_cost(combo, cap)
-        if cost is not None and cost <= _PENTAGON_ENTRY_BUDGET:
-            pentagon_sizes.append(combo)
+        stages = _pentagon_stages(combo)
+        plans[combo] = (max(max(s) for s in stages), sum(p * n for p, n in stages))
+    pentagon_sizes = [
+        combo
+        for combo, (largest, cost) in plans.items()
+        if largest <= cap and cost <= _PENTAGON_ENTRY_BUDGET
+    ]
+    if not pentagon_sizes:
+        needed = min(largest for largest, _ in plans.values())
+        raise CapExceeded(needed, cap, what="smallest pentagon instance")
 
     pentagon = _Law("coherence.pentagon")
     triangle = _Law("coherence.triangle")

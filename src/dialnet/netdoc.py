@@ -38,12 +38,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from .dialset import DialObject
 from .errors import (
     DialnetError,
     DocumentSemanticError,
     DocumentSyntaxError,
 )
-from .finset import FnTable
+from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_value, get_lineale
 from .petrinet import PetriNet, net_from_arcs
 
@@ -55,9 +56,11 @@ __all__ = [
     "serialize_net_document",
     "document_to_net",
     "net_to_document",
+    "read_text",
     "load_net",
     "save_net",
     "example_path",
+    "example_default",
     "parse_morphism_document",
     "resolve_morphism_document",
     "export_dot",
@@ -245,6 +248,26 @@ def _modal_weight(net: PetriNet) -> LinealeValue:
     return max(counts, key=counts.__getitem__)
 
 
+def _labels(s: FinSet) -> tuple[str, ...]:
+    return tuple(s.label(i) for i in range(s.size))
+
+
+def _sparse_arcs(
+    obj: DialObject,
+    places: tuple[str, ...],
+    transitions: tuple[str, ...],
+    default: LinealeValue,
+) -> list[tuple[str, str, str]]:
+    """(place, transition, formatted value) for every cell off the default,
+    in row-major order."""
+    return [
+        (p, t, format_value(v))
+        for p, row in zip(places, obj.weight)
+        for t, v in zip(transitions, row)
+        if v != default
+    ]
+
+
 def net_to_document(
     net: PetriNet, default: Optional[LinealeValue] = None
 ) -> NetDocument:
@@ -256,29 +279,14 @@ def net_to_document(
     """
     if default is None:
         default = _modal_weight(net)
-
-    def triples(obj):
-        out = []
-        for u in range(net.places.size):
-            for x in range(net.transitions.size):
-                v = obj.weight[u][x]
-                if v != default:
-                    out.append(
-                        (
-                            net.places.label(u),
-                            net.transitions.label(x),
-                            format_value(v),
-                        )
-                    )
-        return tuple(out)
-
+    places, transitions = _labels(net.places), _labels(net.transitions)
     return NetDocument(
         lineale=net.lin.tag,
         default_weight=format_value(default),
-        places=tuple(net.places.label(i) for i in range(net.places.size)),
-        transitions=tuple(net.transitions.label(i) for i in range(net.transitions.size)),
-        pre=triples(net.pre),
-        post=triples(net.post),
+        places=places,
+        transitions=transitions,
+        pre=tuple(_sparse_arcs(net.pre, places, transitions, default)),
+        post=tuple(_sparse_arcs(net.post, places, transitions, default)),
     )
 
 
@@ -287,12 +295,22 @@ def example_path(name: str) -> Path:
     return Path(__file__).parent / "data" / f"{name}.net"
 
 
-def load_net(path: Union[str, Path]) -> PetriNet:
+def read_text(path: Union[str, Path]) -> str:
+    """A document file's text; an unreadable file is a DocumentSyntaxError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
-    return document_to_net(parse_net_document(text))
+
+
+def example_default(name: str) -> LinealeValue:
+    """The absent-arc weight a shipped example is drawn with: its file's default_weight."""
+    doc = parse_net_document(read_text(example_path(name)))
+    return get_lineale(doc.lineale).parse(doc.default_weight)
+
+
+def load_net(path: Union[str, Path]) -> PetriNet:
+    return document_to_net(parse_net_document(read_text(path)))
 
 
 def save_net(
@@ -412,30 +430,15 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     """
     if default is None:
         default = _modal_weight(net)
+    places, transitions = _labels(net.places), _labels(net.transitions)
     lines = ["digraph net {", "  rankdir=LR;"]
-    for i in range(net.places.size):
-        lbl = net.places.label(i)
+    for lbl in places:
         lines.append(f"  {_quote('p:' + lbl)} [shape=circle, label={_quote(lbl)}];")
-    for i in range(net.transitions.size):
-        lbl = net.transitions.label(i)
+    for lbl in transitions:
         lines.append(f"  {_quote('t:' + lbl)} [shape=box, label={_quote(lbl)}];")
-    for u in range(net.places.size):
-        for x in range(net.transitions.size):
-            v = net.pre.weight[u][x]
-            if v != default:
-                lines.append(
-                    f"  {_quote('p:' + net.places.label(u))} -> "
-                    f"{_quote('t:' + net.transitions.label(x))} "
-                    f"[label={_quote(format_value(v))}];"
-                )
-    for u in range(net.places.size):
-        for x in range(net.transitions.size):
-            v = net.post.weight[u][x]
-            if v != default:
-                lines.append(
-                    f"  {_quote('t:' + net.transitions.label(x))} -> "
-                    f"{_quote('p:' + net.places.label(u))} "
-                    f"[label={_quote(format_value(v))}];"
-                )
+    for p, t, v in _sparse_arcs(net.pre, places, transitions, default):
+        lines.append(f"  {_quote('p:' + p)} -> {_quote('t:' + t)} [label={_quote(v)}];")
+    for p, t, v in _sparse_arcs(net.post, places, transitions, default):
+        lines.append(f"  {_quote('t:' + t)} -> {_quote('p:' + p)} [label={_quote(v)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,8 +10,10 @@ additive naturals it reads as a simulation (the target consumes and
 produces no more than the source), over the integers as threshold
 refinement, and so on per lineale.
 
-All connectives act componentwise on (pre, post); both components
-produce identical carriers, so the result is again a net.
+A net stores only the two relations; its lineale, places and
+transitions are read off pre, and construction checks that post
+agrees.  All connectives act componentwise on (pre, post); both
+components produce identical carriers, so the result is again a net.
 
 The module also builds the worked example nets: water (stoichiometry
 over the naturals), circadian (three-valued presence/absence with two
@@ -28,6 +30,7 @@ from typing import Mapping, NamedTuple
 from .dialset import (
     DialObject,
     check_morphism,
+    check_shapes,
     hom_obj,
     oplus,
     tensor_obj,
@@ -43,7 +46,6 @@ __all__ = [
     "PetriNet",
     "NetMorphism",
     "NetViolation",
-    "petri_net",
     "net_from_arcs",
     "check_net_morphism",
     "net_morphism",
@@ -54,33 +56,34 @@ __all__ = [
     "net_oplus",
     "net_hom",
     "build_example",
-    "example_default",
     "EXAMPLE_NAMES",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class PetriNet:
-    """Places, transitions, and a pre/post pair of weight relations."""
+    """A pre/post pair of weight relations over shared places and transitions."""
 
-    lin: Lineale
-    places: FinSet
-    transitions: FinSet
     pre: DialObject
     post: DialObject
 
     def __post_init__(self):
-        for part, obj in (("pre", self.pre), ("post", self.post)):
-            if obj.lin.tag != self.lin.tag:
-                raise TagMismatch(f"{part} relation is over {obj.lin.tag}, net over {self.lin.tag}")
-            if obj.pos != self.places or obj.neg != self.transitions:
-                raise ShapeMismatch(f"{part} relation carriers differ from the net's")
+        if self.post.lin.tag != self.pre.lin.tag:
+            raise TagMismatch("pre and post relations are over different lineales")
+        if self.post.pos != self.pre.pos or self.post.neg != self.pre.neg:
+            raise ShapeMismatch("post relation carriers differ from pre's")
 
+    @property
+    def lin(self) -> Lineale:
+        return self.pre.lin
 
-def petri_net(
-    lin: Lineale, places: FinSet, transitions: FinSet, pre: DialObject, post: DialObject
-) -> PetriNet:
-    return PetriNet(lin, places, transitions, pre, post)
+    @property
+    def places(self) -> FinSet:
+        return self.pre.pos
+
+    @property
+    def transitions(self) -> FinSet:
+        return self.pre.neg
 
 
 def net_from_arcs(
@@ -103,7 +106,7 @@ def net_from_arcs(
 
     pre = DialObject(lin, places, transitions, matrix(pre_arcs))
     post = DialObject(lin, places, transitions, matrix(post_arcs))
-    return PetriNet(lin, places, transitions, pre, post)
+    return PetriNet(pre, post)
 
 
 class NetViolation(NamedTuple):
@@ -145,18 +148,7 @@ class NetMorphism:
     bwd: FnTable
 
     def __post_init__(self):
-        if self.source.lin.tag != self.target.lin.tag:
-            raise TagMismatch("nets over different lineales")
-        if (
-            self.fwd.dom.size != self.source.places.size
-            or self.fwd.cod.size != self.target.places.size
-        ):
-            raise ShapeMismatch("forward table does not map the place carriers")
-        if (
-            self.bwd.dom.size != self.target.transitions.size
-            or self.bwd.cod.size != self.source.transitions.size
-        ):
-            raise ShapeMismatch("backward table does not map the transition carriers")
+        check_shapes(self.source.pre, self.target.pre, self.fwd, self.bwd)
 
 
 def net_morphism(
@@ -187,9 +179,7 @@ def net_compose(m2: NetMorphism, m1: NetMorphism) -> NetMorphism:
 
 
 def _combine(a: PetriNet, b: PetriNet, op, cap: int) -> PetriNet:
-    pre = op(a.pre, b.pre, cap)
-    post = op(a.post, b.post, cap)
-    return PetriNet(a.lin, pre.pos, pre.neg, pre, post)
+    return PetriNet(op(a.pre, b.pre, cap), op(a.post, b.post, cap))
 
 
 def net_tensor(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
@@ -357,21 +347,3 @@ def build_example(name: str, **params) -> PetriNet:
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         )
     return builders[name](**params)
-
-
-def example_default(name: str) -> LinealeValue:
-    """The absent-arc weight each example was drawn with."""
-    defaults = {
-        "water": lambda: NAT.value(0),
-        "sir": lambda: PROB.value(0),
-        "circadian": lambda: KLEENE3.value(-1),
-        "inhibitor": lambda: INT.value(0),
-        "catalysis": lambda: product_lineale(PROB, INT).value(
-            (PROB.value(0), INT.value(0))
-        ),
-    }
-    if name not in defaults:
-        raise ShapeMismatch(
-            f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
-        )
-    return defaults[name]()

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from dialnet import example_path, load_net, net_with
 from dialnet.cli import main
 
@@ -164,6 +166,22 @@ def test_combine_hom_over_cap(tmp_path):
     assert "cap" in err
 
 
+def test_combine_with_over_cap_stops_before_building(tmp_path):
+    places = [f"p{i}" for i in range(2000)]
+    doc = {
+        "format_version": "1", "lineale": "nat", "default_weight": "0",
+        "places": places, "transitions": ["t"], "pre": [], "post": [],
+    }
+    path = tmp_path / "tall.net"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        "combine", "--op", "with", str(path), str(path), "--out", str(tmp_path / "x.net")
+    )
+    assert code == 4
+    assert "cap is 4096" in err
+    assert not (tmp_path / "x.net").exists()
+
+
 def test_combine_mixed_lineales(tmp_path):
     code, _, err = run(
         "combine", "--op", "tensor", WATER, SIR, "--out", str(tmp_path / "x.net")
@@ -187,6 +205,13 @@ def test_laws_bool2_all_pass():
 def test_laws_unknown_tag():
     code, _, err = run("laws", "--lineale", "frob")
     assert code == 3
+
+
+def test_laws_rejects_case_counts_below_one():
+    for cases in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            run("laws", "--lineale", "nat", "--cases", cases)
+        assert exc.value.code == 2
 
 
 def test_laws_mutation_mode_fails_adjunction():

@@ -174,6 +174,28 @@ def test_oplus_blocks_and_injections():
     assert check_morphism(b, s, i2.fwd, i2.bwd) == []
 
 
+def test_cap_is_checked_before_building_labels():
+    import tracemalloc
+
+    def labelled(n_pos, n_neg):
+        pos = FinSet(n_pos, tuple(f"p{i}" for i in range(n_pos)))
+        neg = FinSet(n_neg, tuple(f"t{i}" for i in range(n_neg)))
+        return dial_object(BOOL2, pos, neg, lambda u, x: F)
+
+    tall, wide = labelled(2000, 1), labelled(1, 2000)
+    for build, a in ((with_product, tall), (oplus, wide)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                build(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.required == 4_000_000
+        # the 4M product labels alone would take hundreds of MiB
+        assert peak < 2 * 2**20, (build.__name__, peak)
+
+
 def test_copair_mediates():
     a, b, c = bool_obj([[1]]), bool_obj([[0]]), bool_obj([[1], [1]])
     f = dial_morphism(a, c, FnTable(FinSet(1), FinSet(2), (0,)), ID1)
@@ -307,15 +329,16 @@ def test_enumerate_counts_singletons():
 
 
 def test_enumerate_agrees_with_check_and_is_lexicographic():
-    from dialnet.finset import all_tables
-
     a = bool_obj([[1, 0], [0, 0]])
     b = bool_obj([[1], [1]])
     got = enumerate_morphisms(a, b)
+    tables = lambda dom, cod: [
+        FnTable(dom, cod, t) for t in itertools.product(range(cod.size), repeat=dom.size)
+    ]
     brute = [
         (f, F)
-        for f in all_tables(a.pos, b.pos)
-        for F in all_tables(b.neg, a.neg)
+        for f in tables(a.pos, b.pos)
+        for F in tables(b.neg, a.neg)
         if check_morphism(a, b, f, F) == []
     ]
     assert [(m.fwd, m.bwd) for m in got] == brute

@@ -11,17 +11,16 @@ from hypothesis import given, strategies as st
 
 from dialnet import CapExceeded, DEFAULT_CAP, FinSet, FnTable, ShapeMismatch
 from dialnet.finset import (
-    all_tables,
     compose,
     copair,
     coproduct_set,
-    curry_fn,
-    diagonal,
-    eval_at,
     exp_set,
     exp_size,
     fn_from_index,
     fn_index,
+    fn_pair_from_index,
+    fn_pair_index,
+    hom_shape,
     identity,
     inl,
     inr,
@@ -33,8 +32,7 @@ from dialnet.finset import (
     proj2,
     singleton,
     swap,
-    uncurry_fn,
-    unpair_index,
+    tensor_shape,
 )
 
 
@@ -87,7 +85,6 @@ def test_compose_is_g_after_f():
 
 def test_pair_index_row_major():
     assert [pair_index(i, j, 3) for i in range(2) for j in range(3)] == list(range(6))
-    assert unpair_index(5, 3) == (1, 2)
 
 
 def test_product_set_labels():
@@ -110,7 +107,6 @@ def test_projections_and_pairing():
     assert swap(a, b).table == tuple(
         pair_index(j, i, a.size) for i in range(a.size) for j in range(b.size)
     )
-    assert diagonal(FinSet(2)).table == (0, 3)
 
 
 def test_product_fn_acts_componentwise():
@@ -157,13 +153,12 @@ def test_exponential_index_convention():
     assert tabs[5] == (1, 2)
     for k, t in enumerate(tabs):
         assert fn_index(t, 3) == k
-        for pos in range(2):
-            assert eval_at(k, pos, 2, 3) == t[pos]
 
 
 def test_all_tables_enumeration():
-    got = [t.table for t in all_tables(FinSet(2), FinSet(3))]
-    assert len(got) == 9
+    dom, base = FinSet(2), FinSet(3)
+    got = [fn_from_index(k, dom.size, base.size) for k in range(exp_set(base, dom).size)]
+    assert len(got) == 9 and len(set(got)) == 9
     assert got == sorted(got)  # lexicographic because index 0 digit is high
 
 
@@ -185,28 +180,6 @@ def test_empty_domain_exponential():
     assert fn_from_index(0, 0, 3) == ()
 
 
-def test_curry_of_first_projection():
-    a, b = FinSet(2), FinSet(2)
-    g = curry_fn(proj1(a, b), a, b)
-    # row for u is the constant-u table, whose index has equal digits
-    assert g.table == (0, 3)
-    assert g.cod.size == 4
-
-
-def test_curry_uncurry_roundtrip_exhaustive():
-    # every size combination up to 3, every table, both directions
-    for na, nb, nc in itertools.product(range(4), repeat=3):
-        a, b, c = FinSet(na), FinSet(nb), FinSet(nc)
-        prod = product_set(a, b)
-        for f in all_tables(prod, c, cap=30000):
-            g = curry_fn(f, a, b, cap=30000)
-            assert uncurry_fn(g, b, c) == f
-        e = exp_set(c, b, cap=30000)
-        for g in all_tables(a, e, cap=30000):
-            f = uncurry_fn(g, b, c)
-            assert curry_fn(f, a, b, cap=30000) == g
-
-
 def test_point_equations_exhaustive():
     for na, nb in itertools.product(range(4), repeat=2):
         a, b = FinSet(na), FinSet(nb)
@@ -214,20 +187,9 @@ def test_point_equations_exhaustive():
         assert compose(swap(b, a), swap(a, b)) == identity(ab)
         assert compose(proj1(a, b), pairing(proj1(a, b), proj2(a, b))) == proj1(a, b)
         assert copair(inl(a, b), inr(a, b)) == identity(coproduct_set(a, b))
-        assert compose(proj1(a, a), diagonal(a)) == identity(a)
-        assert compose(proj2(a, a), diagonal(a)) == identity(a)
         assert compose(swap(a, b), pairing(proj1(a, b), proj2(a, b))) == pairing(
             proj2(a, b), proj1(a, b)
         )
-
-
-def test_curry_shape_errors():
-    f = FnTable(FinSet(5), FinSet(2), (0,) * 5)
-    with pytest.raises(ShapeMismatch):
-        curry_fn(f, FinSet(2), FinSet(2))
-    g = FnTable(FinSet(2), FinSet(3), (0, 0))
-    with pytest.raises(ShapeMismatch):
-        uncurry_fn(g, FinSet(2), FinSet(2))
 
 
 def test_singleton():
@@ -239,3 +201,36 @@ def test_singleton():
 def test_fn_index_roundtrip(base, dom, raw):
     k = raw % base**dom
     assert fn_index(fn_from_index(k, dom, base), base) == k
+
+
+# ---------------------------------------------------------------------------
+# pairs of response tables, and carrier shapes
+# ---------------------------------------------------------------------------
+
+shapes = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_fn_pair_codec_is_a_bijection(f_dom, f_base, g_dom, g_base):
+    size = f_base**f_dom * g_base**g_dom
+    seen = set()
+    for f in itertools.product(range(f_base), repeat=f_dom):
+        for g in itertools.product(range(g_base), repeat=g_dom):
+            k = fn_pair_index(f, f_base, g, g_base)
+            assert 0 <= k < size and k not in seen
+            seen.add(k)
+            assert fn_pair_from_index(k, f_dom, f_base, g_dom, g_base) == (f, g)
+    assert len(seen) == size
+
+
+@given(shapes, shapes)
+def test_shapes_match_built_carriers(a, b):
+    from dialnet import BOOL2, dial_object, hom_obj, tensor_obj
+
+    a_obj, b_obj = (
+        dial_object(BOOL2, FinSet(p), FinSet(n), lambda u, x: BOOL2.value(False))
+        for p, n in (a, b)
+    )
+    for shape, build in ((tensor_shape, tensor_obj), (hom_shape, hom_obj)):
+        built = build(a_obj, b_obj)  # carriers of at most 3**3 * 3**3, under the cap
+        assert (built.pos.size, built.neg.size) == shape(a, b)

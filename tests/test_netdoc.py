@@ -92,7 +92,7 @@ def test_randomized_nets_roundtrip():
             mk = lambda: dial_object(
                 lin, places, transitions, lambda u, x: lin.sample(rng, 6)
             )
-            net = PetriNet(lin, places, transitions, mk(), mk())
+            net = PetriNet(mk(), mk())
             doc = net_to_document(net)
             assert parse_net_document(serialize_net_document(doc)) == doc
             assert document_to_net(doc) == net

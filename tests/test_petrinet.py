@@ -51,8 +51,9 @@ def test_pre_and_post_share_carriers():
     assert water.pre.pos is water.places
     assert water.post.pos is water.places
     assert water.pre.neg is water.transitions
+    assert PetriNet(water.pre, water.post) == water
     with pytest.raises(ShapeMismatch):
-        PetriNet(NAT, FinSet(2), FinSet(1), water.pre, water.post)
+        PetriNet(water.pre, tensor_obj(water.post, water.post))
 
 
 def test_net_from_arcs_rejects_unknown_labels():
@@ -311,7 +312,7 @@ def random_nat_net(rng, n_places, n_transitions):
     mk = lambda: dialnet.dial_object(
         NAT, places, transitions, lambda u, x: NAT.value(rng.randint(0, 5))
     )
-    return PetriNet(NAT, places, transitions, mk(), mk())
+    return PetriNet(mk(), mk())
 
 
 def random_net_morphism_from(rng, source):
@@ -336,7 +337,7 @@ def random_net_morphism_from(rng, source):
 
         return dialnet.dial_object(NAT, places, transitions, weight)
 
-    target = PetriNet(NAT, places, transitions, lowered(source.pre), lowered(source.post))
+    target = PetriNet(lowered(source.pre), lowered(source.post))
     return net_morphism(source, target, f, F)
 
 
