@@ -34,7 +34,6 @@ from .lineale import (
     Lineale,
     LinealeValue,
     PoGroup,
-    decimal_display,
     format_value,
     from_pogroup,
     get_lineale,

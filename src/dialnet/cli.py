@@ -7,9 +7,9 @@
     dialnet export-dot <net.json> [--out <g.dot>]
     dialnet example --name <water|sir|circadian|inhibitor|catalysis> [--out <f.json>]
 
-Exit codes: 0 success, 2 unreadable/malformed document, 3 semantic
-failure (bad labels or values, failed morphism check, failed law,
-unknown lineale), 4 size cap exceeded.
+Exit codes: 0 success, 2 unreadable/malformed document or unwritable
+output file, 3 semantic failure (bad labels or values, failed morphism
+check, failed law, unknown lineale), 4 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .netdoc import (
     resolve_morphism_document,
     save_net,
     serialize_net_document,
+    write_text,
 )
 from .petrinet import (
     EXAMPLE_NAMES,
@@ -106,13 +107,14 @@ def _cmd_combine(args) -> int:
 
 def _cmd_laws(args) -> int:
     lin = get_lineale(args.lineale)
+    tag = lin.tag
     if args.mutate_imp:
         lin = mutate_imp(lin)
     results = run_all(lin, seed=args.seed, cases=args.cases)
     for r in results:
         print(r)
     passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} laws passed over {lin.tag}")
+    print(f"{passed}/{len(results)} laws passed over {tag}")
     return 0 if passed == len(results) else 3
 
 
@@ -122,7 +124,7 @@ def _cmd_export_dot(args) -> int:
     default = get_lineale(doc.lineale).parse(doc.default_weight)
     text = export_dot(net, default)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

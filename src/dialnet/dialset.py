@@ -102,14 +102,16 @@ __all__ = [
 class DialObject:
     """Two finite carriers and a weight matrix between them.
 
-    ``weight[u][x]`` is the lineale value attached to the pair (u, x);
-    rows run over the positive carrier, columns over the negative one.
+    ``weight[u][x]`` is the payload of the lineale value attached to the
+    pair (u, x) -- for a product lineale a plain pair of component
+    payloads; :meth:`weight_at` wraps it as a value.  Rows run over the
+    positive carrier, columns over the negative one.
     """
 
     lin: Lineale
     pos: FinSet
     neg: FinSet
-    weight: tuple[tuple[LinealeValue, ...], ...]
+    weight: tuple[tuple[object, ...], ...]
 
     def __post_init__(self):
         if len(self.weight) != self.pos.size:
@@ -123,11 +125,11 @@ class DialObject:
                     f"weight row of length {len(row)} for negative carrier "
                     f"of size {self.neg.size}"
                 )
-            for v in row:
-                if not isinstance(v, LinealeValue) or v.tag != self.lin.tag:
-                    raise TagMismatch(
-                        f"weight entry {v!r} does not belong to {self.lin.tag}"
-                    )
+            # a wrapped value would silently compare unequal to every payload
+            if LinealeValue in map(type, row):
+                raise TagMismatch(
+                    f"weight rows hold {self.lin.tag} payloads, not tagged values"
+                )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,11 +137,7 @@ class DialObject:
         return self.pos.size, self.neg.size
 
     def weight_at(self, u: int, x: int) -> LinealeValue:
-        return self.weight[u][x]
-
-    def payloads(self) -> list[list[object]]:
-        """The weight matrix with values unwrapped, for tight inner loops."""
-        return [[v.payload for v in row] for row in self.weight]
+        return LinealeValue(self.lin.tag, self.weight[u][x])
 
 
 def dial_object(
@@ -150,7 +148,8 @@ def dial_object(
 ) -> DialObject:
     """Build an object by tabulating a weight function over the carriers."""
     rows = tuple(
-        tuple(weight_fn(u, x) for x in range(neg.size)) for u in range(pos.size)
+        tuple(lin.unwrap(weight_fn(u, x)) for x in range(neg.size))
+        for u in range(pos.size)
     )
     return DialObject(lin, pos, neg, rows)
 
@@ -190,7 +189,7 @@ def check_morphism(
     An empty list means (fwd, bwd) is a morphism from source to target.
     """
     check_shapes(source, target, fwd, bwd)
-    leq = source.lin.leq
+    tag, leq = source.lin.tag, source.lin._leq
     out = []
     for u in range(source.pos.size):
         fu = fwd.table[u]
@@ -198,7 +197,7 @@ def check_morphism(
             a = source.weight[u][bwd.table[y]]
             b = target.weight[fu][y]
             if not leq(a, b):
-                out.append(Violation(u, y, a, b))
+                out.append(Violation(u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
     return out
 
 
@@ -359,7 +358,7 @@ def oplus_copair(
 
 def tensor_unit(lin: Lineale) -> DialObject:
     """Singleton carriers weighted by the lineale's unit."""
-    return DialObject(lin, singleton(), singleton(), ((lin.unit,),))
+    return DialObject(lin, singleton(), singleton(), ((lin.unit_payload,),))
 
 
 def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
@@ -377,20 +376,17 @@ def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObje
     neg = product_set(xs, ys)
     f_tabs = [fn_from_index(fi, b.pos.size, a.neg.size) for fi in range(xs.size)]
     g_tabs = [fn_from_index(gi, a.pos.size, b.neg.size) for gi in range(ys.size)]
-    tag = lin.tag
     tens = lin._tensor
-    alpha = a.payloads()
-    beta = b.payloads()
     rows = []
     for u in range(a.pos.size):
-        au = alpha[u]
+        au = a.weight[u]
         for v in range(b.pos.size):
-            bv = beta[v]
+            bv = b.weight[v]
             row = []
             for f in f_tabs:
                 afv = au[f[v]]
                 for g in g_tabs:
-                    row.append(LinealeValue(tag, tens(afv, bv[g[u]])))
+                    row.append(tens(afv, bv[g[u]]))
             rows.append(tuple(row))
     return DialObject(lin, pos, neg, tuple(rows))
 
@@ -438,19 +434,16 @@ def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     neg = product_set(a.pos, b.neg)
     f_tabs = [fn_from_index(fi, a.pos.size, b.pos.size) for fi in range(fs.size)]
     b_tabs = [fn_from_index(bi, b.neg.size, a.neg.size) for bi in range(bs.size)]
-    tag = lin.tag
     imp = lin._imp
-    alpha = a.payloads()
-    beta = b.payloads()
     rows = []
     for f in f_tabs:
         for bt in b_tabs:
             row = []
             for u in range(a.pos.size):
-                au = alpha[u]
-                bu = beta[f[u]]
+                au = a.weight[u]
+                bu = b.weight[f[u]]
                 for y in range(b.neg.size):
-                    row.append(LinealeValue(tag, imp(au[bt[y]], bu[y])))
+                    row.append(imp(au[bt[y]], bu[y]))
             rows.append(tuple(row))
     return DialObject(lin, pos, neg, tuple(rows))
 
@@ -647,13 +640,11 @@ def enumerate_morphisms(
     if n > cap:
         raise CapExceeded(n, cap, what="morphism candidate space")
     leq = a.lin._leq
-    alpha = a.payloads()
-    beta = b.payloads()
     ys = range(b.neg.size)
     out = []
     # itertools.product yields tables in exponential index order
     for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
-        rows = [(alpha[u], beta[fu]) for u, fu in enumerate(f)]
+        rows = [(a.weight[u], b.weight[fu]) for u, fu in enumerate(f)]
         for bt in itertools.product(range(a.neg.size), repeat=b.neg.size):
             ok = True
             for au, bu in rows:

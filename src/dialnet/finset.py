@@ -153,10 +153,18 @@ def pair_index(i: int, j: int, b_size: int) -> int:
     return i * b_size + j
 
 
+def _escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace(",", "\\,")
+
+
 def product_set(a: FinSet, b: FinSet) -> FinSet:
+    """Pairs labelled (la,lb), with backslash and comma escaped inside la
+    and lb so that distinct pairs always get distinct labels."""
     labels = None
     if a.labels is not None and b.labels is not None:
-        labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
+        left = [_escape(la) for la in a.labels]
+        right = [_escape(lb) for lb in b.labels]
+        labels = tuple(f"({la},{lb})" for la in left for lb in right)
     return FinSet(a.size * b.size, labels)
 
 

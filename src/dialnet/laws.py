@@ -51,7 +51,7 @@ from .dialset import (
 )
 from .errors import CapExceeded, DialnetError
 from .finset import DEFAULT_CAP, FinSet, FnTable, tensor_shape
-from .lineale import KLEENE3, Lineale, LinealeValue
+from .lineale import KLEENE3, Lineale, format_payload
 
 __all__ = [
     "DEFAULT_SEED",
@@ -108,7 +108,7 @@ class _Law:
 
 def _show_obj(a: DialObject) -> str:
     grid = "; ".join(
-        ",".join(str(v) for v in row) for row in a.weight
+        ",".join(format_payload(v) for v in row) for row in a.weight
     )
     return f"{a.pos.size}x{a.neg.size}[{grid}]"
 
@@ -123,36 +123,30 @@ def _show_mor(m: DialMorphism) -> str:
 # -- value and object generators -----------------------------------------------
 
 
-def _join(lin: Lineale, a: LinealeValue, b: LinealeValue) -> LinealeValue:
-    """An upper bound of a and b.
+def _join(lin: Lineale, a, b):
+    """An upper bound of the payloads a and b.
 
     All base lineales here are chains, so max works; product lineales
     recurse componentwise.
     """
-    if lin.leq(a, b):
+    if lin._leq(a, b):
         return b
-    if lin.leq(b, a):
+    if lin._leq(b, a):
         return a
     if lin.factors is not None:
         f1, f2 = lin.factors
-        return LinealeValue(
-            lin.tag,
-            (_join(f1, a.payload[0], b.payload[0]), _join(f2, a.payload[1], b.payload[1])),
-        )
+        return (_join(f1, a[0], b[0]), _join(f2, a[1], b[1]))
     raise DialnetError(f"no upper bound rule for {lin.tag}")
 
 
-def _meet(lin: Lineale, a: LinealeValue, b: LinealeValue) -> LinealeValue:
-    if lin.leq(a, b):
+def _meet(lin: Lineale, a, b):
+    if lin._leq(a, b):
         return a
-    if lin.leq(b, a):
+    if lin._leq(b, a):
         return b
     if lin.factors is not None:
         f1, f2 = lin.factors
-        return LinealeValue(
-            lin.tag,
-            (_meet(f1, a.payload[0], b.payload[0]), _meet(f2, a.payload[1], b.payload[1])),
-        )
+        return (_meet(f1, a[0], b[0]), _meet(f2, a[1], b[1]))
     raise DialnetError(f"no lower bound rule for {lin.tag}")
 
 
@@ -165,7 +159,7 @@ def random_object(
     pos = FinSet(rng.choice(sizes))
     neg = FinSet(rng.choice(sizes))
     rows = tuple(
-        tuple(lin.sample(rng, bound) for _ in range(neg.size))
+        tuple(lin._sample(rng, bound) for _ in range(neg.size))
         for _ in range(pos.size)
     )
     return DialObject(lin, pos, neg, rows)
@@ -190,7 +184,7 @@ def random_morphism_from(
     for v in range(pos.size):
         row = []
         for y in range(neg.size):
-            val = lin.sample(rng, _VALUE_BOUND)
+            val = lin._sample(rng, _VALUE_BOUND)
             for u in range(source.pos.size):
                 if f[u] == v:
                     val = _join(lin, val, source.weight[u][bt[y]])
@@ -217,7 +211,7 @@ def random_morphism_into(
     for u in range(pos.size):
         row = []
         for x in range(neg.size):
-            val = lin.sample(rng, _VALUE_BOUND)
+            val = lin._sample(rng, _VALUE_BOUND)
             for y in range(target.neg.size):
                 if bt[y] == x:
                     val = _meet(lin, val, target.weight[f[u]][y])
@@ -231,7 +225,7 @@ def random_morphism_into(
 
 def all_objects(lin: Lineale, max_size: int = 2) -> list[DialObject]:
     """Every object with carrier sizes up to max_size over a finite lineale."""
-    carrier = lin.carrier()
+    carrier = lin._carrier
     if carrier is None:
         raise DialnetError(f"{lin.tag} has an infinite carrier")
     out = []
@@ -574,7 +568,7 @@ def coherence_laws(
     def rand_with_sizes(sz):
         (pu, nx) = sz
         rows = tuple(
-            tuple(lin.sample(rng, _VALUE_BOUND) for _ in range(nx))
+            tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(nx))
             for _ in range(pu)
         )
         return DialObject(lin, FinSet(pu), FinSet(nx), rows)
@@ -749,11 +743,13 @@ def mutate_imp(lin: Lineale) -> Lineale:
     Exists so the suites can demonstrate sensitivity: against the broken
     instance the adjunction law must fail with a concrete counterexample.
     A constant implication still typechecks everywhere, so nothing short
-    of the adjunction property itself can catch it.
+    of the adjunction property itself can catch it.  The copy has its own
+    tag, which get_lineale does not resolve, so its values never mix with
+    those of the honest lineale.
     """
     unit = lin.unit_payload
     return Lineale(
-        tag=lin.tag,
+        tag=f"mutate_imp({lin.tag})",
         description=lin.description + " (implication deliberately broken)",
         unit_payload=unit,
         leq=lin._leq,

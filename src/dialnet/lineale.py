@@ -11,7 +11,8 @@ finite products of all of these.  Every instance here is commutative.
 
 Values are immutable and tagged; operations never coerce between
 lineales -- applying an operation to values of different tags raises
-:class:`~dialnet.errors.TagMismatch`.
+:class:`~dialnet.errors.TagMismatch`.  The underscored operations act on
+bare payloads (a product's is a plain pair), which is how objects store weights.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "get_lineale",
     "sample",
     "format_value",
-    "decimal_display",
+    "format_payload",
     "BOOL2",
     "KLEENE3",
     "NAT",
@@ -56,7 +57,7 @@ class LinealeValue:
     Payloads by tag: ``bool2`` holds a bool, ``kleene3`` an int in
     {-1, 0, 1}, ``nat`` a nonnegative int, ``int`` an int, ``prob`` a
     Fraction in [0, 1] (kept in lowest terms by construction), and
-    product lineales hold a pair of component LinealeValues.
+    product lineales hold a plain pair of component payloads.
     """
 
     tag: str
@@ -144,30 +145,26 @@ class Lineale:
             return None
         return tuple(LinealeValue(self.tag, p) for p in self._carrier)
 
-    def _require(self, v: LinealeValue) -> None:
+    def unwrap(self, v: LinealeValue) -> Any:
+        """The payload of a value of this lineale; TagMismatch for any other value."""
         if not isinstance(v, LinealeValue) or v.tag != self.tag:
             got = v.tag if isinstance(v, LinealeValue) else type(v).__name__
             raise TagMismatch(f"expected a {self.tag} value, got {got}")
+        return v.payload
 
     # -- the four operations ------------------------------------------------
 
     def leq(self, a: LinealeValue, b: LinealeValue) -> bool:
         """Whether a precedes b in this lineale's partial order."""
-        self._require(a)
-        self._require(b)
-        return self._leq(a.payload, b.payload)
+        return self._leq(self.unwrap(a), self.unwrap(b))
 
     def tensor(self, a: LinealeValue, b: LinealeValue) -> LinealeValue:
         """Monoidal product of two values."""
-        self._require(a)
-        self._require(b)
-        return LinealeValue(self.tag, self._tensor(a.payload, b.payload))
+        return LinealeValue(self.tag, self._tensor(self.unwrap(a), self.unwrap(b)))
 
     def imp(self, a: LinealeValue, b: LinealeValue) -> LinealeValue:
         """Internal hom: the largest c with tensor(c, a) below b."""
-        self._require(a)
-        self._require(b)
-        return LinealeValue(self.tag, self._imp(a.payload, b.payload))
+        return LinealeValue(self.tag, self._imp(self.unwrap(a), self.unwrap(b)))
 
     def sample(self, rng: random.Random, size_bound: int = DEFAULT_SIZE_BOUND) -> LinealeValue:
         """Draw a pseudo-random value; finite carriers sample uniformly."""
@@ -179,9 +176,12 @@ class Lineale:
 
     def parse(self, text: str) -> LinealeValue:
         """Parse the textual value syntax for this lineale."""
+        return LinealeValue(self.tag, self._parse_payload(text))
+
+    def _parse_payload(self, text: str) -> Any:
         payload = self._parse(text.strip())
         self._validate(payload)
-        return LinealeValue(self.tag, payload)
+        return payload
 
 
 def sample(lin: Lineale, seed: int, size_bound: int = DEFAULT_SIZE_BOUND) -> LinealeValue:
@@ -191,7 +191,11 @@ def sample(lin: Lineale, seed: int, size_bound: int = DEFAULT_SIZE_BOUND) -> Lin
 
 def format_value(v: LinealeValue) -> str:
     """Canonical text for a value; the inverse of each lineale's parse."""
-    p = v.payload
+    return format_payload(v.payload)
+
+
+def format_payload(p: Any) -> str:
+    """Canonical text for a bare payload, as format_value gives its value."""
     if isinstance(p, bool):
         return "true" if p else "false"
     if isinstance(p, int):
@@ -201,22 +205,8 @@ def format_value(v: LinealeValue) -> str:
             return str(p.numerator)
         return f"{p.numerator}/{p.denominator}"
     if isinstance(p, tuple):
-        return f"({format_value(p[0])},{format_value(p[1])})"
+        return f"({format_payload(p[0])},{format_payload(p[1])})"
     raise InvalidValue(f"unprintable payload {p!r}")
-
-
-def decimal_display(v: LinealeValue, digits: int = 6) -> str:
-    """Lossy decimal rendering for human eyes.
-
-    Never feed this back into parse; exact rationals stay rational in
-    every stored or serialized value.
-    """
-    p = v.payload
-    if isinstance(p, Fraction) and p.denominator != 1:
-        return f"{float(p):.{digits}g}"
-    if isinstance(p, tuple):
-        return f"({decimal_display(p[0], digits)},{decimal_display(p[1], digits)})"
-    return format_value(v)
 
 
 # --------------------------------------------------------------------------
@@ -409,28 +399,25 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
     def validate(p):
         if not (isinstance(p, tuple) and len(p) == 2):
             raise InvalidValue(f"{tag} payload must be a pair, got {p!r}")
-        a, b = p
-        if not isinstance(a, LinealeValue) or a.tag != first.tag:
-            raise InvalidValue(f"first component of {tag} must be a {first.tag} value")
-        if not isinstance(b, LinealeValue) or b.tag != second.tag:
-            raise InvalidValue(f"second component of {tag} must be a {second.tag} value")
+        first._validate(p[0])
+        second._validate(p[1])
 
     def coerce(p):
-        if isinstance(p, list):
-            return tuple(p)
+        if isinstance(p, (tuple, list)) and len(p) == 2:
+            return (first._coerce(p[0]), second._coerce(p[1]))
         return p
 
     def leq(p, q):
-        return first.leq(p[0], q[0]) and second.leq(p[1], q[1])
+        return first._leq(p[0], q[0]) and second._leq(p[1], q[1])
 
     def tensor(p, q):
-        return (first.tensor(p[0], q[0]), second.tensor(p[1], q[1]))
+        return (first._tensor(p[0], q[0]), second._tensor(p[1], q[1]))
 
     def imp(p, q):
-        return (first.imp(p[0], q[0]), second.imp(p[1], q[1]))
+        return (first._imp(p[0], q[0]), second._imp(p[1], q[1]))
 
     def draw(rng, bound):
-        return (first.sample(rng, bound), second.sample(rng, bound))
+        return (first._sample(rng, bound), second._sample(rng, bound))
 
     def parse(text):
         if not (text.startswith("(") and text.endswith(")")):
@@ -448,21 +435,20 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
                 break
         if split < 0:
             raise ValueSyntaxError(f"missing top-level comma in pair: {text!r}")
-        return (first.parse(body[:split]), second.parse(body[split + 1 :]))
+        return (
+            first._parse_payload(body[:split]),
+            second._parse_payload(body[split + 1 :]),
+        )
 
     fc, sc = first._carrier, second._carrier
     carrier = None
     if fc is not None and sc is not None:
-        carrier = tuple(
-            (LinealeValue(first.tag, a), LinealeValue(second.tag, b))
-            for a in fc
-            for b in sc
-        )
+        carrier = tuple((a, b) for a in fc for b in sc)
 
     return Lineale(
         tag=tag,
         description=f"componentwise product of {first.tag} and {second.tag}",
-        unit_payload=(first.unit, second.unit),
+        unit_payload=(first.unit_payload, second.unit_payload),
         leq=leq,
         tensor=tensor,
         imp=imp,

@@ -45,7 +45,7 @@ from .errors import (
     DocumentSyntaxError,
 )
 from .finset import FinSet, FnTable
-from .lineale import LinealeValue, format_value, get_lineale
+from .lineale import LinealeValue, format_payload, get_lineale
 from .petrinet import PetriNet, net_from_arcs
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "document_to_net",
     "net_to_document",
     "read_text",
+    "write_text",
     "load_net",
     "save_net",
     "example_path",
@@ -236,14 +237,17 @@ def document_to_net(doc: NetDocument) -> PetriNet:
     )
 
 
-def _modal_weight(net: PetriNet) -> LinealeValue:
-    counts: dict[LinealeValue, int] = {}
+def _default_payload(net: PetriNet, default: Optional[LinealeValue]) -> object:
+    """The given default's payload, else the most frequent payload in the net."""
+    if default is not None:
+        return net.lin.unwrap(default)
+    counts: dict[object, int] = {}
     for obj in (net.pre, net.post):
         for row in obj.weight:
             for v in row:
                 counts[v] = counts.get(v, 0) + 1
     if not counts:
-        return net.lin.unit
+        return net.lin.unit_payload
     # max is stable, so ties go to the first weight encountered
     return max(counts, key=counts.__getitem__)
 
@@ -256,12 +260,12 @@ def _sparse_arcs(
     obj: DialObject,
     places: tuple[str, ...],
     transitions: tuple[str, ...],
-    default: LinealeValue,
+    default: object,
 ) -> list[tuple[str, str, str]]:
-    """(place, transition, formatted value) for every cell off the default,
-    in row-major order."""
+    """(place, transition, formatted value) for every cell off the default
+    payload, in row-major order."""
     return [
-        (p, t, format_value(v))
+        (p, t, format_payload(v))
         for p, row in zip(places, obj.weight)
         for t, v in zip(transitions, row)
         if v != default
@@ -275,14 +279,13 @@ def net_to_document(
 
     Without an explicit default the most frequent weight across both
     relations is used (ties broken by first appearance), which keeps
-    the arc list short.
+    the arc list short.  A default of another lineale raises TagMismatch.
     """
-    if default is None:
-        default = _modal_weight(net)
+    default = _default_payload(net, default)
     places, transitions = _labels(net.places), _labels(net.transitions)
     return NetDocument(
         lineale=net.lin.tag,
-        default_weight=format_value(default),
+        default_weight=format_payload(default),
         places=places,
         transitions=transitions,
         pre=tuple(_sparse_arcs(net.pre, places, transitions, default)),
@@ -296,11 +299,19 @@ def example_path(name: str) -> Path:
 
 
 def read_text(path: Union[str, Path]) -> str:
-    """A document file's text; an unreadable file is a DocumentSyntaxError."""
+    """A file's text; an unreadable or non-UTF-8 file is a DocumentSyntaxError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Write an output file; an unwritable path is a DocumentSyntaxError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise DocumentSyntaxError(f"cannot write {path}: {e}") from None
 
 
 def example_default(name: str) -> LinealeValue:
@@ -316,9 +327,7 @@ def load_net(path: Union[str, Path]) -> PetriNet:
 def save_net(
     net: PetriNet, path: Union[str, Path], default: Optional[LinealeValue] = None
 ) -> None:
-    Path(path).write_text(
-        serialize_net_document(net_to_document(net, default)), encoding="utf-8"
-    )
+    write_text(path, serialize_net_document(net_to_document(net, default)))
 
 
 # -- morphism documents --------------------------------------------------------
@@ -428,8 +437,7 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     Arcs carrying the default weight are left out, matching the sparse
     document form.  Output is deterministic for a given net.
     """
-    if default is None:
-        default = _modal_weight(net)
+    default = _default_payload(net, default)
     places, transitions = _labels(net.places), _labels(net.transitions)
     lines = ["digraph net {", "  rankdir=LR;"]
     for lbl in places:

@@ -97,11 +97,12 @@ def net_from_arcs(
     """Assemble a net from sparse arc maps; unmentioned arcs get the default."""
     places = FinSet(len(place_labels), place_labels)
     transitions = FinSet(len(transition_labels), transition_labels)
+    fill = lin.unwrap(default)
 
     def matrix(arcs: Mapping[tuple[str, str], LinealeValue]):
-        grid = [[default] * transitions.size for _ in range(places.size)]
+        grid = [[fill] * transitions.size for _ in range(places.size)]
         for (p, t), v in arcs.items():
-            grid[places.index_of(p)][transitions.index_of(t)] = v
+            grid[places.index_of(p)][transitions.index_of(t)] = lin.unwrap(v)
         return tuple(tuple(row) for row in grid)
 
     pre = DialObject(lin, places, transitions, matrix(pre_arcs))
@@ -312,7 +313,7 @@ def _catalysis(
     lin = product_lineale(PROB, INT)
 
     def pv(rate: Fraction, role: int) -> LinealeValue:
-        return lin.value((PROB.value(rate), INT.value(role)))
+        return lin.value((rate, role))
 
     return net_from_arcs(
         lin,

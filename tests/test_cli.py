@@ -7,12 +7,15 @@ One subprocess test proves the module entry point works end to end.
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import dialnet
 from dialnet import example_path, load_net, net_with
 from dialnet.cli import main
 
@@ -52,6 +55,14 @@ def test_validate_bad_json(tmp_path):
     p.write_text("{oops", encoding="utf-8")
     code, _, err = run("validate", str(p))
     assert code == 2
+
+
+def test_validate_non_utf8_file(tmp_path):
+    p = tmp_path / "utf16.net"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, _, err = run("validate", str(p))
+    assert code == 2
+    assert "cannot read" in err
 
 
 def test_validate_unknown_label(tmp_path):
@@ -182,6 +193,32 @@ def test_combine_with_over_cap_stops_before_building(tmp_path):
     assert not (tmp_path / "x.net").exists()
 
 
+def test_combine_with_keeps_pair_labels_distinct(tmp_path):
+    # unescaped, ("x,y", "z") and ("x", "y,z") would both read (x,y,z)
+    paths = []
+    for name, places in (("a", ["x,y", "x"]), ("b", ["z", "y,z"])):
+        doc = {
+            "format_version": "1", "lineale": "nat", "default_weight": "0",
+            "places": places, "transitions": ["t"], "pre": [], "post": [],
+        }
+        paths.append(tmp_path / f"{name}.net")
+        paths[-1].write_text(json.dumps(doc))
+    out_path = tmp_path / "ab.net"
+    code, _, _ = run("combine", "--op", "with", *map(str, paths), "--out", str(out_path))
+    assert code == 0
+    labels = load_net(out_path).places.labels
+    assert len(set(labels)) == 4
+
+
+def test_combine_unwritable_out(tmp_path):
+    code, _, err = run(
+        "combine", "--op", "with", WATER, WATER,
+        "--out", str(tmp_path / "absent" / "x.net"),
+    )
+    assert code == 2
+    assert "cannot write" in err
+
+
 def test_combine_mixed_lineales(tmp_path):
     code, _, err = run(
         "combine", "--op", "tensor", WATER, SIR, "--out", str(tmp_path / "x.net")
@@ -220,6 +257,8 @@ def test_laws_mutation_mode_fails_adjunction():
     )
     assert code == 3
     assert "FAIL  hom.adjunction" in out
+    # the summary names the requested lineale, not the mutated copy's tag
+    assert out.endswith("laws passed over kleene3\n")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +279,13 @@ def test_export_dot_to_file(tmp_path):
     assert code == 0
     text = open(p, encoding="utf-8").read()
     assert text.startswith("digraph")
+
+
+def test_export_dot_unwritable_out(tmp_path):
+    code, out, err = run("export-dot", WATER, "--out", str(tmp_path / "absent" / "x.dot"))
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
 
 
 def test_export_dot_uses_files_declared_default(tmp_path):
@@ -272,11 +318,23 @@ def test_example_writes_file(tmp_path):
     )
 
 
+def test_example_unwritable_out(tmp_path):
+    code, out, err = run(
+        "example", "--name", "water", "--out", str(tmp_path / "absent" / "x.net")
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
+
+
 def test_module_entry_point_runs():
+    # the child finds the package where this process found it
+    env = dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "dialnet.cli", "validate", WATER],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

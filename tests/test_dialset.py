@@ -51,19 +51,20 @@ from dialnet.laws import all_objects, random_morphism_from, random_object
 T = BOOL2.value(True)
 F = BOOL2.value(False)
 
-BOTTOM = DialObject(BOOL2, FinSet(1), FinSet(1), ((F,),))
-TOP = DialObject(BOOL2, FinSet(1), FinSet(1), ((T,),))
+# objects store raw payloads; values are wrapped only by weight_at
+BOTTOM = DialObject(BOOL2, FinSet(1), FinSet(1), ((False,),))
+TOP = DialObject(BOOL2, FinSet(1), FinSet(1), ((True,),))
 
 ID1 = FnTable(FinSet(1), FinSet(1), (0,))
 
 
 def nat_obj(rows):
-    m = [[NAT.value(v) for v in row] for row in rows]
+    m = [[NAT.value(v).payload for v in row] for row in rows]
     return DialObject(NAT, FinSet(len(m)), FinSet(len(m[0])), tuple(map(tuple, m)))
 
 
 def bool_obj(rows):
-    m = [[BOOL2.value(bool(v)) for v in row] for row in rows]
+    m = [[bool(v) for v in row] for row in rows]
     return DialObject(BOOL2, FinSet(len(m)), FinSet(len(m[0])), tuple(map(tuple, m)))
 
 
@@ -77,13 +78,19 @@ def test_object_shape_is_checked():
         DialObject(BOOL2, FinSet(2), FinSet(1), ((T,),))
     with pytest.raises(ShapeMismatch):
         DialObject(BOOL2, FinSet(1), FinSet(2), ((T,),))
+    # cells are payloads; a tagged value, of any lineale, is refused
     with pytest.raises(TagMismatch):
         DialObject(BOOL2, FinSet(1), FinSet(1), ((NAT.value(1),),))
+    with pytest.raises(TagMismatch):
+        DialObject(BOOL2, FinSet(1), FinSet(1), ((T,),))
 
 
 def test_dial_object_tabulates():
     a = dial_object(NAT, FinSet(2), FinSet(3), lambda u, x: NAT.value(u * 3 + x))
-    assert a.weight_at(1, 2).payload == 5
+    assert a.weight[1][2] == 5
+    assert a.weight_at(1, 2) == NAT.value(5)
+    with pytest.raises(TagMismatch):
+        dial_object(BOOL2, FinSet(1), FinSet(1), lambda u, x: NAT.value(1))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +155,7 @@ def test_with_product_blocks():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     p = with_product(a, b)
     assert p.pos.size == 1 and p.neg.size == 2
-    assert [w.payload for w in p.weight[0]] == [3, 7]
+    assert list(p.weight[0]) == [3, 7]
 
 
 def test_projections_and_pairing_mediate():
@@ -168,7 +175,7 @@ def test_oplus_blocks_and_injections():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     s = oplus(a, b)
     assert s.pos.size == 2 and s.neg.size == 1
-    assert [row[0].payload for row in s.weight] == [3, 7]
+    assert [row[0] for row in s.weight] == [3, 7]
     i1, i2 = oplus_inl(a, b), oplus_inr(a, b)
     assert check_morphism(a, s, i1.fwd, i1.bwd) == []
     assert check_morphism(b, s, i2.fwd, i2.bwd) == []

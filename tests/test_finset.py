@@ -91,6 +91,12 @@ def test_product_set_labels():
     p = product_set(FinSet(2, ("a", "b")), FinSet(2, ("x", "y")))
     assert p.size == 4
     assert p.labels == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
+    # backslash and comma are escaped inside components, so pairs that
+    # would print alike unescaped keep distinct labels
+    q = product_set(FinSet(2, ("x,y", "x")), FinSet(2, ("z", "y,z")))
+    assert q.labels == ("(x\\,y,z)", "(x\\,y,y\\,z)", "(x,z)", "(x,y\\,z)")
+    r = product_set(FinSet(2, ("a\\", "a")), FinSet(2, (",b", "\\,b")))
+    assert len(set(r.labels)) == 4
 
 
 def test_projections_and_pairing():

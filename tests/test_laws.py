@@ -17,6 +17,8 @@ from dialnet import (
     LawResult,
     NAT,
     PROB,
+    TagMismatch,
+    UnknownLineale,
     adjunction_oracle,
     category_laws,
     check_morphism,
@@ -146,6 +148,17 @@ def test_broken_imp_fails_adjunction_with_counterexample():
     # the mutation leaves order and monoid structure intact
     for name in ("order.reflexive", "monoid.associative", "monoid.unit"):
         assert name not in bad
+
+
+def test_broken_imp_has_its_own_tag():
+    broken = mutated_kleene3()
+    assert broken != KLEENE3
+    with pytest.raises(UnknownLineale):
+        get_lineale(broken.tag)
+    with pytest.raises(TagMismatch):
+        broken.leq(broken.value(1), KLEENE3.value(1))
+    with pytest.raises(TagMismatch):
+        KLEENE3.tensor(broken.unit, KLEENE3.unit)
 
 
 def test_broken_imp_fails_on_bool2_too():

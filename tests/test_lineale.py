@@ -321,16 +321,58 @@ def test_format_value_canonical_forms():
     assert format_value(PROB.value(Fraction(2, 4))) == "1/2"
 
 
-def test_decimal_display_is_lossy_and_for_humans_only():
-    from dialnet import decimal_display
+# the laws-workload lineales plus a nested product
+PAYLOAD_TAGS = (
+    "bool2",
+    "kleene3",
+    "nat",
+    "int",
+    "prob",
+    "prod(prob,int)",
+    "prod(bool2,kleene3)",
+    "prod(prod(bool2,nat),int)",
+)
 
-    assert decimal_display(PROB.value(Fraction(1, 3)), digits=4) == "0.3333"
-    assert decimal_display(PROB.value(Fraction(1, 2))) == "0.5"
-    assert decimal_display(INT.value(-3)) == "-3"
-    prod = get_lineale("prod(prob,int)")
-    assert decimal_display(prod.parse("(2/5,-3)"), digits=2) == "(0.4,-3)"
-    # canonical text is unaffected
-    assert format_value(PROB.value(Fraction(1, 3))) == "1/3"
+
+def by_factors(lin, op, p, q):
+    """op on two payloads, computed with the public methods of the base factors."""
+    if lin.factors is None:
+        r = getattr(lin, op)(lin.value(p), lin.value(q))
+        return r if op == "leq" else r.payload
+    f1, f2 = lin.factors
+    first, second = by_factors(f1, op, p[0], q[0]), by_factors(f2, op, p[1], q[1])
+    return (first and second) if op == "leq" else (first, second)
+
+
+@given(st.sampled_from(PAYLOAD_TAGS), st.integers(0, 2**32))
+def test_payload_ops_agree_with_public_ops(tag, seed):
+    lin = get_lineale(tag)
+    rng = random.Random(seed)
+    a, b = lin.sample(rng, 6), lin.sample(rng, 6)
+    p, q = a.payload, b.payload
+    assert lin._leq(p, q) == lin.leq(a, b) == by_factors(lin, "leq", p, q)
+    assert lin._tensor(p, q) == lin.tensor(a, b).payload == by_factors(lin, "tensor", p, q)
+    assert lin._imp(p, q) == lin.imp(a, b).payload == by_factors(lin, "imp", p, q)
+    assert lin.parse(format_value(a)) == a
+    assert lin.value(p) == a
+
+
+def test_product_payloads_are_plain_pairs():
+    prod = product_lineale(PROB, INT)
+    assert prod.parse("(1/2,5)").payload == (Fraction(1, 2), 5)
+    assert prod.unit.payload == (Fraction(1), 0)
+    assert prod.value((0, 3)).payload == (Fraction(0), 3)  # components coerce
+    assert product_lineale(BOOL2, KLEENE3).carrier()[0].payload == (False, -1)
+    with pytest.raises(InvalidValue):
+        prod.value((PROB.value(Fraction(1, 2)), INT.value(5)))  # not payloads
+
+
+def test_unwrap_checks_the_tag():
+    assert NAT.unwrap(NAT.value(3)) == 3
+    with pytest.raises(TagMismatch):
+        NAT.unwrap(INT.value(3))
+    with pytest.raises(TagMismatch):
+        NAT.unwrap(3)
 
 
 def test_default_size_bound_sane():

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from dialnet import (
+    BOOL2,
     EXAMPLE_NAMES,
     DocumentSemanticError,
     DocumentSyntaxError,
@@ -26,6 +27,7 @@ from dialnet import (
     resolve_morphism_document,
     save_net,
     serialize_net_document,
+    TagMismatch,
 )
 
 WATER_TEXT = example_path("water").read_text(encoding="utf-8")
@@ -53,6 +55,14 @@ def test_serializer_is_canonical():
     doc = net_to_document(water, example_default("water"))
     assert serialize_net_document(doc) == WATER_TEXT
     assert WATER_TEXT.endswith("\n")
+
+
+def test_default_of_another_lineale_is_refused():
+    water = build_example("water")
+    with pytest.raises(TagMismatch):
+        net_to_document(water, BOOL2.value(False))
+    with pytest.raises(TagMismatch):
+        export_dot(water, BOOL2.value(False))
 
 
 def test_save_and_load(tmp_path):

@@ -19,6 +19,7 @@ from dialnet import (
     NetViolation,
     PetriNet,
     ShapeMismatch,
+    TagMismatch,
     build_example,
     check_net_morphism,
     example_default,
@@ -54,6 +55,15 @@ def test_pre_and_post_share_carriers():
     assert PetriNet(water.pre, water.post) == water
     with pytest.raises(ShapeMismatch):
         PetriNet(water.pre, tensor_obj(water.post, water.post))
+
+
+def test_net_from_arcs_rejects_values_of_another_lineale():
+    with pytest.raises(TagMismatch):
+        net_from_arcs(NAT, ("a",), ("t",), INT.value(0), {}, {})
+    with pytest.raises(TagMismatch):
+        net_from_arcs(NAT, ("a",), ("t",), NAT.value(0), {("a", "t"): INT.value(1)}, {})
+    with pytest.raises(TagMismatch):
+        net_from_arcs(NAT, ("a",), ("t",), NAT.value(0), {}, {("a", "t"): 1})
 
 
 def test_net_from_arcs_rejects_unknown_labels():
@@ -112,8 +122,8 @@ def test_circadian_shape_and_hypothesized_arcs():
     assert net.lin is KLEENE3
     assert net.places.size == 12
     assert net.transitions.size == 4
-    flat = [w.payload for row in net.pre.weight for w in row]
-    flat += [w.payload for row in net.post.weight for w in row]
+    flat = [w for row in net.pre.weight for w in row]
+    flat += [w for row in net.post.weight for w in row]
     # two arcs are only hypothesized (weight 0); everything else is
     # definite presence or absence
     assert flat.count(0) == 2
@@ -136,8 +146,9 @@ def test_inhibitor_threshold():
 def test_catalysis_pairs():
     net = build_example("catalysis")
     assert net.lin.tag == "prod(prob,int)"
-    rate = lambda pair: pair[0].payload
-    role = lambda pair: pair[1].payload
+    # product payloads are plain (rate, role) pairs
+    rate = lambda pair: pair[0]
+    role = lambda pair: pair[1]
     w = weight(net, "pre", "I", "r")
     assert (rate(w), role(w)) == (Fraction(2, 5), -3)
     w = weight(net, "pre", "C", "r")
