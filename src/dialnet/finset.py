@@ -24,7 +24,7 @@ CapExceeded beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CapExceeded, ShapeMismatch
@@ -66,17 +66,22 @@ class FinSet:
 
     size: int
     labels: Optional[tuple[str, ...]] = None
+    # label -> index, built once; None for an unlabelled set
+    _index: Optional[dict[str, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.size < 0:
             raise ShapeMismatch(f"set size must be nonnegative, got {self.size}")
+        index = None
         if self.labels is not None:
             if len(self.labels) != self.size:
                 raise ShapeMismatch(
                     f"{len(self.labels)} labels for a set of size {self.size}"
                 )
-            if len(set(self.labels)) != self.size:
+            index = dict(zip(self.labels, range(self.size)))
+            if len(index) != self.size:
                 raise ShapeMismatch("labels must be distinct")
+        object.__setattr__(self, "_index", index)
 
     def __eq__(self, other: object) -> bool:
         # labels are presentation only
@@ -91,11 +96,11 @@ class FinSet:
         return str(i)
 
     def index_of(self, label: str) -> int:
-        if self.labels is None:
+        if self._index is None:
             raise ShapeMismatch("set has no labels")
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise ShapeMismatch(f"no element labelled {label!r}") from None
 
 

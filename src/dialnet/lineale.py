@@ -45,6 +45,7 @@ __all__ = [
     "INT",
     "PROB",
     "DEFAULT_SIZE_BOUND",
+    "MAX_PRODUCT_FACTORS",
 ]
 
 DEFAULT_SIZE_BOUND = 16
@@ -470,12 +471,26 @@ PROB = _prob()
 _BASE = {lin.tag: lin for lin in (BOOL2, KLEENE3, NAT, INT, PROB)}
 
 
+# a product tag may name at most this many base lineales; a finite
+# product's carrier is built eagerly and grows exponentially with them
+MAX_PRODUCT_FACTORS = 8
+
+
 def get_lineale(tag: str) -> Lineale:
-    """Resolve a tag string, including nested ``prod(<tag>,<tag>)`` forms."""
+    """Resolve a tag string, including nested ``prod(<tag>,<tag>)`` forms.
+
+    A tag naming more than MAX_PRODUCT_FACTORS base lineales raises
+    UnknownLineale before any factor is built.
+    """
     tag = tag.strip()
     if tag in _BASE:
         return _BASE[tag]
     if tag.startswith("prod(") and tag.endswith(")"):
+        # every base lineale after the first is preceded by a comma
+        if tag.count(",") >= MAX_PRODUCT_FACTORS:
+            raise UnknownLineale(
+                f"product tag names more than {MAX_PRODUCT_FACTORS} base lineales"
+            )
         body = tag[5:-1]
         depth = 0
         for i, ch in enumerate(body):

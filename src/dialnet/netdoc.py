@@ -25,16 +25,28 @@ that parse but refer to unknown labels, repeat arcs, or carry values
 outside their lineale raise DocumentSemanticError.  The CLI maps these
 to exit codes 2 and 3.
 
-Serialization is canonical: fixed key order, two-space indent, arcs in
-row-major (place, transition) order, values in canonical form, one
-trailing newline.  Serializing a parsed canonical file reproduces it
-byte for byte.
+Serialization is canonical: the layout is exactly that of
+json.dumps(indent=2, ensure_ascii=False) -- fixed key order, two-space
+indent, arcs in row-major (place, transition) order, values in
+canonical form -- plus one trailing newline, written directly rather
+than through json.dumps, whose indenting encoder is pure Python.
+Serializing a parsed canonical file reproduces it byte for byte.
+
+Writing a net decides once per distinct payload object, not once per
+cell.  Payloads are immutable and most cells of a net share a few
+objects: the cells that are one common object are set aside by an
+identity test in C, and the comparison with the default and the
+formatting run once for each other object, looked up by id.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, repeat, starmap
+from json.encoder import encode_basestring
+from operator import eq, is_not
 from pathlib import Path
 from typing import Optional, Union
 
@@ -164,25 +176,47 @@ def _net_document_from_json(obj, what: str = "net document") -> NetDocument:
     )
 
 
-def parse_net_document(text: str) -> NetDocument:
+def _load_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
-    return _net_document_from_json(obj)
+    except RecursionError:
+        raise DocumentSyntaxError("not valid JSON: nested too deeply") from None
+
+
+def parse_net_document(text: str) -> NetDocument:
+    return _net_document_from_json(_load_json(text))
+
+
+# one arc triple at depth 2 of the document, as json.dumps(indent=2) lays it out
+_ARC_LAYOUT = "[\n      {},\n      {},\n      {}\n    ]"
+
+
+def _json_array(elements: list[str]) -> str:
+    """A depth-1 array of already-encoded elements, in the indent=2 layout."""
+    if not elements:
+        return "[]"
+    return "[\n    " + ",\n    ".join(elements) + "\n  ]"
+
+
+def _json_arcs(triples) -> list[str]:
+    strings = map(encode_basestring, chain.from_iterable(triples))
+    return list(starmap(_ARC_LAYOUT.format, zip(strings, strings, strings)))
 
 
 def serialize_net_document(doc: NetDocument) -> str:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "lineale": doc.lineale,
-        "default_weight": doc.default_weight,
-        "places": list(doc.places),
-        "transitions": list(doc.transitions),
-        "pre": [list(t) for t in doc.pre],
-        "post": [list(t) for t in doc.post],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a newline."""
+    fields = (
+        ("format_version", encode_basestring(FORMAT_VERSION)),
+        ("lineale", encode_basestring(doc.lineale)),
+        ("default_weight", encode_basestring(doc.default_weight)),
+        ("places", _json_array(list(map(encode_basestring, doc.places)))),
+        ("transitions", _json_array(list(map(encode_basestring, doc.transitions)))),
+        ("pre", _json_array(_json_arcs(doc.pre))),
+        ("post", _json_array(_json_arcs(doc.post))),
+    )
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
 
 
 def _parse_value(lin, text: str, where: str) -> LinealeValue:
@@ -238,18 +272,28 @@ def document_to_net(doc: NetDocument) -> PetriNet:
 
 
 def _default_payload(net: PetriNet, default: Optional[LinealeValue]) -> object:
-    """The given default's payload, else the most frequent payload in the net."""
+    """The given default's payload, else the most frequent payload in the net.
+
+    The cells that are the first cell's object are counted by an identity
+    test, the others by object id; the per-object counts are then merged
+    by value in order of first appearance, so ties go to the first weight
+    encountered.
+    """
     if default is not None:
         return net.lin.unwrap(default)
-    counts: dict[object, int] = {}
-    for obj in (net.pre, net.post):
-        for row in obj.weight:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-    if not counts:
+    rows = (*net.pre.weight, *net.post.weight)
+    first = next(chain.from_iterable(rows), None)
+    if first is None:
         return net.lin.unit_payload
+    cells = chain.from_iterable(rows)
+    rest = list(compress(cells, map(is_not, chain.from_iterable(rows), repeat(first))))
+    objects = dict(zip(map(id, rest), rest))
+    counts = Counter(map(id, rest))
+    by_value = {first: sum(map(len, rows)) - len(rest)}
+    for i, v in objects.items():
+        by_value[v] = by_value.get(v, 0) + counts[i]
     # max is stable, so ties go to the first weight encountered
-    return max(counts, key=counts.__getitem__)
+    return max(by_value, key=by_value.__getitem__)
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:
@@ -261,15 +305,29 @@ def _sparse_arcs(
     places: tuple[str, ...],
     transitions: tuple[str, ...],
     default: object,
+    texts: dict[int, Optional[str]],
 ) -> list[tuple[str, str, str]]:
     """(place, transition, formatted value) for every cell off the default
-    payload, in row-major order."""
-    return [
-        (p, t, format_payload(v))
-        for p, row in zip(places, obj.weight)
-        for t, v in zip(transitions, row)
-        if v != default
-    ]
+    payload, in row-major order.
+
+    Cells that are the first object equal to the default are set aside
+    by an identity test; each other cell is looked up by object id in
+    ``texts``, which maps the objects met so far to their text, or to
+    None when they equal the default.  So the comparison and the
+    formatting run once per distinct object, not once per cell.
+    """
+    cells = chain.from_iterable(obj.weight)
+    on_default = map(eq, chain.from_iterable(obj.weight), repeat(default))
+    skip = next(compress(cells, on_default), None)
+    arcs = []
+    for p, row in zip(places, obj.weight):
+        for t, v in compress(zip(transitions, row), map(is_not, row, repeat(skip))):
+            i = id(v)
+            if i not in texts:
+                texts[i] = None if v == default else format_payload(v)
+            if texts[i] is not None:
+                arcs.append((p, t, texts[i]))
+    return arcs
 
 
 def net_to_document(
@@ -283,13 +341,14 @@ def net_to_document(
     """
     default = _default_payload(net, default)
     places, transitions = _labels(net.places), _labels(net.transitions)
+    texts: dict[int, Optional[str]] = {}
     return NetDocument(
         lineale=net.lin.tag,
         default_weight=format_payload(default),
         places=places,
         transitions=transitions,
-        pre=tuple(_sparse_arcs(net.pre, places, transitions, default)),
-        post=tuple(_sparse_arcs(net.post, places, transitions, default)),
+        pre=tuple(_sparse_arcs(net.pre, places, transitions, default, texts)),
+        post=tuple(_sparse_arcs(net.post, places, transitions, default, texts)),
     )
 
 
@@ -343,10 +402,7 @@ def _expect_label_map(value, where: str) -> tuple[tuple[str, str], ...]:
 
 
 def parse_morphism_document(text: str) -> MorphismDocument:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentSyntaxError(f"not valid JSON: {e}") from None
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise DocumentSyntaxError("morphism document must be a JSON object")
     _check_keys(obj, _MOR_KEYS, "morphism document")
@@ -439,14 +495,15 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     """
     default = _default_payload(net, default)
     places, transitions = _labels(net.places), _labels(net.transitions)
+    texts: dict[int, Optional[str]] = {}
     lines = ["digraph net {", "  rankdir=LR;"]
     for lbl in places:
         lines.append(f"  {_quote('p:' + lbl)} [shape=circle, label={_quote(lbl)}];")
     for lbl in transitions:
         lines.append(f"  {_quote('t:' + lbl)} [shape=box, label={_quote(lbl)}];")
-    for p, t, v in _sparse_arcs(net.pre, places, transitions, default):
+    for p, t, v in _sparse_arcs(net.pre, places, transitions, default, texts):
         lines.append(f"  {_quote('p:' + p)} -> {_quote('t:' + t)} [label={_quote(v)}];")
-    for p, t, v in _sparse_arcs(net.post, places, transitions, default):
+    for p, t, v in _sparse_arcs(net.post, places, transitions, default, texts):
         lines.append(f"  {_quote('t:' + t)} -> {_quote('p:' + p)} [label={_quote(v)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -57,6 +57,25 @@ def test_validate_bad_json(tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_json_is_a_syntax_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for command in ("validate", "check-morphism"):
+        code, _, err = run(command, str(p))
+        assert code == 2, command
+        assert "nested too deeply" in err
+
+
+def test_deeply_nested_product_tag_is_refused(tmp_path):
+    doc = json.loads(Path(WATER).read_text(encoding="utf-8"))
+    doc["lineale"] = "prod(nat," * 2000 + "nat" + ")" * 2000
+    p = tmp_path / "deep_tag.net"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run("validate", str(p))
+    assert code == 3
+    assert "base lineales" in err
+
+
 def test_validate_non_utf8_file(tmp_path):
     p = tmp_path / "utf16.net"
     p.write_bytes(b"\xff\xfe{\x00}\x00")

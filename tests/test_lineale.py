@@ -28,7 +28,7 @@ from dialnet import (
     get_lineale,
     product_lineale,
 )
-from dialnet.lineale import DEFAULT_SIZE_BOUND, sample
+from dialnet.lineale import DEFAULT_SIZE_BOUND, MAX_PRODUCT_FACTORS, sample
 
 
 def payload(v):
@@ -265,6 +265,31 @@ def test_registry_builds_products_recursively():
 def test_unknown_tag():
     with pytest.raises(UnknownLineale):
         get_lineale("frob")
+
+
+def _balanced_tag(leaves: int) -> str:
+    if leaves == 1:
+        return "bool2"
+    half = leaves // 2
+    return f"prod({_balanced_tag(half)},{_balanced_tag(leaves - half)})"
+
+
+def test_product_tags_name_a_bounded_number_of_factors():
+    import tracemalloc
+
+    at_limit = get_lineale(_balanced_tag(MAX_PRODUCT_FACTORS))
+    assert len(at_limit.carrier()) == 2**MAX_PRODUCT_FACTORS
+    deep = "prod(bool2," * 2000 + "bool2" + ")" * 2000
+    tracemalloc.start()
+    try:
+        for tag in (deep, _balanced_tag(32), _balanced_tag(MAX_PRODUCT_FACTORS + 1)):
+            with pytest.raises(UnknownLineale, match="more than"):
+                get_lineale(tag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before any factor or carrier is built
+    assert peak < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

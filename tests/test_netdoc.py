@@ -7,13 +7,17 @@ round-trip tests compare raw bytes, not parsed structures.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialnet import (
     BOOL2,
     EXAMPLE_NAMES,
+    DialnetError,
+    DialObject,
     DocumentSemanticError,
     DocumentSyntaxError,
     NetDocument,
+    PetriNet,
     build_example,
     check_net_morphism,
     document_to_net,
@@ -28,7 +32,13 @@ from dialnet import (
     save_net,
     serialize_net_document,
     TagMismatch,
+    get_lineale,
+    net_oplus,
+    net_tensor,
+    net_with,
 )
+from dialnet.finset import FinSet
+from dialnet.lineale import format_payload
 
 WATER_TEXT = example_path("water").read_text(encoding="utf-8")
 
@@ -342,3 +352,236 @@ def test_dot_quotes_tricky_labels():
     dot = export_dot(net, NAT.value(0))
     assert '\\"hi\\"' in dot
     assert "t\\\\u" in dot
+
+
+# ---------------------------------------------------------------------------
+# the write path against its plain oracles
+# ---------------------------------------------------------------------------
+
+
+def _json_dumps_oracle(doc: NetDocument) -> str:
+    """The canonical text as json.dumps lays it out."""
+    payload = {
+        "format_version": "1",
+        "lineale": doc.lineale,
+        "default_weight": doc.default_weight,
+        "places": list(doc.places),
+        "transitions": list(doc.transitions),
+        "pre": [list(t) for t in doc.pre],
+        "post": [list(t) for t in doc.post],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def _oracle_document(net: PetriNet, default=None) -> NetDocument:
+    """net_to_document as a value-keyed count and a per-cell != filter."""
+    if default is None:
+        counts = {}
+        for obj in (net.pre, net.post):
+            for row in obj.weight:
+                for v in row:
+                    counts[v] = counts.get(v, 0) + 1
+        d = max(counts, key=counts.__getitem__) if counts else net.lin.unit_payload
+    else:
+        d = default.payload
+    places = tuple(net.places.label(i) for i in range(net.places.size))
+    transitions = tuple(net.transitions.label(i) for i in range(net.transitions.size))
+
+    def arcs(obj):
+        return tuple(
+            (p, t, format_payload(v))
+            for p, row in zip(places, obj.weight)
+            for t, v in zip(transitions, row)
+            if v != d
+        )
+
+    return NetDocument(
+        net.lin.tag, format_payload(d), places, transitions, arcs(net.pre), arcs(net.post)
+    )
+
+
+def _oracle_dot(doc: NetDocument) -> str:
+    def q(s):
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph net {", "  rankdir=LR;"]
+    lines += [f"  {q('p:' + p)} [shape=circle, label={q(p)}];" for p in doc.places]
+    lines += [f"  {q('t:' + t)} [shape=box, label={q(t)}];" for t in doc.transitions]
+    lines += [f"  {q('p:' + p)} -> {q('t:' + t)} [label={q(v)}];" for p, t, v in doc.pre]
+    lines += [f"  {q('t:' + t)} -> {q('p:' + p)} [label={q(v)}];" for p, t, v in doc.post]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _assert_write_path_matches_oracle(net: PetriNet, default=None) -> None:
+    doc = net_to_document(net, default)
+    expected = _oracle_document(net, default)
+    assert doc == expected
+    assert serialize_net_document(doc) == _json_dumps_oracle(expected)
+    assert export_dot(net, default) == _oracle_dot(expected)
+
+
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x01\x1f\x7f\u2028\u00e9\u4e2d\U0001f600{}[],: '),
+        st.characters(),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.builds(
+        NetDocument,
+        lineale=_TRICKY_TEXT,
+        default_weight=_TRICKY_TEXT,
+        places=st.lists(_TRICKY_TEXT, max_size=4).map(tuple),
+        transitions=st.lists(_TRICKY_TEXT, max_size=4).map(tuple),
+        pre=st.lists(st.tuples(_TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT), max_size=4).map(tuple),
+        post=st.lists(st.tuples(_TRICKY_TEXT, _TRICKY_TEXT, _TRICKY_TEXT), max_size=4).map(tuple),
+    )
+)
+def test_serializer_matches_json_dumps(doc):
+    assert serialize_net_document(doc) == _json_dumps_oracle(doc)
+
+
+# Value texts per lineale.  Parsing a text again gives a fresh payload
+# object (big ints, Fractions and pairs are not cached), so a net can
+# hold equal payloads that are distinct objects.
+_VALUE_TEXTS = {
+    "bool2": ("true", "false"),
+    "nat": ("0", "1", "2", "100000000000000000000"),
+    "prob": ("0", "1", "1/2", "2/3"),
+    "prod(prob,int)": ("(1,0)", "(1/2,5)", "(2/5,-3)", "(1/2,100000000000000000000)"),
+}
+
+
+@st.composite
+def _nets(draw, tag=None, max_places=4, max_transitions=4):
+    tag = tag or draw(st.sampled_from(sorted(_VALUE_TEXTS)))
+    lin = get_lineale(tag)
+    texts = _VALUE_TEXTS[tag]
+    shared = {t: lin.parse(t).payload for t in texts}
+    n_p = draw(st.integers(0, max_places))
+    n_t = draw(st.integers(0, max_transitions))
+    labelled = draw(st.booleans())
+
+    def carrier(n, prefix):
+        return FinSet(n, tuple(f"{prefix}{i}" for i in range(n)) if labelled else None)
+
+    def cell():
+        text = draw(st.sampled_from(texts))
+        return shared[text] if draw(st.booleans()) else lin.parse(text).payload
+
+    def obj(places, transitions):
+        weight = tuple(tuple(cell() for _ in range(n_t)) for _ in range(n_p))
+        return DialObject(lin, places, transitions, weight)
+
+    places, transitions = carrier(n_p, "p"), carrier(n_t, "t")
+    return PetriNet(obj(places, transitions), obj(places, transitions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nets(), st.data())
+def test_write_path_matches_value_keyed_oracle(net, data):
+    default = None
+    if data.draw(st.booleans()):
+        default = net.lin.parse(data.draw(st.sampled_from(_VALUE_TEXTS[net.lin.tag])))
+    _assert_write_path_matches_oracle(net, default)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_VALUE_TEXTS)).flatmap(
+    lambda tag: st.tuples(_nets(tag, 3, 2), _nets(tag, 3, 2))
+))
+def test_write_path_matches_oracle_on_combined_nets(pair):
+    a, b = pair
+    for combine in (net_with, net_oplus, net_tensor):
+        _assert_write_path_matches_oracle(combine(a, b))
+
+
+def test_modal_default_merges_equal_payload_objects():
+    from fractions import Fraction
+
+    prob = get_lineale("prob")
+    places, transitions = FinSet(1), FinSet(4)
+    # 1/2 sits in two distinct objects, 1/3 in one object used twice:
+    # a per-object count would see 1/3 first, the value count sees a tie
+    # that the first appearance, 1/2, wins
+    third = Fraction(1, 3)
+    pre = DialObject(prob, places, transitions, ((Fraction(1, 2), third, third, Fraction(1, 2)),))
+    net = PetriNet(pre, pre)
+    assert net_to_document(net).default_weight == "1/2"
+    _assert_write_path_matches_oracle(net)
+    # a majority spread over distinct objects still wins
+    many = (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
+    net = PetriNet(pre, DialObject(prob, places, transitions, (many,)))
+    assert net_to_document(net).default_weight == "2/3"
+    _assert_write_path_matches_oracle(net)
+
+
+# ---------------------------------------------------------------------------
+# the document edge under fuzzing
+# ---------------------------------------------------------------------------
+
+_EDGE_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["1", "nat", "prob", "bool2", "kleene3", "int", "prod(prob,int)",
+         "prod(bool2,kleene3)", "prod(", "prod(nat)", "prod(nat,", "prod(,)",
+         "0", "-1", "1/2", "1/0", "(1/2,5)", "((true,1),0)", "true", "p", "t", ""]
+    ),
+    st.integers(0, 40).map(lambda n: "prod(bool2," * n + "bool2" + ")" * n),
+    st.integers(0, 40).map(lambda n: "prod(" * n + "nat" + ")" * n),
+)
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _EDGE_TEXT),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.one_of(_EDGE_TEXT, st.sampled_from(["f", "F", "pre"])), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+_LABELS = st.lists(st.sampled_from(["p", "q", "t", "u", ""]), max_size=3)
+_TRIPLES = st.lists(st.lists(_EDGE_TEXT, max_size=4), max_size=4)
+_NET_OBJECT = st.fixed_dictionaries(
+    {
+        "format_version": st.one_of(st.just("1"), _JSON_VALUE),
+        "lineale": st.one_of(_EDGE_TEXT, _JSON_VALUE),
+        "default_weight": st.one_of(_EDGE_TEXT, _JSON_VALUE),
+        "places": st.one_of(_LABELS, _JSON_VALUE),
+        "transitions": st.one_of(_LABELS, _JSON_VALUE),
+        "pre": st.one_of(_TRIPLES, _JSON_VALUE),
+        "post": st.one_of(_TRIPLES, _JSON_VALUE),
+    }
+)
+_LABEL_MAP = st.dictionaries(st.sampled_from(["p", "q", "t", "u"]), _EDGE_TEXT, max_size=3)
+_MORPHISM_OBJECT = st.fixed_dictionaries(
+    {
+        "format_version": st.one_of(st.just("1"), _JSON_VALUE),
+        "source": st.one_of(_NET_OBJECT, _JSON_VALUE),
+        "target": st.one_of(_NET_OBJECT, _JSON_VALUE),
+        "f": st.one_of(_LABEL_MAP, _JSON_VALUE),
+        "F": st.one_of(_LABEL_MAP, _JSON_VALUE),
+    }
+)
+_EDGE_DOCUMENTS = st.one_of(
+    st.one_of(_NET_OBJECT, _MORPHISM_OBJECT, _JSON_VALUE).map(json.dumps),
+    st.integers(0, 5000).map(lambda n: "[" * n + "]" * n),
+    st.text(max_size=20),
+).flatmap(lambda text: st.one_of(st.just(text), st.integers(0, len(text)).map(lambda k: text[:k])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EDGE_DOCUMENTS)
+def test_document_edge_raises_only_dialnet_errors(text):
+    try:
+        document_to_net(parse_net_document(text))
+    except DialnetError:
+        pass
+    try:
+        mdoc = parse_morphism_document(text)
+        if isinstance(mdoc.source, NetDocument) and isinstance(mdoc.target, NetDocument):
+            resolve_morphism_document(mdoc)
+    except DialnetError:
+        pass
