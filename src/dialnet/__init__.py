@@ -79,6 +79,7 @@ from .petrinet import (
     check_net_morphism,
     net_compose,
     net_from_arcs,
+    net_from_relations,
     net_hom,
     net_identity,
     net_morphism,

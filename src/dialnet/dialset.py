@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, NamedTuple
 
 from .errors import CapExceeded, InvalidMorphism, ShapeMismatch, TagMismatch
@@ -163,17 +164,20 @@ class Violation(NamedTuple):
     target_weight: LinealeValue
 
 
-def _same_lineale(a: DialObject, b: DialObject) -> Lineale:
+def _same_lineale(a, b) -> Lineale:
     if a.lin.tag != b.lin.tag:
         raise TagMismatch(f"objects over {a.lin.tag} and {b.lin.tag} cannot combine")
     return a.lin
 
 
-def check_shapes(
-    source: DialObject, target: DialObject, fwd: FnTable, bwd: FnTable
-) -> None:
-    """Raise unless both objects share a lineale, fwd maps the positive
-    carriers forward and bwd maps the negative carriers backward."""
+def check_shapes(source, target, fwd: FnTable, bwd: FnTable) -> None:
+    """Raise unless both ends share a lineale, fwd maps the positive
+    carriers forward and bwd maps the negative carriers backward.
+
+    The ends are objects or nets: anything with a ``lin`` and ``pos`` /
+    ``neg`` carriers, so a net's shape is checked without building its
+    relations.
+    """
     _same_lineale(source, target)
     if fwd.dom.size != source.pos.size or fwd.cod.size != target.pos.size:
         raise ShapeMismatch("forward table does not map the positive carriers")
@@ -377,17 +381,18 @@ def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObje
     f_tabs = [fn_from_index(fi, b.pos.size, a.neg.size) for fi in range(xs.size)]
     g_tabs = [fn_from_index(gi, a.pos.size, b.neg.size) for gi in range(ys.size)]
     tens = lin._tensor
+    f_at = [[f[v] for f in f_tabs] for v in range(b.pos.size)]
     rows = []
     for u in range(a.pos.size):
         au = a.weight[u]
+        g_at_u = [g[u] for g in g_tabs]
         for v in range(b.pos.size):
-            bv = b.weight[v]
-            row = []
-            for f in f_tabs:
-                afv = au[f[v]]
-                for g in g_tabs:
-                    row.append(tens(afv, bv[g[u]]))
-            rows.append(tuple(row))
+            # one product per pair of cells (x, y), so equal inputs share
+            # one result object; row (u, v) then picks them per (f, g)
+            products = [list(map(tens, itertools.repeat(ax), b.weight[v])) for ax in au]
+            by_x = [list(map(px.__getitem__, g_at_u)) for px in products]
+            picked = map(by_x.__getitem__, f_at[v])
+            rows.append(tuple(itertools.chain.from_iterable(picked)))
     return DialObject(lin, pos, neg, tuple(rows))
 
 
@@ -435,15 +440,19 @@ def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     f_tabs = [fn_from_index(fi, a.pos.size, b.pos.size) for fi in range(fs.size)]
     b_tabs = [fn_from_index(bi, b.neg.size, a.neg.size) for bi in range(bs.size)]
     imp = lin._imp
+    # implications[u][v][y][x] = imp(weight_a(u, x), weight_b(v, y)), each
+    # computed once: cells with equal inputs share one result object
+    implications = [
+        [[list(map(imp, au, itertools.repeat(by))) for by in bv] for bv in b.weight]
+        for au in a.weight
+    ]
     rows = []
     for f in f_tabs:
+        at_f = [implications[u][fu] for u, fu in enumerate(f)]
         for bt in b_tabs:
             row = []
-            for u in range(a.pos.size):
-                au = a.weight[u]
-                bu = b.weight[f[u]]
-                for y in range(b.neg.size):
-                    row.append(imp(au[bt[y]], bu[y]))
+            for columns in at_f:
+                row.extend(map(getitem, columns, bt))
             rows.append(tuple(row))
     return DialObject(lin, pos, neg, tuple(rows))
 

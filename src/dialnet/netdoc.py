@@ -32,25 +32,25 @@ canonical form -- plus one trailing newline, written directly rather
 than through json.dumps, whose indenting encoder is pure Python.
 Serializing a parsed canonical file reproduces it byte for byte.
 
-Writing a net decides once per distinct payload object, not once per
-cell.  Payloads are immutable and most cells of a net share a few
-objects: the cells that are one common object are set aside by an
-identity test in C, and the comparison with the default and the
-formatting run once for each other object, looked up by id.
+Reading and writing cost time in the labels and arcs, not in the cells.
+A document becomes a net in its stored form (see petrinet) without a
+dense matrix, and each distinct weight text is parsed once.  Writing a
+net with its own default lists its arc maps; the text of each distinct
+payload object is formatted once.  Only an explicit default other than
+the net's own visits every cell, since every cell off that default
+becomes an arc.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring
-from operator import eq, is_not
+from operator import floordiv, mod
 from pathlib import Path
 from typing import Optional, Union
 
-from .dialset import DialObject
 from .errors import (
     DialnetError,
     DocumentSemanticError,
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
-from .petrinet import PetriNet, net_from_arcs
+from .petrinet import PetriNet, _net_from_cells
 
 __all__ = [
     "FORMAT_VERSION",
@@ -128,23 +128,29 @@ def _expect_str(value, where: str) -> str:
 def _expect_label_list(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"{where} must be a list of strings")
-    out = []
     for i, item in enumerate(value):
-        out.append(_expect_str(item, f"{where}[{i}]"))
-    return tuple(out)
+        if not isinstance(item, str):
+            raise DocumentSyntaxError(f"{where}[{i}] must be a string")
+    return tuple(value)
 
 
 def _expect_triples(value, where: str) -> tuple[tuple[str, str, str], ...]:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"{where} must be a list of triples")
-    out = []
-    for i, item in enumerate(value):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise DocumentSyntaxError(
-                f"{where}[{i}] must be a [place, transition, value] triple"
-            )
-        out.append(tuple(_expect_str(x, f"{where}[{i}]") for x in item))
-    return tuple(out)
+    # the common case is checked in C; the loop names the first bad item
+    if not (
+        set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {3}
+        and set(map(type, chain.from_iterable(value))) <= {str}
+    ):
+        for i, item in enumerate(value):
+            if not (isinstance(item, list) and len(item) == 3):
+                raise DocumentSyntaxError(
+                    f"{where}[{i}] must be a [place, transition, value] triple"
+                )
+            if not all(isinstance(x, str) for x in item):
+                raise DocumentSyntaxError(f"{where}[{i}] must be a string")
+    return tuple(map(tuple, value))
 
 
 def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
@@ -219,15 +225,20 @@ def serialize_net_document(doc: NetDocument) -> str:
     return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
 
 
-def _parse_value(lin, text: str, where: str) -> LinealeValue:
+def _parse_weight(lin, text: str, where) -> object:
+    """The payload a weight text denotes; ``where()`` names the text in the error."""
     try:
-        return lin.parse(text)
+        return lin.parse(text).payload
     except DialnetError as e:
-        raise DocumentSemanticError(f"{where}: {e}") from None
+        raise DocumentSemanticError(f"{where()}: {e}") from None
 
 
 def document_to_net(doc: NetDocument) -> PetriNet:
-    """Validate a document and build the net it denotes."""
+    """Validate a document and build the net it denotes.
+
+    Each distinct weight text is parsed once, so equal texts share one
+    payload object.
+    """
     try:
         lin = get_lineale(doc.lineale)
     except DialnetError as e:
@@ -240,94 +251,78 @@ def document_to_net(doc: NetDocument) -> PetriNet:
             if lbl in seen:
                 raise DocumentSemanticError(f"duplicate {kind} label {lbl!r}")
             seen.add(lbl)
-    default = _parse_value(lin, doc.default_weight, "default_weight")
-    place_set = set(doc.places)
-    transition_set = set(doc.transitions)
+    default = _parse_weight(lin, doc.default_weight, lambda: "default_weight")
+    payloads = {doc.default_weight: default}
+    places = FinSet(len(doc.places), doc.places)
+    transitions = FinSet(len(doc.transitions), doc.transitions)
+    place_index = dict(zip(doc.places, range(places.size)))
+    transition_index = dict(zip(doc.transitions, range(transitions.size)))
+    n_t = transitions.size
 
-    def arcs(triples, part: str):
+    def cells(triples, part: str) -> dict[int, object]:
         out = {}
         for i, (p, t, v) in enumerate(triples):
-            where = f"{part}[{i}]"
-            if p not in place_set:
-                raise DocumentSemanticError(f"{where}: unknown place label {p!r}")
-            if t not in transition_set:
+            u = place_index.get(p)
+            if u is None:
+                raise DocumentSemanticError(f"{part}[{i}]: unknown place label {p!r}")
+            x = transition_index.get(t)
+            if x is None:
                 raise DocumentSemanticError(
-                    f"{where}: unknown transition label {t!r}"
+                    f"{part}[{i}]: unknown transition label {t!r}"
                 )
-            if (p, t) in out:
+            k = u * n_t + x
+            if k in out:
                 raise DocumentSemanticError(
-                    f"{where}: duplicate arc for ({p!r}, {t!r})"
+                    f"{part}[{i}]: duplicate arc for ({p!r}, {t!r})"
                 )
-            out[(p, t)] = _parse_value(lin, v, where)
+            w = payloads.get(v)
+            if w is None:
+                w = payloads[v] = _parse_weight(lin, v, lambda: f"{part}[{i}]")
+            out[k] = w
         return out
 
-    return net_from_arcs(
+    return _net_from_cells(
         lin,
-        doc.places,
-        doc.transitions,
+        places,
+        transitions,
         default,
-        arcs(doc.pre, "pre"),
-        arcs(doc.post, "post"),
+        cells(doc.pre, "pre"),
+        cells(doc.post, "post"),
     )
-
-
-def _default_payload(net: PetriNet, default: Optional[LinealeValue]) -> object:
-    """The given default's payload, else the most frequent payload in the net.
-
-    The cells that are the first cell's object are counted by an identity
-    test, the others by object id; the per-object counts are then merged
-    by value in order of first appearance, so ties go to the first weight
-    encountered.
-    """
-    if default is not None:
-        return net.lin.unwrap(default)
-    rows = (*net.pre.weight, *net.post.weight)
-    first = next(chain.from_iterable(rows), None)
-    if first is None:
-        return net.lin.unit_payload
-    cells = chain.from_iterable(rows)
-    rest = list(compress(cells, map(is_not, chain.from_iterable(rows), repeat(first))))
-    objects = dict(zip(map(id, rest), rest))
-    counts = Counter(map(id, rest))
-    by_value = {first: sum(map(len, rows)) - len(rest)}
-    for i, v in objects.items():
-        by_value[v] = by_value.get(v, 0) + counts[i]
-    # max is stable, so ties go to the first weight encountered
-    return max(by_value, key=by_value.__getitem__)
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:
     return tuple(s.label(i) for i in range(s.size))
 
 
-def _sparse_arcs(
-    obj: DialObject,
+def _arc_triples(
+    net: PetriNet,
+    arcs: dict[int, object],
+    default: object,
     places: tuple[str, ...],
     transitions: tuple[str, ...],
-    default: object,
-    texts: dict[int, Optional[str]],
 ) -> list[tuple[str, str, str]]:
-    """(place, transition, formatted value) for every cell off the default
-    payload, in row-major order.
+    """(place, transition, formatted value) for every cell of a relation
+    off the default payload, in row-major order.
 
-    Cells that are the first object equal to the default are set aside
-    by an identity test; each other cell is looked up by object id in
-    ``texts``, which maps the objects met so far to their text, or to
-    None when they equal the default.  So the comparison and the
-    formatting run once per distinct object, not once per cell.
+    With the net's own default these are its arcs.  Each distinct
+    payload object is formatted once; the rest runs in C.
     """
-    cells = chain.from_iterable(obj.weight)
-    on_default = map(eq, chain.from_iterable(obj.weight), repeat(default))
-    skip = next(compress(cells, on_default), None)
-    arcs = []
-    for p, row in zip(places, obj.weight):
-        for t, v in compress(zip(transitions, row), map(is_not, row, repeat(skip))):
-            i = id(v)
-            if i not in texts:
-                texts[i] = None if v == default else format_payload(v)
-            if texts[i] is not None:
-                arcs.append((p, t, texts[i]))
-    return arcs
+    if default != net.default:
+        n = len(places) * len(transitions)
+        cells = ((k, arcs.get(k, net.default)) for k in range(n))
+        arcs = {k: v for k, v in cells if v != default}
+    n_t = len(transitions)
+    payloads = list(arcs.values())
+    objects = dict(zip(map(id, payloads), payloads))
+    texts = {i: format_payload(v) for i, v in objects.items()}
+    return list(
+        zip(
+            map(places.__getitem__, map(floordiv, arcs, repeat(n_t))),
+            map(transitions.__getitem__, map(mod, arcs, repeat(n_t))),
+            map(texts.__getitem__, map(id, payloads)),
+        )
+    )
 
 
 def net_to_document(
@@ -335,20 +330,20 @@ def net_to_document(
 ) -> NetDocument:
     """Render a net sparsely.
 
-    Without an explicit default the most frequent weight across both
-    relations is used (ties broken by first appearance), which keeps
-    the arc list short.  A default of another lineale raises TagMismatch.
+    Without an explicit default the net's own is used: the most frequent
+    weight across both relations (ties broken by first appearance), which
+    keeps the arc list short.  A default of another lineale raises
+    TagMismatch.
     """
-    default = _default_payload(net, default)
+    default = net.default if default is None else net.lin.unwrap(default)
     places, transitions = _labels(net.places), _labels(net.transitions)
-    texts: dict[int, Optional[str]] = {}
     return NetDocument(
         lineale=net.lin.tag,
         default_weight=format_payload(default),
         places=places,
         transitions=transitions,
-        pre=tuple(_sparse_arcs(net.pre, places, transitions, default, texts)),
-        post=tuple(_sparse_arcs(net.post, places, transitions, default, texts)),
+        pre=tuple(_arc_triples(net, net.pre_arcs, default, places, transitions)),
+        post=tuple(_arc_triples(net, net.post_arcs, default, places, transitions)),
     )
 
 
@@ -493,17 +488,16 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     Arcs carrying the default weight are left out, matching the sparse
     document form.  Output is deterministic for a given net.
     """
-    default = _default_payload(net, default)
+    default = net.default if default is None else net.lin.unwrap(default)
     places, transitions = _labels(net.places), _labels(net.transitions)
-    texts: dict[int, Optional[str]] = {}
     lines = ["digraph net {", "  rankdir=LR;"]
     for lbl in places:
         lines.append(f"  {_quote('p:' + lbl)} [shape=circle, label={_quote(lbl)}];")
     for lbl in transitions:
         lines.append(f"  {_quote('t:' + lbl)} [shape=box, label={_quote(lbl)}];")
-    for p, t, v in _sparse_arcs(net.pre, places, transitions, default, texts):
+    for p, t, v in _arc_triples(net, net.pre_arcs, default, places, transitions):
         lines.append(f"  {_quote('p:' + p)} -> {_quote('t:' + t)} [label={_quote(v)}];")
-    for p, t, v in _sparse_arcs(net.post, places, transitions, default, texts):
+    for p, t, v in _arc_triples(net, net.post_arcs, default, places, transitions):
         lines.append(f"  {_quote('t:' + t)} -> {_quote('p:' + p)} [label={_quote(v)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@
 
 Commands run in-process through main(argv); stdout/stderr are captured
 with redirect_* so the tests do not depend on pytest capture modes.
-One subprocess test proves the module entry point works end to end.
+One subprocess test proves the module entry points work end to end.
 """
 
 import io
@@ -349,11 +349,22 @@ def test_example_unwritable_out(tmp_path):
 def test_module_entry_point_runs():
     # the child finds the package where this process found it
     env = dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1]))
+    _, expected, _ = run("validate", WATER)
+    for module in ("dialnet", "dialnet.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "validate", WATER],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, module
+        assert proc.stdout == expected, module
+    # exit codes pass through: an unreadable file is exit 2
     proc = subprocess.run(
-        [sys.executable, "-m", "dialnet.cli", "validate", WATER],
+        [sys.executable, "-m", "dialnet", "validate", str(Path(WATER).with_name("absent.net"))],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0
-    assert "ok" in proc.stdout
+    assert proc.returncode == 2
+    assert "cannot read" in proc.stderr

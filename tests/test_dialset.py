@@ -6,6 +6,7 @@ worked out by hand; the law suites in test_laws.py do the heavy lifting.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialnet import (
     BOOL2,
@@ -26,6 +27,7 @@ from dialnet import (
     dial_morphism,
     dial_object,
     enumerate_morphisms,
+    get_lineale,
     hom_mor,
     hom_obj,
     identity,
@@ -46,6 +48,7 @@ from dialnet import (
     with_proj1,
     with_proj2,
 )
+from dialnet.finset import fn_pair_from_index
 from dialnet.laws import all_objects, random_morphism_from, random_object
 
 T = BOOL2.value(True)
@@ -381,3 +384,53 @@ def test_random_generators_produce_valid_morphisms():
         a = random_object(KLEENE3, rng)
         m = random_morphism_from(KLEENE3, rng, a)
         assert check_morphism(m.source, m.target, m.fwd, m.bwd) == []
+
+
+# ---------------------------------------------------------------------------
+# tensor and hom compute each lineale op once per pair of input cells
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _object_pairs(draw):
+    lin = get_lineale(draw(st.sampled_from(["prob", "prod(prob,int)", "nat"])))
+    u, x, v, y = (draw(st.integers(0, 3)) for _ in range(4))
+
+    def obj(pos, neg):
+        rng = draw(st.randoms(use_true_random=False))
+        return dial_object(lin, FinSet(pos), FinSet(neg), lambda i, j: lin.sample(rng, 4))
+
+    return obj(u, x), obj(v, y)
+
+
+def _distinct_objects(o: DialObject) -> int:
+    return len({id(c) for row in o.weight for c in row})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_object_pairs())
+def test_tensor_and_hom_share_results_of_equal_input_pairs(pair):
+    a, b = pair
+    (u_n, x_n), (v_n, y_n) = a.shape, b.shape
+    lin = a.lin
+    pairs_of_cells = u_n * x_n * v_n * y_n
+    try:
+        t = tensor_obj(a, b)
+    except CapExceeded:
+        t = None
+    if t is not None:
+        for r in range(t.pos.size):
+            u, v = divmod(r, v_n)
+            for c in range(t.neg.size):
+                f, g = fn_pair_from_index(c, v_n, x_n, u_n, y_n)
+                assert t.weight[r][c] == lin._tensor(a.weight[u][f[v]], b.weight[v][g[u]])
+        assert _distinct_objects(t) <= pairs_of_cells
+    try:
+        h = hom_obj(a, b)
+    except CapExceeded:
+        return
+    for r in range(h.pos.size):
+        f, big_f = fn_pair_from_index(r, u_n, v_n, y_n, x_n)
+        for c in range(h.neg.size):
+            u, y = divmod(c, y_n)
+            assert h.weight[r][c] == lin._imp(a.weight[u][big_f[y]], b.weight[f[u]][y])
+    assert _distinct_objects(h) <= pairs_of_cells

@@ -35,6 +35,7 @@ from dialnet import (
     get_lineale,
     net_oplus,
     net_tensor,
+    net_from_relations,
     net_with,
 )
 from dialnet.finset import FinSet
@@ -100,7 +101,7 @@ def test_modal_default_when_unspecified():
 def test_randomized_nets_roundtrip():
     import random
 
-    from dialnet import PetriNet, dial_object, get_lineale
+    from dialnet import dial_object, get_lineale
     from dialnet.finset import FinSet
 
     rng = random.Random(101)
@@ -112,7 +113,7 @@ def test_randomized_nets_roundtrip():
             mk = lambda: dial_object(
                 lin, places, transitions, lambda u, x: lin.sample(rng, 6)
             )
-            net = PetriNet(mk(), mk())
+            net = net_from_relations(mk(), mk())
             doc = net_to_document(net)
             assert parse_net_document(serialize_net_document(doc)) == doc
             assert document_to_net(doc) == net
@@ -188,6 +189,42 @@ def test_duplicate_labels_and_arcs():
     )
     with pytest.raises(DocumentSemanticError):
         document_to_net(doc)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"pre": [["H2", "t", "2"], ["O2", "t", 1]]}, "pre[1] must be a string"),
+        ({"post": [["H2O", "t"]]}, "post[0] must be a [place, transition, value] triple"),
+        ({"pre": [["H2", "t", "2"], "O2"]}, "pre[1] must be a [place, transition, value] triple"),
+        ({"places": ["H2", 7]}, "places[1] must be a string"),
+        ({"pre": [["H2", "t", "2"], ["O2", "t", "x"]]}, "pre[1]: not an integer: 'x'"),
+        (
+            {"post": [["H2O", "t", "2"], ["H2O", "t", "2"]]},
+            "post[1]: duplicate arc for ('H2O', 't')",
+        ),
+        ({"pre": [["H2", "u", "2"]]}, "pre[0]: unknown transition label 'u'"),
+        ({"default_weight": "-1"}, "default_weight: nat payload must be nonnegative, got -1"),
+    ],
+)
+def test_document_errors_name_the_item(changes, message):
+    with pytest.raises(DialnetError) as exc:
+        document_to_net(parse_net_document(_water_json(**changes)))
+    assert str(exc.value) == message
+
+
+def test_each_weight_text_is_parsed_once(monkeypatch):
+    from dialnet.lineale import Lineale
+
+    parsed = []
+    parse = Lineale.parse
+    monkeypatch.setattr(Lineale, "parse", lambda lin, text: parsed.append(text) or parse(lin, text))
+    pre = [["H2", "t", "2"], ["O2", "t", "2"]]
+    net = document_to_net(parse_net_document(_water_json(pre=pre, post=[["H2O", "t", "0"]])))
+    assert sorted(parsed) == ["0", "2"]
+    # equal texts share one payload object
+    assert len(net.pre_arcs) == 2
+    assert len({id(v) for v in net.pre_arcs.values()}) == 1
 
 
 def test_empty_carriers_are_rejected():
@@ -478,7 +515,7 @@ def _nets(draw, tag=None, max_places=4, max_transitions=4):
         return DialObject(lin, places, transitions, weight)
 
     places, transitions = carrier(n_p, "p"), carrier(n_t, "t")
-    return PetriNet(obj(places, transitions), obj(places, transitions))
+    return net_from_relations(obj(places, transitions), obj(places, transitions))
 
 
 @settings(max_examples=200, deadline=None)
@@ -510,12 +547,12 @@ def test_modal_default_merges_equal_payload_objects():
     # that the first appearance, 1/2, wins
     third = Fraction(1, 3)
     pre = DialObject(prob, places, transitions, ((Fraction(1, 2), third, third, Fraction(1, 2)),))
-    net = PetriNet(pre, pre)
+    net = net_from_relations(pre, pre)
     assert net_to_document(net).default_weight == "1/2"
     _assert_write_path_matches_oracle(net)
     # a majority spread over distinct objects still wins
     many = (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
-    net = PetriNet(pre, DialObject(prob, places, transitions, (many,)))
+    net = net_from_relations(pre, DialObject(prob, places, transitions, (many,)))
     assert net_to_document(net).default_weight == "2/3"
     _assert_write_path_matches_oracle(net)
 

@@ -6,6 +6,7 @@ descriptions by hand and act as the oracle for the builders.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialnet import (
     INT,
@@ -13,18 +14,24 @@ from dialnet import (
     NAT,
     PROB,
     EXAMPLE_NAMES,
+    DialObject,
     FinSet,
     FnTable,
     InvalidMorphism,
+    NetDocument,
     NetViolation,
     PetriNet,
     ShapeMismatch,
     TagMismatch,
     build_example,
+    check_morphism,
     check_net_morphism,
+    document_to_net,
     example_default,
+    get_lineale,
     net_compose,
     net_from_arcs,
+    net_from_relations,
     net_hom,
     net_identity,
     net_morphism,
@@ -52,9 +59,10 @@ def test_pre_and_post_share_carriers():
     assert water.pre.pos is water.places
     assert water.post.pos is water.places
     assert water.pre.neg is water.transitions
-    assert PetriNet(water.pre, water.post) == water
+    assert net_from_relations(water.pre, water.post) == water
+    assert hash(net_from_relations(water.pre, water.post)) == hash(water)
     with pytest.raises(ShapeMismatch):
-        PetriNet(water.pre, tensor_obj(water.post, water.post))
+        net_from_relations(water.pre, tensor_obj(water.post, water.post))
 
 
 def test_net_from_arcs_rejects_values_of_another_lineale():
@@ -323,7 +331,7 @@ def random_nat_net(rng, n_places, n_transitions):
     mk = lambda: dialnet.dial_object(
         NAT, places, transitions, lambda u, x: NAT.value(rng.randint(0, 5))
     )
-    return PetriNet(mk(), mk())
+    return net_from_relations(mk(), mk())
 
 
 def random_net_morphism_from(rng, source):
@@ -348,14 +356,19 @@ def random_net_morphism_from(rng, source):
 
         return dialnet.dial_object(NAT, places, transitions, weight)
 
-    target = PetriNet(lowered(source.pre), lowered(source.post))
+    target = net_from_relations(lowered(source.pre), lowered(source.post))
     return net_morphism(source, target, f, F)
+
+
+def _dense_check(a, b, f, big_f):
+    """The net condition as the dense relation check on pre, then on post."""
+    return [NetViolation("pre", *v) for v in check_morphism(a.pre, b.pre, f, big_f)] + [
+        NetViolation("post", *v) for v in check_morphism(a.post, b.post, f, big_f)
+    ]
 
 
 def test_net_condition_is_the_relation_condition_on_both_parts():
     import random
-
-    from dialnet import check_morphism
 
     rng = random.Random(77)
     for _ in range(40):
@@ -363,10 +376,7 @@ def test_net_condition_is_the_relation_condition_on_both_parts():
         b = random_nat_net(rng, rng.randint(1, 3), rng.randint(1, 3))
         f = FnTable(a.places, b.places, tuple(rng.randrange(b.places.size) for _ in range(a.places.size)))
         F = FnTable(b.transitions, a.transitions, tuple(rng.randrange(a.transitions.size) for _ in range(b.transitions.size)))
-        tagged = [
-            NetViolation("pre", *v) for v in check_morphism(a.pre, b.pre, f, F)
-        ] + [NetViolation("post", *v) for v in check_morphism(a.post, b.post, f, F)]
-        assert check_net_morphism(a, b, f, F) == tagged
+        assert check_net_morphism(a, b, f, F) == _dense_check(a, b, f, F)
 
 
 def test_net_compose_is_associative():
@@ -384,3 +394,169 @@ def test_net_compose_is_associative():
         i = net_identity(a)
         assert net_compose(m1, i).fwd == m1.fwd
         assert net_compose(m1, i).bwd == m1.bwd
+
+
+# ---------------------------------------------------------------------------
+# the stored form and the sparse morphism check against dense oracles
+# ---------------------------------------------------------------------------
+
+# Value texts per lineale; some spell one value twice ("0" and "00"), so
+# a document can list an arc equal to its default under another text.
+_TEXTS = {
+    "bool2": ("true", "false", " true"),
+    "nat": ("0", "00", "1", "2", "100000000000000000000"),
+    "prob": ("0", "0/3", "1/2", "2/4", "1"),
+    "prod(prob,int)": ("(0,0)", "(0/2,0)", "(1/2,5)", "(2/4,5)", "(1,-3)"),
+}
+
+
+@st.composite
+def _documents(draw, tag, n_places, n_transitions):
+    """A net document whose arcs come in any order and may equal the default."""
+    texts = _TEXTS[tag]
+    cells = [(u, x) for u in range(n_places) for x in range(n_transitions)]
+
+    def arcs():
+        listed = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+        return tuple((f"p{u}", f"t{x}", draw(st.sampled_from(texts))) for u, x in listed)
+
+    return NetDocument(
+        lineale=tag,
+        default_weight=draw(st.sampled_from(texts)),
+        places=tuple(f"p{i}" for i in range(n_places)),
+        transitions=tuple(f"t{i}" for i in range(n_transitions)),
+        pre=arcs(),
+        post=arcs(),
+    )
+
+
+def _dense_relations(doc):
+    """The pre and post matrices a document denotes, filled cell by cell."""
+    lin = get_lineale(doc.lineale)
+    places = FinSet(len(doc.places), doc.places)
+    transitions = FinSet(len(doc.transitions), doc.transitions)
+
+    def matrix(triples):
+        grid = [[lin.parse(doc.default_weight).payload] * transitions.size for _ in doc.places]
+        for p, t, v in triples:
+            grid[places.index_of(p)][transitions.index_of(t)] = lin.parse(v).payload
+        return DialObject(lin, places, transitions, tuple(map(tuple, grid)))
+
+    return matrix(doc.pre), matrix(doc.post)
+
+
+def _modal_oracle(pre, post):
+    counts = {}
+    for obj in (pre, post):
+        for row in obj.weight:
+            for v in row:
+                counts[v] = counts.get(v, 0) + 1
+    return max(counts, key=counts.__getitem__) if counts else pre.lin.unit_payload
+
+
+def _assert_stored_form(net):
+    for arcs in (net.pre_arcs, net.post_arcs):
+        assert list(arcs) == sorted(arcs)
+        assert all(0 <= k < net.places.size * net.transitions.size for k in arcs)
+        assert all(v != net.default for v in arcs.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_TEXTS)).flatmap(
+    lambda tag: st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda shape: _documents(tag, *shape)
+    )
+))
+def test_loaded_net_equals_net_of_its_dense_relations(doc):
+    pre, post = _dense_relations(doc)
+    net = document_to_net(doc)
+    assert net == net_from_relations(pre, post)
+    assert net.pre == pre and net.post == post
+    assert net.default == _modal_oracle(pre, post)
+    _assert_stored_form(net)
+    _assert_stored_form(net_from_relations(pre, post))
+
+
+def test_modal_tie_counts_an_unlisted_default_cell_first():
+    # 0 and 1 both fill two cells; the unlisted cell (p0, t) of pre comes
+    # first, although the arc that lists 0 again comes after both 1s
+    doc = NetDocument(
+        "nat", "0", ("p0", "p1"), ("t",),
+        pre=(("p1", "t", "1"),),
+        post=(("p1", "t", "0"), ("p0", "t", "1")),
+    )
+    pre, post = _dense_relations(doc)
+    net = document_to_net(doc)
+    assert net.default == 0 == _modal_oracle(pre, post)
+    assert net == net_from_relations(pre, post)
+
+
+@st.composite
+def _net_morphisms(draw):
+    """Two nets of one lineale and arbitrary (often non-injective) tables."""
+    tag = draw(st.sampled_from(sorted(_TEXTS)))
+    n_u, n_x = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n_v = draw(st.integers(1 if n_u else 0, 4))
+    n_y = draw(st.integers(0, 4 if n_x else 0))
+    source = document_to_net(draw(_documents(tag, n_u, n_x)))
+    target = document_to_net(draw(_documents(tag, n_v, n_y)))
+    f_table = tuple(draw(st.integers(0, n_v - 1)) for _ in range(n_u))
+    big_f_table = tuple(draw(st.integers(0, n_x - 1)) for _ in range(n_y))
+    f = FnTable(source.places, target.places, f_table)
+    big_f = FnTable(target.transitions, source.transitions, big_f_table)
+    return source, target, f, big_f
+
+
+@settings(max_examples=400, deadline=None)
+@given(_net_morphisms())
+def test_sparse_check_equals_dense_oracle(case):
+    source, target, f, big_f = case
+    assert check_net_morphism(source, target, f, big_f) == _dense_check(source, target, f, big_f)
+
+
+def test_failing_default_comparison_lists_every_cell():
+    # over nat 0 is not below 1, so every cell off the arcs is a violation
+    n = NAT.value
+    source = net_from_arcs(NAT, ("a", "b"), ("t", "u"), n(0), {("a", "t"): n(3)}, {})
+    target = net_from_arcs(NAT, ("c",), ("s", "r", "q"), n(1), {}, {("c", "q"): n(0)})
+    f = FnTable(source.places, target.places, (0, 0))
+    big_f = FnTable(target.transitions, source.transitions, (0, 0, 1))
+    violations = check_net_morphism(source, target, f, big_f)
+    assert violations == _dense_check(source, target, f, big_f)
+    # pre: all six cells but the two over the source arc (3 sits below 1);
+    # post: all six cells but the two at the target's 0 arc
+    assert [(v.part, v.u, v.y) for v in violations] == [
+        ("pre", 0, 2), ("pre", 1, 0), ("pre", 1, 1), ("pre", 1, 2),
+        ("post", 0, 0), ("post", 0, 1), ("post", 1, 0), ("post", 1, 1),
+    ]
+
+
+def test_violations_come_in_row_major_order():
+    # cells 16 and 9 sit in one small hash set in that order, not sorted
+    n = NAT.value
+    places, transitions = tuple(f"p{i}" for i in range(4)), tuple(f"t{i}" for i in range(5))
+    arcs = {("p3", "t1"): n(1), ("p1", "t4"): n(1), ("p0", "t2"): n(1)}
+    source = net_from_arcs(NAT, places, transitions, n(5), arcs, {})
+    target = net_from_arcs(NAT, places, transitions, n(5), {}, arcs)
+    m = net_identity(source)
+    violations = check_net_morphism(source, target, m.fwd, m.bwd)
+    assert violations == _dense_check(source, target, m.fwd, m.bwd)
+    assert [(v.part, v.u, v.y) for v in violations] == [
+        ("pre", 0, 2), ("pre", 1, 4), ("pre", 3, 1),
+    ]
+
+
+def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
+    n_p, n_t = 3000, 300
+    places = tuple(f"p{i}" for i in range(n_p))
+    transitions = tuple(f"t{i}" for i in range(n_t))
+    arcs = {(places[i * 7], transitions[i % n_t]): NAT.value(i % 5 + 1) for i in range(400)}
+    net = net_from_arcs(NAT, places, transitions, NAT.value(0), arcs, arcs)
+
+    def densify(self, arcs):
+        raise AssertionError("densified a net")
+
+    monkeypatch.setattr(PetriNet, "_relation", densify)
+    m = net_identity(net)
+    assert check_net_morphism(net, net, m.fwd, m.bwd) == []
+    assert net_morphism(net, net, m.fwd, m.bwd) == m
