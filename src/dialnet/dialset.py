@@ -317,23 +317,13 @@ def oplus(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     _guard(a.neg.size * b.neg.size, cap)
     pos = coproduct_set(a.pos, b.pos)
     neg = product_set(a.neg, b.neg)
-    rows = []
-    for u in range(a.pos.size):
-        rows.append(
-            tuple(
-                a.weight[u][x]
-                for x in range(a.neg.size)
-                for _y in range(b.neg.size)
-            )
-        )
-    for v in range(b.pos.size):
-        rows.append(
-            tuple(
-                b.weight[v][y]
-                for _x in range(a.neg.size)
-                for y in range(b.neg.size)
-            )
-        )
+    # column (x, y) of row inl u is a(u, x), of row inr v is b(v, y)
+    n_x, n_y = a.neg.size, b.neg.size
+    rows = [
+        tuple(itertools.chain.from_iterable(map(itertools.repeat, row, itertools.repeat(n_y))))
+        for row in a.weight
+    ]
+    rows += [row * n_x for row in b.weight]
     return DialObject(lin, pos, neg, tuple(rows))
 
 

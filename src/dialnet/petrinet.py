@@ -18,22 +18,22 @@ list their cells in that order.  The default is the modal payload: the
 most frequent one across pre then post, ties going to the first one
 met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
-net_from_arcs and net_from_relations build that form: from arcs, the
-cost is in the arcs; from dense relations, the comparisons with the
-default run once per distinct payload object, not once per cell (the
-cells that are one common object are set aside by an identity test in
-C, the others are looked up by object id).
+One builder, _net_from_cells, works that form out from a fill payload
+and the cells listed off it; its comparisons with the default run once
+per distinct payload object, not once per cell.
 
-The dense relations net.pre and net.post are built on each access.
-Only the connectives need them: they act componentwise on (pre, post),
-and net_from_relations turns the dense results back into a net.
+The dense relations net.pre and net.post are built on each access, and
+only tensor and hom use them: net_from_relations turns their dense
+results back into a net.  with and oplus copy each input cell into a
+block of result cells, so they cost time in the arcs (and in all of
+b's cells when its default differs from a's), not in a dense matrix.
 
 Checking a net morphism costs time in the carrier sizes plus the arcs
 and their preimages, not in the cells: check_net_morphism compares one
 by one only the cells (u, y) with a source arc at (u, F(y)) or a target
 arc at (f(u), y), and compares the two defaults once for every other
 cell.  When that comparison fails, every other cell fails too, and the
-dense check_morphism lists them all.
+same loop compares every cell instead, still without densifying.
 
 The module also builds the worked example nets: water (stoichiometry
 over the naturals), circadian (three-valued presence/absence with two
@@ -47,20 +47,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import eq, is_not, itemgetter
+from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import (
-    DialObject,
-    check_morphism,
-    check_shapes,
-    hom_obj,
-    oplus,
-    tensor_obj,
-    with_product,
-)
+from .dialset import DialObject, check_shapes, hom_obj, tensor_obj
+from .dialset import _guard, _same_lineale
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import DEFAULT_CAP, FinSet, FnTable
+from .finset import DEFAULT_CAP, FinSet, FnTable, coproduct_set, product_set
 from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .lineale import INT, KLEENE3, NAT, PROB, Lineale, LinealeValue, product_lineale
@@ -90,8 +83,8 @@ class PetriNet:
 
     pre_arcs and post_arcs map row-major cell indices to payloads, in
     index order, and hold exactly the cells whose payload is not equal
-    to default.  net_from_arcs and net_from_relations keep these
-    invariants; the constructor itself does not check them.
+    to default.  _net_from_cells keeps these invariants; the constructor
+    itself does not check them.
     """
 
     lin: Lineale
@@ -138,27 +131,22 @@ class PetriNet:
         return DialObject(self.lin, self.places, self.transitions, rows)
 
 
-def _most_frequent(counted: Iterable[tuple[object, int]]) -> object:
-    """The payload with the largest count, from (payload, count) pairs given
-    in order of first appearance; equal payloads are merged by value."""
-    by_value: dict[object, int] = {}
-    for v, c in counted:
-        by_value[v] = by_value.get(v, 0) + c
-    # max is stable, so ties go to the first payload met
-    return max(by_value, key=by_value.__getitem__)
-
-
 def _off_default(
     keys: Iterable[int], payloads: list[object], default: object
 ) -> dict[int, object]:
     """The cells whose payload is not equal to default, as key -> payload;
     keys run in step with payloads.
 
-    The comparison runs once per distinct payload object; the selection
-    of cells by object id runs in C.
+    The cells that are the default object itself are set aside by an
+    identity test, the comparison runs once per other distinct payload
+    object, and the selection of cells by object id runs in C.
     """
+    rest = list(map(is_not, payloads, repeat(default)))
+    keys, payloads = compress(keys, rest), list(compress(payloads, rest))
     objects = dict(zip(map(id, payloads), payloads))
     off = {i for i, v in objects.items() if v != default}
+    if len(off) == len(objects):
+        return dict(zip(keys, payloads))
     return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
 
 
@@ -171,42 +159,50 @@ def _net_from_cells(
     post: dict[int, object],
 ) -> PetriNet:
     """The net whose relations hold fill except at the cells listed in pre
-    and post (index -> payload maps; a listed cell may equal fill)."""
+    and post (index -> payload maps in any order; a listed cell may equal
+    fill).  This is the one place that works out the stored form."""
     n = places.size * transitions.size
-    pre_cells, post_cells = sorted(pre.items()), sorted(post.items())
-    listed = [*pre_cells, *((n + k, v) for k, v in post_cells)]
-    default = lin.unit_payload if n == 0 else _modal_of_cells(fill, listed, n)
+    pre_keys, post_keys = sorted(pre), sorted(post)
+    pre_vals = list(map(pre.__getitem__, pre_keys))
+    post_vals = list(map(post.__getitem__, post_keys))
+    default = lin.unit_payload
+    if n:
+        positions = chain(pre_keys, map(n.__add__, post_keys))
+        default = _modal_of_cells(fill, positions, pre_vals + post_vals, n)
 
-    def arcs(cells: list[tuple[int, object]]) -> dict[int, object]:
+    def arcs(keys: list[int], payloads: list[object], held: dict) -> dict[int, object]:
         if fill != default:
             # every unlisted cell holds fill and is off the default
-            held = dict(cells)
-            payloads = list(map(held.get, range(n), repeat(fill)))
-            return _off_default(range(n), payloads, default)
-        payloads = list(map(itemgetter(1), cells))
-        return _off_default(map(itemgetter(0), cells), payloads, default)
+            everywhere = list(map(held.get, range(n), repeat(fill)))
+            return _off_default(range(n), everywhere, default)
+        return _off_default(keys, payloads, default)
 
-    return PetriNet(
-        lin, places, transitions, default, arcs(pre_cells), arcs(post_cells)
-    )
+    pre_arcs, post_arcs = arcs(pre_keys, pre_vals, pre), arcs(post_keys, post_vals, post)
+    return PetriNet(lin, places, transitions, default, pre_arcs, post_arcs)
 
 
-def _modal_of_cells(fill: object, listed: list[tuple[int, object]], n: int) -> object:
+def _modal_of_cells(
+    fill: object, positions: Iterable[int], payloads: list[object], n: int
+) -> object:
     """The modal payload of relations of n cells each that hold fill except
-    at the listed (position, payload) cells, positions ascending and post's
-    shifted by n; ties go to the payload whose first cell comes first."""
-    ids = list(map(id, map(itemgetter(1), listed)))
-    counts = Counter(ids)
-    # id -> (position, payload) of the object's first cell
-    first = dict(zip(reversed(ids), reversed(listed)))
-    uncovered = 2 * n - len(listed)
+    at the listed cells, positions ascending (post's shifted by n) in step
+    with payloads; ties go to the payload whose first cell comes first."""
+    counts = Counter(map(id, payloads))
+    # id -> payload, in the order of each object's first cell
+    objects = dict(zip(map(id, payloads), payloads))
+    uncovered = 2 * n - len(payloads)
     if uncovered:
-        gap = next((i for i, (pos, _) in enumerate(listed) if pos != i), len(listed))
-        pos, _ = first.get(id(fill), (gap, fill))
-        first[id(fill)] = (min(pos, gap), fill)
+        # the cells before the first unlisted one, which holds fill, are all listed
+        gap = next(compress(count(), map(ne, positions, count())), len(payloads))
+        head = dict(zip(map(id, payloads[:gap]), payloads[:gap]))
+        head.setdefault(id(fill), fill)
+        objects = {**head, **objects}
         counts[id(fill)] += uncovered
-    order = sorted(first.items(), key=lambda item: item[1][0])
-    return _most_frequent((v, counts[i]) for i, (_, v) in order)
+    by_value: dict[object, int] = {}
+    for i, v in objects.items():
+        by_value[v] = by_value.get(v, 0) + counts[i]
+    # max is stable, so ties go to the first payload met
+    return max(by_value, key=by_value.__getitem__)
 
 
 def net_from_arcs(
@@ -234,57 +230,20 @@ def net_from_arcs(
     )
 
 
-def _modal_of_relations(pre: DialObject, post: DialObject) -> object:
-    """The modal payload of two dense relations, with the tie rule above.
-
-    The cells that are the first cell's object are counted by an identity
-    test, the others by object id; the per-object counts are then merged
-    by value in order of first appearance.
-    """
-    rows = (*pre.weight, *post.weight)
-    first = next(chain.from_iterable(rows), None)
-    if first is None:
-        return pre.lin.unit_payload
-    cells = chain.from_iterable(rows)
-    rest = list(compress(cells, map(is_not, chain.from_iterable(rows), repeat(first))))
-    objects = dict(zip(map(id, rest), rest))
-    counts = Counter(map(id, rest))
-    total = sum(map(len, rows))
-    counted = ((v, counts[i]) for i, v in objects.items())
-    return _most_frequent(chain([(first, total - len(rest))], counted))
-
-
-def _relation_arcs(obj: DialObject, default: object) -> dict[int, object]:
-    """The cells of a dense relation off the default payload.
-
-    The cells that are the first object equal to the default are set
-    aside by an identity test; every other cell goes to _off_default.
-    """
-
-    def cells():
-        return chain.from_iterable(obj.weight)
-
-    skip = next(compress(cells(), map(eq, cells(), repeat(default))), None)
-    rest = list(compress(cells(), map(is_not, cells(), repeat(skip))))
-    positions = compress(count(), map(is_not, cells(), repeat(skip)))
-    return _off_default(positions, rest, default)
-
-
 def net_from_relations(pre: DialObject, post: DialObject) -> PetriNet:
     """The net with these dense pre and post relations, in its stored form."""
     if post.lin.tag != pre.lin.tag:
         raise TagMismatch("pre and post relations are over different lineales")
     if post.pos != pre.pos or post.neg != pre.neg:
         raise ShapeMismatch("post relation carriers differ from pre's")
-    default = _modal_of_relations(pre, post)
-    return PetriNet(
-        pre.lin,
-        pre.pos,
-        pre.neg,
-        default,
-        _relation_arcs(pre, default),
-        _relation_arcs(post, default),
-    )
+    first = next(chain.from_iterable(pre.weight), None)
+
+    def cells(obj: DialObject) -> dict[int, object]:
+        # the cells that are not the first cell's object, picked in C
+        flat = list(chain.from_iterable(obj.weight))
+        return dict(compress(zip(count(), flat), map(is_not, flat, repeat(first))))
+
+    return _net_from_cells(pre.lin, pre.pos, pre.neg, first, cells(pre), cells(post))
 
 
 class NetViolation(NamedTuple):
@@ -312,15 +271,7 @@ def check_net_morphism(
     which cells are compared one by one)."""
     check_shapes(source, target, fwd, bwd)
     leq, ds, dt = source.lin._leq, source.default, target.default
-    if not leq(ds, dt):
-        return [
-            NetViolation(part, *v)
-            for part, s_obj, t_obj in (
-                ("pre", source.pre, target.pre),
-                ("post", source.post, target.post),
-            )
-            for v in check_morphism(s_obj, t_obj, fwd, bwd)
-        ]
+    everywhere = not leq(ds, dt)
     f, F = fwd.table, bwd.table
     n_x, n_y = source.transitions.size, target.transitions.size
     f_inv, F_inv = _preimages(f, target.places.size), _preimages(F, n_x)
@@ -330,14 +281,19 @@ def check_net_morphism(
         ("pre", source.pre_arcs, target.pre_arcs),
         ("post", source.post_arcs, target.post_arcs),
     ):
-        touched: set[int] = set()
-        for k in s_arcs:
-            u, x = divmod(k, n_x)
-            touched.update([u * n_y + y for y in F_inv[x]])
-        for k in t_arcs:
-            v, y = divmod(k, n_y)
-            touched.update([u * n_y + y for u in f_inv[v]])
-        for c in sorted(touched):
+        if everywhere:
+            # every cell off the arcs fails, so every cell is compared
+            cells: Iterable[int] = range(source.places.size * n_y)
+        else:
+            touched: set[int] = set()
+            for k in s_arcs:
+                u, x = divmod(k, n_x)
+                touched.update([u * n_y + y for y in F_inv[x]])
+            for k in t_arcs:
+                v, y = divmod(k, n_y)
+                touched.update([u * n_y + y for u in f_inv[v]])
+            cells = sorted(touched)
+        for c in cells:
             u, y = divmod(c, n_y)
             a = s_arcs.get(u * n_x + F[y], ds)
             b = t_arcs.get(f[u] * n_y + y, dt)
@@ -393,24 +349,65 @@ def net_compose(m2: NetMorphism, m1: NetMorphism) -> NetMorphism:
     )
 
 
-def _combine(a: PetriNet, b: PetriNet, op, cap: int) -> PetriNet:
-    return net_from_relations(op(a.pre, b.pre, cap), op(a.post, b.post, cap))
-
-
 def net_tensor(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    return _combine(a, b, tensor_obj, cap)
+    pre, post = tensor_obj(a.pre, b.pre, cap), tensor_obj(a.post, b.post, cap)
+    return net_from_relations(pre, post)
+
+
+def _block_net(
+    a: PetriNet, b: PetriNet, places: FinSet, transitions: FinSet, a_at, b_at
+) -> PetriNet:
+    """The net each of whose cells copies one cell of a or of b.  a_at and
+    b_at are (first, step, copies): input cell (r, c) goes to the result
+    cells first(r, c) + i * step for i < copies."""
+    n_b = b.places.size * b.transitions.size
+
+    def cells(a_arcs: dict[int, object], b_arcs: dict[int, object]) -> dict[int, object]:
+        if b.default != a.default:
+            # b's unlisted cells do not hold a's default, so list them all
+            b_arcs = dict(zip(range(n_b), map(b_arcs.get, range(n_b), repeat(b.default))))
+        out: dict[int, object] = {}
+        for net, arcs, (first, step, copies) in ((a, a_arcs, a_at), (b, b_arcs, b_at)):
+            for k, w in arcs.items():
+                start = first(*divmod(k, net.transitions.size))
+                out.update(zip(range(start, start + step * copies, step), repeat(w)))
+        return out
+
+    pre, post = cells(a.pre_arcs, b.pre_arcs), cells(a.post_arcs, b.post_arcs)
+    return _net_from_cells(a.lin, places, transitions, a.default, pre, post)
 
 
 def net_with(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    return _combine(a, b, with_product, cap)
+    """The cartesian product: ((u, v), inl x) holds a(u, x) and ((u, v),
+    inr y) holds b(v, y), so a's arcs are copied |V| times, b's |U| times."""
+    _same_lineale(a, b)
+    _guard(a.places.size * b.places.size, cap)
+    n_u, n_v = a.places.size, b.places.size
+    n_x, n_t = a.transitions.size, a.transitions.size + b.transitions.size
+    places = product_set(a.places, b.places)
+    transitions = coproduct_set(a.transitions, b.transitions)
+    a_at = (lambda u, x: u * n_v * n_t + x, n_t, n_v)
+    b_at = (lambda v, y: v * n_t + n_x + y, n_v * n_t, n_u)
+    return _block_net(a, b, places, transitions, a_at, b_at)
 
 
 def net_oplus(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    return _combine(a, b, oplus, cap)
+    """The coproduct: (inl u, (x, y)) holds a(u, x) and (inr v, (x, y))
+    holds b(v, y), so a's arcs are copied |Y| times, b's |X| times."""
+    _same_lineale(a, b)
+    _guard(a.transitions.size * b.transitions.size, cap)
+    n_u, n_x, n_y = a.places.size, a.transitions.size, b.transitions.size
+    n_t = n_x * n_y
+    places = coproduct_set(a.places, b.places)
+    transitions = product_set(a.transitions, b.transitions)
+    a_at = (lambda u, x: u * n_t + x * n_y, 1, n_y)
+    b_at = (lambda v, y: (n_u + v) * n_t + y, n_y, n_x)
+    return _block_net(a, b, places, transitions, a_at, b_at)
 
 
 def net_hom(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    return _combine(a, b, hom_obj, cap)
+    pre, post = hom_obj(a.pre, b.pre, cap), hom_obj(a.post, b.post, cap)
+    return net_from_relations(pre, post)
 
 
 # -- worked examples ----------------------------------------------------------

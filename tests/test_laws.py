@@ -31,7 +31,7 @@ from dialnet import (
     run_all,
     universal_laws,
 )
-from dialnet.laws import random_morphism_into, random_object
+from dialnet.laws import _Law, random_morphism_into, random_object
 
 ALL_TAGS = ("bool2", "kleene3", "nat", "int", "prob", "prod(prob,int)")
 
@@ -124,6 +124,20 @@ def test_law_result_formatting():
     bad = LawResult("x.y", False, 12, "a=1 b=2")
     assert str(ok) == "pass  x.y (12 cases)"
     assert "FAIL" in str(bad) and "a=1 b=2" in str(bad)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_no_law_passes_on_zero_cases(seed):
+    # independent draws over prod(prob,int) left Hom(A (x) B, C) empty here
+    rs = run_all(get_lineale("prod(prob,int)"), seed=seed, cases=8)
+    assert [r.name for r in rs if r.cases == 0] == []
+    assert failing(rs) == []
+
+
+def test_a_law_that_checked_no_case_fails():
+    r = _Law("x.y").result()
+    assert not r.passed and r.cases == 0
+    assert "no case" in str(r)
 
 
 def test_random_morphism_into_is_valid():

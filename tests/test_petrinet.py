@@ -3,17 +3,21 @@ five worked examples.  Arc weights below were read off the reaction
 descriptions by hand and act as the oracle for the builders.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dialnet.dialset
+import dialnet.petrinet
 from dialnet import (
     INT,
     KLEENE3,
     NAT,
     PROB,
     EXAMPLE_NAMES,
+    CapExceeded,
     DialObject,
     FinSet,
     FnTable,
@@ -38,7 +42,9 @@ from dialnet import (
     net_oplus,
     net_tensor,
     net_with,
+    oplus,
     tensor_obj,
+    with_product,
 )
 
 
@@ -301,14 +307,19 @@ def test_hom_carriers():
 
 
 def test_connectives_reject_mixed_lineales():
-    from dialnet import TagMismatch
-
+    water, sir = build_example("water"), build_example("sir")
     with pytest.raises(TagMismatch):
-        net_tensor(build_example("water"), build_example("sir"))
+        net_tensor(water, sir)
+    # with and oplus do not build the relations, but say what they would
+    for net_op, dense_op in ((net_with, with_product), (net_oplus, oplus)):
+        with pytest.raises(TagMismatch) as dense:
+            dense_op(water.pre, sir.pre)
+        with pytest.raises(TagMismatch, match=re.escape(str(dense.value))):
+            net_op(water, sir)
 
 
 def test_all_connectives_commute_with_projections():
-    from dialnet import hom_obj, oplus, with_product
+    from dialnet import hom_obj
 
     a, b = build_example("water"), lowered_water()
     assert net_with(a, b).pre == with_product(a.pre, b.pre)
@@ -492,6 +503,39 @@ def test_modal_tie_counts_an_unlisted_default_cell_first():
 
 
 @st.composite
+def _net_pairs(draw):
+    """Two nets of one lineale, often with different defaults, and a cap."""
+    tag = draw(st.sampled_from(sorted(_TEXTS)))
+    a, b = (
+        document_to_net(draw(_documents(tag, draw(st.integers(0, 4)), draw(st.integers(0, 4)))))
+        for _ in range(2)
+    )
+    return a, b, draw(st.integers(0, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_net_pairs(), st.sampled_from([(net_with, with_product), (net_oplus, oplus)]))
+def test_with_and_oplus_copy_arcs_as_the_dense_route_does(case, ops):
+    a, b, cap = case
+    net_op, dense_op = ops
+    try:
+        pre, post = dense_op(a.pre, b.pre, cap), dense_op(a.post, b.post, cap)
+    except CapExceeded as e:
+        with pytest.raises(CapExceeded, match=re.escape(str(e))):
+            net_op(a, b, cap)
+        return
+    net, expected = net_op(a, b, cap), net_from_relations(pre, post)
+    assert net == expected
+    assert list(net.pre_arcs) == list(expected.pre_arcs)
+    assert list(net.post_arcs) == list(expected.post_arcs)
+    assert net.places.labels == pre.pos.labels
+    assert net.transitions.labels == pre.neg.labels
+    assert net.pre == pre and net.post == post
+    assert net.default == _modal_oracle(pre, post)
+    _assert_stored_form(net)
+
+
+@st.composite
 def _net_morphisms(draw):
     """Two nets of one lineale and arbitrary (often non-injective) tables."""
     tag = draw(st.sampled_from(sorted(_TEXTS)))
@@ -552,11 +596,24 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
     transitions = tuple(f"t{i}" for i in range(n_t))
     arcs = {(places[i * 7], transitions[i % n_t]): NAT.value(i % 5 + 1) for i in range(400)}
     net = net_from_arcs(NAT, places, transitions, NAT.value(0), arcs, arcs)
+    # carriers of 60 x 50, so with and oplus stay under the cap
+    few = {(p, t): w for (p, t), w in arcs.items() if p in places[:60] and t in transitions[:50]}
+    small = net_from_arcs(NAT, places[:60], transitions[:50], NAT.value(0), few, {})
+    raised = net_from_arcs(NAT, places[:60], transitions[:50], NAT.value(1), {}, few)
 
-    def densify(self, arcs):
+    def densify(*args, **kwargs):
         raise AssertionError("densified a net")
 
     monkeypatch.setattr(PetriNet, "_relation", densify)
+    for name in ("with_product", "oplus", "check_morphism"):
+        monkeypatch.setattr(dialnet.dialset, name, densify)
+        monkeypatch.setattr(dialnet.petrinet, name, densify, raising=False)
     m = net_identity(net)
     assert check_net_morphism(net, net, m.fwd, m.bwd) == []
     assert net_morphism(net, net, m.fwd, m.bwd) == m
+    # 0 is not below 1, so every cell off the source arcs fails
+    m = net_identity(small)
+    violations = check_net_morphism(small, raised, m.fwd, m.bwd)
+    assert len(violations) == 2 * 60 * 50 - len(few)
+    assert net_with(small, raised).places.size == 3600
+    assert net_oplus(small, raised).transitions.size == 2500
