@@ -72,16 +72,13 @@ from .dialset import (
 )
 from .petrinet import (
     EXAMPLE_NAMES,
-    NetMorphism,
     NetViolation,
     PetriNet,
     build_example,
     check_net_morphism,
-    net_compose,
     net_from_arcs,
     net_from_relations,
     net_hom,
-    net_identity,
     net_morphism,
     net_oplus,
     net_tensor,

@@ -26,8 +26,8 @@ always rechecks constructor outputs.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs) and carrier shapes come from the
-finset module; every constructor checks the cap on the shape before it
-builds any label or row.
+finset module; every constructor checks the shape against the fixed
+cap finset.DEFAULT_CAP before it builds any label or row.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Callable, NamedTuple
 
-from .errors import CapExceeded, InvalidMorphism, ShapeMismatch, TagMismatch
+from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
 from .finset import (
-    DEFAULT_CAP,
     FinSet,
     FnTable,
+    _guard,
     copair,
     coproduct_set,
     exp_set,
@@ -207,9 +207,12 @@ def check_morphism(
 
 @dataclass(frozen=True, slots=True)
 class DialMorphism:
-    """A forward/backward pair of tables between two objects.
+    """A forward/backward pair of tables between two objects or two nets.
 
-    Construction checks shapes only; use :func:`dial_morphism` to also
+    The ends are anything :func:`check_shapes` accepts, so one type serves
+    DialObjects and PetriNets, and :func:`identity` and :func:`compose`
+    work on both.  Construction checks shapes only; use
+    :func:`dial_morphism` (for nets, ``petrinet.net_morphism``) to also
     enforce the order condition, or :func:`check_morphism` to audit.
     """
 
@@ -266,18 +269,13 @@ def inverse(m: DialMorphism) -> DialMorphism:
     return DialMorphism(m.target, m.source, _invert_table(m.fwd), _invert_table(m.bwd))
 
 
-def _guard(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceeded(n, cap)
-
-
 # -- cartesian and cocartesian structure -------------------------------------
 
 
-def with_product(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
+def with_product(a: DialObject, b: DialObject) -> DialObject:
     """The cartesian product: pairs of rows, disjoint union of columns."""
     lin = _same_lineale(a, b)
-    _guard(a.pos.size * b.pos.size, cap)
+    _guard(a.pos.size * b.pos.size)
     pos = product_set(a.pos, b.pos)
     neg = coproduct_set(a.neg, b.neg)
     rows = []
@@ -287,34 +285,28 @@ def with_product(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialOb
     return DialObject(lin, pos, neg, tuple(rows))
 
 
-def with_proj1(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    return DialMorphism(
-        with_product(a, b, cap), a, proj1(a.pos, b.pos), inl(a.neg, b.neg)
-    )
+def with_proj1(a: DialObject, b: DialObject) -> DialMorphism:
+    return DialMorphism(with_product(a, b), a, proj1(a.pos, b.pos), inl(a.neg, b.neg))
 
 
-def with_proj2(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    return DialMorphism(
-        with_product(a, b, cap), b, proj2(a.pos, b.pos), inr(a.neg, b.neg)
-    )
+def with_proj2(a: DialObject, b: DialObject) -> DialMorphism:
+    return DialMorphism(with_product(a, b), b, proj2(a.pos, b.pos), inr(a.neg, b.neg))
 
 
-def with_pairing(
-    m1: DialMorphism, m2: DialMorphism, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def with_pairing(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
     """The mediating morphism into a cartesian product from a shared source."""
     if m1.source != m2.source:
         raise ShapeMismatch("pairing needs a shared source object")
-    prod = with_product(m1.target, m2.target, cap)
+    prod = with_product(m1.target, m2.target)
     return DialMorphism(
         m1.source, prod, pairing(m1.fwd, m2.fwd), copair(m1.bwd, m2.bwd)
     )
 
 
-def oplus(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
+def oplus(a: DialObject, b: DialObject) -> DialObject:
     """The coproduct: disjoint union of rows, pairs of columns."""
     lin = _same_lineale(a, b)
-    _guard(a.neg.size * b.neg.size, cap)
+    _guard(a.neg.size * b.neg.size)
     pos = coproduct_set(a.pos, b.pos)
     neg = product_set(a.neg, b.neg)
     # column (x, y) of row inl u is a(u, x), of row inr v is b(v, y)
@@ -327,21 +319,19 @@ def oplus(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     return DialObject(lin, pos, neg, tuple(rows))
 
 
-def oplus_inl(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    return DialMorphism(a, oplus(a, b, cap), inl(a.pos, b.pos), proj1(a.neg, b.neg))
+def oplus_inl(a: DialObject, b: DialObject) -> DialMorphism:
+    return DialMorphism(a, oplus(a, b), inl(a.pos, b.pos), proj1(a.neg, b.neg))
 
 
-def oplus_inr(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
-    return DialMorphism(b, oplus(a, b, cap), inr(a.pos, b.pos), proj2(a.neg, b.neg))
+def oplus_inr(a: DialObject, b: DialObject) -> DialMorphism:
+    return DialMorphism(b, oplus(a, b), inr(a.pos, b.pos), proj2(a.neg, b.neg))
 
 
-def oplus_copair(
-    m1: DialMorphism, m2: DialMorphism, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def oplus_copair(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
     """The mediating morphism out of a coproduct into a shared target."""
     if m1.target != m2.target:
         raise ShapeMismatch("copairing needs a shared target object")
-    cop = oplus(m1.source, m2.source, cap)
+    cop = oplus(m1.source, m2.source)
     return DialMorphism(
         cop, m1.target, copair(m1.fwd, m2.fwd), pairing(m1.bwd, m2.bwd)
     )
@@ -355,7 +345,7 @@ def tensor_unit(lin: Lineale) -> DialObject:
     return DialObject(lin, singleton(), singleton(), ((lin.unit_payload,),))
 
 
-def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
+def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     """Monoidal product.
 
     Positive carrier U x V; negative carrier X^V x Y^U, read as a pair
@@ -363,10 +353,10 @@ def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObje
     tensor(weight_a(u, f(v)), weight_b(v, g(u))).
     """
     lin = _same_lineale(a, b)
-    _guard(max(tensor_shape(a.shape, b.shape)), cap)
+    _guard(max(tensor_shape(a.shape, b.shape)))
     pos = product_set(a.pos, b.pos)
-    xs = exp_set(a.neg, b.pos, cap)
-    ys = exp_set(b.neg, a.pos, cap)
+    xs = exp_set(a.neg, b.pos)
+    ys = exp_set(b.neg, a.pos)
     neg = product_set(xs, ys)
     f_tabs = [fn_from_index(fi, b.pos.size, a.neg.size) for fi in range(xs.size)]
     g_tabs = [fn_from_index(gi, a.pos.size, b.neg.size) for gi in range(ys.size)]
@@ -386,17 +376,15 @@ def tensor_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObje
     return DialObject(lin, pos, neg, tuple(rows))
 
 
-def tensor_mor(
-    m1: DialMorphism, m2: DialMorphism, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
     """Tensor two morphisms.
 
     Forward acts componentwise.  Backward takes a pair of target
     response tables (f', g') to (F . f' . g, G . g' . f), pre- and
     post-composing with the given maps.
     """
-    src = tensor_obj(m1.source, m2.source, cap)
-    tgt = tensor_obj(m1.target, m2.target, cap)
+    src = tensor_obj(m1.source, m2.source)
+    tgt = tensor_obj(m1.target, m2.target)
     fwd = product_fn(m1.fwd, m2.fwd)
 
     f, g = m1.fwd.table, m2.fwd.table
@@ -412,7 +400,7 @@ def tensor_mor(
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
 
 
-def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
+def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     """Internal hom.
 
     Positive carrier V^U x X^Y: candidate forward/backward table pairs.
@@ -422,9 +410,9 @@ def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     its weights sit above the unit.
     """
     lin = _same_lineale(a, b)
-    _guard(max(hom_shape(a.shape, b.shape)), cap)
-    fs = exp_set(b.pos, a.pos, cap)
-    bs = exp_set(a.neg, b.neg, cap)
+    _guard(max(hom_shape(a.shape, b.shape)))
+    fs = exp_set(b.pos, a.pos)
+    bs = exp_set(a.neg, b.neg)
     pos = product_set(fs, bs)
     neg = product_set(a.pos, b.neg)
     f_tabs = [fn_from_index(fi, a.pos.size, b.pos.size) for fi in range(fs.size)]
@@ -447,9 +435,7 @@ def hom_obj(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialObject:
     return DialObject(lin, pos, neg, tuple(rows))
 
 
-def hom_mor(
-    m_in: DialMorphism, m_out: DialMorphism, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:
     """Hom is contravariant in its first argument, covariant in the second.
 
     Given m_in: A' -> A and m_out: B -> B', produce
@@ -459,8 +445,8 @@ def hom_mor(
     """
     a_prime, a = m_in.source, m_in.target
     b, b_prime = m_out.source, m_out.target
-    src = hom_obj(a, b, cap)
-    tgt = hom_obj(a_prime, b_prime, cap)
+    src = hom_obj(a, b)
+    tgt = hom_obj(a_prime, b_prime)
 
     f, fb = m_in.fwd.table, m_in.bwd.table
     g, gb = m_out.fwd.table, m_out.bwd.table
@@ -484,9 +470,7 @@ def hom_mor(
 # -- the tensor-hom adjunction ------------------------------------------------
 
 
-def curry_dial(
-    m: DialMorphism, a: DialObject, b: DialObject, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def curry_dial(m: DialMorphism, a: DialObject, b: DialObject) -> DialMorphism:
     """Transpose m: tensor(a, b) -> c into a -> hom(b, c).
 
     Forward pairs the transpose of m's forward map with the transpose
@@ -503,7 +487,7 @@ def curry_dial(
         raise ShapeMismatch("morphism source is not shaped like the tensor of the factors")
     c = m.target
     (au, ax), (bv, by) = a.shape, b.shape
-    tgt = hom_obj(b, c, cap)
+    tgt = hom_obj(b, c)
 
     f = m.fwd.table
     # the response-table pair that m's backward map sends each z to
@@ -523,9 +507,7 @@ def curry_dial(
     )
 
 
-def uncurry_dial(
-    m: DialMorphism, b: DialObject, c: DialObject, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def uncurry_dial(m: DialMorphism, b: DialObject, c: DialObject) -> DialMorphism:
     """Transpose m: a -> hom(b, c) back into tensor(a, b) -> c."""
     if m.target.lin.tag != b.lin.tag or b.lin.tag != c.lin.tag:
         raise TagMismatch("factors are over a different lineale than the morphism")
@@ -534,7 +516,7 @@ def uncurry_dial(
     a = m.source
     bv, by = b.shape
     cw, cz = c.shape
-    src = tensor_obj(a, b, cap)
+    src = tensor_obj(a, b)
 
     G = m.bwd.table
     # the forward/backward candidate pair that m's forward map sends each u to
@@ -556,17 +538,15 @@ def uncurry_dial(
 # -- structural isomorphisms ----------------------------------------------------
 
 
-def associator(
-    a: DialObject, b: DialObject, c: DialObject, cap: int = DEFAULT_CAP
-) -> DialMorphism:
+def associator(a: DialObject, b: DialObject, c: DialObject) -> DialMorphism:
     """The isomorphism tensor(tensor(a, b), c) -> tensor(a, tensor(b, c)).
 
     Row-major indexing makes the forward table the identity; the
     backward table regroups response tables between the two bracketings
     elementwise.
     """
-    src = tensor_obj(tensor_obj(a, b, cap), c, cap)
-    tgt = tensor_obj(a, tensor_obj(b, c, cap), cap)
+    src = tensor_obj(tensor_obj(a, b), c)
+    tgt = tensor_obj(a, tensor_obj(b, c))
     (au, ax), (bv, by), (cw, cz) = a.shape, b.shape, c.shape
     ab_neg = tensor_shape(a.shape, b.shape)[1]
     bc_neg = tensor_shape(b.shape, c.shape)[1]
@@ -598,23 +578,23 @@ def _unitor(src: DialObject, a: DialObject) -> DialMorphism:
     )
 
 
-def left_unitor(a: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
+def left_unitor(a: DialObject) -> DialMorphism:
     """tensor(I, a) -> a.  Both tables are identities under our indexing."""
-    return _unitor(tensor_obj(tensor_unit(a.lin), a, cap), a)
+    return _unitor(tensor_obj(tensor_unit(a.lin), a), a)
 
 
-def right_unitor(a: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
+def right_unitor(a: DialObject) -> DialMorphism:
     """tensor(a, I) -> a.  Both tables are identities under our indexing."""
-    return _unitor(tensor_obj(a, tensor_unit(a.lin), cap), a)
+    return _unitor(tensor_obj(a, tensor_unit(a.lin)), a)
 
 
-def symmetry(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphism:
+def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
     """tensor(a, b) -> tensor(b, a): swap rows, swap response pairs.
 
     Valid because every lineale here has a commutative product.
     """
-    src = tensor_obj(a, b, cap)
-    tgt = tensor_obj(b, a, cap)
+    src = tensor_obj(a, b)
+    tgt = tensor_obj(b, a)
     fwd = table_swap(a.pos, b.pos)
     (au, ax), (bv, by) = a.shape, b.shape
     table = []
@@ -627,17 +607,13 @@ def symmetry(a: DialObject, b: DialObject, cap: int = DEFAULT_CAP) -> DialMorphi
 # -- brute-force oracle ---------------------------------------------------------
 
 
-def enumerate_morphisms(
-    a: DialObject, b: DialObject, cap: int = DEFAULT_CAP
-) -> list[DialMorphism]:
+def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
     """Every valid morphism a -> b, in lexicographic (forward, backward) order.
 
     The candidate space has |B.pos|^|A.pos| * |A.neg|^|B.neg| elements
     and is capped.  This is the oracle the law suites compare against.
     """
-    n = hom_shape(a.shape, b.shape)[0]
-    if n > cap:
-        raise CapExceeded(n, cap, what="morphism candidate space")
+    _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
     leq = a.lin._leq
     ys = range(b.neg.size)
     out = []

@@ -26,7 +26,7 @@ class ShapeMismatch(DialnetError):
 
 
 class CapExceeded(DialnetError):
-    """A constructed carrier would exceed the configured size cap.
+    """A constructed carrier would exceed the fixed size cap.
 
     Exponential and product carriers grow fast; the cap keeps explicit
     enumeration tractable and this error reports how large a cap the

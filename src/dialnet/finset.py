@@ -16,10 +16,9 @@ independently built tables agree:
 
 This module is the one place for that index arithmetic.  tensor_shape
 and hom_shape give the carrier sizes of the tensor and the internal hom
-from the sizes of their factors, so callers can check a cap before they
+from the sizes of their factors, so callers can check the cap before they
 build anything.  Exponential carriers blow up quickly, so any
-constructor that builds one takes a cap (default 4096) and raises
-CapExceeded beyond it.
+constructor that builds one raises CapExceeded beyond DEFAULT_CAP (4096).
 """
 
 from __future__ import annotations
@@ -58,6 +57,12 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 4096
+
+
+def _guard(n: int, what: str = "carrier") -> None:
+    """Raise CapExceeded when n elements would not fit under DEFAULT_CAP."""
+    if n > DEFAULT_CAP:
+        raise CapExceeded(n, DEFAULT_CAP, what)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,20 +256,19 @@ def singleton(label: str = "*") -> FinSet:
 # -- exponentials -------------------------------------------------------------
 
 
-def exp_size(base: FinSet, dom: FinSet, cap: int = DEFAULT_CAP) -> int:
+def exp_size(base: FinSet, dom: FinSet) -> int:
     """|base| ** |dom|, guarded by the cap.
 
     The empty function is the one element of X^0, and 0^B is empty for
     nonempty B.
     """
     n = base.size**dom.size
-    if n > cap:
-        raise CapExceeded(n, cap, what="function space")
+    _guard(n, "function space")
     return n
 
 
-def exp_set(base: FinSet, dom: FinSet, cap: int = DEFAULT_CAP) -> FinSet:
-    n = exp_size(base, dom, cap)
+def exp_set(base: FinSet, dom: FinSet) -> FinSet:
+    n = exp_size(base, dom)
     return FinSet(n, tuple(f"fn{k}" for k in range(n)))
 
 

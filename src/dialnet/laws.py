@@ -8,7 +8,7 @@ and where.
 
 Finite lineales are checked exhaustively; infinite ones with seeded
 random values.  Random objects keep carrier sizes in {1, 2} so that
-the brute-force morphism enumerations stay under the size cap, and
+the brute-force morphism enumerations stay under the fixed size cap, and
 random valid morphisms are produced constructively: pick the tables
 first, then force the target (or source) weights to satisfy the order
 condition by joining in the constrained values.
@@ -49,7 +49,7 @@ from .dialset import (
     with_proj1,
     with_proj2,
 )
-from .errors import CapExceeded, DialnetError
+from .errors import DialnetError
 from .finset import DEFAULT_CAP, FinSet, FnTable, tensor_shape
 from .lineale import KLEENE3, Lineale, format_payload
 
@@ -153,34 +153,26 @@ def _meet(lin: Lineale, a, b):
     raise DialnetError(f"no lower bound rule for {lin.tag}")
 
 
-def random_object(
-    lin: Lineale,
-    rng: random.Random,
-    sizes: tuple[int, ...] = _SIZES,
-    bound: int = _VALUE_BOUND,
-) -> DialObject:
-    pos = FinSet(rng.choice(sizes))
-    neg = FinSet(rng.choice(sizes))
+def random_object(lin: Lineale, rng: random.Random) -> DialObject:
+    pos = FinSet(rng.choice(_SIZES))
+    neg = FinSet(rng.choice(_SIZES))
     rows = tuple(
-        tuple(lin._sample(rng, bound) for _ in range(neg.size))
+        tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(neg.size))
         for _ in range(pos.size)
     )
     return DialObject(lin, pos, neg, rows)
 
 
 def random_morphism_from(
-    lin: Lineale,
-    rng: random.Random,
-    source: DialObject,
-    sizes: tuple[int, ...] = _SIZES,
+    lin: Lineale, rng: random.Random, source: DialObject
 ) -> DialMorphism:
     """A valid morphism out of ``source`` with freshly built target.
 
     Tables are random; target weights start random and are then raised
     just far enough to satisfy the order condition.
     """
-    pos = FinSet(rng.choice(sizes))
-    neg = FinSet(rng.choice(sizes))
+    pos = FinSet(rng.choice(_SIZES))
+    neg = FinSet(rng.choice(_SIZES))
     f = tuple(rng.randrange(pos.size) for _ in range(source.pos.size))
     bt = tuple(rng.randrange(source.neg.size) for _ in range(neg.size))
     rows = []
@@ -200,14 +192,11 @@ def random_morphism_from(
 
 
 def random_morphism_into(
-    lin: Lineale,
-    rng: random.Random,
-    target: DialObject,
-    sizes: tuple[int, ...] = _SIZES,
+    lin: Lineale, rng: random.Random, target: DialObject
 ) -> DialMorphism:
     """Dual of random_morphism_from: builds the source, lowering weights."""
-    pos = FinSet(rng.choice(sizes))
-    neg = FinSet(rng.choice(sizes))
+    pos = FinSet(rng.choice(_SIZES))
+    neg = FinSet(rng.choice(_SIZES))
     f = tuple(rng.randrange(target.pos.size) for _ in range(pos.size))
     bt = tuple(rng.randrange(neg.size) for _ in range(target.neg.size))
     rows = []
@@ -375,10 +364,7 @@ def category_laws(
 
 
 def adjunction_oracle(
-    lin: Lineale,
-    seed: int = DEFAULT_SEED,
-    cases: int = 200,
-    cap: int = DEFAULT_CAP,
+    lin: Lineale, seed: int = DEFAULT_SEED, cases: int = 200
 ) -> list[LawResult]:
     """Brute-force comparison of the two hom-sets of the adjunction.
 
@@ -402,14 +388,14 @@ def adjunction_oracle(
     for i in range(cases):
         a = random_object(lin, rng)
         b = random_object(lin, rng)
-        ab = tensor_obj(a, b, cap)
+        ab = tensor_obj(a, b)
         if i % 4 == 3:
             c = random_object(lin, rng)
         else:
             c = random_morphism_from(lin, rng, ab).target
-        h = hom_obj(b, c, cap)
-        left = enumerate_morphisms(ab, c, cap)
-        right = enumerate_morphisms(a, h, cap)
+        h = hom_obj(b, c)
+        left = enumerate_morphisms(ab, c)
+        right = enumerate_morphisms(a, h)
         ctx = lambda: (
             f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} "
             f"|left|={len(left)} |right|={len(right)}"
@@ -418,7 +404,7 @@ def adjunction_oracle(
         right_keys = {(m.fwd.table, m.bwd.table) for m in right}
         seen = set()
         for m in left:
-            im = curry_dial(m, a, b, cap)
+            im = curry_dial(m, a, b)
             key = (im.fwd.table, im.bwd.table)
             bijection.check(
                 key in right_keys and key not in seen,
@@ -426,7 +412,7 @@ def adjunction_oracle(
             )
             seen.add(key)
             roundtrip.check(
-                uncurry_dial(im, b, c, cap) == m, lambda: _show_mor(m)
+                uncurry_dial(im, b, c) == m, lambda: _show_mor(m)
             )
             validity.check(
                 not check_morphism(a, h, im.fwd, im.bwd),
@@ -436,9 +422,9 @@ def adjunction_oracle(
             m = rng.choice(left)
             n = random_morphism_into(lin, rng, a)
             lhs = curry_dial(
-                compose(m, tensor_mor(n, identity(b), cap)), n.source, b, cap
+                compose(m, tensor_mor(n, identity(b))), n.source, b
             )
-            rhs = compose(curry_dial(m, a, b, cap), n)
+            rhs = compose(curry_dial(m, a, b), n)
             natural.check(lhs == rhs, lambda: f"{_show_mor(m)} via {_show_mor(n)}")
     return [
         counts.result(),
@@ -535,17 +521,14 @@ def _pentagon_stages(sz) -> list[tuple[int, int]]:
 
 
 def coherence_laws(
-    lin: Lineale,
-    seed: int = DEFAULT_SEED,
-    cases: int = 50,
-    cap: int = DEFAULT_CAP,
+    lin: Lineale, seed: int = DEFAULT_SEED, cases: int = 50
 ) -> list[LawResult]:
     """Pentagon, triangle, unitor, symmetry, and isomorphism checks.
 
     Pentagon instances are drawn from the size combinations whose
-    intermediate carriers fit under the cap; with the default cap that
+    intermediate carriers fit under the cap and the entry budget; that
     rules out the all-2 corner, which would need a carrier of several
-    million elements.
+    million elements, and always keeps the all-1 corner.
     """
     rng = random.Random(seed)
     sides = tuple(
@@ -560,11 +543,8 @@ def coherence_laws(
     pentagon_sizes = [
         combo
         for combo, (largest, cost) in plans.items()
-        if largest <= cap and cost <= _PENTAGON_ENTRY_BUDGET
+        if largest <= DEFAULT_CAP and cost <= _PENTAGON_ENTRY_BUDGET
     ]
-    if not pentagon_sizes:
-        needed = min(largest for largest, _ in plans.values())
-        raise CapExceeded(needed, cap, what="smallest pentagon instance")
 
     pentagon = _Law("coherence.pentagon")
     triangle = _Law("coherence.triangle")
@@ -586,17 +566,17 @@ def coherence_laws(
     for _ in range(cases):
         sz = pentagon_sizes[rng.randrange(len(pentagon_sizes))]
         a, b, c, d = (rand_with_sizes(s) for s in sz)
-        bc = tensor_obj(b, c, cap)
-        cd = tensor_obj(c, d, cap)
-        ab = tensor_obj(a, b, cap)
+        bc = tensor_obj(b, c)
+        cd = tensor_obj(c, d)
+        ab = tensor_obj(a, b)
         left = compose(
-            tensor_mor(identity(a), associator(b, c, d, cap), cap),
+            tensor_mor(identity(a), associator(b, c, d)),
             compose(
-                associator(a, bc, d, cap),
-                tensor_mor(associator(a, b, c, cap), identity(d), cap),
+                associator(a, bc, d),
+                tensor_mor(associator(a, b, c), identity(d)),
             ),
         )
-        right = compose(associator(a, b, cd, cap), associator(ab, c, d, cap))
+        right = compose(associator(a, b, cd), associator(ab, c, d))
         pentagon.check(
             left == right,
             lambda: f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} D={_show_obj(d)}",
@@ -606,15 +586,15 @@ def coherence_laws(
         b2 = random_object(lin, rng)
         ctx2 = lambda: f"A={_show_obj(a2)} B={_show_obj(b2)}"
         i = tensor_unit(lin)
-        tri_left = tensor_mor(right_unitor(a2, cap), identity(b2), cap)
+        tri_left = tensor_mor(right_unitor(a2), identity(b2))
         tri_right = compose(
-            tensor_mor(identity(a2), left_unitor(b2, cap), cap),
-            associator(a2, i, b2, cap),
+            tensor_mor(identity(a2), left_unitor(b2)),
+            associator(a2, i, b2),
         )
         triangle.check(tri_left == tri_right, ctx2)
 
-        lu = left_unitor(a2, cap)
-        ru = right_unitor(a2, cap)
+        lu = left_unitor(a2)
+        ru = right_unitor(a2)
         unitor_w.check(
             lu.source.weight == a2.weight and ru.source.weight == a2.weight,
             ctx2,
@@ -632,7 +612,7 @@ def coherence_laws(
         unitor_iso.check(ok_iso, ctx2)
 
         c2 = random_object(lin, rng)
-        asc = associator(a2, b2, c2, cap)
+        asc = associator(a2, b2, c2)
         asci = inverse(asc)
         assoc_iso.check(
             not check_morphism(asc.source, asc.target, asc.fwd, asc.bwd)
@@ -642,22 +622,21 @@ def coherence_laws(
             lambda: f"{ctx2()} C={_show_obj(c2)}",
         )
 
-        sym = symmetry(a2, b2, cap)
+        sym = symmetry(a2, b2)
         sym_inv.check(
             not check_morphism(sym.source, sym.target, sym.fwd, sym.bwd)
-            and compose(symmetry(b2, a2, cap), sym) == identity(sym.source),
+            and compose(symmetry(b2, a2), sym) == identity(sym.source),
             ctx2,
         )
         n1 = random_morphism_from(lin, rng, a2)
         n2 = random_morphism_from(lin, rng, b2)
         sym_nat.check(
-            compose(symmetry(n1.target, n2.target, cap), tensor_mor(n1, n2, cap))
-            == compose(tensor_mor(n2, n1, cap), sym),
+            compose(symmetry(n1.target, n2.target), tensor_mor(n1, n2))
+            == compose(tensor_mor(n2, n1), sym),
             lambda: f"{_show_mor(n1)} x {_show_mor(n2)}",
         )
         sym_unit.check(
-            compose(left_unitor(a2, cap), symmetry(a2, i, cap))
-            == right_unitor(a2, cap),
+            compose(left_unitor(a2), symmetry(a2, i)) == right_unitor(a2),
             ctx2,
         )
     return [
@@ -676,10 +655,7 @@ def coherence_laws(
 
 
 def universal_laws(
-    lin: Lineale,
-    seed: int = DEFAULT_SEED,
-    cases: int = 100,
-    cap: int = DEFAULT_CAP,
+    lin: Lineale, seed: int = DEFAULT_SEED, cases: int = 100
 ) -> list[LawResult]:
     """Pairing and copairing are mediating and unique (by enumeration)."""
     rng = random.Random(seed)
@@ -692,8 +668,8 @@ def universal_laws(
         m1 = random_morphism_from(lin, rng, src)
         m2 = random_morphism_from(lin, rng, src)
         a, b = m1.target, m2.target
-        pair = with_pairing(m1, m2, cap)
-        p1, p2 = with_proj1(a, b, cap), with_proj2(a, b, cap)
+        pair = with_pairing(m1, m2)
+        p1, p2 = with_proj1(a, b), with_proj2(a, b)
         ctx = lambda: f"{_show_mor(m1)} & {_show_mor(m2)}"
         p_med.check(
             compose(p1, pair) == m1
@@ -703,7 +679,7 @@ def universal_laws(
         )
         mediating = [
             m
-            for m in enumerate_morphisms(src, with_product(a, b, cap), cap)
+            for m in enumerate_morphisms(src, with_product(a, b))
             if compose(p1, m) == m1 and compose(p2, m) == m2
         ]
         p_unq.check(mediating == [pair], ctx)
@@ -712,8 +688,8 @@ def universal_laws(
         n1 = random_morphism_into(lin, rng, tgt)
         n2 = random_morphism_into(lin, rng, tgt)
         a, b = n1.source, n2.source
-        cop = oplus_copair(n1, n2, cap)
-        i1, i2 = oplus_inl(a, b, cap), oplus_inr(a, b, cap)
+        cop = oplus_copair(n1, n2)
+        i1, i2 = oplus_inl(a, b), oplus_inr(a, b)
         ctx = lambda: f"{_show_mor(n1)} (+) {_show_mor(n2)}"
         s_med.check(
             compose(cop, i1) == n1
@@ -723,7 +699,7 @@ def universal_laws(
         )
         mediating = [
             m
-            for m in enumerate_morphisms(oplus(a, b, cap), tgt, cap)
+            for m in enumerate_morphisms(oplus(a, b), tgt)
             if compose(m, i1) == n1 and compose(m, i2) == n2
         ]
         s_unq.check(mediating == [cop], ctx)

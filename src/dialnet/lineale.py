@@ -393,6 +393,19 @@ def _int() -> Lineale:
     return from_pogroup(group)
 
 
+def _top_level_comma(text: str) -> int:
+    """Index of the first comma outside every parenthesis, or -1."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return i
+    return -1
+
+
 def product_lineale(first: Lineale, second: Lineale) -> Lineale:
     """The componentwise lineale on pairs drawn from two factor lineales."""
     tag = f"prod({first.tag},{second.tag})"
@@ -424,16 +437,7 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueSyntaxError(f"not a pair value: {text!r}")
         body = text[1:-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
+        split = _top_level_comma(body)
         if split < 0:
             raise ValueSyntaxError(f"missing top-level comma in pair: {text!r}")
         return (
@@ -492,13 +496,8 @@ def get_lineale(tag: str) -> Lineale:
                 f"product tag names more than {MAX_PRODUCT_FACTORS} base lineales"
             )
         body = tag[5:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return product_lineale(get_lineale(body[:i]), get_lineale(body[i + 1 :]))
-        raise UnknownLineale(f"malformed product tag: {tag!r}")
+        i = _top_level_comma(body)
+        if i < 0:
+            raise UnknownLineale(f"malformed product tag: {tag!r}")
+        return product_lineale(get_lineale(body[:i]), get_lineale(body[i + 1 :]))
     raise UnknownLineale(f"unknown lineale tag: {tag!r}")

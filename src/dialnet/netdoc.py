@@ -353,10 +353,11 @@ def example_path(name: str) -> Path:
 
 
 def read_text(path: Union[str, Path]) -> str:
-    """A file's text; an unreadable or non-UTF-8 file is a DocumentSyntaxError."""
+    """A file's text; an unreadable or non-UTF-8 file, or a path the OS
+    cannot take (an embedded NUL byte), is a DocumentSyntaxError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
 
 

@@ -3,8 +3,8 @@
 A net is a pair of weighted relations over one shared carrier pair:
 places on the positive side, transitions on the negative side.  The
 pre relation records what a transition consumes from each place, the
-post relation what it produces.  A net morphism is a single pair
-(forward place map, backward transition map) that is simultaneously a
+post relation what it produces.  A net morphism is a DialMorphism: a
+single pair (forward place map, backward transition map) that is both a
 morphism for the pre relations and for the post relations; over the
 additive naturals it reads as a simulation (the target consumes and
 produces no more than the source), over the integers as threshold
@@ -50,24 +50,19 @@ from itertools import chain, compress, count, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import DialObject, check_shapes, hom_obj, tensor_obj
-from .dialset import _guard, _same_lineale
+from .dialset import DialMorphism, DialObject, check_shapes, hom_obj, tensor_obj
+from .dialset import _same_lineale
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import DEFAULT_CAP, FinSet, FnTable, coproduct_set, product_set
-from .finset import compose as table_compose
-from .finset import identity as table_identity
+from .finset import FinSet, FnTable, _guard, coproduct_set, product_set
 from .lineale import INT, KLEENE3, NAT, PROB, Lineale, LinealeValue, product_lineale
 
 __all__ = [
     "PetriNet",
-    "NetMorphism",
     "NetViolation",
     "net_from_arcs",
     "net_from_relations",
     "check_net_morphism",
     "net_morphism",
-    "net_identity",
-    "net_compose",
     "net_tensor",
     "net_with",
     "net_oplus",
@@ -304,53 +299,22 @@ def check_net_morphism(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class NetMorphism:
-    """A forward place map and a backward transition map between nets.
-
-    The backward table runs from the TARGET's transitions to the
-    SOURCE's, mirroring the contravariant component of the underlying
-    relation morphisms.
-    """
-
-    source: PetriNet
-    target: PetriNet
-    fwd: FnTable
-    bwd: FnTable
-
-    def __post_init__(self):
-        check_shapes(self.source, self.target, self.fwd, self.bwd)
-
-
 def net_morphism(
     source: PetriNet, target: PetriNet, fwd: FnTable, bwd: FnTable
-) -> NetMorphism:
-    """Certify (fwd, bwd) against both relations, or raise with all violations."""
+) -> DialMorphism:
+    """Certify (fwd, bwd) against both relations, or raise with all violations.
+
+    The backward table runs from the TARGET's transitions to the
+    SOURCE's; dialset's identity and compose act on the result.
+    """
     violations = check_net_morphism(source, target, fwd, bwd)
     if violations:
         raise InvalidMorphism(violations)
-    return NetMorphism(source, target, fwd, bwd)
+    return DialMorphism(source, target, fwd, bwd)
 
 
-def net_identity(net: PetriNet) -> NetMorphism:
-    return NetMorphism(
-        net, net, table_identity(net.places), table_identity(net.transitions)
-    )
-
-
-def net_compose(m2: NetMorphism, m1: NetMorphism) -> NetMorphism:
-    if m1.target != m2.source:
-        raise ShapeMismatch("cannot compose: middle nets differ")
-    return NetMorphism(
-        m1.source,
-        m2.target,
-        table_compose(m2.fwd, m1.fwd),
-        table_compose(m1.bwd, m2.bwd),
-    )
-
-
-def net_tensor(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    pre, post = tensor_obj(a.pre, b.pre, cap), tensor_obj(a.post, b.post, cap)
+def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
+    pre, post = tensor_obj(a.pre, b.pre), tensor_obj(a.post, b.post)
     return net_from_relations(pre, post)
 
 
@@ -377,11 +341,11 @@ def _block_net(
     return _net_from_cells(a.lin, places, transitions, a.default, pre, post)
 
 
-def net_with(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
+def net_with(a: PetriNet, b: PetriNet) -> PetriNet:
     """The cartesian product: ((u, v), inl x) holds a(u, x) and ((u, v),
     inr y) holds b(v, y), so a's arcs are copied |V| times, b's |U| times."""
     _same_lineale(a, b)
-    _guard(a.places.size * b.places.size, cap)
+    _guard(a.places.size * b.places.size)
     n_u, n_v = a.places.size, b.places.size
     n_x, n_t = a.transitions.size, a.transitions.size + b.transitions.size
     places = product_set(a.places, b.places)
@@ -391,11 +355,11 @@ def net_with(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
     return _block_net(a, b, places, transitions, a_at, b_at)
 
 
-def net_oplus(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
+def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
     """The coproduct: (inl u, (x, y)) holds a(u, x) and (inr v, (x, y))
     holds b(v, y), so a's arcs are copied |Y| times, b's |X| times."""
     _same_lineale(a, b)
-    _guard(a.transitions.size * b.transitions.size, cap)
+    _guard(a.transitions.size * b.transitions.size)
     n_u, n_x, n_y = a.places.size, a.transitions.size, b.transitions.size
     n_t = n_x * n_y
     places = coproduct_set(a.places, b.places)
@@ -405,8 +369,8 @@ def net_oplus(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
     return _block_net(a, b, places, transitions, a_at, b_at)
 
 
-def net_hom(a: PetriNet, b: PetriNet, cap: int = DEFAULT_CAP) -> PetriNet:
-    pre, post = hom_obj(a.pre, b.pre, cap), hom_obj(a.post, b.post, cap)
+def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
+    pre, post = hom_obj(a.pre, b.pre), hom_obj(a.post, b.post)
     return net_from_relations(pre, post)
 
 

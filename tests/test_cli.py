@@ -160,6 +160,14 @@ def test_check_morphism_reports_every_point(tmp_path):
     assert "violation" in out
 
 
+def test_check_morphism_with_nul_byte_in_source_path(tmp_path):
+    f = {l: l for l in ("H2", "O2", "H2O")}
+    m = write_morphism(tmp_path, "nul.mor", "wa\u0000ter.net", WATER, f, {"t": "t"})
+    code, _, err = run("check-morphism", m)
+    assert code == 2
+    assert err.startswith("error: cannot read ")
+
+
 # ---------------------------------------------------------------------------
 # combine
 # ---------------------------------------------------------------------------

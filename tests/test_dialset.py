@@ -357,9 +357,11 @@ def test_enumerate_agrees_with_check_and_is_lexicographic():
 
 
 def test_enumerate_respects_cap():
-    a = bool_obj([[1, 0], [0, 1]])
-    with pytest.raises(CapExceeded):
-        enumerate_morphisms(a, a, cap=3)
+    # 2**12 candidates fit the cap exactly; 17**3 = 4913 are just above it
+    assert len(enumerate_morphisms(bool_obj([[1]] * 12), bool_obj([[1]] * 2))) == 4096
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_morphisms(bool_obj([[1]] * 3), bool_obj([[1]] * 17))
+    assert exc.value.required == 4913 and exc.value.cap == 4096
 
 
 def test_empty_carriers_are_fine():

@@ -172,10 +172,10 @@ def test_exp_set_labels_and_cap():
     e = exp_set(FinSet(3), FinSet(2))
     assert e.size == 9
     assert e.labels[0] == "fn0" and e.labels[-1] == "fn8"
-    assert exp_size(FinSet(3), FinSet(2), cap=9) == 9
+    assert exp_size(FinSet(2), FinSet(12)) == 4096
     with pytest.raises(CapExceeded) as exc:
-        exp_size(FinSet(3), FinSet(2), cap=8)
-    assert exc.value.required == 9 and exc.value.cap == 8
+        exp_size(FinSet(2), FinSet(13))
+    assert exc.value.required == 8192 and exc.value.cap == 4096
     with pytest.raises(CapExceeded):
         exp_set(FinSet(2), FinSet(DEFAULT_CAP))
 

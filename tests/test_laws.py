@@ -12,7 +12,6 @@ import pytest
 from dialnet import (
     BOOL2,
     INT,
-    CapExceeded,
     KLEENE3,
     LawResult,
     NAT,
@@ -220,9 +219,3 @@ def test_coherence_includes_pentagon_and_triangle():
     by_name = {r.name: r for r in rs}
     assert by_name["coherence.pentagon"].cases >= 12
     assert by_name["coherence.triangle"].cases >= 12
-
-
-def test_coherence_with_no_pentagon_under_the_cap():
-    with pytest.raises(CapExceeded) as exc:
-        coherence_laws(BOOL2, cases=1, cap=0)
-    assert exc.value.cap == 0 and exc.value.required == 1

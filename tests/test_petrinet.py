@@ -30,14 +30,14 @@ from dialnet import (
     build_example,
     check_morphism,
     check_net_morphism,
+    compose,
     document_to_net,
     example_default,
     get_lineale,
-    net_compose,
+    identity,
     net_from_arcs,
     net_from_relations,
     net_hom,
-    net_identity,
     net_morphism,
     net_oplus,
     net_tensor,
@@ -212,7 +212,7 @@ def lowered_water():
 
 def test_identity_is_a_net_morphism():
     water = build_example("water")
-    m = net_identity(water)
+    m = identity(water)
     assert check_net_morphism(water, water, m.fwd, m.bwd) == []
 
 
@@ -264,8 +264,8 @@ def test_net_compose_runs_backward_on_transitions():
         FnTable(water.places, variant.places, (0, 1, 2)),
         FnTable(variant.transitions, water.transitions, (0,)),
     )
-    i = net_identity(variant)
-    c = net_compose(i, m)
+    i = identity(variant)
+    c = compose(i, m)
     assert c.fwd == m.fwd and c.bwd == m.bwd
 
 
@@ -316,6 +316,23 @@ def test_connectives_reject_mixed_lineales():
             dense_op(water.pre, sir.pre)
         with pytest.raises(TagMismatch, match=re.escape(str(dense.value))):
             net_op(water, sir)
+
+
+def test_with_and_oplus_over_the_cap_raise_as_the_dense_route_does():
+    def net(n_p, n_t):
+        places, transitions = tuple(f"p{i}" for i in range(n_p)), tuple(f"t{i}" for i in range(n_t))
+        return net_from_arcs(NAT, places, transitions, NAT.value(0), {("p0", "t0"): NAT.value(1)}, {})
+
+    # 65 x 64 = 4160 result places for with, result transitions for oplus
+    for net_op, dense_op, a, b in (
+        (net_with, with_product, net(65, 1), net(64, 2)),
+        (net_oplus, oplus, net(1, 65), net(2, 64)),
+    ):
+        with pytest.raises(CapExceeded) as dense:
+            dense_op(a.pre, b.pre)
+        assert (dense.value.required, dense.value.cap) == (4160, 4096)
+        with pytest.raises(CapExceeded, match=re.escape(str(dense.value))):
+            net_op(a, b)
 
 
 def test_all_connectives_commute_with_projections():
@@ -399,12 +416,12 @@ def test_net_compose_is_associative():
         m1 = random_net_morphism_from(rng, a)
         m2 = random_net_morphism_from(rng, m1.target)
         m3 = random_net_morphism_from(rng, m2.target)
-        left = net_compose(m3, net_compose(m2, m1))
-        right = net_compose(net_compose(m3, m2), m1)
+        left = compose(m3, compose(m2, m1))
+        right = compose(compose(m3, m2), m1)
         assert left.fwd == right.fwd and left.bwd == right.bwd
-        i = net_identity(a)
-        assert net_compose(m1, i).fwd == m1.fwd
-        assert net_compose(m1, i).bwd == m1.bwd
+        i = identity(a)
+        assert compose(m1, i).fwd == m1.fwd
+        assert compose(m1, i).bwd == m1.bwd
 
 
 # ---------------------------------------------------------------------------
@@ -504,27 +521,21 @@ def test_modal_tie_counts_an_unlisted_default_cell_first():
 
 @st.composite
 def _net_pairs(draw):
-    """Two nets of one lineale, often with different defaults, and a cap."""
+    """Two nets of one lineale, often with different defaults."""
     tag = draw(st.sampled_from(sorted(_TEXTS)))
-    a, b = (
+    return tuple(
         document_to_net(draw(_documents(tag, draw(st.integers(0, 4)), draw(st.integers(0, 4)))))
         for _ in range(2)
     )
-    return a, b, draw(st.integers(0, 20))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_net_pairs(), st.sampled_from([(net_with, with_product), (net_oplus, oplus)]))
 def test_with_and_oplus_copy_arcs_as_the_dense_route_does(case, ops):
-    a, b, cap = case
+    a, b = case
     net_op, dense_op = ops
-    try:
-        pre, post = dense_op(a.pre, b.pre, cap), dense_op(a.post, b.post, cap)
-    except CapExceeded as e:
-        with pytest.raises(CapExceeded, match=re.escape(str(e))):
-            net_op(a, b, cap)
-        return
-    net, expected = net_op(a, b, cap), net_from_relations(pre, post)
+    pre, post = dense_op(a.pre, b.pre), dense_op(a.post, b.post)
+    net, expected = net_op(a, b), net_from_relations(pre, post)
     assert net == expected
     assert list(net.pre_arcs) == list(expected.pre_arcs)
     assert list(net.post_arcs) == list(expected.post_arcs)
@@ -582,7 +593,7 @@ def test_violations_come_in_row_major_order():
     arcs = {("p3", "t1"): n(1), ("p1", "t4"): n(1), ("p0", "t2"): n(1)}
     source = net_from_arcs(NAT, places, transitions, n(5), arcs, {})
     target = net_from_arcs(NAT, places, transitions, n(5), {}, arcs)
-    m = net_identity(source)
+    m = identity(source)
     violations = check_net_morphism(source, target, m.fwd, m.bwd)
     assert violations == _dense_check(source, target, m.fwd, m.bwd)
     assert [(v.part, v.u, v.y) for v in violations] == [
@@ -608,11 +619,11 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
     for name in ("with_product", "oplus", "check_morphism"):
         monkeypatch.setattr(dialnet.dialset, name, densify)
         monkeypatch.setattr(dialnet.petrinet, name, densify, raising=False)
-    m = net_identity(net)
+    m = identity(net)
     assert check_net_morphism(net, net, m.fwd, m.bwd) == []
     assert net_morphism(net, net, m.fwd, m.bwd) == m
     # 0 is not below 1, so every cell off the source arcs fails
-    m = net_identity(small)
+    m = identity(small)
     violations = check_net_morphism(small, raised, m.fwd, m.bwd)
     assert len(violations) == 2 * 60 * 50 - len(few)
     assert net_with(small, raised).places.size == 3600
