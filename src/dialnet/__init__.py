@@ -33,9 +33,7 @@ from .lineale import (
     PROB,
     Lineale,
     LinealeValue,
-    PoGroup,
     format_value,
-    from_pogroup,
     get_lineale,
     product_lineale,
 )
@@ -48,7 +46,6 @@ from .dialset import (
     compose,
     curry_dial,
     dial_morphism,
-    dial_object,
     enumerate_morphisms,
     hom_mor,
     hom_obj,
@@ -79,7 +76,6 @@ from .petrinet import (
     net_from_arcs,
     net_from_relations,
     net_hom,
-    net_morphism,
     net_oplus,
     net_tensor,
     net_with,

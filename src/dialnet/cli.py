@@ -132,13 +132,17 @@ def _cmd_example(args) -> int:
     return 0
 
 
+# a law case list is built whole, so the count is bounded
+MAX_CASES = 10_000
+
+
 def _case_count(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if not 1 <= n <= MAX_CASES:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_CASES}, got {n}")
     return n
 
 
@@ -170,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="run the law suites for a lineale")
     p.add_argument("--lineale", required=True, help="tag, e.g. nat or prod(prob,int)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cases", type=_case_count, default=100)
+    p.add_argument("--cases", type=_case_count, default=100, help=f"1 to {MAX_CASES}")
     p.add_argument(
         "--mutate-imp",
         action="store_true",

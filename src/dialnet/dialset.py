@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import getitem
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
 from .finset import (
@@ -69,7 +69,6 @@ __all__ = [
     "DialObject",
     "DialMorphism",
     "Violation",
-    "dial_object",
     "check_shapes",
     "check_morphism",
     "dial_morphism",
@@ -105,8 +104,8 @@ class DialObject:
 
     ``weight[u][x]`` is the payload of the lineale value attached to the
     pair (u, x) -- for a product lineale a plain pair of component
-    payloads; :meth:`weight_at` wraps it as a value.  Rows run over the
-    positive carrier, columns over the negative one.
+    payloads.  Rows run over the positive carrier, columns over the
+    negative one.
     """
 
     lin: Lineale
@@ -136,23 +135,6 @@ class DialObject:
     def shape(self) -> tuple[int, int]:
         """The carrier sizes (|pos|, |neg|), as the finset shape functions take them."""
         return self.pos.size, self.neg.size
-
-    def weight_at(self, u: int, x: int) -> LinealeValue:
-        return LinealeValue(self.lin.tag, self.weight[u][x])
-
-
-def dial_object(
-    lin: Lineale,
-    pos: FinSet,
-    neg: FinSet,
-    weight_fn: Callable[[int, int], LinealeValue],
-) -> DialObject:
-    """Build an object by tabulating a weight function over the carriers."""
-    rows = tuple(
-        tuple(lin.unwrap(weight_fn(u, x)) for x in range(neg.size))
-        for u in range(pos.size)
-    )
-    return DialObject(lin, pos, neg, rows)
 
 
 class Violation(NamedTuple):
@@ -211,9 +193,9 @@ class DialMorphism:
 
     The ends are anything :func:`check_shapes` accepts, so one type serves
     DialObjects and PetriNets, and :func:`identity` and :func:`compose`
-    work on both.  Construction checks shapes only; use
-    :func:`dial_morphism` (for nets, ``petrinet.net_morphism``) to also
-    enforce the order condition, or :func:`check_morphism` to audit.
+    work on both.  Construction checks shapes only; :func:`dial_morphism`
+    also enforces the order condition, and :func:`check_morphism` (for
+    nets, ``petrinet.check_net_morphism``) lists where it fails.
     """
 
     source: DialObject

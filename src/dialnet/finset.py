@@ -46,7 +46,6 @@ __all__ = [
     "inr",
     "copair",
     "singleton",
-    "exp_size",
     "exp_set",
     "fn_index",
     "fn_from_index",
@@ -111,7 +110,11 @@ class FinSet:
 
 @dataclass(frozen=True, slots=True)
 class FnTable:
-    """A function between finite sets, tabulated: table[i] is the image of i."""
+    """A function between finite sets, tabulated: table[i] is the image of i.
+
+    Equality compares the carrier sizes and the images; labels do not
+    count, since FinSet's equality ignores them.
+    """
 
     dom: FinSet
     cod: FinSet
@@ -130,17 +133,6 @@ class FnTable:
 
     def __call__(self, i: int) -> int:
         return self.table[i]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FnTable)
-            and other.dom.size == self.dom.size
-            and other.cod.size == self.cod.size
-            and other.table == self.table
-        )
-
-    def __hash__(self) -> int:
-        return hash(("FnTable", self.dom.size, self.cod.size, self.table))
 
 
 def identity(a: FinSet) -> FnTable:
@@ -256,19 +248,14 @@ def singleton(label: str = "*") -> FinSet:
 # -- exponentials -------------------------------------------------------------
 
 
-def exp_size(base: FinSet, dom: FinSet) -> int:
-    """|base| ** |dom|, guarded by the cap.
+def exp_set(base: FinSet, dom: FinSet) -> FinSet:
+    """The function space base^dom, of |base| ** |dom| elements, guarded by the cap.
 
     The empty function is the one element of X^0, and 0^B is empty for
     nonempty B.
     """
     n = base.size**dom.size
     _guard(n, "function space")
-    return n
-
-
-def exp_set(base: FinSet, dom: FinSet) -> FinSet:
-    n = exp_size(base, dom)
     return FinSet(n, tuple(f"fn{k}" for k in range(n)))
 
 

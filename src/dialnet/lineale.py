@@ -5,9 +5,9 @@ and an implication that is right adjoint to the product:
 
     tensor(b, c) <= a   iff   b <= imp(c, a)
 
-Weights on net arcs live in a lineale, so the same machinery covers
-truth values, multiplicities, integer thresholds, probabilities, and
-finite products of all of these.  Every instance here is commutative.
+Weights on net arcs live in one of five fixed lineales -- truth values
+(bool2, kleene3), multiplicities (nat), integer thresholds (int), and
+probabilities (prob) -- or in a finite product of them, all commutative.
 
 Values are immutable and tagged; operations never coerce between
 lineales -- applying an operation to values of different tags raises
@@ -32,11 +32,8 @@ from .errors import (
 __all__ = [
     "LinealeValue",
     "Lineale",
-    "PoGroup",
-    "from_pogroup",
     "product_lineale",
     "get_lineale",
-    "sample",
     "format_value",
     "format_payload",
     "BOOL2",
@@ -44,12 +41,8 @@ __all__ = [
     "NAT",
     "INT",
     "PROB",
-    "DEFAULT_SIZE_BOUND",
     "MAX_PRODUCT_FACTORS",
 ]
-
-DEFAULT_SIZE_BOUND = 16
-
 
 @dataclass(frozen=True, slots=True)
 class LinealeValue:
@@ -167,7 +160,7 @@ class Lineale:
         """Internal hom: the largest c with tensor(c, a) below b."""
         return LinealeValue(self.tag, self._imp(self.unwrap(a), self.unwrap(b)))
 
-    def sample(self, rng: random.Random, size_bound: int = DEFAULT_SIZE_BOUND) -> LinealeValue:
+    def sample(self, rng: random.Random, size_bound: int) -> LinealeValue:
         """Draw a pseudo-random value; finite carriers sample uniformly."""
         if size_bound <= 0:
             raise InvalidValue("size_bound must be positive")
@@ -183,11 +176,6 @@ class Lineale:
         payload = self._parse(text.strip())
         self._validate(payload)
         return payload
-
-
-def sample(lin: Lineale, seed: int, size_bound: int = DEFAULT_SIZE_BOUND) -> LinealeValue:
-    """One deterministic sample: the same seed always yields the same value."""
-    return lin.sample(random.Random(seed), size_bound)
 
 
 def format_value(v: LinealeValue) -> str:
@@ -339,58 +327,23 @@ def _prob() -> Lineale:
     )
 
 
-@dataclass(frozen=True)
-class PoGroup:
-    """A partially ordered group: a po-monoid with inverses.
-
-    Any po-group yields a lineale by setting imp(a, b) = tensor(b, inverse(a));
-    :func:`from_pogroup` performs that construction.
-    """
-
-    tag: str
-    description: str
-    unit: Any
-    tensor: Callable[[Any, Any], Any]
-    inverse: Callable[[Any], Any]
-    leq: Callable[[Any, Any], bool]
-    sample: Callable[[random.Random, int], Any]
-    validate: Callable[[Any], None]
-    parse: Callable[[str], Any]
-
-
-def from_pogroup(group: PoGroup) -> Lineale:
-    """Endow a partially ordered group with its canonical lineale structure."""
-    return Lineale(
-        tag=group.tag,
-        description=group.description,
-        unit_payload=group.unit,
-        leq=group.leq,
-        tensor=group.tensor,
-        imp=lambda a, b: group.tensor(b, group.inverse(a)),
-        sample=group.sample,
-        validate=group.validate,
-        parse=group.parse,
-    )
-
-
-def _int_validate(p):
-    if type(p) is not int:
-        raise InvalidValue(f"int payload must be an int, got {p!r}")
-
-
 def _int() -> Lineale:
-    group = PoGroup(
+    # a partially ordered group: imp(a, b) = tensor(b, inverse(a)) = b - a
+    def validate(p):
+        if type(p) is not int:
+            raise InvalidValue(f"int payload must be an int, got {p!r}")
+
+    return Lineale(
         tag="int",
         description="integers under addition, usual order",
-        unit=0,
-        tensor=lambda a, b: a + b,
-        inverse=lambda a: -a,
+        unit_payload=0,
         leq=lambda a, b: a <= b,
+        tensor=lambda a, b: a + b,
+        imp=lambda a, b: b - a,
         sample=lambda rng, bound: rng.randint(-bound, bound),
-        validate=_int_validate,
+        validate=validate,
         parse=_parse_int,
     )
-    return from_pogroup(group)
 
 
 def _top_level_comma(text: str) -> int:

@@ -44,6 +44,8 @@ becomes an arc.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring
@@ -352,11 +354,19 @@ def example_path(name: str) -> Path:
     return Path(__file__).parent / "data" / f"{name}.net"
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    # a FIFO with no writer would block the open itself
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def read_text(path: Union[str, Path]) -> str:
-    """A file's text; an unreadable or non-UTF-8 file, or a path the OS
-    cannot take (an embedded NUL byte), is a DocumentSyntaxError."""
+    """A regular file's text; an unreadable or non-UTF-8 file, a pipe or device
+    (which may never end), or a NUL byte in the path is a DocumentSyntaxError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", opener=_open_nonblocking) as f:
+            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                raise DocumentSyntaxError(f"cannot read {path}: not a regular file")
+            return f.read()
     except (OSError, ValueError) as e:
         raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
 

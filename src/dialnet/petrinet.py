@@ -5,10 +5,10 @@ places on the positive side, transitions on the negative side.  The
 pre relation records what a transition consumes from each place, the
 post relation what it produces.  A net morphism is a DialMorphism: a
 single pair (forward place map, backward transition map) that is both a
-morphism for the pre relations and for the post relations; over the
-additive naturals it reads as a simulation (the target consumes and
-produces no more than the source), over the integers as threshold
-refinement, and so on per lineale.
+morphism for the pre relations and for the post relations, as
+check_net_morphism checks; over the additive naturals it reads as a
+simulation (the target consumes and produces no more than the source),
+over the integers as threshold refinement, and so on per lineale.
 
 Nets are sparse, so a net stores its lineale, places and transitions,
 one default payload, and two arc maps that hold only the cells whose
@@ -38,7 +38,7 @@ same loop compares every cell instead, still without densifying.
 The module also builds the worked example nets: water (stoichiometry
 over the naturals), circadian (three-valued presence/absence with two
 hypothesized arcs at weight 0), sir (probabilities), inhibitor
-(integer thresholds), catalysis (rate/role pairs).
+(integer thresholds), catalysis (rate/role pairs), all with fixed weights.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from itertools import chain, compress, count, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import DialMorphism, DialObject, check_shapes, hom_obj, tensor_obj
+from .dialset import DialObject, check_shapes, hom_obj, tensor_obj
 from .dialset import _same_lineale
-from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
+from .errors import ShapeMismatch, TagMismatch
 from .finset import FinSet, FnTable, _guard, coproduct_set, product_set
 from .lineale import INT, KLEENE3, NAT, PROB, Lineale, LinealeValue, product_lineale
 
@@ -62,7 +62,6 @@ __all__ = [
     "net_from_arcs",
     "net_from_relations",
     "check_net_morphism",
-    "net_morphism",
     "net_tensor",
     "net_with",
     "net_oplus",
@@ -299,20 +298,6 @@ def check_net_morphism(
     return out
 
 
-def net_morphism(
-    source: PetriNet, target: PetriNet, fwd: FnTable, bwd: FnTable
-) -> DialMorphism:
-    """Certify (fwd, bwd) against both relations, or raise with all violations.
-
-    The backward table runs from the TARGET's transitions to the
-    SOURCE's; dialset's identity and compose act on the result.
-    """
-    violations = check_net_morphism(source, target, fwd, bwd)
-    if violations:
-        raise InvalidMorphism(violations)
-    return DialMorphism(source, target, fwd, bwd)
-
-
 def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
     pre, post = tensor_obj(a.pre, b.pre), tensor_obj(a.post, b.post)
     return net_from_relations(pre, post)
@@ -391,11 +376,8 @@ def _water() -> PetriNet:
     )
 
 
-def _sir(
-    p_contact: Fraction = Fraction(1, 2),
-    p_infect: Fraction = Fraction(1, 2),
-    p_recover: Fraction = Fraction(1, 2),
-) -> PetriNet:
+def _sir() -> PetriNet:
+    p_contact = p_infect = p_recover = Fraction(1, 2)
     v = PROB.value
     return net_from_arcs(
         PROB,
@@ -474,17 +456,12 @@ def _inhibitor() -> PetriNet:
     )
 
 
-def _catalysis(
-    r1: Fraction = Fraction(1, 10),
-    r2: Fraction = Fraction(2, 10),
-    r3: Fraction = Fraction(3, 10),
-    r4: Fraction = Fraction(4, 10),
-    r5: Fraction = Fraction(5, 10),
-) -> PetriNet:
+def _catalysis() -> PetriNet:
     # Pair weights (rate, role): role 0 = reactant/product, negative =
     # inhibitor threshold, positive = catalyst threshold.  The rate
     # component is a stand-in on the rational unit interval; the role
-    # component is an integer.  Rates default to placeholders.
+    # component is an integer.  The rates are placeholders.
+    r1, r2, r3, r4, r5 = (Fraction(k, 10) for k in range(1, 6))
     lin = product_lineale(PROB, INT)
 
     def pv(rate: Fraction, role: int) -> LinealeValue:
@@ -505,12 +482,8 @@ def _catalysis(
     )
 
 
-def build_example(name: str, **params) -> PetriNet:
-    """One of the worked nets by name; sir and catalysis accept rate overrides.
-
-    sir takes p_contact, p_infect, p_recover; catalysis takes r1..r5.
-    All parameters are exact rationals.
-    """
+def build_example(name: str) -> PetriNet:
+    """One of the worked nets by name."""
     builders = {
         "water": _water,
         "sir": _sir,
@@ -522,4 +495,4 @@ def build_example(name: str, **params) -> PetriNet:
         raise ShapeMismatch(
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         )
-    return builders[name](**params)
+    return builders[name]()

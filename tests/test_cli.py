@@ -8,6 +8,7 @@ One subprocess test proves the module entry points work end to end.
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ import pytest
 
 import dialnet
 from dialnet import example_path, load_net, net_with
-from dialnet.cli import main
+from dialnet.cli import _build_parser, main
 
 WATER = str(example_path("water"))
 SIR = str(example_path("sir"))
@@ -278,6 +279,22 @@ def test_laws_rejects_case_counts_below_one():
         assert exc.value.code == 2
 
 
+def test_laws_rejects_case_counts_above_the_bound(capsys):
+    # the parser refuses the count, so no case list is ever built
+    parser = _build_parser()
+    assert parser.parse_args(["laws", "--lineale", "nat", "--cases", "10000"]).cases == 10000
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["laws", "--lineale", "nat", "--cases", "10001"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "dialnet laws: error: argument --cases: must be from 1 to 10000, got 10001"
+    ]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["laws", "--help"])
+    assert "1 to 10000" in capsys.readouterr().out
+
+
 def test_laws_mutation_mode_fails_adjunction():
     code, out, _ = run(
         "laws", "--lineale", "kleene3", "--cases", "8", "--mutate-imp"
@@ -376,3 +393,30 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
+
+
+def run_limited(*argv, timeout=30):
+    """main(argv) in a child process whose address space is capped at
+    256 MiB, so a read without end fails fast instead of filling memory."""
+    cap = 256 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "dialnet", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1])),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=timeout,
+    )
+
+
+def test_devices_and_pipes_are_refused(tmp_path):
+    f = {l: l for l in ("H2", "O2", "H2O")}
+    m = write_morphism(tmp_path, "zero.mor", "/dev/zero", WATER, f, {"t": "t"})
+    fifo = tmp_path / "fifo.net"
+    os.mkfifo(fifo)  # no writer: a blocking open would never return
+    for argv in (("validate", "/dev/zero"), ("check-morphism", m), ("validate", str(fifo))):
+        proc = run_limited(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: cannot read "), argv
+        assert proc.stderr.endswith(": not a regular file\n"), argv
+        assert proc.stderr.count("\n") == 1, argv

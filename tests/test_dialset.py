@@ -25,7 +25,6 @@ from dialnet import (
     compose,
     curry_dial,
     dial_morphism,
-    dial_object,
     enumerate_morphisms,
     get_lineale,
     hom_mor,
@@ -54,7 +53,7 @@ from dialnet.laws import all_objects, random_morphism_from, random_object
 T = BOOL2.value(True)
 F = BOOL2.value(False)
 
-# objects store raw payloads; values are wrapped only by weight_at
+# objects store raw payloads, not tagged values
 BOTTOM = DialObject(BOOL2, FinSet(1), FinSet(1), ((False,),))
 TOP = DialObject(BOOL2, FinSet(1), FinSet(1), ((True,),))
 
@@ -89,11 +88,11 @@ def test_object_shape_is_checked():
 
 
 def test_dial_object_tabulates():
-    a = dial_object(NAT, FinSet(2), FinSet(3), lambda u, x: NAT.value(u * 3 + x))
+    rows = tuple(tuple(u * 3 + x for x in range(3)) for u in range(2))
+    a = DialObject(NAT, FinSet(2), FinSet(3), rows)
     assert a.weight[1][2] == 5
-    assert a.weight_at(1, 2) == NAT.value(5)
     with pytest.raises(TagMismatch):
-        dial_object(BOOL2, FinSet(1), FinSet(1), lambda u, x: NAT.value(1))
+        DialObject(BOOL2, FinSet(1), FinSet(1), ((NAT.value(1),),))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_cap_is_checked_before_building_labels():
     def labelled(n_pos, n_neg):
         pos = FinSet(n_pos, tuple(f"p{i}" for i in range(n_pos)))
         neg = FinSet(n_neg, tuple(f"t{i}" for i in range(n_neg)))
-        return dial_object(BOOL2, pos, neg, lambda u, x: F)
+        return DialObject(BOOL2, pos, neg, ((False,) * n_neg,) * n_pos)
 
     tall, wide = labelled(2000, 1), labelled(1, 2000)
     for build, a in ((with_product, tall), (oplus, wide)):
@@ -224,7 +223,7 @@ def test_tensor_of_singletons_multiplies_weights():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     t = tensor_obj(a, b)
     assert t.pos.size == 1 and t.neg.size == 1
-    assert t.weight_at(0, 0).payload == 10  # nat tensor is addition
+    assert t.weight[0][0] == 10  # nat tensor is addition
 
 
 def test_tensor_weight_formula():
@@ -236,24 +235,23 @@ def test_tensor_weight_formula():
     for u, v in itertools.product(range(2), range(1)):
         for fi in range(2):
             for gi in range(4):
-                w = t.weight_at(u * 1 + v, fi * 4 + gi)
+                w = t.weight[u * 1 + v][fi * 4 + gi]
                 fv = fi  # f has one entry
                 gu = (gi >> (1 - u)) & 1  # base-2 numeral, position 0 high
-                want = a.weight_at(u, fv).payload + b.weight_at(v, gu).payload
-                assert w.payload == want
+                assert w == a.weight[u][fv] + b.weight[v][gu]
 
 
 def test_tensor_unit_weight():
     i = tensor_unit(NAT)
     assert i.pos.size == i.neg.size == 1
-    assert i.weight_at(0, 0) == NAT.unit
+    assert i.weight[0][0] == NAT.unit_payload
 
 
 def test_hom_of_singletons_is_residual():
     a, b = nat_obj([[3]]), nat_obj([[5]])
     h = hom_obj(a, b)
     assert h.pos.size == 1 and h.neg.size == 1
-    assert h.weight_at(0, 0).payload == 2  # max(5 - 3, 0)
+    assert h.weight[0][0] == 2  # max(5 - 3, 0)
 
 
 def test_hom_row_all_true_iff_morphism():
@@ -269,7 +267,7 @@ def test_hom_row_all_true_iff_morphism():
         fi, ki = divmod(p, 2**2)
         fwd = FnTable(a.pos, b.pos, fn_from_index(fi, 2, 1))
         bwd = FnTable(b.neg, a.neg, fn_from_index(ki, 2, 2))
-        row_true = all(h.weight_at(p, n).payload for n in range(h.neg.size))
+        row_true = all(h.weight[p])
         assert row_true == (check_morphism(a, b, fwd, bwd) == [])
 
 
@@ -399,7 +397,8 @@ def _object_pairs(draw):
 
     def obj(pos, neg):
         rng = draw(st.randoms(use_true_random=False))
-        return dial_object(lin, FinSet(pos), FinSet(neg), lambda i, j: lin.sample(rng, 4))
+        rows = tuple(tuple(lin.sample(rng, 4).payload for _ in range(neg)) for _ in range(pos))
+        return DialObject(lin, FinSet(pos), FinSet(neg), rows)
 
     return obj(u, x), obj(v, y)
 

@@ -15,7 +15,6 @@ from dialnet.finset import (
     copair,
     coproduct_set,
     exp_set,
-    exp_size,
     fn_from_index,
     fn_index,
     fn_pair_from_index,
@@ -172,9 +171,9 @@ def test_exp_set_labels_and_cap():
     e = exp_set(FinSet(3), FinSet(2))
     assert e.size == 9
     assert e.labels[0] == "fn0" and e.labels[-1] == "fn8"
-    assert exp_size(FinSet(2), FinSet(12)) == 4096
+    assert exp_set(FinSet(2), FinSet(12)).size == 4096
     with pytest.raises(CapExceeded) as exc:
-        exp_size(FinSet(2), FinSet(13))
+        exp_set(FinSet(2), FinSet(13))
     assert exc.value.required == 8192 and exc.value.cap == 4096
     with pytest.raises(CapExceeded):
         exp_set(FinSet(2), FinSet(DEFAULT_CAP))
@@ -182,7 +181,7 @@ def test_exp_set_labels_and_cap():
 
 def test_empty_domain_exponential():
     # exactly one function out of the empty set
-    assert exp_size(FinSet(3), FinSet(0)) == 1
+    assert exp_set(FinSet(3), FinSet(0)).size == 1
     assert fn_from_index(0, 0, 3) == ()
 
 
@@ -231,11 +230,10 @@ def test_fn_pair_codec_is_a_bijection(f_dom, f_base, g_dom, g_base):
 
 @given(shapes, shapes)
 def test_shapes_match_built_carriers(a, b):
-    from dialnet import BOOL2, dial_object, hom_obj, tensor_obj
+    from dialnet import BOOL2, DialObject, hom_obj, tensor_obj
 
     a_obj, b_obj = (
-        dial_object(BOOL2, FinSet(p), FinSet(n), lambda u, x: BOOL2.value(False))
-        for p, n in (a, b)
+        DialObject(BOOL2, FinSet(p), FinSet(n), ((False,) * n,) * p) for p, n in (a, b)
     )
     for shape, build in ((tensor_shape, tensor_obj), (hom_shape, hom_obj)):
         built = build(a_obj, b_obj)  # carriers of at most 3**3 * 3**3, under the cap

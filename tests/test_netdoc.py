@@ -87,7 +87,7 @@ def test_default_weight_fills_unlisted_arcs():
     doc = parse_net_document(WATER_TEXT)
     net = document_to_net(doc)
     u = net.places.index_of("H2O")
-    assert net.pre.weight_at(u, 0).payload == 0
+    assert net.pre.weight[u][0] == 0
 
 
 def test_modal_default_when_unspecified():
@@ -101,7 +101,7 @@ def test_modal_default_when_unspecified():
 def test_randomized_nets_roundtrip():
     import random
 
-    from dialnet import dial_object, get_lineale
+    from dialnet import DialObject, get_lineale
     from dialnet.finset import FinSet
 
     rng = random.Random(101)
@@ -110,9 +110,10 @@ def test_randomized_nets_roundtrip():
         for _ in range(10):
             places = FinSet(rng.randint(1, 4), None)
             transitions = FinSet(rng.randint(1, 3), None)
-            mk = lambda: dial_object(
-                lin, places, transitions, lambda u, x: lin.sample(rng, 6)
-            )
+            mk = lambda: DialObject(lin, places, transitions, tuple(
+                tuple(lin.sample(rng, 6).payload for _ in range(transitions.size))
+                for _ in range(places.size)
+            ))
             net = net_from_relations(mk(), mk())
             doc = net_to_document(net)
             assert parse_net_document(serialize_net_document(doc)) == doc
