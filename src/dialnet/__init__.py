@@ -68,10 +68,8 @@ from .dialset import (
     with_proj2,
 )
 from .petrinet import (
-    EXAMPLE_NAMES,
     NetViolation,
     PetriNet,
-    build_example,
     check_net_morphism,
     net_from_arcs,
     net_from_relations,
@@ -81,8 +79,10 @@ from .petrinet import (
     net_with,
 )
 from .netdoc import (
+    EXAMPLE_NAMES,
     MorphismDocument,
     NetDocument,
+    build_example,
     document_to_net,
     example_default,
     example_path,

@@ -27,6 +27,8 @@ from .errors import (
 from .laws import DEFAULT_SEED, mutate_imp, run_all
 from .lineale import get_lineale
 from .netdoc import (
+    EXAMPLE_NAMES,
+    build_example,
     document_to_net,
     example_default,
     export_dot,
@@ -41,7 +43,7 @@ from .netdoc import (
     write_text,
 )
 from . import petrinet
-from .petrinet import EXAMPLE_NAMES, build_example, check_net_morphism
+from .petrinet import check_net_morphism
 
 __all__ = ["main"]
 

@@ -131,9 +131,6 @@ class FnTable:
                     f"table entry {t} at {i} outside codomain of size {self.cod.size}"
                 )
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
 
 def identity(a: FinSet) -> FnTable:
     return FnTable(a, a, tuple(range(a.size)))

@@ -126,41 +126,33 @@ def _show_mor(m: DialMorphism) -> str:
 # -- value and object generators -----------------------------------------------
 
 
-def _join(lin: Lineale, a, b):
-    """An upper bound of the payloads a and b.
-
-    All base lineales here are chains, so max works; product lineales
-    recurse componentwise.
-    """
+def _bound(lin: Lineale, a, b, upper: bool):
+    """The join of the payloads a and b when upper, else their meet: one of
+    the two in a chain (every base lineale here), componentwise in a product."""
     if lin._leq(a, b):
-        return b
+        return b if upper else a
     if lin._leq(b, a):
-        return a
+        return a if upper else b
     if lin.factors is not None:
         f1, f2 = lin.factors
-        return (_join(f1, a[0], b[0]), _join(f2, a[1], b[1]))
-    raise DialnetError(f"no upper bound rule for {lin.tag}")
+        return (_bound(f1, a[0], b[0], upper), _bound(f2, a[1], b[1], upper))
+    raise DialnetError(f"no {'upper' if upper else 'lower'} bound rule for {lin.tag}")
 
 
-def _meet(lin: Lineale, a, b):
-    if lin._leq(a, b):
-        return a
-    if lin._leq(b, a):
-        return b
-    if lin.factors is not None:
-        f1, f2 = lin.factors
-        return (_meet(f1, a[0], b[0]), _meet(f2, a[1], b[1]))
-    raise DialnetError(f"no lower bound rule for {lin.tag}")
-
-
-def random_object(lin: Lineale, rng: random.Random) -> DialObject:
-    pos = FinSet(rng.choice(_SIZES))
-    neg = FinSet(rng.choice(_SIZES))
+def _random_object_on(
+    lin: Lineale, rng: random.Random, pos: FinSet, neg: FinSet
+) -> DialObject:
     rows = tuple(
         tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(neg.size))
         for _ in range(pos.size)
     )
     return DialObject(lin, pos, neg, rows)
+
+
+def random_object(lin: Lineale, rng: random.Random) -> DialObject:
+    pos = FinSet(rng.choice(_SIZES))
+    neg = FinSet(rng.choice(_SIZES))
+    return _random_object_on(lin, rng, pos, neg)
 
 
 def random_morphism_from(
@@ -182,7 +174,7 @@ def random_morphism_from(
             val = lin._sample(rng, _VALUE_BOUND)
             for u in range(source.pos.size):
                 if f[u] == v:
-                    val = _join(lin, val, source.weight[u][bt[y]])
+                    val = _bound(lin, val, source.weight[u][bt[y]], upper=True)
             row.append(val)
         rows.append(tuple(row))
     target = DialObject(lin, pos, neg, tuple(rows))
@@ -206,7 +198,7 @@ def random_morphism_into(
             val = lin._sample(rng, _VALUE_BOUND)
             for y in range(target.neg.size):
                 if bt[y] == x:
-                    val = _meet(lin, val, target.weight[f[u]][y])
+                    val = _bound(lin, val, target.weight[f[u]][y], upper=False)
             row.append(val)
         rows.append(tuple(row))
     source = DialObject(lin, pos, neg, tuple(rows))
@@ -555,17 +547,9 @@ def coherence_laws(
     sym_nat = _Law("coherence.symmetry.natural")
     sym_unit = _Law("coherence.symmetry.unitor")
 
-    def rand_with_sizes(sz):
-        (pu, nx) = sz
-        rows = tuple(
-            tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(nx))
-            for _ in range(pu)
-        )
-        return DialObject(lin, FinSet(pu), FinSet(nx), rows)
-
     for _ in range(cases):
         sz = pentagon_sizes[rng.randrange(len(pentagon_sizes))]
-        a, b, c, d = (rand_with_sizes(s) for s in sz)
+        a, b, c, d = (_random_object_on(lin, rng, FinSet(p), FinSet(n)) for p, n in sz)
         bc = tensor_obj(b, c)
         cd = tensor_obj(c, d)
         ab = tensor_obj(a, b)
@@ -736,7 +720,6 @@ def mutate_imp(lin: Lineale) -> Lineale:
     unit = lin.unit_payload
     return Lineale(
         tag=f"mutate_imp({lin.tag})",
-        description=lin.description + " (implication deliberately broken)",
         unit_payload=unit,
         leq=lin._leq,
         tensor=lin._tensor,

@@ -71,7 +71,6 @@ class Lineale:
 
     __slots__ = (
         "tag",
-        "description",
         "unit_payload",
         "factors",
         "_leq",
@@ -87,7 +86,6 @@ class Lineale:
     def __init__(
         self,
         tag: str,
-        description: str,
         unit_payload: Any,
         leq: Callable[[Any, Any], bool],
         tensor: Callable[[Any, Any], Any],
@@ -100,7 +98,6 @@ class Lineale:
         factors: Optional[tuple["Lineale", "Lineale"]] = None,
     ):
         self.tag = tag
-        self.description = description
         self.unit_payload = unit_payload
         self.factors = factors
         self._leq = leq
@@ -224,7 +221,6 @@ def _bool2() -> Lineale:
 
     return Lineale(
         tag="bool2",
-        description="two truth values, conjunction, classical implication",
         unit_payload=True,
         leq=lambda a, b: (not a) or b,
         tensor=lambda a, b: a and b,
@@ -243,7 +239,6 @@ def _kleene3() -> Lineale:
 
     return Lineale(
         tag="kleene3",
-        description="three truth values -1 < 0 < 1, product is minimum",
         unit_payload=1,
         leq=lambda a, b: a <= b,
         tensor=min,
@@ -266,7 +261,6 @@ def _nat() -> Lineale:
 
     return Lineale(
         tag="nat",
-        description="natural numbers under addition, reverse numeric order",
         unit_payload=0,
         leq=lambda a, b: a >= b,
         tensor=lambda a, b: a + b,
@@ -315,7 +309,6 @@ def _prob() -> Lineale:
 
     return Lineale(
         tag="prob",
-        description="exact rationals in [0, 1] under multiplication",
         unit_payload=one,
         leq=lambda a, b: a <= b,
         tensor=lambda a, b: a * b,
@@ -335,7 +328,6 @@ def _int() -> Lineale:
 
     return Lineale(
         tag="int",
-        description="integers under addition, usual order",
         unit_payload=0,
         leq=lambda a, b: a <= b,
         tensor=lambda a, b: a + b,
@@ -405,7 +397,6 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
 
     return Lineale(
         tag=tag,
-        description=f"componentwise product of {first.tag} and {second.tag}",
         unit_payload=(first.unit_payload, second.unit_payload),
         leq=leq,
         tensor=tensor,

@@ -23,7 +23,10 @@ transitions to the source net's.
 Malformed JSON or a wrong shape raises DocumentSyntaxError; documents
 that parse but refer to unknown labels, repeat arcs, or carry values
 outside their lineale raise DocumentSemanticError.  The CLI maps these
-to exit codes 2 and 3.
+to exit codes 2 and 3.  A file over MAX_DOCUMENT_BYTES is never parsed.
+
+The worked example nets exist only as documents in the package data
+(EXAMPLE_NAMES); build_example reads one by name.
 
 Serialization is canonical: the layout is exactly that of
 json.dumps(indent=2, ensure_ascii=False) -- fixed key order, two-space
@@ -57,6 +60,7 @@ from .errors import (
     DialnetError,
     DocumentSemanticError,
     DocumentSyntaxError,
+    ShapeMismatch,
 )
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
@@ -64,6 +68,8 @@ from .petrinet import PetriNet, _net_from_cells
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_DOCUMENT_BYTES",
+    "EXAMPLE_NAMES",
     "NetDocument",
     "MorphismDocument",
     "parse_net_document",
@@ -76,12 +82,19 @@ __all__ = [
     "save_net",
     "example_path",
     "example_default",
+    "build_example",
     "parse_morphism_document",
     "resolve_morphism_document",
     "export_dot",
 ]
 
 FORMAT_VERSION = "1"
+
+# 32 MiB: eight times a combined net at the size cap (about 4 MB), while
+# validating a document at the bound (660k arcs) peaks near 300 MiB
+MAX_DOCUMENT_BYTES = 32 * 2**20
+
+EXAMPLE_NAMES = ("water", "sir", "circadian", "inhibitor", "catalysis")
 
 _NET_KEYS = (
     "format_version",
@@ -350,7 +363,11 @@ def net_to_document(
 
 
 def example_path(name: str) -> Path:
-    """Path of a shipped example net document (installed package data)."""
+    """Path of the shipped (package data) document of an example in EXAMPLE_NAMES."""
+    if name not in EXAMPLE_NAMES:
+        raise ShapeMismatch(
+            f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
+        )
     return Path(__file__).parent / "data" / f"{name}.net"
 
 
@@ -361,14 +378,26 @@ def _open_nonblocking(path: str, flags: int) -> int:
 
 def read_text(path: Union[str, Path]) -> str:
     """A regular file's text; an unreadable or non-UTF-8 file, a pipe or device
-    (which may never end), or a NUL byte in the path is a DocumentSyntaxError."""
+    (which may never end), a file over MAX_DOCUMENT_BYTES, or a NUL byte in
+    the path is a DocumentSyntaxError."""
+    too_large = f"cannot read {path}: larger than {MAX_DOCUMENT_BYTES} bytes"
     try:
         with open(path, encoding="utf-8", opener=_open_nonblocking) as f:
-            if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
                 raise DocumentSyntaxError(f"cannot read {path}: not a regular file")
-            return f.read()
+            if st.st_size > MAX_DOCUMENT_BYTES:
+                raise DocumentSyntaxError(too_large)
+            # a file that grew since fstat is read on to one character past the
+            # bound; asking for that much up front would allocate 32 MiB
+            text = f.read(st.st_size + 1)
+            if len(text) > st.st_size:
+                text += f.read(MAX_DOCUMENT_BYTES - st.st_size)
     except (OSError, ValueError) as e:
         raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise DocumentSyntaxError(too_large)
+    return text
 
 
 def write_text(path: Union[str, Path], text: str) -> None:
@@ -387,6 +416,11 @@ def example_default(name: str) -> LinealeValue:
 
 def load_net(path: Union[str, Path]) -> PetriNet:
     return document_to_net(parse_net_document(read_text(path)))
+
+
+def build_example(name: str) -> PetriNet:
+    """One of the worked nets by name, read from its shipped document."""
+    return load_net(example_path(name))
 
 
 def save_net(

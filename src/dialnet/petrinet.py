@@ -34,18 +34,12 @@ by one only the cells (u, y) with a source arc at (u, F(y)) or a target
 arc at (f(u), y), and compares the two defaults once for every other
 cell.  When that comparison fails, every other cell fails too, and the
 same loop compares every cell instead, still without densifying.
-
-The module also builds the worked example nets: water (stoichiometry
-over the naturals), circadian (three-valued presence/absence with two
-hypothesized arcs at weight 0), sir (probabilities), inhibitor
-(integer thresholds), catalysis (rate/role pairs), all with fixed weights.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
@@ -54,7 +48,7 @@ from .dialset import DialObject, check_shapes, hom_obj, tensor_obj
 from .dialset import _same_lineale
 from .errors import ShapeMismatch, TagMismatch
 from .finset import FinSet, FnTable, _guard, coproduct_set, product_set
-from .lineale import INT, KLEENE3, NAT, PROB, Lineale, LinealeValue, product_lineale
+from .lineale import Lineale, LinealeValue
 
 __all__ = [
     "PetriNet",
@@ -66,8 +60,6 @@ __all__ = [
     "net_with",
     "net_oplus",
     "net_hom",
-    "build_example",
-    "EXAMPLE_NAMES",
 ]
 
 
@@ -358,141 +350,3 @@ def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
     pre, post = hom_obj(a.pre, b.pre), hom_obj(a.post, b.post)
     return net_from_relations(pre, post)
 
-
-# -- worked examples ----------------------------------------------------------
-
-EXAMPLE_NAMES = ("water", "sir", "circadian", "inhibitor", "catalysis")
-
-
-def _water() -> PetriNet:
-    n = NAT.value
-    return net_from_arcs(
-        NAT,
-        ("H2", "O2", "H2O"),
-        ("t",),
-        n(0),
-        pre_arcs={("H2", "t"): n(2), ("O2", "t"): n(1)},
-        post_arcs={("H2O", "t"): n(2)},
-    )
-
-
-def _sir() -> PetriNet:
-    p_contact = p_infect = p_recover = Fraction(1, 2)
-    v = PROB.value
-    return net_from_arcs(
-        PROB,
-        ("S", "I", "R"),
-        ("c", "r", "i"),
-        v(0),
-        pre_arcs={
-            ("S", "c"): v(p_contact),
-            ("I", "c"): v(1),
-            ("I", "r"): v(p_recover),
-            ("I", "i"): v(1 - p_recover),
-        },
-        post_arcs={
-            ("I", "c"): v(p_infect),
-            ("S", "c"): v(1 - p_infect),
-            ("R", "r"): v(1),
-            ("I", "i"): v(1),
-        },
-    )
-
-
-def _circadian() -> PetriNet:
-    # Some species (P, KaiA, KaiB) occur at several distinct nodes of
-    # the net; numeric suffixes keep the labels unique.  Weight 1 =
-    # present, -1 = absent, 0 = hypothesized but unconfirmed.
-    k = KLEENE3.value
-    places = (
-        "P1",
-        "KaiA1",
-        "KaiA2",
-        "KaiBC+P",
-        "KaiABC+P",
-        "KaiB1",
-        "P2",
-        "KaiAC",
-        "KaiAC+P",
-        "KaiB2",
-        "P4",
-        "P3",
-    )
-    transitions = ("dephos1", "dephos2", "phos1", "phos2")
-    pre = {
-        ("KaiABC+P", "dephos1"): k(1),
-        ("KaiAC", "dephos1"): k(0),
-        ("KaiBC+P", "dephos2"): k(1),
-        ("KaiA2", "dephos2"): k(1),
-        ("P3", "phos1"): k(1),
-        ("KaiAC", "phos1"): k(1),
-        ("KaiAC+P", "phos2"): k(1),
-        ("KaiB2", "phos2"): k(1),
-        ("P4", "phos2"): k(1),
-        ("KaiBC+P", "phos2"): k(0),
-    }
-    post = {
-        ("P1", "dephos1"): k(1),
-        ("KaiBC+P", "dephos1"): k(1),
-        ("KaiA1", "dephos1"): k(1),
-        ("KaiB1", "dephos2"): k(1),
-        ("P2", "dephos2"): k(1),
-        ("KaiAC", "dephos2"): k(1),
-        ("KaiAC+P", "phos1"): k(1),
-        ("KaiABC+P", "phos2"): k(1),
-    }
-    return net_from_arcs(KLEENE3, places, transitions, k(-1), pre, post)
-
-
-def _inhibitor() -> PetriNet:
-    z = INT.value
-    return net_from_arcs(
-        INT,
-        ("S1", "S2", "S3", "I"),
-        ("r",),
-        z(0),
-        pre_arcs={("S1", "r"): z(2), ("S2", "r"): z(2), ("I", "r"): z(-3)},
-        post_arcs={("S3", "r"): z(1)},
-    )
-
-
-def _catalysis() -> PetriNet:
-    # Pair weights (rate, role): role 0 = reactant/product, negative =
-    # inhibitor threshold, positive = catalyst threshold.  The rate
-    # component is a stand-in on the rational unit interval; the role
-    # component is an integer.  The rates are placeholders.
-    r1, r2, r3, r4, r5 = (Fraction(k, 10) for k in range(1, 6))
-    lin = product_lineale(PROB, INT)
-
-    def pv(rate: Fraction, role: int) -> LinealeValue:
-        return lin.value((rate, role))
-
-    return net_from_arcs(
-        lin,
-        ("S1", "S2", "S3", "I", "C"),
-        ("r",),
-        pv(Fraction(0), 0),
-        pre_arcs={
-            ("S1", "r"): pv(r1, 0),
-            ("S2", "r"): pv(r2, 0),
-            ("I", "r"): pv(r4, -3),
-            ("C", "r"): pv(r5, 5),
-        },
-        post_arcs={("S3", "r"): pv(r3, 0)},
-    )
-
-
-def build_example(name: str) -> PetriNet:
-    """One of the worked nets by name."""
-    builders = {
-        "water": _water,
-        "sir": _sir,
-        "circadian": _circadian,
-        "inhibitor": _inhibitor,
-        "catalysis": _catalysis,
-    }
-    if name not in builders:
-        raise ShapeMismatch(
-            f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
-        )
-    return builders[name]()

@@ -348,9 +348,10 @@ def test_export_dot_uses_files_declared_default(tmp_path):
 
 
 def test_example_stdout_matches_shipped():
-    code, out, _ = run("example", "--name", "water")
-    assert code == 0
-    assert out == example_path("water").read_text(encoding="utf-8")
+    for name in dialnet.EXAMPLE_NAMES:
+        code, out, _ = run("example", "--name", name)
+        assert code == 0, name
+        assert out == example_path(name).read_text(encoding="utf-8"), name
 
 
 def test_example_writes_file(tmp_path):
@@ -420,3 +421,16 @@ def test_devices_and_pipes_are_refused(tmp_path):
         assert proc.stderr.startswith("error: cannot read "), argv
         assert proc.stderr.endswith(": not a regular file\n"), argv
         assert proc.stderr.count("\n") == 1, argv
+
+
+def test_documents_over_the_size_bound_are_refused(tmp_path):
+    big = tmp_path / "big.net"
+    big.touch()
+    os.truncate(big, 2**30)  # sparse: 1 GiB of st_size, no disk blocks
+    f = {l: l for l in ("H2", "O2", "H2O")}
+    m = write_morphism(tmp_path, "big.mor", str(big), WATER, f, {"t": "t"})
+    bound = dialnet.netdoc.MAX_DOCUMENT_BYTES
+    for argv in (("validate", str(big)), ("check-morphism", m)):
+        proc = run_limited(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == f"error: cannot read {big}: larger than {bound} bytes\n"

@@ -59,7 +59,7 @@ def test_finset_rejects_bad_labels():
 def test_fn_table_validation():
     a, b = FinSet(2), FinSet(3)
     f = FnTable(a, b, (2, 0))
-    assert f(0) == 2 and f(1) == 0
+    assert f.table[0] == 2 and f.table[1] == 0
     with pytest.raises(ShapeMismatch):
         FnTable(a, b, (0,))
     with pytest.raises(ShapeMismatch):
@@ -119,7 +119,7 @@ def test_product_fn_acts_componentwise():
     g = FnTable(FinSet(2), FinSet(3), (2, 0))
     h = product_fn(f, g)
     for i, j in itertools.product(range(2), range(2)):
-        assert h(pair_index(i, j, 2)) == pair_index(f(i), g(j), 3)
+        assert h.table[pair_index(i, j, 2)] == pair_index(f.table[i], g.table[j], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ round-trip tests compare raw bytes, not parsed structures.
 """
 
 import json
+import os
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +43,7 @@ from dialnet import (
 )
 from dialnet.finset import FinSet
 from dialnet.lineale import format_payload
+from dialnet.netdoc import read_text
 
 WATER_TEXT = example_path("water").read_text(encoding="utf-8")
 
@@ -56,9 +60,37 @@ def test_shipped_files_roundtrip_bit_exactly():
         assert serialize_net_document(doc) == text, name
 
 
-def test_shipped_files_match_builders():
+def test_package_data_ships_exactly_the_examples():
+    # build_example reads the installed documents, so the package-data
+    # globs must ship one file per name and no file without a name
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["dialnet"]
+    package = root / "src" / "dialnet"
+    assert {p.stem for p in (package / "data").glob("*.net")} == set(EXAMPLE_NAMES)
+    packaged = {p for g in globs for p in package.glob(g)}
     for name in EXAMPLE_NAMES:
-        assert load_net(example_path(name)) == build_example(name), name
+        assert package / "data" / f"{name}.net" in packaged, name
+
+
+def test_read_text_bounds_the_document_size(tmp_path, monkeypatch):
+    monkeypatch.setattr("dialnet.netdoc.MAX_DOCUMENT_BYTES", 8)
+    p = tmp_path / "doc.net"
+    p.write_text("12345678", encoding="utf-8")
+    assert read_text(p) == "12345678"
+    p.write_text("123456789", encoding="utf-8")
+    with pytest.raises(DocumentSyntaxError, match="larger than 8 bytes"):
+        read_text(p)
+    # a file that grew after its size was taken is refused by the read itself
+    real_fstat = os.fstat
+    monkeypatch.setattr(
+        os,
+        "fstat",
+        lambda fd: types.SimpleNamespace(st_mode=real_fstat(fd).st_mode, st_size=0),
+    )
+    with pytest.raises(DocumentSyntaxError, match="larger than 8 bytes"):
+        read_text(p)
 
 
 def test_serializer_is_canonical():

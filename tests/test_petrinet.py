@@ -1,6 +1,7 @@
 """Nets as pre/post weighted relations over shared carriers, plus the
 five worked examples.  Arc weights below were read off the reaction
-descriptions by hand and act as the oracle for the builders.
+descriptions by hand and act as the oracle for the shipped example
+documents: every cell of every example is compared with them.
 """
 
 import re
@@ -102,72 +103,135 @@ def test_net_from_arcs_rejects_unknown_labels():
 # ---------------------------------------------------------------------------
 
 
+def assert_net(net, lin, places, transitions, default, pre, post):
+    """net is over lin with these labels and default, and each relation
+    holds the default except at its listed (place, transition) arcs."""
+    assert net.lin == lin
+    assert net.places.labels == places
+    assert net.transitions.labels == transitions
+    assert net.default == default
+    for part, arcs in (("pre", pre), ("post", post)):
+        assert set(arcs) <= {(p, t) for p in places for t in transitions}
+        for p in places:
+            for t in transitions:
+                expected = arcs.get((p, t), default)
+                assert weight(net, part, p, t) == expected, (part, p, t)
+
+
 def test_water_arcs():
-    net = build_example("water")
-    assert net.lin is NAT
-    assert net.places.labels == ("H2", "O2", "H2O")
-    assert net.transitions.size == 1
-    assert weight(net, "pre", "H2", "t") == 2
-    assert weight(net, "pre", "O2", "t") == 1
-    assert weight(net, "pre", "H2O", "t") == 0
-    assert weight(net, "post", "H2O", "t") == 2
-    assert weight(net, "post", "H2", "t") == 0
+    # 2 H2 + O2 -> 2 H2O
+    assert_net(
+        build_example("water"),
+        NAT,
+        ("H2", "O2", "H2O"),
+        ("t",),
+        0,
+        pre={("H2", "t"): 2, ("O2", "t"): 1},
+        post={("H2O", "t"): 2},
+    )
 
 
 def test_sir_probabilities():
-    net = build_example("sir")
-    assert net.lin is PROB
-    assert net.places.labels == ("S", "I", "R")
-    assert net.transitions.labels == ("c", "r", "i")
     half = Fraction(1, 2)
-    assert weight(net, "pre", "S", "c") == half  # contact
-    assert weight(net, "pre", "I", "c") == 1
-    assert weight(net, "post", "I", "c") == half
-    assert weight(net, "post", "S", "c") == half  # 1 - p_infect
-    assert weight(net, "pre", "I", "r") == half  # recovery
-    assert weight(net, "post", "R", "r") == 1
-    assert weight(net, "pre", "I", "i") == half  # stays infected
-    assert weight(net, "post", "I", "i") == 1
+    assert_net(
+        build_example("sir"),
+        PROB,
+        ("S", "I", "R"),
+        ("c", "r", "i"),
+        0,
+        pre={
+            ("S", "c"): half,  # contact
+            ("I", "c"): 1,
+            ("I", "r"): half,  # recovery
+            ("I", "i"): half,  # stays infected: 1 - recovery
+        },
+        post={
+            ("I", "c"): half,  # infection
+            ("S", "c"): half,  # 1 - infection
+            ("R", "r"): 1,
+            ("I", "i"): 1,
+        },
+    )
 
 
 def test_circadian_shape_and_hypothesized_arcs():
-    net = build_example("circadian")
-    assert net.lin is KLEENE3
-    assert net.places.size == 12
-    assert net.transitions.size == 4
-    flat = [w for row in net.pre.weight for w in row]
-    flat += [w for row in net.post.weight for w in row]
-    # two arcs are only hypothesized (weight 0); everything else is
-    # definite presence or absence
-    assert flat.count(0) == 2
-    assert weight(net, "pre", "KaiAC", "dephos1") == 0
-    assert weight(net, "pre", "KaiBC+P", "phos2") == 0
-    assert weight(net, "post", "KaiBC+P", "dephos1") == 1
-    assert weight(net, "pre", "KaiABC+P", "dephos1") == 1
-    assert weight(net, "pre", "P1", "dephos1") == -1
+    # 1 = present, -1 = absent, 0 = hypothesized; two arcs are only
+    # hypothesized, everything else is definite presence or absence
+    assert_net(
+        build_example("circadian"),
+        KLEENE3,
+        (
+            "P1",
+            "KaiA1",
+            "KaiA2",
+            "KaiBC+P",
+            "KaiABC+P",
+            "KaiB1",
+            "P2",
+            "KaiAC",
+            "KaiAC+P",
+            "KaiB2",
+            "P4",
+            "P3",
+        ),
+        ("dephos1", "dephos2", "phos1", "phos2"),
+        -1,
+        pre={
+            ("KaiABC+P", "dephos1"): 1,
+            ("KaiAC", "dephos1"): 0,
+            ("KaiBC+P", "dephos2"): 1,
+            ("KaiA2", "dephos2"): 1,
+            ("P3", "phos1"): 1,
+            ("KaiAC", "phos1"): 1,
+            ("KaiAC+P", "phos2"): 1,
+            ("KaiB2", "phos2"): 1,
+            ("P4", "phos2"): 1,
+            ("KaiBC+P", "phos2"): 0,
+        },
+        post={
+            ("P1", "dephos1"): 1,
+            ("KaiBC+P", "dephos1"): 1,
+            ("KaiA1", "dephos1"): 1,
+            ("KaiB1", "dephos2"): 1,
+            ("P2", "dephos2"): 1,
+            ("KaiAC", "dephos2"): 1,
+            ("KaiAC+P", "phos1"): 1,
+            ("KaiABC+P", "phos2"): 1,
+        },
+    )
 
 
 def test_inhibitor_threshold():
-    net = build_example("inhibitor")
-    assert net.lin is INT
-    assert weight(net, "pre", "S1", "r") == 2
-    assert weight(net, "pre", "S2", "r") == 2
-    assert weight(net, "pre", "I", "r") == -3
-    assert weight(net, "post", "S3", "r") == 1
+    assert_net(
+        build_example("inhibitor"),
+        INT,
+        ("S1", "S2", "S3", "I"),
+        ("r",),
+        0,
+        pre={("S1", "r"): 2, ("S2", "r"): 2, ("I", "r"): -3},
+        post={("S3", "r"): 1},
+    )
 
 
 def test_catalysis_pairs():
-    net = build_example("catalysis")
-    assert net.lin.tag == "prod(prob,int)"
-    # product payloads are plain (rate, role) pairs
-    rate = lambda pair: pair[0]
-    role = lambda pair: pair[1]
-    w = weight(net, "pre", "I", "r")
-    assert (rate(w), role(w)) == (Fraction(2, 5), -3)
-    w = weight(net, "pre", "C", "r")
-    assert (rate(w), role(w)) == (Fraction(1, 2), 5)
-    w = weight(net, "post", "S3", "r")
-    assert (rate(w), role(w)) == (Fraction(3, 10), 0)
+    # product payloads are plain (rate, role) pairs: role 0 is a reactant
+    # or product, a negative role an inhibitor threshold, a positive role
+    # a catalyst threshold
+    r1, r2, r3, r4, r5 = (Fraction(k, 10) for k in range(1, 6))
+    assert_net(
+        build_example("catalysis"),
+        get_lineale("prod(prob,int)"),
+        ("S1", "S2", "S3", "I", "C"),
+        ("r",),
+        (0, 0),
+        pre={
+            ("S1", "r"): (r1, 0),
+            ("S2", "r"): (r2, 0),
+            ("I", "r"): (r4, -3),
+            ("C", "r"): (r5, 5),
+        },
+        post={("S3", "r"): (r3, 0)},
+    )
 
 
 def test_example_defaults():
@@ -188,6 +252,10 @@ def test_unknown_example_name():
     with pytest.raises(ShapeMismatch) as exc:
         build_example("perpetuum-mobile")
     assert "water" in str(exc.value)  # the message names valid choices
+    # a name that would reach a shipped file through the path is still refused
+    for name in ("../data/water", "water/../water"):
+        with pytest.raises(ShapeMismatch, match="unknown example"):
+            build_example(name)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +433,7 @@ def random_net_morphism_from(rng, source):
 
     def lowered(obj):
         def weight(v, y):
-            hits = [obj.weight[u][F(y)] for u in range(source.places.size) if f(u) == v]
+            hits = [obj.weight[u][F.table[y]] for u in range(source.places.size) if f.table[u] == v]
             return min(hits) if hits else 0
 
         rows = tuple(tuple(weight(v, y) for y in range(nt_t)) for v in range(np_t))
