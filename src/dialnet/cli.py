@@ -28,9 +28,8 @@ from .laws import DEFAULT_SEED, mutate_imp, run_all
 from .lineale import get_lineale
 from .netdoc import (
     EXAMPLE_NAMES,
-    build_example,
     document_to_net,
-    example_default,
+    example_path,
     export_dot,
     load_net,
     net_to_document,
@@ -110,11 +109,14 @@ def _cmd_laws(args) -> int:
     return 0 if passed == len(results) else 3
 
 
+def _net_and_default(path):
+    """The net a document denotes and its declared default weight, from one read."""
+    doc = parse_net_document(read_text(path))
+    return document_to_net(doc), get_lineale(doc.lineale).parse(doc.default_weight)
+
+
 def _cmd_export_dot(args) -> int:
-    doc = parse_net_document(read_text(args.net))
-    net = document_to_net(doc)
-    default = get_lineale(doc.lineale).parse(doc.default_weight)
-    text = export_dot(net, default)
+    text = export_dot(*_net_and_default(args.net))
     if args.out:
         write_text(args.out, text)
         print(f"wrote {args.out}")
@@ -124,8 +126,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    net = build_example(args.name)
-    default = example_default(args.name)
+    net, default = _net_and_default(example_path(args.name))
     if args.out:
         save_net(net, args.out, default)
         print(f"wrote {args.out}")

@@ -24,6 +24,10 @@ that are valid by the corresponding proof, but nothing is trusted:
 check_morphism recomputes the condition pointwise and the test suite
 always rechecks constructor outputs.
 
+enumerate_morphisms builds a hom-set from per-column candidate sets
+instead of testing every table pair; that brute-force search is its
+oracle in the tests.
+
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs) and carrier shapes come from the
 finset module; every constructor checks the shape against the fixed
@@ -586,38 +590,38 @@ def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
 
 
-# -- brute-force oracle ---------------------------------------------------------
+# -- enumeration -----------------------------------------------------------------
 
 
 def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
     """Every valid morphism a -> b, in lexicographic (forward, backward) order.
 
     The candidate space has |B.pos|^|A.pos| * |A.neg|^|B.neg| elements
-    and is capped.  This is the oracle the law suites compare against.
+    and is capped.  For a forward table f the valid backward tables are
+    the product over y of the x with weight_a(u, x) <= weight_b(f(u), y)
+    for all u: those x are found once per (u, v, y) and intersected over
+    u.  The brute-force search over every table pair is the tests' oracle.
     """
     _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
     leq = a.lin._leq
-    ys = range(b.neg.size)
+    xs = range(a.neg.size)
+    # fits[u][v][y]: the x with weight_a(u, x) <= weight_b(v, y)
+    fits = [
+        [[frozenset(itertools.compress(xs, map(leq, au, itertools.repeat(c)))) for c in bv]
+         for bv in b.weight]
+        for au in a.weight
+    ]
+    everything = [frozenset(xs)] * b.neg.size
     out = []
-    # itertools.product yields tables in exponential index order
+    # itertools.product yields tables in exponential index order; the columns
+    # are sorted for it, as a frozenset need not iterate in order
     for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
-        rows = [(a.weight[u], b.weight[fu]) for u, fu in enumerate(f)]
-        for bt in itertools.product(range(a.neg.size), repeat=b.neg.size):
-            ok = True
-            for au, bu in rows:
-                for y in ys:
-                    if not leq(au[bt[y]], bu[y]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(
-                    DialMorphism(
-                        a,
-                        b,
-                        FnTable(a.pos, b.pos, f),
-                        FnTable(b.neg, a.neg, bt),
-                    )
-                )
+        columns = everything
+        for u, fu in enumerate(f):
+            columns = list(map(frozenset.intersection, columns, fits[u][fu]))
+        if not all(columns):
+            continue
+        fwd = FnTable(a.pos, b.pos, f)
+        for bt in itertools.product(*map(sorted, columns)):
+            out.append(DialMorphism(a, b, fwd, FnTable(b.neg, a.neg, bt)))
     return out

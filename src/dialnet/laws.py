@@ -297,14 +297,21 @@ def category_laws(
 
     carrier = lin.carrier()
     if carrier is not None and len(carrier) <= 3:
+        # id_b . m == m and m . id_a == m, composed table by table
         law = _Law("category.identity.exhaustive")
         objs = all_objects(lin, 2)
         ids = [identity(a) for a in objs]
         for a, ia in zip(objs, ids):
+            ia_pos, ia_neg = ia.fwd.table, ia.bwd.table
             for b, ib in zip(objs, ids):
+                ib_pos, ib_neg = ib.fwd.table, ib.bwd.table
                 for m in enumerate_morphisms(a, b):
+                    f, bt = m.fwd.table, m.bwd.table
                     law.check(
-                        compose(ib, m) == m and compose(m, ia) == m,
+                        tuple(map(ib_pos.__getitem__, f)) == f
+                        and tuple(map(bt.__getitem__, ib_neg)) == bt
+                        and tuple(map(f.__getitem__, ia_pos)) == f
+                        and tuple(map(ia_neg.__getitem__, bt)) == bt,
                         lambda: _show_mor(m),
                     )
         results.append(law.result())

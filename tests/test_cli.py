@@ -363,6 +363,25 @@ def test_example_writes_file(tmp_path):
     )
 
 
+def test_example_reads_its_document_once(tmp_path, monkeypatch):
+    reads = []
+    original = dialnet.netdoc.read_text
+
+    def counting_read_text(path):
+        reads.append(path)
+        return original(path)
+
+    # both names a read could go through: the CLI's import and netdoc's own
+    monkeypatch.setattr(dialnet.cli, "read_text", counting_read_text)
+    monkeypatch.setattr(dialnet.netdoc, "read_text", counting_read_text)
+    for name in dialnet.EXAMPLE_NAMES:
+        for out in ([], ["--out", str(tmp_path / f"{name}.net")]):
+            reads.clear()
+            code, _, _ = run("example", "--name", name, *out)
+            assert code == 0
+            assert reads == [example_path(name)], (name, out)
+
+
 def test_example_unwritable_out(tmp_path):
     code, out, err = run(
         "example", "--name", "water", "--out", str(tmp_path / "absent" / "x.net")

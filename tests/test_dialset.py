@@ -6,11 +6,12 @@ worked out by hand; the law suites in test_laws.py do the heavy lifting.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dialnet import (
     BOOL2,
     CapExceeded,
+    DEFAULT_CAP,
     DialObject,
     FinSet,
     FnTable,
@@ -336,22 +337,79 @@ def test_enumerate_counts_singletons():
     assert len(enumerate_morphisms(TOP, BOTTOM)) == 0
 
 
-def test_enumerate_agrees_with_check_and_is_lexicographic():
-    a = bool_obj([[1, 0], [0, 0]])
-    b = bool_obj([[1], [1]])
-    got = enumerate_morphisms(a, b)
+def brute_force_morphisms(a, b):
+    """The enumeration oracle: every (fwd, bwd) table pair, in lexicographic
+    order, kept when check_morphism finds no violation."""
+    required = b.pos.size**a.pos.size * a.neg.size**b.neg.size
+    if required > DEFAULT_CAP:
+        raise CapExceeded(required, DEFAULT_CAP, "morphism candidate space")
     tables = lambda dom, cod: [
         FnTable(dom, cod, t) for t in itertools.product(range(cod.size), repeat=dom.size)
     ]
-    brute = [
+    return [
         (f, F)
         for f in tables(a.pos, b.pos)
         for F in tables(b.neg, a.neg)
         if check_morphism(a, b, f, F) == []
     ]
-    assert [(m.fwd, m.bwd) for m in got] == brute
+
+
+def test_enumerate_agrees_with_check_and_is_lexicographic():
+    a = bool_obj([[1, 0], [0, 0]])
+    b = bool_obj([[1], [1]])
+    got = enumerate_morphisms(a, b)
+    assert [(m.fwd, m.bwd) for m in got] == brute_force_morphisms(a, b)
     keys = [(m.fwd.table, m.bwd.table) for m in got]
     assert keys == sorted(keys)
+
+
+@st.composite
+def _small_object_pairs(draw):
+    lin = get_lineale(
+        draw(st.sampled_from(["bool2", "kleene3", "nat", "prob", "prod(prob,int)"]))
+    )
+    rng = draw(st.randoms(use_true_random=False))
+
+    def obj():
+        pos, neg = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rows = tuple(tuple(lin.sample(rng, 3).payload for _ in range(neg)) for _ in range(pos))
+        return DialObject(lin, FinSet(pos), FinSet(neg), rows)
+
+    return obj(), obj()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_object_pairs())
+# a wide column: candidates {1, 8}, which a frozenset would iterate as 8, 1
+@example((bool_obj([[1, 0, 1, 1, 1, 1, 1, 1, 0]]), bool_obj([[0]])))
+# row 0 admits x = 0, row 1 rules it out
+@example((bool_obj([[0, 1], [1, 0]]), bool_obj([[0]])))
+def test_enumerate_matches_the_brute_force_oracle(pair):
+    a, b = pair
+    got = enumerate_morphisms(a, b)
+    assert all(m.source == a and m.target == b for m in got)
+    assert [(m.fwd, m.bwd) for m in got] == brute_force_morphisms(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*[st.integers(0, 20)] * 4).filter(
+        lambda s: s[2] ** s[0] * s[1] ** s[3] > DEFAULT_CAP
+    )
+)
+def test_enumerate_over_the_cap_raises_what_the_oracle_raises(sizes):
+    u, x, v, y = sizes
+    a = DialObject(BOOL2, FinSet(u), FinSet(x), ((True,) * x,) * u)
+    b = DialObject(BOOL2, FinSet(v), FinSet(y), ((True,) * y,) * v)
+    with pytest.raises(CapExceeded) as got:
+        enumerate_morphisms(a, b)
+    with pytest.raises(CapExceeded) as want:
+        brute_force_morphisms(a, b)
+    assert (got.value.required, got.value.cap, str(got.value)) == (
+        want.value.required,
+        want.value.cap,
+        str(want.value),
+    )
 
 
 def test_enumerate_respects_cap():

@@ -68,6 +68,22 @@ def test_exhaustive_counts_for_finite_carriers():
     assert by_name["hom.adjunction"].cases == 321
 
 
+@pytest.mark.parametrize(
+    "lin, identity_cases, assoc_cases",
+    [(KLEENE3, 37217, 80), (BOOL2, 2901, 45), (mutated_kleene3(), 37217, 80)],
+    ids=["kleene3", "bool2", "mutated_kleene3"],
+)
+def test_exhaustive_category_case_counts_are_pinned(lin, identity_cases, assoc_cases):
+    # a faster enumeration or law check must not shrink the case set; the
+    # mutated copy keeps kleene3's counts (its adjunction failure is checked
+    # by test_broken_imp_fails_adjunction_with_counterexample)
+    by_name = {r.name: r for r in category_laws(lin, cases=1)}
+    assert by_name["category.identity.exhaustive"].cases == identity_cases
+    assert by_name["category.assoc.exhaustive"].cases == assoc_cases
+    assert by_name["category.identity.exhaustive"].passed
+    assert by_name["category.assoc.exhaustive"].passed
+
+
 def test_suite_names_are_stable():
     names = {r.name for r in run_all(BOOL2, cases=4)}
     expected = {

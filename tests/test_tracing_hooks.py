@@ -50,3 +50,18 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"dialnet.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"dialnet.{info.name}.__all__ names {name!r}"
+
+
+def test_tracer_sees_every_enumeration_of_the_identity_law():
+    # the exhaustive identity law enumerates each of the 31 x 31 pairs of
+    # bool2 objects with carriers up to 2 through the public function
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["laws", "--lineale", "bool2", "--cases", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.metrics()["dialset.enum_calls"][0] >= 31**2
