@@ -72,7 +72,6 @@ from .petrinet import (
     PetriNet,
     check_net_morphism,
     net_from_arcs,
-    net_from_relations,
     net_hom,
     net_oplus,
     net_tensor,
@@ -93,6 +92,7 @@ from .netdoc import (
     parse_net_document,
     resolve_morphism_document,
     save_net,
+    serialize_net,
     serialize_net_document,
 )
 from .laws import (

@@ -32,13 +32,12 @@ from .netdoc import (
     example_path,
     export_dot,
     load_net,
-    net_to_document,
     parse_morphism_document,
     parse_net_document,
     read_text,
     resolve_morphism_document,
     save_net,
-    serialize_net_document,
+    serialize_net,
     write_text,
 )
 from . import petrinet
@@ -131,7 +130,7 @@ def _cmd_example(args) -> int:
         save_net(net, args.out, default)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(serialize_net_document(net_to_document(net, default)))
+        sys.stdout.write(serialize_net(net, default))
     return 0
 
 

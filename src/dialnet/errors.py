@@ -33,11 +33,11 @@ class CapExceeded(DialnetError):
     construction would have needed.
     """
 
-    def __init__(self, required: int, cap: int, what: str = "carrier"):
+    def __init__(self, required: int, cap: int, what: str = "carrier", unit: str = "elements"):
         self.required = required
         self.cap = cap
         self.what = what
-        super().__init__(f"{what} needs {required} elements, cap is {cap}")
+        super().__init__(f"{what} needs {required} {unit}, cap is {cap}")
 
 
 class InvalidMorphism(DialnetError):

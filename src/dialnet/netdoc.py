@@ -33,15 +33,16 @@ json.dumps(indent=2, ensure_ascii=False) -- fixed key order, two-space
 indent, arcs in row-major (place, transition) order, values in
 canonical form -- plus one trailing newline, written directly rather
 than through json.dumps, whose indenting encoder is pure Python.
-Serializing a parsed canonical file reproduces it byte for byte.
+serialize_net writes a net and serialize_net_document a document through
+one layout, so a parsed canonical file is reproduced byte for byte.
 
 Reading and writing cost time in the labels and arcs, not in the cells.
 A document becomes a net in its stored form (see petrinet) without a
-dense matrix, and each distinct weight text is parsed once.  Writing a
-net with its own default lists its arc maps; the text of each distinct
-payload object is formatted once.  Only an explicit default other than
-the net's own visits every cell, since every cell off that default
-becomes an arc.
+dense matrix, and each distinct weight text is parsed once.  A net is
+written straight from its arc maps: each label and each distinct payload
+object is encoded once and the arcs are joined in C; only an explicit
+default other than the net's own visits every cell.  save_net refuses
+(CapExceeded) a text over MAX_DOCUMENT_BYTES, which it could not read.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import floordiv, mod
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import (
+    CapExceeded,
     DialnetError,
     DocumentSemanticError,
     DocumentSyntaxError,
@@ -74,6 +76,7 @@ __all__ = [
     "MorphismDocument",
     "parse_net_document",
     "serialize_net_document",
+    "serialize_net",
     "document_to_net",
     "net_to_document",
     "read_text",
@@ -210,34 +213,47 @@ def parse_net_document(text: str) -> NetDocument:
     return _net_document_from_json(_load_json(text))
 
 
-# one arc triple at depth 2 of the document, as json.dumps(indent=2) lays it out
-_ARC_LAYOUT = "[\n      {},\n      {},\n      {}\n    ]"
+# an element of a depth-1 array, and the three pieces of an arc triple, as
+# json.dumps(indent=2) lays them out; each ends with the separator to the next
+_ELEMENT = "{},\n    "
+_ARC_PIECES = ("[\n      {},\n      ", "{},\n      ", "{}\n    ],\n    ")
 
 
-def _json_array(elements: list[str]) -> str:
-    """A depth-1 array of already-encoded elements, in the indent=2 layout."""
-    if not elements:
-        return "[]"
-    return "[\n    " + ",\n    ".join(elements) + "\n  ]"
+def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -> str:
+    """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a
+    newline; pre and post list the place, transition and value pieces of arcs."""
 
+    def array(*columns: list[str]) -> str:
+        # the pieces of every element in turn, joined in C
+        joined = [""] * (len(columns) * len(columns[0]))
+        for i, column in enumerate(columns):
+            joined[i :: len(columns)] = column
+        return "[\n    " + "".join(joined)[: -len(",\n    ")] + "\n  ]" if joined else "[]"
 
-def _json_arcs(triples) -> list[str]:
-    strings = map(encode_basestring, chain.from_iterable(triples))
-    return list(starmap(_ARC_LAYOUT.format, zip(strings, strings, strings)))
+    def labels(texts) -> str:
+        return array([_ELEMENT.format(encode_basestring(t)) for t in texts])
+
+    fields = (
+        ("format_version", encode_basestring(FORMAT_VERSION)),
+        ("lineale", encode_basestring(lineale)),
+        ("default_weight", encode_basestring(default_weight)),
+        ("places", labels(places)),
+        ("transitions", labels(transitions)),
+        ("pre", array(*pre)),
+        ("post", array(*post)),
+    )
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
 
 
 def serialize_net_document(doc: NetDocument) -> str:
-    """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a newline."""
-    fields = (
-        ("format_version", encode_basestring(FORMAT_VERSION)),
-        ("lineale", encode_basestring(doc.lineale)),
-        ("default_weight", encode_basestring(doc.default_weight)),
-        ("places", _json_array(list(map(encode_basestring, doc.places)))),
-        ("transitions", _json_array(list(map(encode_basestring, doc.transitions)))),
-        ("pre", _json_array(_json_arcs(doc.pre))),
-        ("post", _json_array(_json_arcs(doc.post))),
-    )
-    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
+    """The canonical text of a document."""
+
+    def pieces(triples) -> list[list[str]]:
+        cols = zip(*triples) if triples else ((), (), ())
+        return [[f.format(encode_basestring(t)) for t in c] for f, c in zip(_ARC_PIECES, cols)]
+
+    pre, post = pieces(doc.pre), pieces(doc.post)
+    return _layout(doc.lineale, doc.default_weight, doc.places, doc.transitions, pre, post)
 
 
 def _parse_weight(lin, text: str, where) -> object:
@@ -310,18 +326,12 @@ def _labels(s: FinSet) -> tuple[str, ...]:
     return tuple(s.label(i) for i in range(s.size))
 
 
-def _arc_triples(
-    net: PetriNet,
-    arcs: dict[int, object],
-    default: object,
-    places: tuple[str, ...],
-    transitions: tuple[str, ...],
-) -> list[tuple[str, str, str]]:
-    """(place, transition, formatted value) for every cell of a relation
-    off the default payload, in row-major order.
+def _arc_columns(net: PetriNet, arcs, default, places, transitions, text=format_payload):
+    """places[u], transitions[x] and text(payload) for the cells of a
+    relation off the default payload, in row-major order, as three lists.
 
-    With the net's own default these are its arcs.  Each distinct
-    payload object is formatted once; the rest runs in C.
+    With the net's own default these are its arcs.  text runs once per
+    distinct payload object; the rest runs in C.
     """
     if default != net.default:
         n = len(places) * len(transitions)
@@ -329,37 +339,34 @@ def _arc_triples(
         arcs = {k: v for k, v in cells if v != default}
     n_t = len(transitions)
     payloads = list(arcs.values())
-    objects = dict(zip(map(id, payloads), payloads))
-    texts = {i: format_payload(v) for i, v in objects.items()}
-    return list(
-        zip(
-            map(places.__getitem__, map(floordiv, arcs, repeat(n_t))),
-            map(transitions.__getitem__, map(mod, arcs, repeat(n_t))),
-            map(texts.__getitem__, map(id, payloads)),
-        )
-    )
+    texts = {i: text(v) for i, v in dict(zip(map(id, payloads), payloads)).items()}
+    return [
+        list(map(places.__getitem__, map(floordiv, arcs, repeat(n_t)))),
+        list(map(transitions.__getitem__, map(mod, arcs, repeat(n_t)))),
+        list(map(texts.__getitem__, map(id, payloads))),
+    ]
 
 
-def net_to_document(
-    net: PetriNet, default: Optional[LinealeValue] = None
-) -> NetDocument:
-    """Render a net sparsely.
-
-    Without an explicit default the net's own is used: the most frequent
-    weight across both relations (ties broken by first appearance), which
-    keeps the arc list short.  A default of another lineale raises
-    TagMismatch.
-    """
+def serialize_net(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
+    """The canonical text of a net, straight from its arc maps.  Without an
+    explicit default the net's own, its modal payload, is used; a default
+    of another lineale raises TagMismatch."""
     default = net.default if default is None else net.lin.unwrap(default)
     places, transitions = _labels(net.places), _labels(net.transitions)
-    return NetDocument(
-        lineale=net.lin.tag,
-        default_weight=format_payload(default),
-        places=places,
-        transitions=transitions,
-        pre=tuple(_arc_triples(net, net.pre_arcs, default, places, transitions)),
-        post=tuple(_arc_triples(net, net.post_arcs, default, places, transitions)),
+    p_piece, t_piece, v_piece = _ARC_PIECES
+    pieces = (
+        [p_piece.format(encode_basestring(p)) for p in places],
+        [t_piece.format(encode_basestring(t)) for t in transitions],
+        lambda v: v_piece.format(encode_basestring(format_payload(v))),
     )
+    pre = _arc_columns(net, net.pre_arcs, default, *pieces)
+    post = _arc_columns(net, net.post_arcs, default, *pieces)
+    return _layout(net.lin.tag, format_payload(default), places, transitions, pre, post)
+
+
+def net_to_document(net: PetriNet, default: Optional[LinealeValue] = None) -> NetDocument:
+    """The document serialize_net(net, default) writes."""
+    return parse_net_document(serialize_net(net, default))
 
 
 def example_path(name: str) -> Path:
@@ -400,10 +407,11 @@ def read_text(path: Union[str, Path]) -> str:
     return text
 
 
-def write_text(path: Union[str, Path], text: str) -> None:
-    """Write an output file; an unwritable path is a DocumentSyntaxError."""
+def write_text(path: Union[str, Path], text: Union[str, bytes]) -> None:
+    """Write an output file, text as UTF-8; an unwritable path is a DocumentSyntaxError."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as e:
         raise DocumentSyntaxError(f"cannot write {path}: {e}") from None
 
@@ -426,7 +434,12 @@ def build_example(name: str) -> PetriNet:
 def save_net(
     net: PetriNet, path: Union[str, Path], default: Optional[LinealeValue] = None
 ) -> None:
-    write_text(path, serialize_net_document(net_to_document(net, default)))
+    """Write serialize_net(net, default).  A text over MAX_DOCUMENT_BYTES,
+    which read_text would refuse, raises CapExceeded and writes nothing."""
+    data = serialize_net(net, default).encode("utf-8")
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise CapExceeded(len(data), MAX_DOCUMENT_BYTES, "net document", "bytes")
+    write_text(path, data)
 
 
 # -- morphism documents --------------------------------------------------------
@@ -540,9 +553,9 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
         lines.append(f"  {_quote('p:' + lbl)} [shape=circle, label={_quote(lbl)}];")
     for lbl in transitions:
         lines.append(f"  {_quote('t:' + lbl)} [shape=box, label={_quote(lbl)}];")
-    for p, t, v in _arc_triples(net, net.pre_arcs, default, places, transitions):
+    for p, t, v in zip(*_arc_columns(net, net.pre_arcs, default, places, transitions)):
         lines.append(f"  {_quote('p:' + p)} -> {_quote('t:' + t)} [label={_quote(v)}];")
-    for p, t, v in _arc_triples(net, net.post_arcs, default, places, transitions):
+    for p, t, v in zip(*_arc_columns(net, net.post_arcs, default, places, transitions)):
         lines.append(f"  {_quote('t:' + t)} -> {_quote('p:' + p)} [label={_quote(v)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

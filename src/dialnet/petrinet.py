@@ -18,15 +18,15 @@ list their cells in that order.  The default is the modal payload: the
 most frequent one across pre then post, ties going to the first one
 met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
-One builder, _net_from_cells, works that form out from a fill payload
-and the cells listed off it; its comparisons with the default run once
-per distinct payload object, not once per cell.
+Two builders work that form out, comparing with the default once per
+distinct payload object: _net_from_cells from a fill payload and the
+cells listed off it, _pointwise_net from a connective's op tables.
 
-The dense relations net.pre and net.post are built on each access, and
-only tensor and hom use them: net_from_relations turns their dense
-results back into a net.  with and oplus copy each input cell into a
-block of result cells, so they cost time in the arcs (and in all of
-b's cells when its default differs from a's), not in a dense matrix.
+No connective builds a dense result.  with and oplus copy each input
+cell into a block of result cells, so they cost time in the arcs (and
+in all of b's cells when its default differs from a's).  tensor and hom
+find the default from their op tables, one payload per pair of input
+cells, and pick the arcs out of a relation's cells in C.
 
 Checking a net morphism costs time in the carrier sizes plus the arcs
 and their preimages, not in the cells: check_net_morphism compares one
@@ -40,21 +40,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, product, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import DialObject, check_shapes, hom_obj, tensor_obj
-from .dialset import _same_lineale
-from .errors import ShapeMismatch, TagMismatch
-from .finset import FinSet, FnTable, _guard, coproduct_set, product_set
+from .dialset import _same_lineale, check_shapes
+from .finset import FinSet, FnTable, _guard, coproduct_set, exp_set, fn_from_index
+from .finset import hom_shape, product_set, tensor_shape
 from .lineale import Lineale, LinealeValue
 
 __all__ = [
     "PetriNet",
     "NetViolation",
     "net_from_arcs",
-    "net_from_relations",
     "check_net_morphism",
     "net_tensor",
     "net_with",
@@ -69,8 +67,8 @@ class PetriNet:
 
     pre_arcs and post_arcs map row-major cell indices to payloads, in
     index order, and hold exactly the cells whose payload is not equal
-    to default.  _net_from_cells keeps these invariants; the constructor
-    itself does not check them.
+    to default.  _net_from_cells and _pointwise_net keep these invariants;
+    the constructor itself does not check them.
     """
 
     lin: Lineale
@@ -95,27 +93,6 @@ class PetriNet:
     def neg(self) -> FinSet:
         """The transitions: the negative carrier of both relations."""
         return self.transitions
-
-    @property
-    def pre(self) -> DialObject:
-        """The dense pre relation, built on each access."""
-        return self._relation(self.pre_arcs)
-
-    @property
-    def post(self) -> DialObject:
-        """The dense post relation, built on each access."""
-        return self._relation(self.post_arcs)
-
-    def _relation(self, arcs: dict[int, object]) -> DialObject:
-        n_t = self.transitions.size
-        cells = [self.default] * (self.places.size * n_t)
-        for k, v in arcs.items():
-            cells[k] = v
-        rows = tuple(
-            tuple(cells[u * n_t : (u + 1) * n_t]) for u in range(self.places.size)
-        )
-        return DialObject(self.lin, self.places, self.transitions, rows)
-
 
 def _off_default(
     keys: Iterable[int], payloads: list[object], default: object
@@ -216,22 +193,6 @@ def net_from_arcs(
     )
 
 
-def net_from_relations(pre: DialObject, post: DialObject) -> PetriNet:
-    """The net with these dense pre and post relations, in its stored form."""
-    if post.lin.tag != pre.lin.tag:
-        raise TagMismatch("pre and post relations are over different lineales")
-    if post.pos != pre.pos or post.neg != pre.neg:
-        raise ShapeMismatch("post relation carriers differ from pre's")
-    first = next(chain.from_iterable(pre.weight), None)
-
-    def cells(obj: DialObject) -> dict[int, object]:
-        # the cells that are not the first cell's object, picked in C
-        flat = list(chain.from_iterable(obj.weight))
-        return dict(compress(zip(count(), flat), map(is_not, flat, repeat(first))))
-
-    return _net_from_cells(pre.lin, pre.pos, pre.neg, first, cells(pre), cells(post))
-
-
 class NetViolation(NamedTuple):
     """A morphism-condition failure, tagged with the relation it violates."""
 
@@ -290,9 +251,75 @@ def check_net_morphism(
     return out
 
 
+def _pointwise_net(a, b, op, places, transitions, first, runs) -> PetriNet:
+    """The stored form of a tensor or hom from its op tables, one per
+    relation: table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)).  Every entry
+    fills equally many cells, so the modal payload is the most frequent
+    value over the entries, ties going to the one met first: the least
+    first(u, v, i) for table[u][v][i], pre before post.  runs(table) yields
+    (first cell, payloads) for the runs of cells, in index order.
+    """
+
+    def rows(net, arcs):
+        n_t = net.neg.size
+        cells = list(map(arcs.get, range(net.pos.size * n_t), repeat(net.default)))
+        return [cells[k : k + n_t] for k in range(0, len(cells), n_t or 1)]
+
+    tables = [
+        [[list(map(op, chain.from_iterable(map(repeat, au, repeat(len(bv)))), bv * len(au)))
+          for bv in rows(b, b_arcs)] for au in rows(a, a_arcs)]
+        for a_arcs, b_arcs in ((a.pre_arcs, b.pre_arcs), (a.post_arcs, b.post_arcs))
+    ]
+
+    def entries(table):
+        return chain.from_iterable(chain.from_iterable(table))
+
+    counts = Counter(chain(*map(entries, tables)))
+    top = max(counts.values(), default=0)
+    # with no entries, which is exactly when there are no cells, it is the unit
+    tied = {v for v, c in counts.items() if c == top} or {a.lin.unit_payload}
+    default = tied.pop() if len(tied) == 1 else min(
+        (part, first(u, v, i), w) for part, table in enumerate(tables)
+        for u, tu in enumerate(table) for v, tuv in enumerate(tu)
+        for i, w in enumerate(tuv) if w in tied
+    )[2]
+
+    def arcs(table) -> dict[int, object]:
+        # the comparison with the default runs once per distinct payload object
+        objects = dict(zip(map(id, entries(table)), entries(table)))
+        off = {i for i, v in objects.items() if v != default}
+        out: dict[int, object] = {}
+        for start, run in runs(table) if off else ():
+            run = list(run)
+            out.update(compress(zip(count(start), run), map(off.__contains__, map(id, run))))
+        return out
+
+    return PetriNet(a.lin, places, transitions, default, *map(arcs, tables))
+
+
 def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
-    pre, post = tensor_obj(a.pre, b.pre), tensor_obj(a.post, b.post)
-    return net_from_relations(pre, post)
+    """The monoidal product: places U x V, transitions the pairs (f, g) of
+    response tables in X^V x Y^U; ((u, v), (f, g)) holds a(u, f(v)) tensor
+    b(v, g(u))."""
+    _same_lineale(a, b)
+    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    _guard(max(tensor_shape((n_u, n_x), (n_v, n_y))))
+    places = product_set(a.places, b.places)
+    xs, ys = exp_set(a.transitions, b.places), exp_set(b.transitions, a.places)
+    transitions = product_set(xs, ys)
+    f_at = [[fn_from_index(i, n_v, n_x)[v] for i in range(xs.size)] for v in range(n_v)]
+    g_at = [[fn_from_index(i, n_u, n_y)[u] for i in range(ys.size)] for u in range(n_u)]
+
+    def first(u, v, i):  # entries in this order meet their first cells in order
+        return (u * n_v + v) * n_x * n_y + i
+
+    def runs(table):  # row (u, v): per f, the part of x = f(v) over every g
+        for r, (u, v) in enumerate(product(range(n_u), range(n_v))):
+            parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
+            by_x = [list(map(part, g_at[u])) for part in parts]
+            yield r * transitions.size, chain.from_iterable(map(by_x.__getitem__, f_at[v]))
+
+    return _pointwise_net(a, b, a.lin._tensor, places, transitions, first, runs)
 
 
 def _block_net(
@@ -347,6 +374,26 @@ def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
 
 
 def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
-    pre, post = hom_obj(a.pre, b.pre), hom_obj(a.post, b.post)
-    return net_from_relations(pre, post)
+    """The internal hom: places the pairs (f, F) in V^U x X^Y, transitions
+    U x Y; ((f, F), (u, y)) holds a(u, F(y)) implies b(f(u), y)."""
+    _same_lineale(a, b)
+    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    _guard(max(hom_shape((n_u, n_x), (n_v, n_y))))
+    fs, bs = exp_set(b.places, a.places), exp_set(a.transitions, b.transitions)
+    places = product_set(fs, bs)
+    transitions = product_set(a.places, b.transitions)
+    # per F, and within it per u, the entries F(y) * |Y| + y of every y
+    picks = [[x * n_y + y for y, x in enumerate(fn_from_index(i, n_y, n_x))]
+             for i in range(bs.size) for _ in range(n_u)]
 
+    def first(u, v, i):  # row (f, F), f = v at u only and F = x at y only; column (u, y)
+        x, y = divmod(i, n_y)
+        return v * n_v ** (n_u - 1 - u) * bs.size + x * n_x ** (n_y - 1 - y), u, y
+
+    def runs(table):  # the rows (f, F) of one f, for every F
+        for r in range(fs.size):
+            at_f = [table[u][v].__getitem__ for u, v in enumerate(fn_from_index(r, n_u, n_v))]
+            run = map(map, at_f * bs.size, picks)
+            yield r * bs.size * transitions.size, chain.from_iterable(run)
+
+    return _pointwise_net(a, b, a.lin._imp, places, transitions, first, runs)

@@ -5,6 +5,7 @@ with redirect_* so the tests do not depend on pytest capture modes.
 One subprocess test proves the module entry points work end to end.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -252,6 +253,88 @@ def test_combine_mixed_lineales(tmp_path):
         "combine", "--op", "tensor", WATER, SIR, "--out", str(tmp_path / "x.net")
     )
     assert code == 3
+
+
+# (exit code, sha256 of --out) of each shipped net combined with itself, as
+# written before the connectives and the writer stopped going through dense
+# relations and NetDocuments; circadian's tensor and hom exceed the cap
+SELF_COMBINED = {
+    ("water", "tensor"): (0, "fcefe76ed34a1a490dab7064b85c123b5d49c9182f5546c35877ff73a553717e"),
+    ("water", "hom"): (0, "0e88d4e521785a443b58c786bc03a8bbbb2f1dc21fab131ab0e16a424c61110d"),
+    ("water", "with"): (0, "df0ac34d71144997ce79c6cf655d6342bf462bae80741535b76a784afd7d4ceb"),
+    ("water", "oplus"): (0, "5397dcd82680aa8e11d000bea69977bbeb0c344f8eefd939a41546813cfefba4"),
+    ("sir", "tensor"): (0, "dd016da735e7b5d624cb8cbd0c120398b6d753789f022cbd555b62264dfbe766"),
+    ("sir", "hom"): (0, "7b0c09467978db85d5d8768a968316cc39e72d3eeeddb01abd65b9fbebb5934f"),
+    ("sir", "with"): (0, "b1276e1c12a1b54f0f4b8395543c2df128d1e273af533052424d4447de4d1551"),
+    ("sir", "oplus"): (0, "9f60176ef9031e5d863df0e5f09fe0c3bb69f69d0c1ea1ed9bd71de5e2c3ba8f"),
+    ("circadian", "tensor"): (4, None),
+    ("circadian", "hom"): (4, None),
+    ("circadian", "with"): (0, "9f8393656c9910db41ad64d3398d4590a8b86872f834b28e613129d3a920b3d3"),
+    ("circadian", "oplus"): (0, "6a31f69dc60e1178f7c1fce29817d3563fefc2045720c7b53d7ccdceaa7c39cf"),
+    ("inhibitor", "tensor"): (0, "f3881ed155630420e0faab661e2007c788af3dc4f07c1b21abaa99ea7d99cf1d"),
+    ("inhibitor", "hom"): (0, "8f70eee6c73fc284f990eb9ffbf0bd1324e4c132d68b0b558df8e927e3e6d6f3"),
+    ("inhibitor", "with"): (0, "d5bb06e3a0264ccf9adf62707caa9eeb698877880cc547782db2b27f2d452d4e"),
+    ("inhibitor", "oplus"): (0, "79037167efc68e47e00371fdf5aece1b0d563965d0986352678abd14fbc9b10b"),
+    ("catalysis", "tensor"): (0, "a8432ecc47646efe421170c6aec49ae83744640b840548842fba330a8af05da6"),
+    ("catalysis", "hom"): (0, "dd9ce78388b60127e4bee9d64094bb208e239f94ed2b6bbb7cc93c4eef3d3052"),
+    ("catalysis", "with"): (0, "b9e35feace1d5f163cbd45292004a124da1027c32dca5453f47ab636e35e0eb5"),
+    ("catalysis", "oplus"): (0, "cc4324c8e19e3a519ce9fa1101b5036a4b69804305eac97d8dca82944f1c5afe"),
+}
+
+
+@pytest.mark.parametrize("name, op", sorted(SELF_COMBINED))
+def test_self_combined_shipped_nets_are_byte_stable(tmp_path, name, op):
+    out_path = tmp_path / "out.net"
+    path = str(example_path(name))
+    code, _, err = run("combine", "--op", op, path, path, "--out", str(out_path))
+    expected_code, expected_sha = SELF_COMBINED[name, op]
+    assert code == expected_code, err
+    if expected_sha is None:
+        assert not out_path.exists()
+    else:
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected_sha
+
+
+def test_combine_refuses_a_text_the_reader_would_refuse(tmp_path, monkeypatch):
+    # the bound counts UTF-8 bytes, which these labels make more than characters
+    doc = {
+        "format_version": "1", "lineale": "nat", "default_weight": "0",
+        "places": ["H₂", "O₂"], "transitions": ["é"], "pre": [["O₂", "é", "1"]], "post": [],
+    }
+    path, out_path = tmp_path / "a.net", tmp_path / "aa.net"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    text = dialnet.serialize_net(net_with(load_net(path), load_net(path)))
+    size = len(text.encode("utf-8"))
+    assert size > len(text)
+    argv = ("combine", "--op", "with", str(path), str(path), "--out", str(out_path))
+    monkeypatch.setattr(dialnet.netdoc, "MAX_DOCUMENT_BYTES", size - 1)
+    assert run(*argv) == (4, "", f"error: net document needs {size} bytes, cap is {size - 1}\n")
+    assert not out_path.exists()
+    monkeypatch.setattr(dialnet.netdoc, "MAX_DOCUMENT_BYTES", size)
+    assert run(*argv)[0] == 0
+    assert out_path.read_bytes() == text.encode("utf-8")
+
+
+def test_combine_of_two_320_kb_nets_is_refused_not_written(tmp_path):
+    # 64 places with 5 KB labels: with has 4096 places of about 10 KB each,
+    # a 41 MB text that validate would refuse as over 32 MiB
+    paths = []
+    for side in "ab":
+        doc = {
+            "format_version": "1", "lineale": "nat", "default_weight": "0",
+            "places": [f"{side}{i:02}" + "x" * 5000 for i in range(64)],
+            "transitions": ["t"], "pre": [], "post": [],
+        }
+        paths.append(tmp_path / f"{side}.net")
+        paths[-1].write_text(json.dumps(doc))
+    out_path = tmp_path / "ab.net"
+    code, out, err = run("combine", "--op", "with", *map(str, paths), "--out", str(out_path))
+    bound = dialnet.netdoc.MAX_DOCUMENT_BYTES
+    assert (code, out) == (4, "")
+    assert err.startswith("error: net document needs ") and err.count("\n") == 1
+    assert err.endswith(f" bytes, cap is {bound}\n")
+    assert int(err.split()[4]) > bound
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

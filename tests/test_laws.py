@@ -9,8 +9,14 @@ import random
 
 import pytest
 
+import dialnet.dialset
+import dialnet.finset
+import dialnet.laws
 from dialnet import (
     BOOL2,
+    DialMorphism,
+    FnTable,
+    ShapeMismatch,
     INT,
     KLEENE3,
     LawResult,
@@ -30,6 +36,7 @@ from dialnet import (
     run_all,
     universal_laws,
 )
+from dialnet.finset import compose as table_compose
 from dialnet.laws import _Law, random_morphism_into, random_object
 
 ALL_TAGS = ("bool2", "kleene3", "nat", "int", "prob", "prod(prob,int)")
@@ -82,6 +89,50 @@ def test_exhaustive_category_case_counts_are_pinned(lin, identity_cases, assoc_c
     assert by_name["category.assoc.exhaustive"].cases == assoc_cases
     assert by_name["category.identity.exhaustive"].passed
     assert by_name["category.assoc.exhaustive"].passed
+
+
+def _kept_swap(g, f, compose=dialnet.finset.compose):
+    # (0, 1) after (1, 0) comes out as (0, 1), so id . swap != swap
+    if (g.table, f.table) == ((0, 1), (1, 0)):
+        return FnTable(f.dom, g.cod, (0, 1))
+    return compose(g, f)
+
+
+def _dropped_backward(m2, m1):
+    # the backward table is m1's alone wherever its shape allows
+    if m1.target != m2.source:
+        raise ShapeMismatch("cannot compose: middle objects differ")
+    bwd = m1.bwd if m1.bwd.dom.size == m2.target.neg.size else table_compose(m1.bwd, m2.bwd)
+    return DialMorphism(m1.source, m2.target, table_compose(m2.fwd, m1.fwd), bwd)
+
+
+def _reversed_on_square(m2, m1):
+    # m1 after m2 wherever all three objects share a shape, so the ends
+    # keep their shapes; the middle-object check goes with the order
+    if m1.source.shape == m1.target.shape == m2.target.shape:
+        m2, m1 = m1, m2
+    fwd, bwd = table_compose(m2.fwd, m1.fwd), table_compose(m1.bwd, m2.bwd)
+    return DialMorphism(m1.source, m2.target, fwd, bwd)
+
+
+@pytest.mark.parametrize("lin", [KLEENE3, BOOL2], ids=["kleene3", "bool2"])
+@pytest.mark.parametrize(
+    "where, mutant",
+    [
+        ((dialnet.finset,), _kept_swap),
+        ((dialnet.dialset, dialnet.laws), _dropped_backward),
+        ((dialnet.dialset, dialnet.laws), _reversed_on_square),
+    ],
+    ids=["kept-swap", "dropped-backward", "reversed-on-square"],
+)
+def test_exhaustive_identity_law_catches_broken_composition(monkeypatch, lin, where, mutant):
+    # the law composes through the library: a broken finset.compose or
+    # dialset.compose must fail it, not only the random laws by luck of seed
+    for module in where:
+        monkeypatch.setattr(module, "compose", mutant)
+    by_name = {r.name: r for r in category_laws(lin, cases=1)}
+    law = by_name["category.identity.exhaustive"]
+    assert not law.passed and law.cases == {KLEENE3: 37217, BOOL2: 2901}[lin]
 
 
 def test_suite_names_are_stable():

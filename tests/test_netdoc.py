@@ -4,11 +4,15 @@ Shipped example files are the canonical serializer output, so the
 round-trip tests compare raw bytes, not parsed structures.
 """
 
+import io
 import json
 import os
+import tempfile
 import types
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import dense
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,12 +37,13 @@ from dialnet import (
     parse_net_document,
     resolve_morphism_document,
     save_net,
+    serialize_net,
     serialize_net_document,
     TagMismatch,
     get_lineale,
+    net_from_arcs,
     net_oplus,
     net_tensor,
-    net_from_relations,
     net_with,
 )
 from dialnet.finset import FinSet
@@ -119,7 +124,7 @@ def test_default_weight_fills_unlisted_arcs():
     doc = parse_net_document(WATER_TEXT)
     net = document_to_net(doc)
     u = net.places.index_of("H2O")
-    assert net.pre.weight[u][0] == 0
+    assert dense.pre(net).weight[u][0] == 0
 
 
 def test_modal_default_when_unspecified():
@@ -146,7 +151,7 @@ def test_randomized_nets_roundtrip():
                 tuple(lin.sample(rng, 6).payload for _ in range(transitions.size))
                 for _ in range(places.size)
             ))
-            net = net_from_relations(mk(), mk())
+            net = dense.net_from_relations(mk(), mk())
             doc = net_to_document(net)
             assert parse_net_document(serialize_net_document(doc)) == doc
             assert document_to_net(doc) == net
@@ -447,7 +452,7 @@ def _oracle_document(net: PetriNet, default=None) -> NetDocument:
     """net_to_document as a value-keyed count and a per-cell != filter."""
     if default is None:
         counts = {}
-        for obj in (net.pre, net.post):
+        for obj in (dense.pre(net), dense.post(net)):
             for row in obj.weight:
                 for v in row:
                     counts[v] = counts.get(v, 0) + 1
@@ -466,7 +471,7 @@ def _oracle_document(net: PetriNet, default=None) -> NetDocument:
         )
 
     return NetDocument(
-        net.lin.tag, format_payload(d), places, transitions, arcs(net.pre), arcs(net.post)
+        net.lin.tag, format_payload(d), places, transitions, arcs(dense.pre(net)), arcs(dense.post(net))
     )
 
 
@@ -548,7 +553,7 @@ def _nets(draw, tag=None, max_places=4, max_transitions=4):
         return DialObject(lin, places, transitions, weight)
 
     places, transitions = carrier(n_p, "p"), carrier(n_t, "t")
-    return net_from_relations(obj(places, transitions), obj(places, transitions))
+    return dense.net_from_relations(obj(places, transitions), obj(places, transitions))
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,6 +575,48 @@ def test_write_path_matches_oracle_on_combined_nets(pair):
         _assert_write_path_matches_oracle(combine(a, b))
 
 
+@st.composite
+def _labelled_nets(draw):
+    """Nets whose labels need escaping: quotes, backslashes, control and
+    non-ASCII characters."""
+    tag = draw(st.sampled_from(sorted(_VALUE_TEXTS)))
+    lin = get_lineale(tag)
+    labels = st.lists(_TRICKY_TEXT, unique=True, max_size=4).map(tuple)
+    places, transitions = draw(labels), draw(labels)
+    value = st.sampled_from(_VALUE_TEXTS[tag]).map(lin.parse)
+    cells = st.tuples(st.sampled_from(places), st.sampled_from(transitions))
+    arcs = st.dictionaries(cells, value) if places and transitions else st.just({})
+    return net_from_arcs(lin, places, transitions, draw(value), draw(arcs), draw(arcs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_labelled_nets(), _nets()), st.data())
+def test_net_text_matches_the_document_path_and_json_dumps(net, data):
+    # the direct writer against the NetDocument path and the plain oracles,
+    # with the net's own default or an explicit, often different, one
+    default = None
+    if data.draw(st.booleans()):
+        default = net.lin.parse(data.draw(st.sampled_from(_VALUE_TEXTS[net.lin.tag])))
+    text = serialize_net(net, default)
+    assert text == _json_dumps_oracle(_oracle_document(net, default))
+    assert text == serialize_net_document(net_to_document(net, default))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_net(net, Path(tmp) / "n.net", default)
+        assert (Path(tmp) / "n.net").read_bytes() == text.encode("utf-8")
+
+
+def test_example_text_is_the_net_text():
+    from dialnet.cli import main
+
+    for name in EXAMPLE_NAMES:
+        net, default = build_example(name), example_default(name)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["example", "--name", name]) == 0
+        assert out.getvalue() == serialize_net(net, default)
+        assert out.getvalue() == serialize_net_document(net_to_document(net, default))
+
+
 def test_modal_default_merges_equal_payload_objects():
     from fractions import Fraction
 
@@ -580,12 +627,12 @@ def test_modal_default_merges_equal_payload_objects():
     # that the first appearance, 1/2, wins
     third = Fraction(1, 3)
     pre = DialObject(prob, places, transitions, ((Fraction(1, 2), third, third, Fraction(1, 2)),))
-    net = net_from_relations(pre, pre)
+    net = dense.net_from_relations(pre, pre)
     assert net_to_document(net).default_weight == "1/2"
     _assert_write_path_matches_oracle(net)
     # a majority spread over distinct objects still wins
     many = (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
-    net = net_from_relations(pre, DialObject(prob, places, transitions, (many,)))
+    net = dense.net_from_relations(pre, DialObject(prob, places, transitions, (many,)))
     assert net_to_document(net).default_weight == "2/3"
     _assert_write_path_matches_oracle(net)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import dialnet.dialset
 import dialnet.petrinet
+import dense
 from dialnet import (
     INT,
     KLEENE3,
@@ -37,7 +38,6 @@ from dialnet import (
     get_lineale,
     identity,
     net_from_arcs,
-    net_from_relations,
     net_hom,
     net_oplus,
     net_tensor,
@@ -49,7 +49,7 @@ from dialnet import (
 
 
 def weight(net, part, place, transition):
-    obj = net.pre if part == "pre" else net.post
+    obj = dense.relation(net, part)
     u = net.places.index_of(place)
     x = net.transitions.index_of(transition)
     return obj.weight[u][x]
@@ -68,13 +68,14 @@ def certified(source, target, f, F):
 
 def test_pre_and_post_share_carriers():
     water = build_example("water")
-    assert water.pre.pos is water.places
-    assert water.post.pos is water.places
-    assert water.pre.neg is water.transitions
-    assert net_from_relations(water.pre, water.post) == water
-    assert hash(net_from_relations(water.pre, water.post)) == hash(water)
+    pre, post = dense.pre(water), dense.post(water)
+    assert pre.pos is water.places
+    assert post.pos is water.places
+    assert pre.neg is water.transitions
+    assert dense.net_from_relations(pre, post) == water
+    assert hash(dense.net_from_relations(pre, post)) == hash(water)
     with pytest.raises(ShapeMismatch):
-        net_from_relations(water.pre, tensor_obj(water.post, water.post))
+        dense.net_from_relations(pre, tensor_obj(post, post))
 
 
 def test_net_from_arcs_rejects_values_of_another_lineale():
@@ -341,8 +342,8 @@ def test_tensor_carrier_sizes():
     t = net_tensor(water, water)
     assert t.places.size == 9
     assert t.places.labels[0] == "(H2,H2)"
-    assert t.pre == tensor_obj(water.pre, water.pre)
-    assert t.post == tensor_obj(water.post, water.post)
+    assert dense.pre(t) == tensor_obj(dense.pre(water), dense.pre(water))
+    assert dense.post(t) == tensor_obj(dense.post(water), dense.post(water))
 
 
 def test_with_adds_transitions():
@@ -369,14 +370,16 @@ def test_hom_carriers():
 
 
 def test_connectives_reject_mixed_lineales():
+    from dialnet import hom_obj
+
     water, sir = build_example("water"), build_example("sir")
-    with pytest.raises(TagMismatch):
-        net_tensor(water, sir)
-    # with and oplus do not build the relations, but say what they would
-    for net_op, dense_op in ((net_with, with_product), (net_oplus, oplus)):
-        with pytest.raises(TagMismatch) as dense:
-            dense_op(water.pre, sir.pre)
-        with pytest.raises(TagMismatch, match=re.escape(str(dense.value))):
+    # no connective builds the relations, but each says what they would
+    for net_op, dense_op in (
+        (net_with, with_product), (net_oplus, oplus), (net_tensor, tensor_obj), (net_hom, hom_obj)
+    ):
+        with pytest.raises(TagMismatch) as expected:
+            dense_op(dense.pre(water), dense.pre(sir))
+        with pytest.raises(TagMismatch, match=re.escape(str(expected.value))):
             net_op(water, sir)
 
 
@@ -390,10 +393,10 @@ def test_with_and_oplus_over_the_cap_raise_as_the_dense_route_does():
         (net_with, with_product, net(65, 1), net(64, 2)),
         (net_oplus, oplus, net(1, 65), net(2, 64)),
     ):
-        with pytest.raises(CapExceeded) as dense:
-            dense_op(a.pre, b.pre)
-        assert (dense.value.required, dense.value.cap) == (4160, 4096)
-        with pytest.raises(CapExceeded, match=re.escape(str(dense.value))):
+        with pytest.raises(CapExceeded) as expected:
+            dense_op(dense.pre(a), dense.pre(b))
+        assert (expected.value.required, expected.value.cap) == (4160, 4096)
+        with pytest.raises(CapExceeded, match=re.escape(str(expected.value))):
             net_op(a, b)
 
 
@@ -401,11 +404,11 @@ def test_all_connectives_commute_with_projections():
     from dialnet import hom_obj
 
     a, b = build_example("water"), lowered_water()
-    assert net_with(a, b).pre == with_product(a.pre, b.pre)
-    assert net_with(a, b).post == with_product(a.post, b.post)
-    assert net_oplus(a, b).pre == oplus(a.pre, b.pre)
-    assert net_hom(a, b).pre == hom_obj(a.pre, b.pre)
-    assert net_hom(a, b).post == hom_obj(a.post, b.post)
+    assert dense.pre(net_with(a, b)) == with_product(dense.pre(a), dense.pre(b))
+    assert dense.post(net_with(a, b)) == with_product(dense.post(a), dense.post(b))
+    assert dense.pre(net_oplus(a, b)) == oplus(dense.pre(a), dense.pre(b))
+    assert dense.pre(net_hom(a, b)) == hom_obj(dense.pre(a), dense.pre(b))
+    assert dense.post(net_hom(a, b)) == hom_obj(dense.post(a), dense.post(b))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +422,7 @@ def random_nat_net(rng, n_places, n_transitions):
     mk = lambda: DialObject(NAT, places, transitions, tuple(
         tuple(rng.randint(0, 5) for _ in range(n_transitions)) for _ in range(n_places)
     ))
-    return net_from_relations(mk(), mk())
+    return dense.net_from_relations(mk(), mk())
 
 
 def random_net_morphism_from(rng, source):
@@ -439,14 +442,14 @@ def random_net_morphism_from(rng, source):
         rows = tuple(tuple(weight(v, y) for y in range(nt_t)) for v in range(np_t))
         return DialObject(NAT, places, transitions, rows)
 
-    target = net_from_relations(lowered(source.pre), lowered(source.post))
+    target = dense.net_from_relations(lowered(dense.pre(source)), lowered(dense.post(source)))
     return certified(source, target, f, F)
 
 
 def _dense_check(a, b, f, big_f):
     """The net condition as the dense relation check on pre, then on post."""
-    return [NetViolation("pre", *v) for v in check_morphism(a.pre, b.pre, f, big_f)] + [
-        NetViolation("post", *v) for v in check_morphism(a.post, b.post, f, big_f)
+    return [NetViolation("pre", *v) for v in check_morphism(dense.pre(a), dense.pre(b), f, big_f)] + [
+        NetViolation("post", *v) for v in check_morphism(dense.post(a), dense.post(b), f, big_f)
     ]
 
 
@@ -553,11 +556,11 @@ def _assert_stored_form(net):
 def test_loaded_net_equals_net_of_its_dense_relations(doc):
     pre, post = _dense_relations(doc)
     net = document_to_net(doc)
-    assert net == net_from_relations(pre, post)
-    assert net.pre == pre and net.post == post
+    assert net == dense.net_from_relations(pre, post)
+    assert dense.pre(net) == pre and dense.post(net) == post
     assert net.default == _modal_oracle(pre, post)
     _assert_stored_form(net)
-    _assert_stored_form(net_from_relations(pre, post))
+    _assert_stored_form(dense.net_from_relations(pre, post))
 
 
 def test_modal_tie_counts_an_unlisted_default_cell_first():
@@ -571,7 +574,7 @@ def test_modal_tie_counts_an_unlisted_default_cell_first():
     pre, post = _dense_relations(doc)
     net = document_to_net(doc)
     assert net.default == 0 == _modal_oracle(pre, post)
-    assert net == net_from_relations(pre, post)
+    assert net == dense.net_from_relations(pre, post)
 
 
 @st.composite
@@ -589,14 +592,14 @@ def _net_pairs(draw):
 def test_with_and_oplus_copy_arcs_as_the_dense_route_does(case, ops):
     a, b = case
     net_op, dense_op = ops
-    pre, post = dense_op(a.pre, b.pre), dense_op(a.post, b.post)
-    net, expected = net_op(a, b), net_from_relations(pre, post)
+    pre, post = dense_op(dense.pre(a), dense.pre(b)), dense_op(dense.post(a), dense.post(b))
+    net, expected = net_op(a, b), dense.net_from_relations(pre, post)
     assert net == expected
     assert list(net.pre_arcs) == list(expected.pre_arcs)
     assert list(net.post_arcs) == list(expected.post_arcs)
     assert net.places.labels == pre.pos.labels
     assert net.transitions.labels == pre.neg.labels
-    assert net.pre == pre and net.post == post
+    assert dense.pre(net) == pre and dense.post(net) == post
     assert net.default == _modal_oracle(pre, post)
     _assert_stored_form(net)
 
@@ -670,7 +673,7 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
     def densify(*args, **kwargs):
         raise AssertionError("densified a net")
 
-    monkeypatch.setattr(PetriNet, "_relation", densify)
+    monkeypatch.setattr(DialObject, "__post_init__", densify)
     for name in ("with_product", "oplus", "check_morphism"):
         monkeypatch.setattr(dialnet.dialset, name, densify)
         monkeypatch.setattr(dialnet.petrinet, name, densify, raising=False)
@@ -683,3 +686,107 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
     assert len(violations) == 2 * 60 * 50 - len(few)
     assert net_with(small, raised).places.size == 3600
     assert net_oplus(small, raised).transitions.size == 2500
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tensor and hom against the dense route
+# ---------------------------------------------------------------------------
+
+
+def _assert_equals_dense_route(net_op, dense_op, a, b):
+    """net_op(a, b) is the stored form of dense_op on both relations: the
+    same default, the same arcs in the same order, the same labels, and
+    over the cap the same CapExceeded."""
+    try:
+        pre = dense_op(dense.pre(a), dense.pre(b))
+        post = dense_op(dense.post(a), dense.post(b))
+    except CapExceeded as e:
+        with pytest.raises(CapExceeded, match=re.escape(str(e))) as raised:
+            net_op(a, b)
+        assert (raised.value.required, raised.value.cap) == (e.required, e.cap)
+        return
+    net, expected = net_op(a, b), dense.net_from_relations(pre, post)
+    assert net.default == expected.default == _modal_oracle(pre, post)
+    assert list(net.pre_arcs.items()) == list(expected.pre_arcs.items())
+    assert list(net.post_arcs.items()) == list(expected.post_arcs.items())
+    assert net.places.labels == pre.pos.labels
+    assert net.transitions.labels == pre.neg.labels
+    assert net == expected
+    _assert_stored_form(net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_net_pairs(), st.sampled_from(["tensor", "hom"]))
+def test_tensor_and_hom_equal_the_dense_route(case, op):
+    from dialnet import hom_obj
+
+    net_op, dense_op = {"tensor": (net_tensor, tensor_obj), "hom": (net_hom, hom_obj)}[op]
+    _assert_equals_dense_route(net_op, dense_op, *case)
+
+
+def _doc_net(tag, places, transitions, default, pre=(), post=()):
+    return document_to_net(NetDocument(tag, default, places, transitions, pre, post))
+
+
+def test_tensor_and_hom_ties_go_to_the_value_met_first():
+    from dialnet import hom_obj
+
+    # one place and transition each: pre holds 0 + 0, post 1 + 0, a tie
+    # that pre's value wins
+    one = _doc_net("nat", ("p",), ("t",), "0", post=(("p", "t", "1"),))
+    zero = _doc_net("nat", ("q",), ("s",), "0")
+    assert net_tensor(one, zero).default == 0 and net_tensor(one, zero).post_arcs == {0: 1}
+    # ties whose first cells sit where hom's op-table order is not the order
+    # of first cells: the first pair needs columns (u, y) ordered by u first,
+    # the second rows (f, F) ordered by f first (found by a random search)
+    places, one_t, two_t = ("p0", "p1"), ("t0",), ("t0", "t1")
+    pairs = [
+        (_doc_net("nat", places, one_t, "0", (("p1", "t0", "1"),), (("p0", "t0", "2"),)),
+         _doc_net("nat", places, two_t, "3", (("p0", "t0", "2"), ("p1", "t1", "0")),
+                  (("p0", "t0", "1"),))),
+        (_doc_net("nat", places, two_t, "0", (("p0", "t1", "1"),),
+                  (("p1", "t0", "3"), ("p1", "t1", "3"))),
+         _doc_net("nat", places, one_t, "2", (("p0", "t0", "1"),), (("p0", "t0", "3"),))),
+        (one, zero),
+    ]
+    for x, y in pairs:
+        for net_op, dense_op in ((net_tensor, tensor_obj), (net_hom, hom_obj)):
+            _assert_equals_dense_route(net_op, dense_op, x, y)
+            _assert_equals_dense_route(net_op, dense_op, y, x)
+
+
+def test_tensor_and_hom_of_default_only_and_empty_nets():
+    from dialnet import hom_obj
+
+    nets = [
+        _doc_net("prob", ("p0", "p1"), ("t0", "t1", "t2"), "1/2"),
+        _doc_net("prob", ("q0",), ("s0", "s1"), "1"),
+        _doc_net("prob", (), ("s0",), "0"),
+        _doc_net("prob", ("q0", "q1"), (), "1/3"),
+        _doc_net("prod(prob,int)", ("p0", "p1"), ("t0",), "(1/2,3)", pre=(("p1", "t0", "(2/4,3)"),)),
+    ]
+    for a in nets:
+        for b in nets:
+            if a.lin.tag == b.lin.tag:
+                for net_op, dense_op in ((net_tensor, tensor_obj), (net_hom, hom_obj)):
+                    _assert_equals_dense_route(net_op, dense_op, a, b)
+    # a default-only input is a default-only result, however many cells
+    big = _doc_net("nat", tuple(f"p{i}" for i in range(64)), tuple(f"t{i}" for i in range(64)), "0")
+    unit = _doc_net("nat", ("p",), ("t",), "1")
+    # over nat, tensor is + and 1 implies 0 is max(0 - 1, 0)
+    for net, default in ((net_tensor(big, unit), 1), (net_hom(unit, big), 0)):
+        assert (net.default, net.pre_arcs, net.post_arcs) == (default, {}, {})
+
+
+def test_combine_builds_no_dialobject(tmp_path, monkeypatch):
+    from dialnet import example_path
+    from dialnet.cli import main
+
+    def build(*args, **kwargs):
+        raise AssertionError("built a DialObject")
+
+    monkeypatch.setattr(DialObject, "__post_init__", build)
+    for name in ("water", "sir", "catalysis"):
+        path = str(example_path(name))
+        for op in ("tensor", "hom", "with", "oplus"):
+            assert main(["combine", "--op", op, path, path, "--out", str(tmp_path / "x.net")]) == 0
