@@ -24,9 +24,9 @@ that are valid by the corresponding proof, but nothing is trusted:
 check_morphism recomputes the condition pointwise and the test suite
 always rechecks constructor outputs.
 
-enumerate_morphisms builds a hom-set from per-column candidate sets
-instead of testing every table pair; that brute-force search is its
-oracle in the tests.
+_hom_tables yields a hom-set as table tuples, from per-column candidate
+sets instead of testing every table pair (that brute-force search is the
+tests' oracle); enumerate_morphisms builds a morphism from each.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs) and carrier shapes come from the
@@ -593,14 +593,15 @@ def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
 # -- enumeration -----------------------------------------------------------------
 
 
-def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
-    """Every valid morphism a -> b, in lexicographic (forward, backward) order.
+def _hom_tables(a: DialObject, b: DialObject):
+    """The table tuples of every valid morphism a -> b, in lexicographic order.
 
-    The candidate space has |B.pos|^|A.pos| * |A.neg|^|B.neg| elements
-    and is capped.  For a forward table f the valid backward tables are
-    the product over y of the x with weight_a(u, x) <= weight_b(f(u), y)
-    for all u: those x are found once per (u, v, y) and intersected over
-    u.  The brute-force search over every table pair is the tests' oracle.
+    Yields (f, backward tables) for each forward table f that has at least
+    one valid backward table; the second item iterates those tables.  For f
+    the valid backward tables are the product over y of the x with
+    weight_a(u, x) <= weight_b(f(u), y) for all u: those x are found once
+    per (u, v, y) and intersected over u.  The candidate space has
+    |B.pos|^|A.pos| * |A.neg|^|B.neg| elements and is capped.
     """
     _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
     leq = a.lin._leq
@@ -612,16 +613,20 @@ def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
         for au in a.weight
     ]
     everything = [frozenset(xs)] * b.neg.size
-    out = []
     # itertools.product yields tables in exponential index order; the columns
     # are sorted for it, as a frozenset need not iterate in order
     for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
         columns = everything
         for u, fu in enumerate(f):
             columns = list(map(frozenset.intersection, columns, fits[u][fu]))
-        if not all(columns):
-            continue
+        if all(columns):
+            yield f, itertools.product(*map(sorted, columns))
+
+
+def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
+    """Every valid morphism a -> b, in lexicographic (forward, backward) order."""
+    out = []
+    for f, bwds in _hom_tables(a, b):
         fwd = FnTable(a.pos, b.pos, f)
-        for bt in itertools.product(*map(sorted, columns)):
-            out.append(DialMorphism(a, b, fwd, FnTable(b.neg, a.neg, bt)))
+        out.extend(DialMorphism(a, b, fwd, FnTable(b.neg, a.neg, bt)) for bt in bwds)
     return out

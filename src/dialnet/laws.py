@@ -6,12 +6,13 @@ records (one per law) with a counterexample string on failure, so both
 the CLI and the test suite can surface exactly which instance broke
 and where.
 
-Finite lineales are checked exhaustively; infinite ones with seeded
-random values.  Random objects keep carrier sizes in {1, 2} so that
-the brute-force morphism enumerations stay under the fixed size cap, and
-random valid morphisms are produced constructively: pick the tables
-first, then force the target (or source) weights to satisfy the order
-condition by joining in the constrained values.
+Finite lineales are checked exhaustively, the identity law on hom-sets
+read as table tuples; infinite ones with seeded random values.  Random
+objects keep carrier sizes in {1, 2} so that the morphism enumerations
+stay under the fixed size cap, and random valid morphisms are produced
+constructively: pick the tables first, then force the target (or
+source) weights to satisfy the order condition by joining in the
+constrained values.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import NamedTuple, Optional
 from .dialset import (
     DialObject,
     DialMorphism,
+    _hom_tables,
     associator,
     check_morphism,
     compose,
@@ -298,28 +300,31 @@ def category_laws(
 
     carrier = lin.carrier()
     if carrier is not None and len(carrier) <= 3:
-        # id_b . m == m and m . id_a == m, each table through finset.compose,
-        # which is pure, so each pair of tables is composed once
+        # id_b . m == m and m . id_a == m on table tuples, each table through
+        # the pure finset.compose once; only the last case out of a (through
+        # dialset.compose too) and a counterexample build a DialMorphism
         law = _Law("category.identity.exhaustive")
         objs = all_objects(lin, 2)
         ids = [identity(a) for a in objs]
         memo: dict = {}
 
-        def same(g: FnTable, f: FnTable, m: FnTable) -> bool:
-            key = (g.cod.size, g.table, f.table)
+        def unital(t: tuple, id_dom: FnTable, id_cod: FnTable) -> bool:
+            key = (id_dom.dom.size, id_cod.dom.size, t)
             if key not in memo:
-                memo[key] = finset.compose(g, f).table
-            return memo[key] == m.table
+                table = FnTable(id_dom.cod, id_cod.dom, t)
+                memo[key] = finset.compose(id_cod, table) == table == finset.compose(table, id_dom)
+            return memo[key]
 
         for a, ia in zip(objs, ids):
-            found = [(m, ib) for b, ib in zip(objs, ids) for m in enumerate_morphisms(a, b)]
-            for m, ib in found:
+            found = [(b, ib, f, bt) for b, ib in zip(objs, ids)
+                     for f, bwds in _hom_tables(a, b) for bt in bwds]
+            last = len(found) - 1
+            for i, (b, ib, f, bt) in enumerate(found):
+                m = lambda: DialMorphism(a, b, FnTable(a.pos, b.pos, f), FnTable(b.neg, a.neg, bt))
                 law.check(
-                    same(ib.fwd, m.fwd, m.fwd) and same(m.bwd, ib.bwd, m.bwd)
-                    and same(m.fwd, ia.fwd, m.fwd) and same(ia.bwd, m.bwd, m.bwd)
-                    # the last case out of a also goes through dialset.compose
-                    and (m is not found[-1][0] or compose(ib, m) == m == compose(m, ia)),
-                    lambda: _show_mor(m),
+                    unital(f, ia.fwd, ib.fwd) and unital(bt, ib.bwd, ia.bwd)
+                    and (i < last or compose(ib, m()) == m() == compose(m(), ia)),
+                    lambda: _show_mor(m()),
                 )
         results.append(law.result())
 

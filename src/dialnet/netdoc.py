@@ -146,10 +146,20 @@ def _expect_str(value, where: str) -> str:
 def _expect_label_list(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"{where} must be a list of strings")
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise DocumentSyntaxError(f"{where}[{i}] must be a string")
+    # the common case is checked in C; the loop names the first bad item
+    if not (set(map(type, value)) <= {str} and _has_utf8("".join(value))):
+        for i, item in enumerate(value):
+            if not isinstance(item, str):
+                raise DocumentSyntaxError(f"{where}[{i}] must be a string")
+            if not _has_utf8(item):
+                raise DocumentSyntaxError(f"{where}[{i}] holds a lone surrogate")
     return tuple(value)
+
+
+def _has_utf8(text: str) -> bool:
+    """Whether text, which is printed and written as UTF-8, has that form:
+    a lone surrogate (the JSON escape \\ud800) has none and is dropped here."""
+    return text.encode("utf-8", "ignore").decode("utf-8") == text
 
 
 def _expect_triples(value, where: str) -> tuple[tuple[str, str, str], ...]:

@@ -536,3 +536,30 @@ def test_documents_over_the_size_bound_are_refused(tmp_path):
         proc = run_limited(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr == f"error: cannot read {big}: larger than {bound} bytes\n"
+
+
+@pytest.mark.parametrize("key, index", [("places", 1), ("transitions", 0)])
+def test_lone_surrogate_labels_are_refused(tmp_path, key, index):
+    # the JSON escape \ud800 decodes to a lone surrogate, which has no UTF-8
+    # form to print or write; each command refuses the document instead of
+    # ending in a traceback, and writes no --out file (child processes, so
+    # stdout encodes as it does on a terminal)
+    doc = {
+        "format_version": "1", "lineale": "nat", "default_weight": "0",
+        "places": ["p", "q"], "transitions": ["t"], "pre": [["p", "t", "1"]], "post": [],
+    }
+    doc[key][index] += "\ud800"
+    net = tmp_path / "s.net"
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (
+        ("validate", str(net)),
+        ("combine", "--op", "with", str(net), str(net), "--out", str(out)),
+        ("export-dot", str(net)),
+        ("export-dot", str(net), "--out", str(out)),
+    ):
+        proc = run_limited(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == f"error: {key}[{index}] holds a lone surrogate\n", argv
+        assert proc.stdout == "", argv
+        assert not out.exists(), argv

@@ -115,24 +115,66 @@ def _reversed_on_square(m2, m1):
     return DialMorphism(m1.source, m2.target, fwd, bwd)
 
 
+def _swapped_identity_table(a):
+    # the identity table read back to front, a swap on two elements
+    return FnTable(a, a, tuple(range(a.size))[::-1])
+
+
+def _constant_identity_backward(a, identity=dialnet.dialset.identity):
+    m = identity(a)
+    return DialMorphism(a, a, m.fwd, FnTable(a.neg, a.neg, (0,) * a.neg.size))
+
+
+# the first counterexample each broken composition or identity gives, as
+# the law printed it when it still checked enumerate_morphisms' morphisms
+BROKEN_IDENTITY_COUNTEREXAMPLES = {
+    ("kept-swap", "kleene3"): "fwd=() bwd=(1, 0) src=0x2[] tgt=0x2[]",
+    ("kept-swap", "bool2"): "fwd=() bwd=(1, 0) src=0x2[] tgt=0x2[]",
+    ("dropped-backward", "kleene3"): "fwd=() bwd=(1, 1) src=0x2[] tgt=2x2[1,1; 1,1]",
+    ("dropped-backward", "bool2"):
+        "fwd=() bwd=(1, 1) src=0x2[] tgt=2x2[true,true; true,true]",
+    ("reversed-on-square", "kleene3"):
+        "fwd=(1, 1) bwd=(1, 1) src=2x2[-1,-1; -1,-1] tgt=2x2[1,1; 1,1]",
+    ("reversed-on-square", "bool2"):
+        "fwd=(1, 1) bwd=(1, 1) src=2x2[false,false; false,false] tgt=2x2[true,true; true,true]",
+    ("swapped-identity-table", "kleene3"): "fwd=() bwd=(0,) src=0x2[] tgt=0x1[]",
+    ("swapped-identity-table", "bool2"): "fwd=() bwd=(0,) src=0x2[] tgt=0x1[]",
+    ("constant-identity-backward", "kleene3"): "fwd=() bwd=(1,) src=0x2[] tgt=0x1[]",
+    ("constant-identity-backward", "bool2"): "fwd=() bwd=(1,) src=0x2[] tgt=0x1[]",
+}
+
+
 @pytest.mark.parametrize("lin", [KLEENE3, BOOL2], ids=["kleene3", "bool2"])
 @pytest.mark.parametrize(
-    "where, mutant",
+    "broken, where, mutant",
     [
-        ((dialnet.finset,), _kept_swap),
-        ((dialnet.dialset, dialnet.laws), _dropped_backward),
-        ((dialnet.dialset, dialnet.laws), _reversed_on_square),
+        pytest.param(broken, where, mutant, id=broken)
+        for broken, where, mutant in [
+            ("kept-swap", [(dialnet.finset, "compose")], _kept_swap),
+            ("dropped-backward", [(dialnet.dialset, "compose"), (dialnet.laws, "compose")],
+             _dropped_backward),
+            ("reversed-on-square", [(dialnet.dialset, "compose"), (dialnet.laws, "compose")],
+             _reversed_on_square),
+            # dialset binds finset.identity as table_identity
+            ("swapped-identity-table",
+             [(dialnet.finset, "identity"), (dialnet.dialset, "table_identity")],
+             _swapped_identity_table),
+            ("constant-identity-backward",
+             [(dialnet.dialset, "identity"), (dialnet.laws, "identity")],
+             _constant_identity_backward),
+        ]
     ],
-    ids=["kept-swap", "dropped-backward", "reversed-on-square"],
 )
-def test_exhaustive_identity_law_catches_broken_composition(monkeypatch, lin, where, mutant):
-    # the law composes through the library: a broken finset.compose or
-    # dialset.compose must fail it, not only the random laws by luck of seed
-    for module in where:
-        monkeypatch.setattr(module, "compose", mutant)
+def test_exhaustive_identity_law_catches_broken_composition(monkeypatch, lin, broken, where, mutant):
+    # the law composes through the library: a broken finset.compose,
+    # dialset.compose or identity must fail it, not only the random laws by
+    # luck of seed, and name the same first counterexample as before
+    for module, name in where:
+        monkeypatch.setattr(module, name, mutant)
     by_name = {r.name: r for r in category_laws(lin, cases=1)}
     law = by_name["category.identity.exhaustive"]
     assert not law.passed and law.cases == {KLEENE3: 37217, BOOL2: 2901}[lin]
+    assert law.counterexample == BROKEN_IDENTITY_COUNTEREXAMPLES[broken, lin.tag]
 
 
 def test_suite_names_are_stable():
@@ -257,6 +299,38 @@ def test_mutated_suite_differs_from_honest_suite():
     broken = {r.name: r.passed for r in run_all(mutated_kleene3(), cases=6)}
     assert all(honest.values())
     assert not all(broken.values())
+
+
+def _backward_reversed(construct):
+    # the construction with its backward table read back to front: the
+    # shapes still fit, the morphism is wrong
+    def mutant(*args):
+        m = construct(*args)
+        bwd = FnTable(m.bwd.dom, m.bwd.cod, m.bwd.table[::-1])
+        return DialMorphism(m.source, m.target, m.fwd, bwd)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "construction, suite, law_name",
+    [
+        ("tensor_mor", functoriality_laws, "tensor.functor.identity"),
+        ("associator", coherence_laws, "coherence.associator.iso"),
+        ("curry_dial", adjunction_oracle, "adjunction.roundtrip"),
+        ("with_pairing", universal_laws, "product.mediating"),
+        ("oplus_copair", universal_laws, "coproduct.mediating"),
+    ],
+)
+def test_broken_construction_fails_the_law_that_names_it(monkeypatch, construction, suite, law_name):
+    def verdict():
+        return {r.name: r for r in suite(KLEENE3, seed=1, cases=8)}[law_name].passed
+
+    assert verdict()
+    mutant = _backward_reversed(getattr(dialnet.dialset, construction))
+    for module in (dialnet.dialset, dialnet.laws):
+        monkeypatch.setattr(module, construction, mutant)
+    assert not verdict()
 
 
 # ---------------------------------------------------------------------------

@@ -599,10 +599,18 @@ def test_net_text_matches_the_document_path_and_json_dumps(net, data):
         default = net.lin.parse(data.draw(st.sampled_from(_VALUE_TEXTS[net.lin.tag])))
     text = serialize_net(net, default)
     assert text == _json_dumps_oracle(_oracle_document(net, default))
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        # hypothesis can draw a lone surrogate, which has no UTF-8 form; the
+        # reader refuses such a label, so there is no document to compare
+        with pytest.raises(DocumentSyntaxError, match="holds a lone surrogate"):
+            net_to_document(net, default)
+        return
     assert text == serialize_net_document(net_to_document(net, default))
     with tempfile.TemporaryDirectory() as tmp:
         save_net(net, Path(tmp) / "n.net", default)
-        assert (Path(tmp) / "n.net").read_bytes() == text.encode("utf-8")
+        assert (Path(tmp) / "n.net").read_bytes() == data
 
 
 def test_example_text_is_the_net_text():

@@ -9,11 +9,13 @@ import importlib
 import importlib.util
 import io
 import pkgutil
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import dialnet
-from dialnet import cli, example_path
+from dialnet import BOOL2, cli, dialset, example_path
+from dialnet.laws import all_objects
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,16 +54,35 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"dialnet.{info.name}.__all__ names {name!r}"
 
 
-def test_tracer_sees_every_enumeration_of_the_identity_law():
-    # the exhaustive identity law enumerates each of the 31 x 31 pairs of
-    # bool2 objects with carriers up to 2 through the public function
+def test_tracer_counts_every_enumeration_the_laws_make(monkeypatch):
+    # the exhaustive identity law reads hom-sets as table tuples and makes no
+    # enumerate_morphisms call; the tracer counts exactly the calls the other
+    # laws make, and the law still checks every morphism of the 31 x 31 pairs
+    # of bool2 objects with carriers up to 2
+    original = dialset.enumerate_morphisms
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dialnet"]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
+    out = io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()):
+        with redirect_stdout(out):
             code = cli.main(["laws", "--lineale", "bool2", "--cases", "1"])
     finally:
         tracer.uninstall()
     assert code == 0
-    assert tracer.metrics()["dialset.enum_calls"][0] >= 31**2
+    assert tracer.metrics()["dialset.enum_calls"][0] == calls > 0
+    objs = all_objects(BOOL2, 2)
+    morphisms = sum(len(original(a, b)) for a in objs for b in objs)
+    assert morphisms == 2901
+    assert f"pass  category.identity.exhaustive ({morphisms} cases)\n" in out.getvalue()
