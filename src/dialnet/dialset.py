@@ -24,9 +24,10 @@ that are valid by the corresponding proof, but nothing is trusted:
 check_morphism recomputes the condition pointwise and the test suite
 always rechecks constructor outputs.
 
-_hom_tables yields a hom-set as table tuples, from per-column candidate
-sets instead of testing every table pair (that brute-force search is the
-tests' oracle); enumerate_morphisms builds a morphism from each.
+_hom_tables yields the hom-sets out of one object into many targets as
+table tuples, from per-column candidate sets found once per call instead
+of testing every table pair (that brute-force search is the tests'
+oracle); enumerate_morphisms builds a morphism from each.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs) and carrier shapes come from the
@@ -593,40 +594,39 @@ def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _hom_tables(a: DialObject, b: DialObject):
-    """The table tuples of every valid morphism a -> b, in lexicographic order.
+def _hom_tables(a: DialObject, targets):
+    """Every valid morphism from a into each of targets, as table tuples in
+    lexicographic (target, forward, backward) order.
 
-    Yields (f, backward tables) for each forward table f that has at least
-    one valid backward table; the second item iterates those tables.  For f
-    the valid backward tables are the product over y of the x with
-    weight_a(u, x) <= weight_b(f(u), y) for all u: those x are found once
-    per (u, v, y) and intersected over u.  The candidate space has
-    |B.pos|^|A.pos| * |A.neg|^|B.neg| elements and is capped.
+    Yields (b, f, iterator of backward tables) for each forward table f into
+    b that has a valid backward table.  Those are the product over y of the
+    x with weight_a(u, x) <= weight_b(f(u), y) for all u, a column that
+    depends only on a and the values (weight_b(f(u), y))_u, so it is found
+    once per call for each distinct value tuple.  Each target's candidate
+    space, |B.pos|^|A.pos| * |A.neg|^|B.neg|, is capped when it is reached.
     """
-    _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
-    leq = a.lin._leq
-    xs = range(a.neg.size)
-    # fits[u][v][y]: the x with weight_a(u, x) <= weight_b(v, y)
-    fits = [
-        [[frozenset(itertools.compress(xs, map(leq, au, itertools.repeat(c)))) for c in bv]
-         for bv in b.weight]
-        for au in a.weight
-    ]
-    everything = [frozenset(xs)] * b.neg.size
-    # itertools.product yields tables in exponential index order; the columns
-    # are sorted for it, as a frozenset need not iterate in order
-    for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
-        columns = everything
-        for u, fu in enumerate(f):
-            columns = list(map(frozenset.intersection, columns, fits[u][fu]))
-        if all(columns):
-            yield f, itertools.product(*map(sorted, columns))
+    leq, xs, rows = a.lin._leq, range(a.neg.size), a.weight
+    fits: dict = {}
+
+    def column(values: tuple) -> tuple:
+        if values not in fits:
+            fits[values] = tuple(x for x in xs if all(map(leq, (r[x] for r in rows), values)))
+        return fits[values]
+
+    for b in targets:
+        _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
+        # with no rows every column reads the empty value tuple
+        empty = [()] * b.neg.size
+        for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
+            columns = list(map(column, zip(*map(b.weight.__getitem__, f)) if f else empty))
+            if all(columns):
+                yield b, f, itertools.product(*columns)
 
 
 def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
     """Every valid morphism a -> b, in lexicographic (forward, backward) order."""
     out = []
-    for f, bwds in _hom_tables(a, b):
+    for _, f, bwds in _hom_tables(a, (b,)):
         fwd = FnTable(a.pos, b.pos, f)
         out.extend(DialMorphism(a, b, fwd, FnTable(b.neg, a.neg, bt)) for bt in bwds)
     return out

@@ -19,6 +19,8 @@ and hom_shape give the carrier sizes of the tensor and the internal hom
 from the sizes of their factors, so callers can check the cap before they
 build anything.  Exponential carriers blow up quickly, so any
 constructor that builds one raises CapExceeded beyond DEFAULT_CAP (4096).
+A net connective's result relation has up to DEFAULT_CAP**2 cells, so the
+connectives also refuse one over MAX_CELLS (2**20) cells.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import CapExceeded, ShapeMismatch
 
 __all__ = [
     "DEFAULT_CAP",
+    "MAX_CELLS",
     "FinSet",
     "FnTable",
     "identity",
@@ -56,12 +59,13 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 4096
+MAX_CELLS = 2**20
 
 
-def _guard(n: int, what: str = "carrier") -> None:
-    """Raise CapExceeded when n elements would not fit under DEFAULT_CAP."""
-    if n > DEFAULT_CAP:
-        raise CapExceeded(n, DEFAULT_CAP, what)
+def _guard(n: int, what: str = "carrier", cap: int = DEFAULT_CAP, unit: str = "elements") -> None:
+    """Raise CapExceeded when n units would not fit under cap."""
+    if n > cap:
+        raise CapExceeded(n, cap, what, unit)
 
 
 @dataclass(frozen=True, slots=True)

@@ -305,7 +305,7 @@ def category_laws(
         # dialset.compose too) and a counterexample build a DialMorphism
         law = _Law("category.identity.exhaustive")
         objs = all_objects(lin, 2)
-        ids = [identity(a) for a in objs]
+        ids = {id(a): identity(a) for a in objs}
         memo: dict = {}
 
         def unital(t: tuple, id_dom: FnTable, id_cod: FnTable) -> bool:
@@ -315,9 +315,9 @@ def category_laws(
                 memo[key] = finset.compose(id_cod, table) == table == finset.compose(table, id_dom)
             return memo[key]
 
-        for a, ia in zip(objs, ids):
-            found = [(b, ib, f, bt) for b, ib in zip(objs, ids)
-                     for f, bwds in _hom_tables(a, b) for bt in bwds]
+        for a in objs:
+            ia = ids[id(a)]
+            found = [(b, ids[id(b)], f, bt) for b, f, bwds in _hom_tables(a, objs) for bt in bwds]
             last = len(found) - 1
             for i, (b, ib, f, bt) in enumerate(found):
                 m = lambda: DialMorphism(a, b, FnTable(a.pos, b.pos, f), FnTable(b.neg, a.neg, bt))

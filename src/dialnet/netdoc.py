@@ -42,7 +42,8 @@ dense matrix, and each distinct weight text is parsed once.  A net is
 written straight from its arc maps: each label and each distinct payload
 object is encoded once and the arcs are joined in C; only an explicit
 default other than the net's own visits every cell.  save_net refuses
-(CapExceeded) a text over MAX_DOCUMENT_BYTES, which it could not read.
+what it could not read back: a text over MAX_DOCUMENT_BYTES
+(CapExceeded) and a lone-surrogate label (DocumentSyntaxError).
 """
 
 from __future__ import annotations
@@ -445,8 +446,15 @@ def save_net(
     net: PetriNet, path: Union[str, Path], default: Optional[LinealeValue] = None
 ) -> None:
     """Write serialize_net(net, default).  A text over MAX_DOCUMENT_BYTES,
-    which read_text would refuse, raises CapExceeded and writes nothing."""
-    data = serialize_net(net, default).encode("utf-8")
+    which read_text would refuse, raises CapExceeded, and a label the reader
+    would refuse raises its DocumentSyntaxError; neither writes anything."""
+    try:
+        data = serialize_net(net, default).encode("utf-8")
+    except UnicodeEncodeError:
+        # only a label can hold a lone surrogate; name it as the reader does
+        _expect_label_list(list(_labels(net.places)), "places")
+        _expect_label_list(list(_labels(net.transitions)), "transitions")
+        raise
     if len(data) > MAX_DOCUMENT_BYTES:
         raise CapExceeded(len(data), MAX_DOCUMENT_BYTES, "net document", "bytes")
     write_text(path, data)

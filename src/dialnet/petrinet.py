@@ -26,7 +26,10 @@ No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
 in all of b's cells when its default differs from a's).  tensor and hom
 find the default from their op tables, one payload per pair of input
-cells, and pick the arcs out of a relation's cells in C.
+cells, and pick the arcs out of a relation's cells in C.  Before it
+builds anything, each connective refuses a product or exponential
+carrier over DEFAULT_CAP elements and a result relation over MAX_CELLS
+cells, so arc-free inputs cannot make it walk millions of cells.
 
 Checking a net morphism costs time in the carrier sizes plus the arcs
 and their preimages, not in the cells: check_net_morphism compares one
@@ -45,7 +48,7 @@ from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
 from .dialset import _same_lineale, check_shapes
-from .finset import FinSet, FnTable, _guard, coproduct_set, exp_set, fn_from_index
+from .finset import MAX_CELLS, FinSet, FnTable, _guard, coproduct_set, exp_set, fn_from_index
 from .finset import hom_shape, product_set, tensor_shape
 from .lineale import Lineale, LinealeValue
 
@@ -303,7 +306,9 @@ def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
     b(v, g(u))."""
     _same_lineale(a, b)
     (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    _guard(max(tensor_shape((n_u, n_x), (n_v, n_y))))
+    shape = tensor_shape((n_u, n_x), (n_v, n_y))
+    _guard(max(shape))
+    _guard(shape[0] * shape[1], "net relation", MAX_CELLS, "cells")
     places = product_set(a.places, b.places)
     xs, ys = exp_set(a.transitions, b.places), exp_set(b.transitions, a.places)
     transitions = product_set(xs, ys)
@@ -349,9 +354,10 @@ def net_with(a: PetriNet, b: PetriNet) -> PetriNet:
     """The cartesian product: ((u, v), inl x) holds a(u, x) and ((u, v),
     inr y) holds b(v, y), so a's arcs are copied |V| times, b's |U| times."""
     _same_lineale(a, b)
-    _guard(a.places.size * b.places.size)
     n_u, n_v = a.places.size, b.places.size
     n_x, n_t = a.transitions.size, a.transitions.size + b.transitions.size
+    _guard(n_u * n_v)
+    _guard(n_u * n_v * n_t, "net relation", MAX_CELLS, "cells")
     places = product_set(a.places, b.places)
     transitions = coproduct_set(a.transitions, b.transitions)
     a_at = (lambda u, x: u * n_v * n_t + x, n_t, n_v)
@@ -363,9 +369,10 @@ def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
     """The coproduct: (inl u, (x, y)) holds a(u, x) and (inr v, (x, y))
     holds b(v, y), so a's arcs are copied |Y| times, b's |X| times."""
     _same_lineale(a, b)
-    _guard(a.transitions.size * b.transitions.size)
     n_u, n_x, n_y = a.places.size, a.transitions.size, b.transitions.size
     n_t = n_x * n_y
+    _guard(n_t)
+    _guard((n_u + b.places.size) * n_t, "net relation", MAX_CELLS, "cells")
     places = coproduct_set(a.places, b.places)
     transitions = product_set(a.transitions, b.transitions)
     a_at = (lambda u, x: u * n_t + x * n_y, 1, n_y)
@@ -378,7 +385,9 @@ def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
     U x Y; ((f, F), (u, y)) holds a(u, F(y)) implies b(f(u), y)."""
     _same_lineale(a, b)
     (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    _guard(max(hom_shape((n_u, n_x), (n_v, n_y))))
+    shape = hom_shape((n_u, n_x), (n_v, n_y))
+    _guard(max(shape))
+    _guard(shape[0] * shape[1], "net relation", MAX_CELLS, "cells")
     fs, bs = exp_set(b.places, a.places), exp_set(a.transitions, b.transitions)
     places = product_set(fs, bs)
     transitions = product_set(a.places, b.transitions)

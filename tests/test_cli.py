@@ -12,6 +12,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -337,9 +338,66 @@ def test_combine_of_two_320_kb_nets_is_refused_not_written(tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "op, a_shape, b_shape, cells",
+    [("with", (64, 2000), (64, 2000), 4096 * 4000), ("tensor", (4096, 4096), (1, 1), 4096 * 4096)],
+)
+def test_combine_over_the_cell_budget_is_refused_before_building(tmp_path, op, a_shape, b_shape, cells):
+    # label-only nets whose result relation has millions of cells; with's
+    # inputs have different defaults, so all of b's block would be arcs
+    paths = []
+    for side, (n_p, n_t), default in (("a", a_shape, "0"), ("b", b_shape, "1")):
+        doc = {
+            "format_version": "1", "lineale": "nat", "default_weight": default,
+            "places": [f"{side}p{i}" for i in range(n_p)],
+            "transitions": [f"{side}t{i}" for i in range(n_t)], "pre": [], "post": [],
+        }
+        paths.append(tmp_path / f"{side}.net")
+        paths[-1].write_text(json.dumps(doc))
+    out_path = tmp_path / "ab.net"
+    t0 = time.perf_counter()
+    result = run("combine", "--op", op, *map(str, paths), "--out", str(out_path))
+    elapsed = time.perf_counter() - t0
+    assert result == (4, "", f"error: net relation needs {cells} cells, cap is 1048576\n")
+    assert elapsed < 1.0
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------
+
+
+# (exit code, sha256 of stdout) of `laws --cases 8` on the benchmark's seven
+# lineales, with --mutate-imp on kleene3 and nat, recorded before the
+# exhaustive identity law searched each source object's hom-sets in one pass
+LAWS_OUTPUT = {
+    ("bool2", 1, False): (0, "e6761be22cbd770e9af9200277782e842c33dada7c9ddc29a94d9ce70b99626c"),
+    ("kleene3", 1, False): (0, "07e6bc84f6b1e38c4631d679f6afa6e213714dd088c7b13cbea2c0402b666e94"),
+    ("kleene3", 1, True): (3, "819df2a68e8e0886c4459a6036299ee54d6463e460bb31126aaa0e6221a1ee8c"),
+    ("nat", 1, False): (0, "c54ce4eb6fb7b11bd0bbcf0f742bed199e9d9a6132f77ddc4084b89348e77632"),
+    ("nat", 1, True): (3, "0ac5ffa45631872266af4ff43bc7b3f6621c0edd11bff5a5177ce929c74d2a5c"),
+    ("int", 1, False): (0, "9b58a6d43bea7819ded7525c35590e2a9d79720ead2d5fd49d1a36c4e83ce56a"),
+    ("prob", 1, False): (0, "d5f689cf0fe172b1fcf7ed551b1bf60f05e513a2be6707c5add98a20583388fa"),
+    ("prod(prob,int)", 1, False): (0, "6079b5935f0149c9b1fa70e2d79840aeec174539650b2895f1ae810020328051"),
+    ("prod(bool2,kleene3)", 1, False): (0, "827c8e5e7ad67ee110a1577d8ff25962c569094c132302d3842cab9718f352d2"),
+    ("bool2", 2, False): (0, "38296a4b0057f65ce6d7a9474869e707a1067b9db9d2d5cd329f9b7c5cf125a2"),
+    ("kleene3", 2, False): (0, "caac3ccb0e9c2785c8010e32d125943c00994beb1fa214d0a81a43d7ac2c4c10"),
+    ("kleene3", 2, True): (3, "8c81c82baca33e856552a2671d50d90fbddf8870129e1ef5e83903b12deea082"),
+    ("nat", 2, False): (0, "005bd8077b91c35d0f7d8942140726dec1113ae9e1986d663d44501f0b7ff624"),
+    ("nat", 2, True): (3, "0b9e960e47df2eb97496ee3fd7981235cb96f9e2c06d49f58d71f7711419289e"),
+    ("int", 2, False): (0, "4ff5ab72d7fc0e7b234a1331a759455ec4bc226fdd6acf514f90fb58223d90e0"),
+    ("prob", 2, False): (0, "d5f689cf0fe172b1fcf7ed551b1bf60f05e513a2be6707c5add98a20583388fa"),
+    ("prod(prob,int)", 2, False): (0, "3cacbb32fb3607ae06f37b311c7fb6284e54dc136de892a21ff0046517a18ad0"),
+    ("prod(bool2,kleene3)", 2, False): (0, "03e93c5ea5b3e8a2b23b66109075fdcadc9c6c34944697b5a7ac681de45a3e73"),
+}
+
+
+@pytest.mark.parametrize("tag, seed, mutate", sorted(LAWS_OUTPUT))
+def test_laws_output_is_byte_stable(tag, seed, mutate):
+    argv = ["laws", "--lineale", tag, "--cases", "8", "--seed", str(seed)]
+    code, out, _ = run(*argv, *["--mutate-imp"] * mutate)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == LAWS_OUTPUT[tag, seed, mutate]
 
 
 def test_laws_bool2_all_pass():

@@ -4,6 +4,8 @@ worked out by hand; the law suites in test_laws.py do the heavy lifting.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,6 +50,7 @@ from dialnet import (
     with_proj1,
     with_proj2,
 )
+from dialnet.dialset import _hom_tables
 from dialnet.finset import fn_pair_from_index
 from dialnet.laws import all_objects, random_morphism_from, random_object
 
@@ -410,6 +413,69 @@ def test_enumerate_over_the_cap_raises_what_the_oracle_raises(sizes):
         want.value.cap,
         str(want.value),
     )
+
+
+def _oracle_hom_tables(a, targets):
+    """The brute-force oracle on each target in turn, as (target, f, bwd) tuples."""
+    return [(id(b), f.table, F.table) for b in targets for f, F in brute_force_morphisms(a, b)]
+
+
+def _found_hom_tables(a, targets, found):
+    for b, f, bwds in _hom_tables(a, targets):
+        found.extend((id(b), f, bt) for bt in bwds)
+    return found
+
+
+def _seeded_objects(tag, seed, n):
+    lin, rng = get_lineale(tag), random.Random(seed)
+    objs = []
+    for _ in range(n):
+        pos, neg = rng.randrange(3), rng.randrange(3)
+        rows = tuple(tuple(lin.sample(rng, 3).payload for _ in range(neg)) for _ in range(pos))
+        objs.append(DialObject(lin, FinSet(pos), FinSet(neg), rows))
+    return objs
+
+
+def _twin_payload_objects():
+    # equal payloads in distinct objects, within a row, across rows and
+    # across targets, so a lookup keyed on the values must treat them alike
+    prob, nat = get_lineale("prob"), get_lineale("nat")
+    half, big = (lambda: Fraction(1, 2)), (lambda: int("1" + "0" * 30))
+    return [
+        DialObject(prob, FinSet(2), FinSet(2), ((half(), Fraction(1, 3)), (half(), half()))),
+        DialObject(prob, FinSet(2), FinSet(1), ((half(),), (Fraction(2, 3),))),
+        DialObject(prob, FinSet(1), FinSet(2), ((half(), half()),)),
+    ], [
+        DialObject(nat, FinSet(2), FinSet(2), ((big(), 3), (big(), big()))),
+        DialObject(nat, FinSet(1), FinSet(2), ((big(), 0),)),
+        DialObject(nat, FinSet(2), FinSet(1), ((big(),), (big() + 1,))),
+    ]
+
+
+def test_hom_tables_from_one_source_match_the_oracle_target_by_target():
+    # all_objects includes carriers of size 0 on either side, as the
+    # seeded families may
+    families = [
+        all_objects(BOOL2, 2),
+        _seeded_objects("nat", 5, 12),
+        _seeded_objects("prob", 6, 12),
+        *_twin_payload_objects(),
+    ]
+    for objs in families:
+        for a in objs:
+            assert _found_hom_tables(a, objs, []) == _oracle_hom_tables(a, objs)
+
+
+def test_hom_tables_raise_the_oracle_cap_error_when_the_target_is_reached():
+    a, small = bool_obj([[1]] * 3), bool_obj([[1]] * 2)
+    big = bool_obj([[1]] * 17)  # 17**3 = 4913 candidates, over the cap
+    found = []
+    with pytest.raises(CapExceeded) as got:
+        _found_hom_tables(a, (small, big, small), found)
+    with pytest.raises(CapExceeded) as want:
+        brute_force_morphisms(a, big)
+    assert str(got.value) == str(want.value)
+    assert found == _oracle_hom_tables(a, (small,)) != []
 
 
 def test_enumerate_respects_cap():

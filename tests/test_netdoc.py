@@ -604,13 +604,32 @@ def test_net_text_matches_the_document_path_and_json_dumps(net, data):
     except UnicodeEncodeError:
         # hypothesis can draw a lone surrogate, which has no UTF-8 form; the
         # reader refuses such a label, so there is no document to compare
-        with pytest.raises(DocumentSyntaxError, match="holds a lone surrogate"):
+        with pytest.raises(DocumentSyntaxError, match="holds a lone surrogate") as want:
             net_to_document(net, default)
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(DocumentSyntaxError) as got:
+            save_net(net, Path(tmp) / "n.net", default)
+        assert str(got.value) == str(want.value)
         return
     assert text == serialize_net_document(net_to_document(net, default))
     with tempfile.TemporaryDirectory() as tmp:
         save_net(net, Path(tmp) / "n.net", default)
         assert (Path(tmp) / "n.net").read_bytes() == data
+
+
+@pytest.mark.parametrize("key", ["places", "transitions"])
+def test_save_net_refuses_a_lone_surrogate_label_and_writes_nothing(tmp_path, key):
+    nat = get_lineale("nat")
+    labels = {"places": ["p", "q"], "transitions": ["t", "s"]}
+    labels[key][1] += "\ud800"
+    net = net_from_arcs(
+        nat, tuple(labels["places"]), tuple(labels["transitions"]), nat.parse("0"),
+        {("p", "t"): nat.parse("1")}, {},
+    )
+    path = tmp_path / "n.net"
+    with pytest.raises(DocumentSyntaxError) as got:
+        save_net(net, path)
+    assert str(got.value) == f"{key}[1] holds a lone surrogate"
+    assert not path.exists()
 
 
 def test_example_text_is_the_net_text():

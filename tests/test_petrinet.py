@@ -400,6 +400,30 @@ def test_with_and_oplus_over_the_cap_raise_as_the_dense_route_does():
             net_op(a, b)
 
 
+def test_connectives_refuse_a_result_relation_over_the_cell_budget():
+    from dialnet.finset import MAX_CELLS
+
+    def net(n_p, n_t):
+        places, transitions = tuple(f"p{i}" for i in range(n_p)), tuple(f"t{i}" for i in range(n_t))
+        return net_from_arcs(NAT, places, transitions, NAT.value(0), {}, {})
+
+    # every result carrier is within DEFAULT_CAP; only the cells are over
+    over = (
+        (net_with, net(64, 128), net(64, 129), 4096 * 257),
+        (net_oplus, net(129, 64), net(128, 64), 257 * 4096),
+        (net_tensor, net(4096, 4096), net(1, 1), 4096 * 4096),
+        (net_hom, net(1, 1), net(4096, 4096), 4096 * 4096),
+    )
+    for net_op, a, b, cells in over:
+        with pytest.raises(CapExceeded) as raised:
+            net_op(a, b)
+        assert (raised.value.required, raised.value.cap) == (cells, MAX_CELLS)
+        assert str(raised.value) == f"net relation needs {cells} cells, cap is {MAX_CELLS}"
+    # exactly at the budget is built
+    assert net_with(net(64, 128), net(64, 128)).transitions.size * 4096 == MAX_CELLS
+    assert net_oplus(net(128, 64), net(128, 64)).places.size * 4096 == MAX_CELLS
+
+
 def test_all_connectives_commute_with_projections():
     from dialnet import hom_obj
 
