@@ -15,6 +15,7 @@ check, failed law, unknown lineale), 4 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -148,6 +149,7 @@ def _case_count(text: str) -> int:
     return n
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dialnet",

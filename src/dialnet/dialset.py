@@ -24,10 +24,10 @@ that are valid by the corresponding proof, but nothing is trusted:
 check_morphism recomputes the condition pointwise and the test suite
 always rechecks constructor outputs.
 
-_hom_tables yields the hom-sets out of one object into many targets as
-table tuples, from per-column candidate sets found once per call instead
-of testing every table pair (that brute-force search is the tests'
-oracle); enumerate_morphisms builds a morphism from each.
+_hom_tables yields the hom-sets out of many sources into many targets in
+one pass, as table tuples, from per-column candidate sets found once per
+call instead of testing every table pair (that brute-force search is the
+tests' oracle); enumerate_morphisms builds a morphism from each.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs) and carrier shapes come from the
@@ -594,39 +594,52 @@ def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _hom_tables(a: DialObject, targets):
-    """Every valid morphism from a into each of targets, as table tuples in
-    lexicographic (target, forward, backward) order.
+def _hom_tables(sources, targets):
+    """Every valid morphism from each of sources into each of targets, as
+    table tuples in lexicographic (source, target, forward, backward) order.
 
-    Yields (b, f, iterator of backward tables) for each forward table f into
-    b that has a valid backward table.  Those are the product over y of the
-    x with weight_a(u, x) <= weight_b(f(u), y) for all u, a column that
-    depends only on a and the values (weight_b(f(u), y))_u, so it is found
-    once per call for each distinct value tuple.  Each target's candidate
-    space, |B.pos|^|A.pos| * |A.neg|^|B.neg|, is capped when it is reached.
+    Yields (a, b, f, iterator of backward tables) for each forward table f
+    from a into b that has a valid backward table.  Those are the product
+    over y of the x with weight_a(u, x) <= weight_b(f(u), y) for all u, a
+    column that depends only on a and the value tuple (weight_b(f(u), y))_u.
+    f's value tuples are read once per (|A.pos|, target) and interned as one
+    small int; a source finds a column once per distinct value tuple and a
+    column list once per int, and no cache outlives the call.  Each pair's
+    candidate space, |B.pos|^|A.pos| * |A.neg|^|B.neg|, is capped when the
+    pair is reached, before its value tuples are read.
     """
-    leq, xs, rows = a.lin._leq, range(a.neg.size), a.weight
-    fits: dict = {}
+    targets = tuple(targets)
+    interned: dict = {}
+    by_shape: dict = {}  # (|A.pos|, target index) -> [(f, interned int, value tuples)]
+    for a in sources:
+        leq, xs, rows, n = a.lin._leq, range(a.neg.size), a.weight, a.pos.size
+        fits, lists = {}, {}
 
-    def column(values: tuple) -> tuple:
-        if values not in fits:
-            fits[values] = tuple(x for x in xs if all(map(leq, (r[x] for r in rows), values)))
-        return fits[values]
+        def column(values: tuple) -> tuple:
+            if values not in fits:
+                fits[values] = tuple(x for x in xs if all(map(leq, (r[x] for r in rows), values)))
+            return fits[values]
 
-    for b in targets:
-        _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
-        # with no rows every column reads the empty value tuple
-        empty = [()] * b.neg.size
-        for f in itertools.product(range(b.pos.size), repeat=a.pos.size):
-            columns = list(map(column, zip(*map(b.weight.__getitem__, f)) if f else empty))
-            if all(columns):
-                yield b, f, itertools.product(*columns)
+        for j, b in enumerate(targets):
+            _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
+            if (n, j) not in by_shape:
+                # with no rows every column reads the empty value tuple
+                empty = ((),) * b.neg.size
+                table = by_shape[n, j] = []
+                for f in itertools.product(range(b.pos.size), repeat=n):
+                    v = tuple(zip(*map(b.weight.__getitem__, f))) if f else empty
+                    table.append((f, interned.setdefault(v, len(interned)), v))
+            for f, k, v in by_shape[n, j]:
+                if k not in lists:
+                    lists[k] = list(map(column, v))
+                if all(lists[k]):
+                    yield a, b, f, itertools.product(*lists[k])
 
 
 def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:
     """Every valid morphism a -> b, in lexicographic (forward, backward) order."""
     out = []
-    for _, f, bwds in _hom_tables(a, (b,)):
+    for _, _, f, bwds in _hom_tables((a,), (b,)):
         fwd = FnTable(a.pos, b.pos, f)
         out.extend(DialMorphism(a, b, fwd, FnTable(b.neg, a.neg, bt)) for bt in bwds)
     return out

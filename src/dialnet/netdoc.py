@@ -566,14 +566,15 @@ def export_dot(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     """
     default = net.default if default is None else net.lin.unwrap(default)
     places, transitions = _labels(net.places), _labels(net.transitions)
+    # each node id and each distinct weight text is quoted once
+    p_ids = [_quote("p:" + lbl) for lbl in places]
+    t_ids = [_quote("t:" + lbl) for lbl in transitions]
+    label = lambda v: _quote(format_payload(v))
+    arcs = lambda r: _arc_columns(net, r, default, p_ids, t_ids, label)
     lines = ["digraph net {", "  rankdir=LR;"]
-    for lbl in places:
-        lines.append(f"  {_quote('p:' + lbl)} [shape=circle, label={_quote(lbl)}];")
-    for lbl in transitions:
-        lines.append(f"  {_quote('t:' + lbl)} [shape=box, label={_quote(lbl)}];")
-    for p, t, v in zip(*_arc_columns(net, net.pre_arcs, default, places, transitions)):
-        lines.append(f"  {_quote('p:' + p)} -> {_quote('t:' + t)} [label={_quote(v)}];")
-    for p, t, v in zip(*_arc_columns(net, net.post_arcs, default, places, transitions)):
-        lines.append(f"  {_quote('t:' + t)} -> {_quote('p:' + p)} [label={_quote(v)}];")
+    lines += map("  {} [shape=circle, label={}];".format, p_ids, map(_quote, places))
+    lines += map("  {} [shape=box, label={}];".format, t_ids, map(_quote, transitions))
+    lines += map("  {} -> {} [label={}];".format, *arcs(net.pre_arcs))
+    lines += map("  {1} -> {0} [label={2}];".format, *arcs(net.post_arcs))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -466,6 +466,19 @@ def test_export_dot_to_file(tmp_path):
     assert text.startswith("digraph")
 
 
+def test_successive_commands_share_the_parser_but_no_option(tmp_path):
+    # main builds its parser once per process; an option one command gave
+    # must not carry over to the next
+    assert _build_parser() is _build_parser()
+    assert run("laws", "--lineale", "bool2", "--cases", "2", "--mutate-imp")[0] == 3
+    code, out, _ = run("laws", "--lineale", "bool2", "--cases", "2")
+    assert code == 0 and out.endswith(" laws passed over bool2\n")
+    p = tmp_path / "water.dot"
+    assert run("export-dot", WATER, "--out", str(p)) == (0, f"wrote {p}\n", "")
+    code, out, _ = run("export-dot", WATER)
+    assert code == 0 and out == p.read_text(encoding="utf-8")
+
+
 def test_export_dot_unwritable_out(tmp_path):
     code, out, err = run("export-dot", WATER, "--out", str(tmp_path / "absent" / "x.dot"))
     assert code == 2

@@ -415,14 +415,20 @@ def test_enumerate_over_the_cap_raises_what_the_oracle_raises(sizes):
     )
 
 
-def _oracle_hom_tables(a, targets):
-    """The brute-force oracle on each target in turn, as (target, f, bwd) tuples."""
-    return [(id(b), f.table, F.table) for b in targets for f, F in brute_force_morphisms(a, b)]
+def _oracle_hom_tables(sources, targets):
+    """The brute-force oracle on each (source, target) pair in turn, as
+    (source, target, f, bwd) tuples."""
+    return [
+        (id(a), id(b), f.table, F.table)
+        for a in sources
+        for b in targets
+        for f, F in brute_force_morphisms(a, b)
+    ]
 
 
-def _found_hom_tables(a, targets, found):
-    for b, f, bwds in _hom_tables(a, targets):
-        found.extend((id(b), f, bt) for bt in bwds)
+def _found_hom_tables(sources, targets, found):
+    for a, b, f, bwds in _hom_tables(sources, targets):
+        found.extend((id(a), id(b), f, bt) for bt in bwds)
     return found
 
 
@@ -452,9 +458,11 @@ def _twin_payload_objects():
     ]
 
 
-def test_hom_tables_from_one_source_match_the_oracle_target_by_target():
+def test_hom_tables_from_many_sources_match_the_oracle_pair_by_pair():
     # all_objects includes carriers of size 0 on either side, as the
-    # seeded families may
+    # seeded families may; sources of every |A.pos| share each call, so
+    # value tuples or column lists read for one source must not answer
+    # another
     families = [
         all_objects(BOOL2, 2),
         _seeded_objects("nat", 5, 12),
@@ -462,8 +470,29 @@ def test_hom_tables_from_one_source_match_the_oracle_target_by_target():
         *_twin_payload_objects(),
     ]
     for objs in families:
-        for a in objs:
-            assert _found_hom_tables(a, objs, []) == _oracle_hom_tables(a, objs)
+        assert _found_hom_tables(objs, objs, []) == _oracle_hom_tables(objs, objs)
+        assert _found_hom_tables(objs[::-1], objs, []) == _oracle_hom_tables(objs[::-1], objs)
+
+
+def test_hom_tables_keep_nothing_from_one_call_to_the_next():
+    # the same shapes in the same order over two lineales, one call each:
+    # a value tuple or column kept from the kleene3 call would answer the
+    # bool2 one
+    bools = all_objects(BOOL2, 2)
+    to_kleene = {False: 1, True: -1}
+    kleenes = [
+        DialObject(KLEENE3, o.pos, o.neg, tuple(tuple(map(to_kleene.get, r)) for r in o.weight))
+        for o in bools
+    ]
+    for objs in (kleenes, bools):
+        assert _found_hom_tables(objs, objs, []) == _oracle_hom_tables(objs, objs)
+
+
+class _UnreadWeights(tuple):
+    """Weight rows that the object checks may walk but no search may index."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a weight row was read")
 
 
 def test_hom_tables_raise_the_oracle_cap_error_when_the_target_is_reached():
@@ -471,11 +500,20 @@ def test_hom_tables_raise_the_oracle_cap_error_when_the_target_is_reached():
     big = bool_obj([[1]] * 17)  # 17**3 = 4913 candidates, over the cap
     found = []
     with pytest.raises(CapExceeded) as got:
-        _found_hom_tables(a, (small, big, small), found)
+        _found_hom_tables((small, a), (small, big, small), found)
     with pytest.raises(CapExceeded) as want:
         brute_force_morphisms(a, big)
     assert str(got.value) == str(want.value)
-    assert found == _oracle_hom_tables(a, (small,)) != []
+    # small -> big is 17**2 * 1 = 289 candidates, in the cap
+    assert found == _oracle_hom_tables((small,), (small, big, small)) + _oracle_hom_tables(
+        (a,), (small,)
+    )
+    assert _oracle_hom_tables((a,), (small,)) != []
+    # the over-cap pair is refused before its value tuples are read
+    unread = DialObject(BOOL2, big.pos, big.neg, _UnreadWeights(big.weight))
+    with pytest.raises(CapExceeded) as got:
+        _found_hom_tables((a,), (small, unread), [])
+    assert str(got.value) == str(want.value)
 
 
 def test_enumerate_respects_cap():

@@ -15,6 +15,8 @@ import dialnet.laws
 from dialnet import (
     BOOL2,
     DialMorphism,
+    DialObject,
+    FinSet,
     FnTable,
     ShapeMismatch,
     INT,
@@ -175,6 +177,35 @@ def test_exhaustive_identity_law_catches_broken_composition(monkeypatch, lin, br
     law = by_name["category.identity.exhaustive"]
     assert not law.passed and law.cases == {KLEENE3: 37217, BOOL2: 2901}[lin]
     assert law.counterexample == BROKEN_IDENTITY_COUNTEREXAMPLES[broken, lin.tag]
+
+
+@pytest.mark.parametrize(
+    "lin, bottom, counterexample",
+    [
+        (KLEENE3, -1, "fwd=(1,) bwd=(0, 0) src=1x1[-1] tgt=2x2[1,1; 1,1]"),
+        (BOOL2, False, "fwd=(1,) bwd=(0, 0) src=1x1[false] tgt=2x2[true,true; true,true]"),
+    ],
+    ids=["kleene3", "bool2"],
+)
+def test_exhaustive_identity_law_composes_the_last_case_out_of_each_source(
+    monkeypatch, lin, bottom, counterexample
+):
+    # a constant forward table for every composite out of one 1 x 1 object:
+    # only the last case out of that object goes through dialset.compose,
+    # so that case alone fails and is the law's counterexample
+    source = DialObject(lin, FinSet(1), FinSet(1), ((bottom,),))
+
+    def broken(m2, m1, compose=dialnet.dialset.compose):
+        m = compose(m2, m1)
+        if m.source != source:
+            return m
+        return DialMorphism(m.source, m.target, FnTable(m.fwd.dom, m.fwd.cod, (0,) * m.fwd.dom.size), m.bwd)
+
+    for module in (dialnet.dialset, dialnet.laws):
+        monkeypatch.setattr(module, "compose", broken)
+    law = {r.name: r for r in category_laws(lin, cases=1)}["category.identity.exhaustive"]
+    assert not law.passed and law.cases == {KLEENE3: 37217, BOOL2: 2901}[lin]
+    assert law.counterexample == counterexample
 
 
 def test_suite_names_are_stable():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import dense
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dialnet import (
     BOOL2,
@@ -614,6 +614,28 @@ def test_net_text_matches_the_document_path_and_json_dumps(net, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_net(net, Path(tmp) / "n.net", default)
         assert (Path(tmp) / "n.net").read_bytes() == data
+
+
+_NAT = get_lineale("nat")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_labelled_nets(), _nets()), st.integers(0, 4))
+@example(
+    net_from_arcs(
+        _NAT, ('say "hi"', "a\\b"), ("t\\u", '"'), _NAT.value(0),
+        {('say "hi"', "t\\u"): _NAT.value(1), ("a\\b", '"'): _NAT.value(2)},
+        {("a\\b", "t\\u"): _NAT.value(1)},
+    ),
+    1,
+)
+def test_dot_matches_the_per_arc_oracle(net, pick):
+    # export_dot quotes each node id and weight text once; the oracle quotes
+    # both ends and the weight text of every arc.  pick 0 keeps the net's
+    # own default, any other pick an explicit default that differs from it
+    others = [t for t in _VALUE_TEXTS[net.lin.tag] if net.lin.parse(t).payload != net.default]
+    default = net.lin.parse(others[(pick - 1) % len(others)]) if pick else None
+    assert export_dot(net, default) == _oracle_dot(_oracle_document(net, default))
 
 
 @pytest.mark.parametrize("key", ["places", "transitions"])
