@@ -19,10 +19,14 @@ The connectives:
 * hom_obj:                  carriers (V^U x X^Y, U x Y)
 
 tensor and hom are adjoint; curry_dial / uncurry_dial realize the
-bijection between hom-sets.  Every constructor here returns morphisms
-that are valid by the corresponding proof, but nothing is trusted:
-check_morphism recomputes the condition pointwise and the test suite
-always rechecks constructor outputs.
+bijection between hom-sets.  Each has one cell builder, which the net
+layer shares: from plain weight rows it gives the op table, one payload
+per pair of input cells, and the result cells in row-major order, each
+an op-table object; tensor_obj and hom_obj cut the cells into rows.
+Every constructor here returns morphisms that are valid by the
+corresponding proof, but nothing is trusted: check_morphism recomputes
+the condition pointwise and the test suite always rechecks constructor
+outputs.
 
 _hom_tables yields the hom-sets out of many sources into many targets in
 one pass, as table tuples, from per-column candidate sets found once per
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
@@ -332,6 +335,50 @@ def tensor_unit(lin: Lineale) -> DialObject:
     return DialObject(lin, singleton(), singleton(), ((lin.unit_payload,),))
 
 
+def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
+    """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)): one payload per
+    pair of input cells, so cells with equal inputs share one object."""
+
+    def row(au) -> list[list]:  # each a(u, x) |Y| times against b's rows |X| times
+        ax = list(itertools.chain.from_iterable(map(itertools.repeat, au, itertools.repeat(n_y))))
+        return [list(map(op, ax, bv * n_x)) for bv in b_rows]
+
+    return list(map(row, a_rows))
+
+
+def _cut(cells, n_rows: int, n_cols: int) -> tuple[tuple, ...]:
+    """The first n_rows * n_cols items of cells as rows of n_cols."""
+    # zip reads one iterator n_cols times per row
+    return tuple(zip(*[cells] * n_cols)) if n_cols else ((),) * n_rows
+
+
+def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
+    """The tensor's carriers U x V and X^V x Y^U, after the cap guard."""
+    _guard(max(tensor_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
+    return product_set(a.pos, b.pos), product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
+
+
+def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
+    """The tensor's op table and its cells, from weight rows of shapes
+    (|U|, |X|) and (|V|, |Y|).  The cells ((u, v), (f, g)) come in row-major
+    order, each one the op-table object at (u, v, f(v), g(u)); they are
+    computed as they are read."""
+    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
+    table = _op_table(lin._tensor, a_rows, b_rows, n_x, n_y)
+    f_tabs = [fn_from_index(i, n_v, n_x) for i in range(n_x**n_v)]
+    g_tabs = [fn_from_index(i, n_u, n_y) for i in range(n_y**n_u)]
+    f_at = [[f[v] for f in f_tabs] for v in range(n_v)]
+    g_at = [[g[u] for g in g_tabs] for u in range(n_u)]
+
+    def row(u: int, v: int):  # per f, the part of x = f(v) over every g
+        parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
+        by_x = [list(map(part, g_at[u])) for part in parts]
+        return itertools.chain.from_iterable(map(by_x.__getitem__, f_at[v]))
+
+    pairs = itertools.product(range(n_u), range(n_v))
+    return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
+
+
 def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     """Monoidal product.
 
@@ -340,27 +387,9 @@ def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     tensor(weight_a(u, f(v)), weight_b(v, g(u))).
     """
     lin = _same_lineale(a, b)
-    _guard(max(tensor_shape(a.shape, b.shape)))
-    pos = product_set(a.pos, b.pos)
-    xs = exp_set(a.neg, b.pos)
-    ys = exp_set(b.neg, a.pos)
-    neg = product_set(xs, ys)
-    f_tabs = [fn_from_index(fi, b.pos.size, a.neg.size) for fi in range(xs.size)]
-    g_tabs = [fn_from_index(gi, a.pos.size, b.neg.size) for gi in range(ys.size)]
-    tens = lin._tensor
-    f_at = [[f[v] for f in f_tabs] for v in range(b.pos.size)]
-    rows = []
-    for u in range(a.pos.size):
-        au = a.weight[u]
-        g_at_u = [g[u] for g in g_tabs]
-        for v in range(b.pos.size):
-            # one product per pair of cells (x, y), so equal inputs share
-            # one result object; row (u, v) then picks them per (f, g)
-            products = [list(map(tens, itertools.repeat(ax), b.weight[v])) for ax in au]
-            by_x = [list(map(px.__getitem__, g_at_u)) for px in products]
-            picked = map(by_x.__getitem__, f_at[v])
-            rows.append(tuple(itertools.chain.from_iterable(picked)))
-    return DialObject(lin, pos, neg, tuple(rows))
+    pos, neg = _tensor_carriers(a, b)
+    _, cells = _tensor_cells(lin, a.weight, b.weight, a.shape, b.shape)
+    return DialObject(lin, pos, neg, _cut(cells, pos.size, neg.size))
 
 
 def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
@@ -387,6 +416,32 @@ def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
 
 
+def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
+    """The internal hom's carriers V^U x X^Y and U x Y, after the cap guard."""
+    _guard(max(hom_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
+    return product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
+
+
+def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
+    """The internal hom's op table and its cells, from weight rows of shapes
+    (|U|, |X|) and (|V|, |Y|).  The cells ((f, F), (u, y)) come in row-major
+    order, each one the op-table object at (u, f(u), F(y), y); they are
+    computed as they are read."""
+    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
+    table = _op_table(lin._imp, a_rows, b_rows, n_x, n_y)
+    n_big_f = n_x**n_y
+    # per F, and within it per u, the entries F(y) * |Y| + y of every y
+    picks = [[x * n_y + y for y, x in enumerate(fn_from_index(i, n_y, n_x))]
+             for i in range(n_big_f) for _ in range(n_u)]
+
+    def rows(f: tuple[int, ...]):  # the rows (f, F) of one f, for every F
+        at_f = [table[u][v].__getitem__ for u, v in enumerate(f)]
+        return itertools.chain.from_iterable(map(map, at_f * n_big_f, picks))
+
+    fs = map(fn_from_index, range(n_v**n_u), itertools.repeat(n_u), itertools.repeat(n_v))
+    return table, itertools.chain.from_iterable(map(rows, fs))
+
+
 def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     """Internal hom.
 
@@ -397,29 +452,9 @@ def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     its weights sit above the unit.
     """
     lin = _same_lineale(a, b)
-    _guard(max(hom_shape(a.shape, b.shape)))
-    fs = exp_set(b.pos, a.pos)
-    bs = exp_set(a.neg, b.neg)
-    pos = product_set(fs, bs)
-    neg = product_set(a.pos, b.neg)
-    f_tabs = [fn_from_index(fi, a.pos.size, b.pos.size) for fi in range(fs.size)]
-    b_tabs = [fn_from_index(bi, b.neg.size, a.neg.size) for bi in range(bs.size)]
-    imp = lin._imp
-    # implications[u][v][y][x] = imp(weight_a(u, x), weight_b(v, y)), each
-    # computed once: cells with equal inputs share one result object
-    implications = [
-        [[list(map(imp, au, itertools.repeat(by))) for by in bv] for bv in b.weight]
-        for au in a.weight
-    ]
-    rows = []
-    for f in f_tabs:
-        at_f = [implications[u][fu] for u, fu in enumerate(f)]
-        for bt in b_tabs:
-            row = []
-            for columns in at_f:
-                row.extend(map(getitem, columns, bt))
-            rows.append(tuple(row))
-    return DialObject(lin, pos, neg, tuple(rows))
+    pos, neg = _hom_carriers(a, b)
+    _, cells = _hom_cells(lin, a.weight, b.weight, a.shape, b.shape)
+    return DialObject(lin, pos, neg, _cut(cells, pos.size, neg.size))
 
 
 def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:

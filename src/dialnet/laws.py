@@ -301,15 +301,16 @@ def category_laws(
     carrier = lin.carrier()
     if carrier is not None and len(carrier) <= 3:
         # id_b . m == m and m . id_a == m on table tuples, each through the pure
-        # finset.compose once per size pair; only the last case out of a (also
-        # through dialset.compose) and the first counterexample build a morphism
+        # finset.compose once per pair of identity tables; only the last case
+        # out of a (also through dialset.compose) and the first counterexample
+        # build a morphism
         law = _Law("category.identity.exhaustive")
         objs = all_objects(lin, 2)
         ids = {id(a): identity(a) for a in objs}
-        passes: dict = {}  # (domain size, codomain size) -> table -> it keeps the law
+        passes: dict = {}  # (domain identity, codomain identity) -> table -> it keeps the law
 
         def first_failure(tables, id_dom: FnTable, id_cod: FnTable) -> Optional[int]:
-            memo = passes.setdefault((id_dom.dom.size, id_cod.dom.size), {})
+            memo = passes.setdefault((id_dom.table, id_cod.table), {})
             if all(map(memo.get, tables)):
                 return None
             for t in itertools.filterfalse(memo.__contains__, tables):

@@ -67,7 +67,7 @@ from .errors import (
 )
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
-from .petrinet import PetriNet, _net_from_cells
+from .petrinet import PetriNet, _net_from_cells, _off_default
 
 __all__ = [
     "FORMAT_VERSION",
@@ -346,8 +346,7 @@ def _arc_columns(net: PetriNet, arcs, default, places, transitions, text=format_
     """
     if default != net.default:
         n = len(places) * len(transitions)
-        cells = ((k, arcs.get(k, net.default)) for k in range(n))
-        arcs = {k: v for k, v in cells if v != default}
+        arcs = _off_default(range(n), list(map(arcs.get, range(n), repeat(net.default))), default)
     n_t = len(transitions)
     payloads = list(arcs.values())
     texts = {i: text(v) for i, v in dict(zip(map(id, payloads), payloads)).items()}

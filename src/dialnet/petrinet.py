@@ -20,13 +20,15 @@ met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
 Two builders work that form out, comparing with the default once per
 distinct payload object: _net_from_cells from a fill payload and the
-cells listed off it, _pointwise_net from a connective's op tables.
+cells listed off it, _pointwise_net from the op tables and cells of the
+tensor or hom cell builder that dialset's tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
 in all of b's cells when its default differs from a's).  tensor and hom
-find the default from their op tables, one payload per pair of input
-cells, and pick the arcs out of a relation's cells in C.  Before it
+count the default over their op tables, one payload per pair of input
+cells, and pick the arcs out of a relation's cells in one C pass,
+unless nothing in the relation is off the default.  Before it
 builds anything, each connective refuses a product or exponential
 carrier over DEFAULT_CAP elements and a result relation over MAX_CELLS
 cells, so arc-free inputs cannot make it walk millions of cells.
@@ -43,13 +45,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import _same_lineale, check_shapes
-from .finset import MAX_CELLS, FinSet, FnTable, _guard, coproduct_set, exp_set, fn_from_index
-from .finset import hom_shape, product_set, tensor_shape
+from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
+from .dialset import check_shapes
+from .finset import MAX_CELLS, FinSet, FnTable, _guard, coproduct_set, product_set
 from .lineale import Lineale, LinealeValue
 
 __all__ = [
@@ -254,25 +256,27 @@ def check_net_morphism(
     return out
 
 
-def _pointwise_net(a, b, op, places, transitions, first, runs) -> PetriNet:
-    """The stored form of a tensor or hom from its op tables, one per
-    relation: table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)).  Every entry
-    fills equally many cells, so the modal payload is the most frequent
-    value over the entries, ties going to the one met first: the least
-    first(u, v, i) for table[u][v][i], pre before post.  runs(table) yields
-    (first cell, payloads) for the runs of cells, in index order.
+def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
+    """The stored form of a tensor or hom from the connective's dialset
+    carriers and cell builder, run on the pre and on the post relations.
+    Every op-table entry fills equally many cells, so the modal payload is
+    the most frequent value over the entries; a tie goes to the tied value
+    met first in the cells, pre then post.
     """
+    _same_lineale(a, b)
+    places, transitions = carriers(a, b)
+    _guard(places.size * transitions.size, "net relation", MAX_CELLS, "cells")
 
-    def rows(net, arcs):
+    def rows(net: PetriNet, arcs: dict[int, object]) -> list[list[object]]:
         n_t = net.neg.size
         cells = list(map(arcs.get, range(net.pos.size * n_t), repeat(net.default)))
-        return [cells[k : k + n_t] for k in range(0, len(cells), n_t or 1)]
+        return [cells[k * n_t : k * n_t + n_t] for k in range(net.pos.size)]
 
-    tables = [
-        [[list(map(op, chain.from_iterable(map(repeat, au, repeat(len(bv)))), bv * len(au)))
-          for bv in rows(b, b_arcs)] for au in rows(a, a_arcs)]
+    shapes = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    tables, cells = zip(*[
+        build(a.lin, rows(a, a_arcs), rows(b, b_arcs), *shapes)
         for a_arcs, b_arcs in ((a.pre_arcs, b.pre_arcs), (a.post_arcs, b.post_arcs))
-    ]
+    ])
 
     def entries(table):
         return chain.from_iterable(chain.from_iterable(table))
@@ -281,50 +285,29 @@ def _pointwise_net(a, b, op, places, transitions, first, runs) -> PetriNet:
     top = max(counts.values(), default=0)
     # with no entries, which is exactly when there are no cells, it is the unit
     tied = {v for v, c in counts.items() if c == top} or {a.lin.unit_payload}
-    default = tied.pop() if len(tied) == 1 else min(
-        (part, first(u, v, i), w) for part, table in enumerate(tables)
-        for u, tu in enumerate(table) for v, tuv in enumerate(tu)
-        for i, w in enumerate(tuv) if w in tied
-    )[2]
+    if len(tied) > 1:
+        cells = [list(c) for c in cells]
+        default = next(filter(tied.__contains__, chain(*cells)))
+    else:
+        default = tied.pop()
 
-    def arcs(table) -> dict[int, object]:
+    def arcs(table, cells) -> dict[int, object]:
         # the comparison with the default runs once per distinct payload object
         objects = dict(zip(map(id, entries(table)), entries(table)))
         off = {i for i, v in objects.items() if v != default}
-        out: dict[int, object] = {}
-        for start, run in runs(table) if off else ():
-            run = list(run)
-            out.update(compress(zip(count(start), run), map(off.__contains__, map(id, run))))
-        return out
+        if not off:
+            return {}
+        cells = list(cells)
+        return dict(compress(zip(count(), cells), map(off.__contains__, map(id, cells))))
 
-    return PetriNet(a.lin, places, transitions, default, *map(arcs, tables))
+    return PetriNet(a.lin, places, transitions, default, *map(arcs, tables, cells))
 
 
 def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
     """The monoidal product: places U x V, transitions the pairs (f, g) of
     response tables in X^V x Y^U; ((u, v), (f, g)) holds a(u, f(v)) tensor
     b(v, g(u))."""
-    _same_lineale(a, b)
-    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    shape = tensor_shape((n_u, n_x), (n_v, n_y))
-    _guard(max(shape))
-    _guard(shape[0] * shape[1], "net relation", MAX_CELLS, "cells")
-    places = product_set(a.places, b.places)
-    xs, ys = exp_set(a.transitions, b.places), exp_set(b.transitions, a.places)
-    transitions = product_set(xs, ys)
-    f_at = [[fn_from_index(i, n_v, n_x)[v] for i in range(xs.size)] for v in range(n_v)]
-    g_at = [[fn_from_index(i, n_u, n_y)[u] for i in range(ys.size)] for u in range(n_u)]
-
-    def first(u, v, i):  # entries in this order meet their first cells in order
-        return (u * n_v + v) * n_x * n_y + i
-
-    def runs(table):  # row (u, v): per f, the part of x = f(v) over every g
-        for r, (u, v) in enumerate(product(range(n_u), range(n_v))):
-            parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
-            by_x = [list(map(part, g_at[u])) for part in parts]
-            yield r * transitions.size, chain.from_iterable(map(by_x.__getitem__, f_at[v]))
-
-    return _pointwise_net(a, b, a.lin._tensor, places, transitions, first, runs)
+    return _pointwise_net(a, b, _tensor_carriers, _tensor_cells)
 
 
 def _block_net(
@@ -383,26 +366,4 @@ def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
 def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
     """The internal hom: places the pairs (f, F) in V^U x X^Y, transitions
     U x Y; ((f, F), (u, y)) holds a(u, F(y)) implies b(f(u), y)."""
-    _same_lineale(a, b)
-    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    shape = hom_shape((n_u, n_x), (n_v, n_y))
-    _guard(max(shape))
-    _guard(shape[0] * shape[1], "net relation", MAX_CELLS, "cells")
-    fs, bs = exp_set(b.places, a.places), exp_set(a.transitions, b.transitions)
-    places = product_set(fs, bs)
-    transitions = product_set(a.places, b.transitions)
-    # per F, and within it per u, the entries F(y) * |Y| + y of every y
-    picks = [[x * n_y + y for y, x in enumerate(fn_from_index(i, n_y, n_x))]
-             for i in range(bs.size) for _ in range(n_u)]
-
-    def first(u, v, i):  # row (f, F), f = v at u only and F = x at y only; column (u, y)
-        x, y = divmod(i, n_y)
-        return v * n_v ** (n_u - 1 - u) * bs.size + x * n_x ** (n_y - 1 - y), u, y
-
-    def runs(table):  # the rows (f, F) of one f, for every F
-        for r in range(fs.size):
-            at_f = [table[u][v].__getitem__ for u, v in enumerate(fn_from_index(r, n_u, n_v))]
-            run = map(map, at_f * bs.size, picks)
-            yield r * bs.size * transitions.size, chain.from_iterable(run)
-
-    return _pointwise_net(a, b, a.lin._imp, places, transitions, first, runs)
+    return _pointwise_net(a, b, _hom_carriers, _hom_cells)

@@ -1,8 +1,11 @@
 """The dense net route, kept as the tests' oracle.
 
 A net's relations as full DialObjects, and a net back from two dense
-relations through the library's one stored-form builder; the closed-form
-tensor and hom are checked against tensor_obj / hom_obj taken this way.
+relations through the library's one stored-form builder.  net_tensor and
+net_hom are checked against tensor_obj / hom_obj taken this way, which
+checks how they pick the default and the arcs; since both routes share
+dialset's cell builders, the tests also check every cell against the
+connective's formula.
 """
 
 from itertools import chain, compress, count, repeat

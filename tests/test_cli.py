@@ -363,6 +363,41 @@ def test_combine_over_the_cell_budget_is_refused_before_building(tmp_path, op, a
     assert not out_path.exists()
 
 
+def test_combine_at_the_cell_budget_stays_small(tmp_path):
+    # label-only nets whose tensor and hom have exactly MAX_CELLS cells; each
+    # command runs in a child process that prints its own peak RSS (KiB), and
+    # a dense result or a list per input cell would take hundreds of MiB.
+    # The child reads VmHWM, not ru_maxrss: Linux carries the parent's
+    # high-water mark over exec into ru_maxrss, VmHWM is the new image's own
+    paths = {}
+    for side, (n_p, n_t), default in (("big", (256, 4096), "0"), ("one", (1, 1), "1")):
+        doc = {
+            "format_version": "1", "lineale": "nat", "default_weight": default,
+            "places": [f"{side}p{i}" for i in range(n_p)],
+            "transitions": [f"{side}t{i}" for i in range(n_t)], "pre": [], "post": [],
+        }
+        paths[side] = tmp_path / f"{side}.net"
+        paths[side].write_text(json.dumps(doc))
+    code = (
+        "import sys; from dialnet.cli import main; rc = main(sys.argv[1:]); "
+        "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')); "
+        "print(hwm.split()[1], file=sys.stderr); sys.exit(rc)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1]))
+    # over nat, tensor is + and 1 implies 0 is max(0 - 1, 0)
+    for op, a, b, default in (("tensor", "big", "one", 1), ("hom", "one", "big", 0)):
+        out_path = tmp_path / f"{op}.net"
+        argv = ["combine", "--op", op, str(paths[a]), str(paths[b]), "--out", str(out_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        net = load_net(out_path)
+        assert net.places.size * net.transitions.size == dialnet.finset.MAX_CELLS
+        assert (net.default, net.pre_arcs, net.post_arcs) == (default, {}, {})
+        assert int(proc.stderr) < 100 * 1024, op
+
+
 # ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------

@@ -127,6 +127,15 @@ def _constant_identity_backward(a, identity=dialnet.dialset.identity):
     return DialMorphism(a, a, m.fwd, FnTable(a.neg, a.neg, (0,) * a.neg.size))
 
 
+def _swapped_positive_identity(a, identity=dialnet.dialset.identity):
+    # a swap as the identity of a 2-element positive carrier, so the forward
+    # and backward identity tables of one size differ
+    m = identity(a)
+    if a.pos.size != 2:
+        return m
+    return DialMorphism(a, a, FnTable(a.pos, a.pos, (1, 0)), m.bwd)
+
+
 # the first counterexample each broken composition or identity gives, as
 # the law printed it when it still checked enumerate_morphisms' morphisms
 BROKEN_IDENTITY_COUNTEREXAMPLES = {
@@ -143,6 +152,10 @@ BROKEN_IDENTITY_COUNTEREXAMPLES = {
     ("swapped-identity-table", "bool2"): "fwd=() bwd=(0,) src=0x2[] tgt=0x1[]",
     ("constant-identity-backward", "kleene3"): "fwd=() bwd=(1,) src=0x2[] tgt=0x1[]",
     ("constant-identity-backward", "bool2"): "fwd=() bwd=(1,) src=0x2[] tgt=0x1[]",
+    # the forward table (0,) fails by itself; a verdict stored under the
+    # backward identity tables of the same sizes must not answer it
+    ("swapped-positive-identity", "kleene3"): "fwd=(0,) bwd=() src=1x0[] tgt=2x0[; ]",
+    ("swapped-positive-identity", "bool2"): "fwd=(0,) bwd=() src=1x0[] tgt=2x0[; ]",
 }
 
 
@@ -164,6 +177,7 @@ BROKEN_IDENTITY_COUNTEREXAMPLES = {
             ("constant-identity-backward",
              [(dialnet.dialset, "identity"), (dialnet.laws, "identity")],
              _constant_identity_backward),
+            ("swapped-positive-identity", [(dialnet.laws, "identity")], _swapped_positive_identity),
         ]
     ],
 )

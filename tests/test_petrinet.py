@@ -46,6 +46,7 @@ from dialnet import (
     tensor_obj,
     with_product,
 )
+from dialnet.finset import fn_pair_from_index
 
 
 def weight(net, part, place, transition):
@@ -713,14 +714,37 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form tensor and hom against the dense route
+# net tensor and hom against the dense route and the per-cell formula
 # ---------------------------------------------------------------------------
+
+
+def _assert_cells_follow_the_formula(net_op, a, b, net):
+    """Every result cell of net_tensor or net_hom is the connective's
+    formula on the input cells that (f, g) or (f, F) picks; net and objects
+    share one cell builder, so the dense route alone would not check it."""
+    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    lin = a.lin
+    for part in ("pre", "post"):
+        wa, wb = dense.relation(a, part).weight, dense.relation(b, part).weight
+        w = dense.relation(net, part).weight
+        if net_op is net_tensor:
+            for c in range(net.transitions.size):
+                f, g = fn_pair_from_index(c, n_v, n_x, n_u, n_y)
+                for r in range(net.places.size):
+                    u, v = divmod(r, n_v)
+                    assert w[r][c] == lin._tensor(wa[u][f[v]], wb[v][g[u]])
+        else:
+            for r in range(net.places.size):
+                f, big_f = fn_pair_from_index(r, n_u, n_v, n_y, n_x)
+                for c in range(net.transitions.size):
+                    u, y = divmod(c, n_y)
+                    assert w[r][c] == lin._imp(wa[u][big_f[y]], wb[f[u]][y])
 
 
 def _assert_equals_dense_route(net_op, dense_op, a, b):
     """net_op(a, b) is the stored form of dense_op on both relations: the
     same default, the same arcs in the same order, the same labels, and
-    over the cap the same CapExceeded."""
+    over the cap the same CapExceeded; and every cell follows the formula."""
     try:
         pre = dense_op(dense.pre(a), dense.pre(b))
         post = dense_op(dense.post(a), dense.post(b))
@@ -737,6 +761,7 @@ def _assert_equals_dense_route(net_op, dense_op, a, b):
     assert net.transitions.labels == pre.neg.labels
     assert net == expected
     _assert_stored_form(net)
+    _assert_cells_follow_the_formula(net_op, a, b, net)
 
 
 @settings(max_examples=300, deadline=None)
