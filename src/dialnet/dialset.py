@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
@@ -52,14 +53,13 @@ from .finset import (
     _guard,
     copair,
     coproduct_set,
+    digit_table,
     exp_set,
-    fn_from_index,
-    fn_pair_from_index,
-    fn_pair_index,
+    fn_pair_digits,
+    fn_pair_weights,
     hom_shape,
     inl,
     inr,
-    pair_index,
     pairing,
     product_fn,
     product_set,
@@ -330,6 +330,14 @@ def oplus_copair(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
 # -- monoidal structure -------------------------------------------------------
 
 
+def _landing(weights, reads, n: int) -> list[int]:
+    """Per input digit 0..n-1, the sum of weights[i] over the output digits i with reads[i] == it."""
+    out = [0] * n
+    for w, i in zip(weights, reads):
+        out[i] += w
+    return out
+
+
 def tensor_unit(lin: Lineale) -> DialObject:
     """Singleton carriers weighted by the lineale's unit."""
     return DialObject(lin, singleton(), singleton(), ((lin.unit_payload,),))
@@ -365,10 +373,10 @@ def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
     computed as they are read."""
     (n_u, n_x), (n_v, n_y) = a_shape, b_shape
     table = _op_table(lin._tensor, a_rows, b_rows, n_x, n_y)
-    f_tabs = [fn_from_index(i, n_v, n_x) for i in range(n_x**n_v)]
-    g_tabs = [fn_from_index(i, n_u, n_y) for i in range(n_y**n_u)]
-    f_at = [[f[v] for f in f_tabs] for v in range(n_v)]
-    g_at = [[g[u] for g in g_tabs] for u in range(n_u)]
+    # f_at[v]: f(v) for every table f of X^V in index order, empty when
+    # X^V is (X empty, V not); g_at[u] likewise for Y^U
+    f_at = list(zip(*itertools.product(range(n_x), repeat=n_v))) or [()] * n_v
+    g_at = list(zip(*itertools.product(range(n_y), repeat=n_u))) or [()] * n_u
 
     def row(u: int, v: int):  # per f, the part of x = f(v) over every g
         parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
@@ -397,23 +405,19 @@ def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
 
     Forward acts componentwise.  Backward takes a pair of target
     response tables (f', g') to (F . f' . g, G . g' . f), pre- and
-    post-composing with the given maps.
+    post-composing with the given maps: the source digit f(v) is the
+    target digit f'(g(v)) through F, and g(u) is g'(f(u)) through G.
     """
     src = tensor_obj(m1.source, m2.source)
     tgt = tensor_obj(m1.target, m2.target)
     fwd = product_fn(m1.fwd, m2.fwd)
 
-    f, g = m1.fwd.table, m2.fwd.table
+    (u_s, x_s), (v_s, y_s) = m1.source.shape, m2.source.shape
+    f_w, g_w = fn_pair_weights(v_s, x_s, u_s, y_s)
     fb, gb = m1.bwd.table, m2.bwd.table
-    xn_s, yn_s = m1.source.neg.size, m2.source.neg.size
-    (up_t, xn_t), (vp_t, yn_t) = m1.target.shape, m2.target.shape
-    table = []
-    for c in range(tgt.neg.size):
-        fp, gp = fn_pair_from_index(c, vp_t, xn_t, up_t, yn_t)
-        new_f = tuple(fb[fp[gv]] for gv in g)
-        new_g = tuple(gb[gp[fu]] for fu in f)
-        table.append(fn_pair_index(new_f, xn_s, new_g, yn_s))
-    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
+    digits = [(fb, w) for w in _landing(f_w, m2.fwd.table, m2.target.pos.size)]
+    digits += [(gb, w) for w in _landing(g_w, m1.fwd.table, m1.target.pos.size)]
+    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, digit_table(digits)))
 
 
 def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
@@ -431,14 +435,14 @@ def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
     table = _op_table(lin._imp, a_rows, b_rows, n_x, n_y)
     n_big_f = n_x**n_y
     # per F, and within it per u, the entries F(y) * |Y| + y of every y
-    picks = [[x * n_y + y for y, x in enumerate(fn_from_index(i, n_y, n_x))]
-             for i in range(n_big_f) for _ in range(n_u)]
+    picks = [[x * n_y + y for y, x in enumerate(big_f)]
+             for big_f in itertools.product(range(n_x), repeat=n_y) for _ in range(n_u)]
 
     def rows(f: tuple[int, ...]):  # the rows (f, F) of one f, for every F
         at_f = [table[u][v].__getitem__ for u, v in enumerate(f)]
         return itertools.chain.from_iterable(map(map, at_f * n_big_f, picks))
 
-    fs = map(fn_from_index, range(n_v**n_u), itertools.repeat(n_u), itertools.repeat(n_v))
+    fs = itertools.product(range(n_v), repeat=n_u)
     return table, itertools.chain.from_iterable(map(rows, fs))
 
 
@@ -462,8 +466,9 @@ def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:
 
     Given m_in: A' -> A and m_out: B -> B', produce
     hom(A, B) -> hom(A', B').  Forward conjugates a candidate pair
-    (h, H) to (g . h . f, F . H . G); backward sends a probe (u', y')
-    to (f(u'), G(y')).
+    (h, H) to (g . h . f, F . H . G): the target digit h'(u') is the
+    source digit h(f(u')) through g, and H'(y') is H(G(y')) through F.
+    Backward sends a probe (u', y') to (f(u'), G(y')).
     """
     a_prime, a = m_in.source, m_in.target
     b, b_prime = m_out.source, m_out.target
@@ -472,21 +477,12 @@ def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:
 
     f, fb = m_in.fwd.table, m_in.bwd.table
     g, gb = m_out.fwd.table, m_out.bwd.table
-    fwd_table = []
-    for idx in range(src.pos.size):
-        h, H = fn_pair_from_index(idx, a.pos.size, b.pos.size, b.neg.size, a.neg.size)
-        new_h = tuple(g[h[fu]] for fu in f)
-        new_H = tuple(fb[H[gy]] for gy in gb)
-        fwd_table.append(
-            fn_pair_index(new_h, b_prime.pos.size, new_H, a_prime.neg.size)
-        )
-    bwd_table = [pair_index(fu, gy, b.neg.size) for fu in f for gy in gb]
-    return DialMorphism(
-        src,
-        tgt,
-        FnTable(src.pos, tgt.pos, tuple(fwd_table)),
-        FnTable(tgt.neg, src.neg, tuple(bwd_table)),
-    )
+    (u_t, x_t), (v_t, y_t) = a_prime.shape, b_prime.shape
+    h_w, big_h_w = fn_pair_weights(u_t, v_t, y_t, x_t)
+    digits = [(g, w) for w in _landing(h_w, f, a.pos.size)]
+    digits += [(fb, w) for w in _landing(big_h_w, gb, b.neg.size)]
+    fwd = FnTable(src.pos, tgt.pos, digit_table(digits))
+    return DialMorphism(src, tgt, fwd, product_fn(m_in.fwd, m_out.bwd))
 
 
 # -- the tensor-hom adjunction ------------------------------------------------
@@ -512,15 +508,15 @@ def curry_dial(m: DialMorphism, a: DialObject, b: DialObject) -> DialMorphism:
     tgt = hom_obj(b, c)
 
     f = m.fwd.table
-    # the response-table pair that m's backward map sends each z to
-    responses = [fn_pair_from_index(k, bv, ax, au, by) for k in m.bwd.table]
+    # digit p of the response pair (f_z, g_z) that m's backward map sends
+    # each z to: f_z(v) at p = v, g_z(u) at p = |V| + u
+    cols = fn_pair_digits(m.bwd.table, bv, ax, au, by)
+    h_w, big_h_w = fn_pair_weights(bv, c.pos.size, c.neg.size, by)
     fwd_table = [
-        fn_pair_index(
-            f[u * bv : (u + 1) * bv], c.pos.size, tuple(g[u] for _, g in responses), by
-        )
+        sum(map(mul, f[u * bv : (u + 1) * bv], h_w)) + sum(map(mul, cols[bv + u], big_h_w))
         for u in range(au)
     ]
-    bwd_table = [fz[v] for v in range(bv) for fz, _ in responses]
+    bwd_table = [fz_v for col in cols[:bv] for fz_v in col]
     return DialMorphism(
         a,
         tgt,
@@ -541,13 +537,14 @@ def uncurry_dial(m: DialMorphism, b: DialObject, c: DialObject) -> DialMorphism:
     src = tensor_obj(a, b)
 
     G = m.bwd.table
-    # the forward/backward candidate pair that m's forward map sends each u to
-    candidates = [fn_pair_from_index(k, bv, cw, cz, by) for k in m.fwd.table]
-    fwd_table = [w for h, _ in candidates for w in h]
+    # digit p of the candidate pair (h_u, H_u) that m's forward map sends
+    # each u to: h_u(v) at p = v, H_u(z) at p = |V| + z
+    cols = fn_pair_digits(m.fwd.table, bv, cw, cz, by)
+    fwd_table = [cols[v][u] for u in range(a.pos.size) for v in range(bv)]
     # G runs over the row-major B.pos x C.neg; G[z::cz] is its column z
+    f_w, g_w = fn_pair_weights(bv, a.neg.size, a.pos.size, by)
     bwd_table = [
-        fn_pair_index(G[z::cz], a.neg.size, tuple(H[z] for _, H in candidates), by)
-        for z in range(cz)
+        sum(map(mul, G[z::cz], f_w)) + sum(map(mul, cols[bv + z], g_w)) for z in range(cz)
     ]
     return DialMorphism(
         src,
@@ -563,31 +560,24 @@ def uncurry_dial(m: DialMorphism, b: DialObject, c: DialObject) -> DialMorphism:
 def associator(a: DialObject, b: DialObject, c: DialObject) -> DialMorphism:
     """The isomorphism tensor(tensor(a, b), c) -> tensor(a, tensor(b, c)).
 
-    Row-major indexing makes the forward table the identity; the
-    backward table regroups response tables between the two bracketings
-    elementwise.
+    Row-major indexing makes the forward table the identity.  The
+    backward table moves each digit of a target response, f on V x W and
+    per u a pair (g_u on W, h_u on V), to the source response: per w the
+    pair (f(-, w), g_-(w)), and h on U x V.
     """
     src = tensor_obj(tensor_obj(a, b), c)
     tgt = tensor_obj(a, tensor_obj(b, c))
     (au, ax), (bv, by), (cw, cz) = a.shape, b.shape, c.shape
-    ab_neg = tensor_shape(a.shape, b.shape)[1]
-    bc_neg = tensor_shape(b.shape, c.shape)[1]
 
     fwd = FnTable(src.pos, tgt.pos, tuple(range(src.pos.size)))
 
-    table = []
-    for idx in range(tgt.neg.size):
-        # target response: f on V x W, and per u a pair (g_u on W, h_u on V)
-        f, k = fn_pair_from_index(idx, bv * cw, ax, au, bc_neg)
-        gh = [fn_pair_from_index(ku, cw, by, bv, cz) for ku in k]
-        # source response: per w a pair (f(-, w), g_-(w)), and h on U x V
-        m = tuple(
-            fn_pair_index(f[w::cw], ax, tuple(g[w] for g, _ in gh), by)
-            for w in range(cw)
-        )
-        n = tuple(z for _, h in gh for z in h)
-        table.append(fn_pair_index(m, ab_neg, n, cz))
-    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
+    pair_w, h_w = fn_pair_weights(cw, tensor_shape(a.shape, b.shape)[1], au * bv, cz)
+    f_w, g_w = fn_pair_weights(bv, ax, au, by)
+    digits = [(range(ax), pair_w[w] * f_w[v]) for v in range(bv) for w in range(cw)]
+    for u in range(au):
+        digits += [(range(by), pair_w[w] * g_w[u]) for w in range(cw)]
+        digits += [(range(cz), h_w[u * bv + v]) for v in range(bv)]
+    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, digit_table(digits)))
 
 
 def _unitor(src: DialObject, a: DialObject) -> DialMorphism:
@@ -613,17 +603,17 @@ def right_unitor(a: DialObject) -> DialMorphism:
 def symmetry(a: DialObject, b: DialObject) -> DialMorphism:
     """tensor(a, b) -> tensor(b, a): swap rows, swap response pairs.
 
-    Valid because every lineale here has a commutative product.
+    The backward table moves the digits of a target response (g, f) to
+    the source response (f, g).  Valid because every lineale here has a
+    commutative product.
     """
     src = tensor_obj(a, b)
     tgt = tensor_obj(b, a)
     fwd = table_swap(a.pos, b.pos)
     (au, ax), (bv, by) = a.shape, b.shape
-    table = []
-    for idx in range(tgt.neg.size):
-        g, f = fn_pair_from_index(idx, au, by, bv, ax)
-        table.append(fn_pair_index(f, ax, g, by))
-    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, tuple(table)))
+    f_w, g_w = fn_pair_weights(bv, ax, au, by)
+    digits = [(range(by), w) for w in g_w] + [(range(ax), w) for w in f_w]
+    return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, digit_table(digits)))
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -10,11 +10,14 @@ independently built tables agree:
 * exponential X^B: a table (t_0, .., t_{n-1}) is read as a base-|X|
   numeral with t_0 the most significant digit, so index 0 is the
   constant-0 function and the top index is constant |X|-1
-* pair of response tables (f, g) in X^V x Y^U: index
-  fn_index(f) * |Y|**|U| + fn_index(g), encoded by fn_pair_index and
-  decoded by fn_pair_from_index
+* pair of response tables (f, g) in X^V x Y^U: one mixed-radix numeral
+  with digits f(0), .., f(|V|-1), g(0), .., g(|U|-1), place values from
+  fn_pair_weights, digits from fn_pair_digits
 
-This module is the one place for that index arithmetic.  tensor_shape
+This module is the one place for that index arithmetic.  A structure map
+between such carriers sends each input digit to fixed output digits, so
+its output index is a sum of per-digit contributions; digit_table is the
+one place where those contributions become a table.  tensor_shape
 and hom_shape give the carrier sizes of the tensor and the internal hom
 from the sizes of their factors, so callers can check the cap before they
 build anything.  Exponential carriers blow up quickly, so any
@@ -50,10 +53,9 @@ __all__ = [
     "copair",
     "singleton",
     "exp_set",
-    "fn_index",
-    "fn_from_index",
-    "fn_pair_index",
-    "fn_pair_from_index",
+    "fn_pair_weights",
+    "fn_pair_digits",
+    "digit_table",
     "tensor_shape",
     "hom_shape",
 ]
@@ -129,11 +131,13 @@ class FnTable:
             raise ShapeMismatch(
                 f"table length {len(self.table)} != domain size {self.dom.size}"
             )
-        for i, t in enumerate(self.table):
-            if not 0 <= t < self.cod.size:
-                raise ShapeMismatch(
-                    f"table entry {t} at {i} outside codomain of size {self.cod.size}"
-                )
+        # one pass in C; the loop only names the first entry out of range
+        if self.table and not (0 <= min(self.table) and max(self.table) < self.cod.size):
+            for i, t in enumerate(self.table):
+                if not 0 <= t < self.cod.size:
+                    raise ShapeMismatch(
+                        f"table entry {t} at {i} outside codomain of size {self.cod.size}"
+                    )
 
 
 def identity(a: FinSet) -> FnTable:
@@ -260,33 +264,37 @@ def exp_set(base: FinSet, dom: FinSet) -> FinSet:
     return FinSet(n, tuple(f"fn{k}" for k in range(n)))
 
 
-def fn_index(table: tuple[int, ...], base_size: int) -> int:
-    k = 0
-    for t in table:
-        k = k * base_size + t
-    return k
+def fn_pair_weights(f_dom: int, f_base: int, g_dom: int, g_base: int) -> tuple[list, list]:
+    """Place values of the digits f(0), .. and g(0), .. of an index into
+    f_base^f_dom x g_base^g_dom."""
+    g_w = [g_base**p for p in range(g_dom - 1, -1, -1)]
+    return [g_base**g_dom * f_base**p for p in range(f_dom - 1, -1, -1)], g_w
 
 
-def fn_from_index(k: int, dom_size: int, base_size: int) -> tuple[int, ...]:
-    digits = [0] * dom_size
-    for pos in range(dom_size - 1, -1, -1):
-        k, digits[pos] = divmod(k, base_size)
-    return tuple(digits)
+def fn_pair_digits(indices, f_dom: int, f_base: int, g_dom: int, g_base: int) -> list[list[int]]:
+    """Per digit f(0), .., f(f_dom-1), g(0), .., g(g_dom-1) of an index into
+    f_base^f_dom x g_base^g_dom, that digit of each of indices."""
+    f_w, g_w = fn_pair_weights(f_dom, f_base, g_dom, g_base)
+    radix = [f_base] * f_dom + [g_base] * g_dom
+    return [[k // w % r for k in indices] for w, r in zip(f_w + g_w, radix)]
 
 
-def fn_pair_index(
-    f: tuple[int, ...], f_base: int, g: tuple[int, ...], g_base: int
-) -> int:
-    """Index of the table pair (f, g) in X^V x Y^U, with |X| = f_base, |Y| = g_base."""
-    return fn_index(f, f_base) * g_base ** len(g) + fn_index(g, g_base)
+def digit_table(digits) -> tuple[int, ...]:
+    """The table of a map sending each digit of a mixed-radix index to fixed output digits.
 
-
-def fn_pair_from_index(
-    k: int, f_dom: int, f_base: int, g_dom: int, g_base: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The table pair with index k in f_base^f_dom x g_base^g_dom."""
-    fi, gi = divmod(k, g_base**g_dom)
-    return fn_from_index(fi, f_dom, f_base), fn_from_index(gi, g_dom, g_base)
+    digits holds a (values, weight) pair per input digit, most significant
+    first: digit value d adds values[d] * weight to the output index.
+    values is range(radix) or a fixed table the digit passes through;
+    weight sums the place values of the output digits it lands in.  The
+    table is the outer sum of these contributions, so no index is decoded.
+    No digits give one entry (X^0 has one element); a digit of radix 0
+    gives none (0^B is empty for nonempty B).
+    """
+    table = [0]
+    for values, weight in digits:
+        steps = [v * weight for v in values]
+        table = [t + s for t in table for s in steps]
+    return tuple(table)
 
 
 # -- carrier shapes -------------------------------------------------------------

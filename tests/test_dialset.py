@@ -51,8 +51,9 @@ from dialnet import (
     with_proj2,
 )
 from dialnet.dialset import _hom_tables
-from dialnet.finset import fn_pair_from_index
 from dialnet.laws import all_objects, random_morphism_from, random_object
+import index_oracle
+from index_oracle import fn_from_index, fn_pair_from_index
 
 T = BOOL2.value(True)
 F = BOOL2.value(False)
@@ -261,8 +262,6 @@ def test_hom_of_singletons_is_residual():
 def test_hom_row_all_true_iff_morphism():
     # over bool2 a hom element has an all-true row exactly when its table
     # pair passes the morphism check
-    from dialnet.finset import fn_from_index
-
     a = bool_obj([[1, 0], [1, 1]])
     b = bool_obj([[0, 1]])
     h = hom_obj(a, b)
@@ -597,3 +596,65 @@ def test_tensor_and_hom_share_results_of_equal_input_pairs(pair):
             u, y = divmod(c, y_n)
             assert h.weight[r][c] == lin._imp(a.weight[u][big_f[y]], b.weight[f[u]][y])
     assert _distinct_objects(h) <= pairs_of_cells
+
+
+# ---------------------------------------------------------------------------
+# structure-map tables against the per-element oracle
+# ---------------------------------------------------------------------------
+
+_SHAPES = list(itertools.product(range(3), repeat=2))  # every (|pos|, |neg|) in {0, 1, 2}^2
+
+
+def _flat(shape) -> DialObject:
+    # constant weights: every pair of tables of the right shapes is a morphism
+    p, n = shape
+    return DialObject(BOOL2, FinSet(p), FinSet(n), ((False,) * n,) * p)
+
+
+def _any_table(rng, dom: int, cod: int) -> tuple[int, ...] | None:
+    if cod == 0 and dom:
+        return None
+    return tuple(rng.randrange(cod) for _ in range(dom))
+
+
+def _seeded_morphism(rng, src, tgt):
+    f, fb = _any_table(rng, src[0], tgt[0]), _any_table(rng, tgt[1], src[1])
+    if f is None or fb is None:
+        return None
+    a, b = _flat(src), _flat(tgt)
+    return dial_morphism(a, b, FnTable(a.pos, b.pos, f), FnTable(b.neg, a.neg, fb))
+
+
+def _not_injective(t: tuple[int, ...]) -> bool:
+    return len(set(t)) < len(t)
+
+
+def test_associator_and_symmetry_tables_match_the_oracle_on_every_small_shape():
+    for a, b, c in itertools.product(_SHAPES, repeat=3):
+        m = associator(_flat(a), _flat(b), _flat(c))
+        assert m.bwd.table == index_oracle.associator_bwd(a, b, c), (a, b, c)
+        assert m.fwd.table == tuple(range(m.source.pos.size))
+    for a, b in itertools.product(_SHAPES, repeat=2):
+        m = symmetry(_flat(a), _flat(b))
+        assert m.bwd.table == index_oracle.symmetry_bwd(a, b), (a, b)
+    # the empty corners: X^0 has one element, 0^B none for nonempty B
+    assert associator(_flat((0, 0)), _flat((0, 0)), _flat((0, 0))).bwd.table == (0,)
+    assert symmetry(_flat((1, 0)), _flat((1, 2))).bwd.table == ()
+
+
+def test_tensor_mor_and_hom_mor_tables_match_the_oracle_on_every_small_shape():
+    rng = random.Random(16)
+    collapsing = 0
+    for s1, t1, s2, t2 in itertools.product(_SHAPES, repeat=4):
+        m1, m2 = _seeded_morphism(rng, s1, t1), _seeded_morphism(rng, s2, t2)
+        if m1 is None or m2 is None:
+            continue
+        tables = (m1.fwd.table, m1.bwd.table, m2.fwd.table, m2.bwd.table)
+        collapsing += any(map(_not_injective, tables))
+        f, fb, g, gb = tables
+        tm = tensor_mor(m1, m2)
+        assert tm.bwd.table == index_oracle.tensor_mor_bwd(s1, t1, s2, t2, f, fb, g, gb)
+        # hom_mor(m1, m2): hom(t1, s2) -> hom(s1, t2)
+        hm = hom_mor(m1, m2)
+        assert hm.fwd.table == index_oracle.hom_mor_fwd(s1, t1, s2, t2, f, fb, g, gb)
+    assert collapsing > 1000  # non-injective f, g, fb and gb are well covered

@@ -5,20 +5,20 @@ significant.
 """
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dialnet import CapExceeded, DEFAULT_CAP, FinSet, FnTable, ShapeMismatch
 from dialnet.finset import (
     compose,
     copair,
     coproduct_set,
+    digit_table,
     exp_set,
-    fn_from_index,
-    fn_index,
-    fn_pair_from_index,
-    fn_pair_index,
+    fn_pair_digits,
+    fn_pair_weights,
     hom_shape,
     identity,
     inl,
@@ -33,6 +33,7 @@ from dialnet.finset import (
     swap,
     tensor_shape,
 )
+from index_oracle import fn_from_index, fn_index, fn_pair_from_index, fn_pair_index
 
 
 def test_finset_equality_ignores_labels():
@@ -64,6 +65,13 @@ def test_fn_table_validation():
         FnTable(a, b, (0,))
     with pytest.raises(ShapeMismatch):
         FnTable(a, b, (0, 3))
+    # the message names the first entry out of range
+    for table, entry, at in (((0, 3, -1), 3, 1), ((-1, 5, 1), -1, 0), ((2, 1, 7), 7, 2)):
+        with pytest.raises(ShapeMismatch, match=rf"^table entry {entry} at {at} outside codomain of size 3$"):
+            FnTable(b, b, table)
+    with pytest.raises(ShapeMismatch, match="^table entry 0 at 0 outside codomain of size 0$"):
+        FnTable(FinSet(1), FinSet(0), (0,))
+    assert FnTable(FinSet(0), FinSet(0), ()).table == ()
 
 
 def test_compose_is_g_after_f():
@@ -226,6 +234,35 @@ def test_fn_pair_codec_is_a_bijection(f_dom, f_base, g_dom, g_base):
             seen.add(k)
             assert fn_pair_from_index(k, f_dom, f_base, g_dom, g_base) == (f, g)
     assert len(seen) == size
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_fn_pair_weights_and_digits_agree_with_the_codec(f_dom, f_base, g_dom, g_base):
+    size = f_base**f_dom * g_base**g_dom
+    f_w, g_w = fn_pair_weights(f_dom, f_base, g_dom, g_base)
+    cols = fn_pair_digits(range(size), f_dom, f_base, g_dom, g_base)
+    assert len(cols) == f_dom + g_dom
+    for k in range(size):
+        f, g = fn_pair_from_index(k, f_dom, f_base, g_dom, g_base)
+        assert sum(d * w for d, w in zip(f + g, f_w + g_w)) == k
+        assert tuple(col[k] for col in cols) == f + g
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 6), max_size=3), st.integers(0, 40)), max_size=5))
+@example([])  # X^0 has one element
+@example([(range(2), 1), (range(0), 1)])  # 0^B is empty for nonempty B
+@example([((1, 0), 1), ((0, 0, 0), 0)])  # a fixed table, and a digit that lands nowhere
+def test_digit_table_is_the_sum_of_per_digit_contributions(digits):
+    # index k's digits, most significant first, in the radices len(values)
+    radices = [len(values) for values, _ in digits]
+    want = []
+    for k in range(math.prod(radices)):
+        ds, rest = [], k
+        for r in reversed(radices):
+            rest, d = divmod(rest, r)
+            ds.append(d)
+        want.append(sum(values[d] * w for (values, w), d in zip(digits, reversed(ds))))
+    assert digit_table(digits) == tuple(want)
 
 
 @given(shapes, shapes)

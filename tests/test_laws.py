@@ -5,6 +5,7 @@ test_acceptance.py repeats them at the full advertised counts.  The
 mutation tests prove the suites can actually fail.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -346,13 +347,13 @@ def test_mutated_suite_differs_from_honest_suite():
     assert not all(broken.values())
 
 
-def _backward_reversed(construct):
-    # the construction with its backward table read back to front: the
-    # shapes still fit, the morphism is wrong
+def _reversed(construct, side: str = "bwd"):
+    # the construction with its backward (or forward) table read back to
+    # front: the shapes still fit, the morphism is wrong
     def mutant(*args):
         m = construct(*args)
-        bwd = FnTable(m.bwd.dom, m.bwd.cod, m.bwd.table[::-1])
-        return DialMorphism(m.source, m.target, m.fwd, bwd)
+        t = getattr(m, side)
+        return dataclasses.replace(m, **{side: FnTable(t.dom, t.cod, t.table[::-1])})
 
     return mutant
 
@@ -365,16 +366,20 @@ def _backward_reversed(construct):
         ("curry_dial", adjunction_oracle, "adjunction.roundtrip"),
         ("with_pairing", universal_laws, "product.mediating"),
         ("oplus_copair", universal_laws, "coproduct.mediating"),
+        ("symmetry", coherence_laws, "coherence.symmetry.involution"),
+        ("hom_mor.fwd", functoriality_laws, "hom.functor.composition"),
     ],
 )
 def test_broken_construction_fails_the_law_that_names_it(monkeypatch, construction, suite, law_name):
+    # "name.fwd" reverses the forward table of the construction name
     def verdict():
         return {r.name: r for r in suite(KLEENE3, seed=1, cases=8)}[law_name].passed
 
     assert verdict()
-    mutant = _backward_reversed(getattr(dialnet.dialset, construction))
+    name, _, side = construction.partition(".")
+    mutant = _reversed(getattr(dialnet.dialset, name), side or "bwd")
     for module in (dialnet.dialset, dialnet.laws):
-        monkeypatch.setattr(module, construction, mutant)
+        monkeypatch.setattr(module, name, mutant)
     assert not verdict()
 
 

@@ -46,7 +46,7 @@ from dialnet import (
     tensor_obj,
     with_product,
 )
-from dialnet.finset import fn_pair_from_index
+from index_oracle import fn_pair_from_index
 
 
 def weight(net, part, place, transition):
