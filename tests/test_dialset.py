@@ -50,7 +50,7 @@ from dialnet import (
     with_proj1,
     with_proj2,
 )
-from dialnet.dialset import _hom_tables
+from dialnet.dialset import _hom_counts, _hom_tables
 from dialnet.laws import all_objects, random_morphism_from, random_object
 import index_oracle
 from index_oracle import fn_from_index, fn_pair_from_index
@@ -485,6 +485,37 @@ def test_hom_tables_keep_nothing_from_one_call_to_the_next():
     ]
     for objs in (kleenes, bools):
         assert _found_hom_tables(objs, objs, []) == _oracle_hom_tables(objs, objs)
+
+
+def _oracle_hom_counts(sources, targets):
+    """Per source, the oracle's number of morphisms into all of targets and
+    the last of them, as (source, count, (target, f, bwd) or None)."""
+    out = []
+    for a in sources:
+        found = [(id(b), f.table, F.table) for b in targets for f, F in brute_force_morphisms(a, b)]
+        out.append((id(a), len(found), found[-1] if found else None))
+    return out
+
+
+def test_hom_counts_match_the_oracle_source_by_source():
+    # the count and the last case out of every source, over carriers of
+    # size 0 on either side, twin payloads, and sources of every shape in
+    # one call, in either order
+    families = [
+        all_objects(BOOL2, 2),
+        all_objects(KLEENE3, 2),
+        _seeded_objects("nat", 5, 12),
+        _seeded_objects("prob", 6, 12),
+        *_twin_payload_objects(),
+    ]
+    for objs in families:
+        want = _oracle_hom_counts(objs, objs)
+        for sources, expected in ((objs, want), (objs[::-1], want[::-1])):
+            got = [
+                (id(a), count, last and (id(last[0]), *last[1:]))
+                for a, count, last in _hom_counts(sources, objs)
+            ]
+            assert got == expected
 
 
 class _UnreadWeights(tuple):

@@ -94,6 +94,20 @@ def test_exhaustive_category_case_counts_are_pinned(lin, identity_cases, assoc_c
     assert by_name["category.assoc.exhaustive"].passed
 
 
+@pytest.mark.parametrize("lin, identity_cases", [(KLEENE3, 37217), (BOOL2, 2901)], ids=["kleene3", "bool2"])
+def test_exhaustive_identity_law_counts_its_cases_when_every_table_keeps_it(
+    monkeypatch, lin, identity_cases
+):
+    # with honest composition and identities every table space keeps the
+    # law, so each source's cases are counted and none is searched in order
+    def refused(sources, targets):
+        raise AssertionError("the ordered search ran")
+
+    monkeypatch.setattr(dialnet.laws, "_hom_tables", refused)
+    law = {r.name: r for r in category_laws(lin, cases=1)}["category.identity.exhaustive"]
+    assert law.passed and law.cases == identity_cases
+
+
 def _kept_swap(g, f, compose=dialnet.finset.compose):
     # (0, 1) after (1, 0) comes out as (0, 1), so id . swap != swap
     if (g.table, f.table) == ((0, 1), (1, 0)):
