@@ -3,7 +3,7 @@
     dialnet validate <net.json>
     dialnet check-morphism <morphism.json>
     dialnet combine --op tensor|with|oplus|hom <a.json> <b.json> --out <c.json>
-    dialnet laws --lineale <tag> [--seed N] [--cases N]
+    dialnet laws --lineale <tag> [--seed N] [--cases N] [--mutate-imp]
     dialnet export-dot <net.json> [--out <g.dot>]
     dialnet example --name <water|sir|circadian|inhibitor|catalysis> [--out <f.json>]
 
@@ -38,7 +38,6 @@ from .netdoc import (
     read_text,
     resolve_morphism_document,
     save_net,
-    serialize_net,
     write_text,
 )
 from . import petrinet
@@ -109,30 +108,25 @@ def _cmd_laws(args) -> int:
     return 0 if passed == len(results) else 3
 
 
-def _net_and_default(path):
-    """The net a document denotes and its declared default weight, from one read."""
-    doc = parse_net_document(read_text(path))
-    return document_to_net(doc), get_lineale(doc.lineale).parse(doc.default_weight)
-
-
-def _cmd_export_dot(args) -> int:
-    text = export_dot(*_net_and_default(args.net))
-    if args.out:
-        write_text(args.out, text)
-        print(f"wrote {args.out}")
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write text to the file out, or to stdout when out is None."""
+    if out:
+        write_text(out, text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
+def _cmd_export_dot(args) -> int:
+    doc = parse_net_document(read_text(args.net))
+    net = document_to_net(doc)
+    return _emit(export_dot(net, net.lin.parse(doc.default_weight)), args.out)
+
+
 def _cmd_example(args) -> int:
-    net, default = _net_and_default(example_path(args.name))
-    if args.out:
-        save_net(net, args.out, default)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(serialize_net(net, default))
-    return 0
+    # the shipped document is already in canonical form
+    return _emit(read_text(example_path(args.name)), args.out)
 
 
 # a law case list is built whole, so the count is bounded

@@ -70,7 +70,6 @@ from .finset import (
     product_set,
     proj1,
     proj2,
-    singleton,
     tensor_shape,
 )
 from .finset import compose as table_compose
@@ -340,8 +339,8 @@ def _landing(weights, reads, n: int) -> list[int]:
 
 
 def tensor_unit(lin: Lineale) -> DialObject:
-    """Singleton carriers weighted by the lineale's unit."""
-    return DialObject(lin, singleton(), singleton(), ((lin.unit_payload,),))
+    """One-element carriers weighted by the lineale's unit."""
+    return DialObject(lin, FinSet(1), FinSet(1), ((lin.unit_payload,),))
 
 
 def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:

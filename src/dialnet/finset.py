@@ -1,9 +1,11 @@
 """Finite sets as index ranges, and tables for the functions between them.
 
 Everything downstream (objects, morphisms, nets) works with elements
-0..size-1; labels are cosmetic and never affect equality.  Products,
-coproducts and exponentials come with fixed index conventions so that
-independently built tables agree:
+0..size-1; labels are cosmetic and never affect equality.  A product,
+coproduct or function space is labelled exactly when all of its factors
+are, so only nets, whose places and transitions are named, carry labels
+through the constructions.  Products, coproducts and exponentials come
+with fixed index conventions so that independently built tables agree:
 
 * product: pair (i, j) sits at index i * |B| + j  (row-major)
 * coproduct: the left block comes first, inr(j) = |A| + j
@@ -51,7 +53,6 @@ __all__ = [
     "inl",
     "inr",
     "copair",
-    "singleton",
     "exp_set",
     "fn_pair_weights",
     "fn_pair_digits",
@@ -246,22 +247,20 @@ def copair(f: FnTable, g: FnTable) -> FnTable:
     return FnTable(dom, f.cod, f.table + g.table)
 
 
-def singleton(label: str = "*") -> FinSet:
-    return FinSet(1, (label,))
-
-
 # -- exponentials -------------------------------------------------------------
 
 
 def exp_set(base: FinSet, dom: FinSet) -> FinSet:
     """The function space base^dom, of |base| ** |dom| elements, guarded by the cap.
 
-    The empty function is the one element of X^0, and 0^B is empty for
+    Labelled fn0, fn1, .. in index order when base and dom both are.  The
+    empty function is the one element of X^0, and 0^B is empty for
     nonempty B.
     """
     n = base.size**dom.size
     _guard(n, "function space")
-    return FinSet(n, tuple(f"fn{k}" for k in range(n)))
+    named = base.labels is not None and dom.labels is not None
+    return FinSet(n, tuple(f"fn{k}" for k in range(n)) if named else None)
 
 
 def fn_pair_weights(f_dom: int, f_base: int, g_dom: int, g_base: int) -> tuple[list, list]:

@@ -17,6 +17,7 @@ constrained values.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from typing import NamedTuple, Optional
@@ -693,20 +694,10 @@ def mutate_imp(lin: Lineale) -> Lineale:
     tag, which get_lineale does not resolve, so its values never mix with
     those of the honest lineale.
     """
-    unit = lin.unit_payload
-    return Lineale(
-        tag=f"mutate_imp({lin.tag})",
-        unit_payload=unit,
-        leq=lin._leq,
-        tensor=lin._tensor,
-        imp=lambda a, b: unit,
-        sample=lin._sample,
-        validate=lin._validate,
-        parse=lin._parse,
-        coerce=lin._coerce,
-        carrier=lin._carrier,
-        factors=lin.factors,
-    )
+    broken = copy.copy(lin)
+    broken.tag = f"mutate_imp({lin.tag})"
+    broken._imp = lambda a, b: lin.unit_payload
+    return broken
 
 
 def mutated_kleene3() -> Lineale:

@@ -18,11 +18,14 @@ bare payloads (a product's is a plain pair), which is how objects store weights.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import (
+    CapExceeded,
     InvalidValue,
     TagMismatch,
     UnknownLineale,
@@ -184,12 +187,12 @@ def format_payload(p: Any) -> str:
     """Canonical text for a bare payload, as format_value gives its value."""
     if isinstance(p, bool):
         return "true" if p else "false"
-    if isinstance(p, int):
-        return str(p)
-    if isinstance(p, Fraction):
-        if p.denominator == 1:
-            return str(p.numerator)
-        return f"{p.numerator}/{p.denominator}"
+    if isinstance(p, (int, Fraction)):  # a Fraction writes as n/d, or n when d is 1
+        try:
+            return str(p)
+        except ValueError:  # a number with more digits than Python writes as text
+            digits = max(Decimal(n).adjusted() + 1 for n in (p.numerator, p.denominator))
+            raise CapExceeded(digits, sys.get_int_max_str_digits(), "weight text", "digits") from None
     if isinstance(p, tuple):
         return f"({format_payload(p[0])},{format_payload(p[1])})"
     raise InvalidValue(f"unprintable payload {p!r}")

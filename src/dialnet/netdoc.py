@@ -20,10 +20,11 @@ transitions to SOURCE transitions -- the backward direction trips
 people up, so it is worth repeating: F goes from the target net's
 transitions to the source net's.
 
-Malformed JSON or a wrong shape raises DocumentSyntaxError; documents
-that parse but refer to unknown labels, repeat arcs, or carry values
-outside their lineale raise DocumentSemanticError.  The CLI maps these
-to exit codes 2 and 3.  A file over MAX_DOCUMENT_BYTES is never parsed.
+Malformed JSON (a repeated key too) or a wrong shape raises
+DocumentSyntaxError; documents that parse but refer to unknown labels,
+repeat arcs, or carry values outside their lineale raise
+DocumentSemanticError, which the CLI maps to exit codes 2 and 3.  A
+file over MAX_DOCUMENT_BYTES is never parsed.
 
 The worked example nets exist only as documents in the package data
 (EXAMPLE_NAMES); build_example reads one by name.
@@ -211,9 +212,21 @@ def _net_document_from_json(obj, what: str = "net document") -> NetDocument:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise DocumentSyntaxError(f"repeated key {k!r} in a JSON object")
+            seen.add(k)
+    return obj
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
     except RecursionError:

@@ -5,10 +5,12 @@ with redirect_* so the tests do not depend on pytest capture modes.
 One subprocess test proves the module entry points work end to end.
 """
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -669,3 +671,90 @@ def test_lone_surrogate_labels_are_refused(tmp_path, key, index):
         assert proc.stderr == f"error: {key}[{index}] holds a lone surrogate\n", argv
         assert proc.stdout == "", argv
         assert not out.exists(), argv
+
+
+# ---------------------------------------------------------------------------
+# repeated JSON keys, weights too long to write, and the synopses
+# ---------------------------------------------------------------------------
+
+
+def appending(obj: dict, key: str, text: str) -> str:
+    """The JSON text of obj with the member key: text appended, even when
+    obj has key already."""
+    return f"{json.dumps(obj)[:-1]}, {json.dumps(key)}: {text}}}"
+
+
+WATER_OBJ = json.loads(Path(WATER).read_text(encoding="utf-8"))
+WATER_MAPS = {"f": {l: l for l in ("H2", "O2", "H2O")}, "F": {"t": "t"}}
+
+
+@pytest.mark.parametrize("key", list(WATER_OBJ))
+def test_a_repeated_net_key_is_refused(tmp_path, key):
+    # json.loads would keep the second value; here the same one, so the
+    # document would otherwise be valid
+    net = tmp_path / "r.net"
+    net.write_text(appending(WATER_OBJ, key, json.dumps(WATER_OBJ[key])), encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (
+        ("validate", str(net)),
+        ("combine", "--op", "with", str(net), WATER, "--out", str(out)),
+        ("export-dot", str(net), "--out", str(out)),
+    ):
+        assert run(*argv) == (2, "", f"error: repeated key {key!r} in a JSON object\n"), argv
+        assert not out.exists(), argv
+
+
+def test_a_repeated_key_in_an_inline_net_is_refused(tmp_path):
+    m = tmp_path / "m.mor"
+    doc = {"format_version": "1", "target": WATER, **WATER_MAPS}
+    m.write_text(appending(doc, "source", appending(WATER_OBJ, "pre", "[]")), encoding="utf-8")
+    assert run("check-morphism", str(m)) == (2, "", "error: repeated key 'pre' in a JSON object\n")
+
+
+@pytest.mark.parametrize("name, key, image", [("f", "H2", "H2O"), ("F", "t", "t")])
+def test_a_repeated_map_entry_is_refused(tmp_path, name, key, image):
+    m = tmp_path / "m.mor"
+    doc = {"format_version": "1", "source": WATER, "target": WATER, **WATER_MAPS}
+    entries = appending(doc.pop(name), key, json.dumps(image))
+    m.write_text(appending(doc, name, entries), encoding="utf-8")
+    assert run("check-morphism", str(m)) == (2, "", f"error: repeated key {key!r} in a JSON object\n")
+
+
+@pytest.mark.parametrize(
+    "tag, weight, needed",
+    [("nat", "{}", lambda n: n + 1), ("int", "-{}", lambda n: n + 1), ("prob", "1/{}", lambda n: 2 * n)],
+    ids=["nat", "int", "prob"],
+)
+def test_a_weight_too_long_to_write_exits_4(tmp_path, tag, weight, needed):
+    # a weight of as many nines as Python writes is valid, but the tensor's
+    # sum (nat, int) or product (prob) of two has more digits than that
+    limit = sys.get_int_max_str_digits()
+    doc = dict(WATER_OBJ, lineale=tag, default_weight=weight.format("9" * limit), pre=[], post=[])
+    net = tmp_path / "long.net"
+    net.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("validate", str(net))[0] == 0
+    out = tmp_path / "out.net"
+    assert run("combine", "--op", "tensor", str(net), str(net), "--out", str(out)) == (
+        4, "", f"error: weight text needs {needed(limit)} digits, cap is {limit}\n"
+    )
+    assert not out.exists()
+    assert run("combine", "--op", "with", str(net), str(net), "--out", str(out))[0] == 0
+
+
+def test_synopses_name_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for where, text in (("cli docstring", dialnet.cli.__doc__), ("README", cli_block)):
+        synopses = {}
+        for line in text.splitlines():
+            words = line.split()
+            if words[:1] == ["dialnet"]:
+                synopses[words[1]] = line
+        assert sorted(synopses) == sorted(commands), where
+        for name, sub in commands.items():
+            for action in sub._actions:
+                for opt in action.option_strings:
+                    if opt.startswith("--") and opt != "--help":
+                        assert re.search(re.escape(opt) + r"(?![\w-])", synopses[name]), (where, name, opt)

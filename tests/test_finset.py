@@ -29,7 +29,6 @@ from dialnet.finset import (
     product_set,
     proj1,
     proj2,
-    singleton,
     swap,
     tensor_shape,
 )
@@ -176,7 +175,7 @@ def test_all_tables_enumeration():
 
 
 def test_exp_set_labels_and_cap():
-    e = exp_set(FinSet(3), FinSet(2))
+    e = exp_set(FinSet(3, ("a", "b", "c")), FinSet(2, ("x", "y")))
     assert e.size == 9
     assert e.labels[0] == "fn0" and e.labels[-1] == "fn8"
     assert exp_set(FinSet(2), FinSet(12)).size == 4096
@@ -185,6 +184,22 @@ def test_exp_set_labels_and_cap():
     assert exc.value.required == 8192 and exc.value.cap == 4096
     with pytest.raises(CapExceeded):
         exp_set(FinSet(2), FinSet(DEFAULT_CAP))
+
+
+def _carrier(n: int, labelled: bool) -> FinSet:
+    return FinSet(n, tuple(f"e{i}" for i in range(n))) if labelled else FinSet(n)
+
+
+@pytest.mark.parametrize("build", [product_set, coproduct_set, exp_set])
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 0), (0, 2), (0, 0)])
+def test_carrier_labelled_iff_all_factors_are(build, sizes):
+    # (3, 0) and (0, 0) give X^0, one element; (0, 2) gives 0^B, empty
+    for flags in itertools.product((False, True), repeat=2):
+        a, b = map(_carrier, sizes, flags)
+        c = build(a, b)
+        assert (c.labels is not None) == all(flags), (flags, c)
+        if c.labels is not None:
+            assert len(set(c.labels)) == c.size
 
 
 def test_empty_domain_exponential():
@@ -203,11 +218,6 @@ def test_point_equations_exhaustive():
         assert compose(swap(a, b), pairing(proj1(a, b), proj2(a, b))) == pairing(
             proj2(a, b), proj1(a, b)
         )
-
-
-def test_singleton():
-    s = singleton()
-    assert s.size == 1 and s.labels == ("*",)
 
 
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10**6))

@@ -66,6 +66,22 @@ def test_full_run_green(tag):
     assert failing(rs) == []
 
 
+@pytest.mark.parametrize("lin", [KLEENE3, BOOL2], ids=["kleene3", "bool2"])
+def test_law_suites_build_no_labelled_carrier(monkeypatch, lin):
+    # the suites' objects have unlabelled carriers, and a product, sum or
+    # function space of unlabelled factors is unlabelled too
+    labels = []
+    post_init = FinSet.__post_init__
+
+    def recording(self):
+        labels.append(self.labels)
+        post_init(self)
+
+    monkeypatch.setattr(FinSet, "__post_init__", recording)
+    assert failing(run_all(lin, cases=8)) == []
+    assert labels and set(labels) == {None}
+
+
 def test_exhaustive_counts_for_finite_carriers():
     # finite carriers get every quadruple, which covers the advertised
     # triple counts (8 and 27) with room to spare

@@ -731,8 +731,15 @@ _MORPHISM_OBJECT = st.fixed_dictionaries(
         "F": st.one_of(_LABEL_MAP, _JSON_VALUE),
     }
 )
+# an object's text with one of its keys given a second time
+_REPEATED_KEY = st.one_of(_NET_OBJECT, _MORPHISM_OBJECT, _LABEL_MAP.filter(bool)).flatmap(
+    lambda obj: st.tuples(st.sampled_from(sorted(obj)), _JSON_VALUE).map(
+        lambda kv: f"{json.dumps(obj)[:-1]}, {json.dumps(kv[0])}: {json.dumps(kv[1])}}}"
+    )
+)
 _EDGE_DOCUMENTS = st.one_of(
     st.one_of(_NET_OBJECT, _MORPHISM_OBJECT, _JSON_VALUE).map(json.dumps),
+    _REPEATED_KEY,
     st.integers(0, 5000).map(lambda n: "[" * n + "]" * n),
     st.text(max_size=20),
 ).flatmap(lambda text: st.one_of(st.just(text), st.integers(0, len(text)).map(lambda k: text[:k])))
