@@ -43,9 +43,9 @@ class CapExceeded(DialnetError):
 class InvalidMorphism(DialnetError):
     """A candidate morphism fails its pointwise order condition."""
 
-    def __init__(self, violations, message: str = "morphism condition violated"):
+    def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__(f"{message} at {len(self.violations)} point(s)")
+        super().__init__(f"morphism condition violated at {len(self.violations)} point(s)")
 
 
 class DocumentSyntaxError(DialnetError):

@@ -7,7 +7,7 @@ are, so only nets, whose places and transitions are named, carry labels
 through the constructions.  Products, coproducts and exponentials come
 with fixed index conventions so that independently built tables agree:
 
-* product: pair (i, j) sits at index i * |B| + j  (row-major)
+* product: pair (i, j) is the row-major two-digit numeral i * |B| + j
 * coproduct: the left block comes first, inr(j) = |A| + j
 * exponential X^B: a table (t_0, .., t_{n-1}) is read as a base-|X|
   numeral with t_0 the most significant digit, so index 0 is the
@@ -19,7 +19,8 @@ with fixed index conventions so that independently built tables agree:
 This module is the one place for that index arithmetic.  A structure map
 between such carriers sends each input digit to fixed output digits, so
 its output index is a sum of per-digit contributions; digit_table is the
-one place where those contributions become a table.  tensor_shape
+one place where those contributions become a table, for the projections,
+swap and product_fn as for the maps between function spaces.  tensor_shape
 and hom_shape give the carrier sizes of the tensor and the internal hom
 from the sizes of their factors, so callers can check the cap before they
 build anything.  Exponential carriers blow up quickly, so any
@@ -43,7 +44,6 @@ __all__ = [
     "identity",
     "compose",
     "product_set",
-    "pair_index",
     "proj1",
     "proj2",
     "pairing",
@@ -157,10 +157,6 @@ def compose(g: FnTable, f: FnTable) -> FnTable:
 # -- products ---------------------------------------------------------------
 
 
-def pair_index(i: int, j: int, b_size: int) -> int:
-    return i * b_size + j
-
-
 def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace(",", "\\,")
 
@@ -177,46 +173,32 @@ def product_set(a: FinSet, b: FinSet) -> FinSet:
 
 
 def proj1(a: FinSet, b: FinSet) -> FnTable:
-    ab = product_set(a, b)
-    return FnTable(ab, a, tuple(k // b.size for k in range(ab.size)))
+    return FnTable(product_set(a, b), a, digit_table([(range(a.size), 1), (range(b.size), 0)]))
 
 
 def proj2(a: FinSet, b: FinSet) -> FnTable:
-    ab = product_set(a, b)
-    return FnTable(ab, b, tuple(k % b.size for k in range(ab.size)))
+    return FnTable(product_set(a, b), b, digit_table([(range(a.size), 0), (range(b.size), 1)]))
 
 
 def pairing(f: FnTable, g: FnTable) -> FnTable:
     """The mediating map <f, g> into a product, from their shared domain."""
     if f.dom.size != g.dom.size:
         raise ShapeMismatch("pairing needs a shared domain")
-    cod = product_set(f.cod, g.cod)
-    table = tuple(
-        pair_index(f.table[i], g.table[i], g.cod.size) for i in range(f.dom.size)
-    )
-    return FnTable(f.dom, cod, table)
+    n = g.cod.size
+    table = tuple(i * n + j for i, j in zip(f.table, g.table))
+    return FnTable(f.dom, product_set(f.cod, g.cod), table)
 
 
 def product_fn(f: FnTable, g: FnTable) -> FnTable:
     """f x g acting componentwise on a product."""
-    dom = product_set(f.dom, g.dom)
-    cod = product_set(f.cod, g.cod)
-    table = tuple(
-        pair_index(f.table[i], g.table[j], g.cod.size)
-        for i in range(f.dom.size)
-        for j in range(g.dom.size)
-    )
-    return FnTable(dom, cod, table)
+    table = digit_table([(f.table, g.cod.size), (g.table, 1)])
+    return FnTable(product_set(f.dom, g.dom), product_set(f.cod, g.cod), table)
 
 
 def swap(a: FinSet, b: FinSet) -> FnTable:
     """(i, j) |-> (j, i), from a x b to b x a."""
-    dom = product_set(a, b)
-    cod = product_set(b, a)
-    table = tuple(
-        pair_index(j, i, a.size) for i in range(a.size) for j in range(b.size)
-    )
-    return FnTable(dom, cod, table)
+    table = digit_table([(range(a.size), 1), (range(b.size), a.size)])
+    return FnTable(product_set(a, b), product_set(b, a), table)
 
 
 # -- coproducts ---------------------------------------------------------------

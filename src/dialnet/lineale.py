@@ -18,6 +18,7 @@ bare payloads (a product's is a plain pair), which is how objects store weights.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -207,6 +208,9 @@ def _parse_int(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int's syntax, so only too long
+            digits, limit = sum(map(str.isdecimal, text)), sys.get_int_max_str_digits()
+            raise ValueSyntaxError(f"integer of {digits} digits, over the limit of {limit}") from None
         raise ValueSyntaxError(f"not an integer: {text!r}") from None
 
 

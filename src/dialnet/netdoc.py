@@ -68,7 +68,7 @@ from .errors import (
 )
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
-from .petrinet import PetriNet, _net_from_cells, _off_default
+from .petrinet import PetriNet, _net_from_cells, _rebased
 
 __all__ = [
     "FORMAT_VERSION",
@@ -350,7 +350,7 @@ def _labels(s: FinSet) -> tuple[str, ...]:
     return tuple(s.label(i) for i in range(s.size))
 
 
-def _arc_columns(net: PetriNet, arcs, default, places, transitions, text=format_payload):
+def _arc_columns(net: PetriNet, arcs, default, places, transitions, text):
     """places[u], transitions[x] and text(payload) for the cells of a
     relation off the default payload, in row-major order, as three lists.
 
@@ -358,8 +358,7 @@ def _arc_columns(net: PetriNet, arcs, default, places, transitions, text=format_
     distinct payload object; the rest runs in C.
     """
     if default != net.default:
-        n = len(places) * len(transitions)
-        arcs = _off_default(range(n), list(map(arcs.get, range(n), repeat(net.default))), default)
+        arcs = _rebased(arcs, len(places) * len(transitions), net.default, default)
     n_t = len(transitions)
     payloads = list(arcs.values())
     texts = {i: text(v) for i, v in dict(zip(map(id, payloads), payloads)).items()}

@@ -13,15 +13,17 @@ over the integers as threshold refinement, and so on per lineale.
 Nets are sparse, so a net stores its lineale, places and transitions,
 one default payload, and two arc maps that hold only the cells whose
 payload differs from the default.  The maps are keyed by the row-major
-cell index u * |transitions| + x (finset's pair_index convention) and
+cell index u * |transitions| + x (finset's product convention) and
 list their cells in that order.  The default is the modal payload: the
 most frequent one across pre then post, ties going to the first one
 met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
-Two builders work that form out, comparing with the default once per
-distinct payload object: _net_from_cells from a fill payload and the
-cells listed off it, _pointwise_net from the op tables and cells of the
-tensor or hom cell builder that dialset's tensor_obj and hom_obj share.
+_modal is the one place that picks the default, and _rebased the one
+place that re-lists a relation against another default.  Two builders
+work the stored form out, comparing with the default once per distinct
+payload object: _net_from_cells from a fill payload and the cells listed
+off it, _pointwise_net from the op tables and cells of the tensor or hom
+cell builder that dialset's tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import is_not, ne
 from typing import Iterable, Mapping, NamedTuple
 
@@ -70,10 +72,10 @@ __all__ = [
 class PetriNet:
     """A net in its stored form: the modal default plus the arcs off it.
 
-    pre_arcs and post_arcs map row-major cell indices to payloads, in
-    index order, and hold exactly the cells whose payload is not equal
-    to default.  _net_from_cells and _pointwise_net keep these invariants;
-    the constructor itself does not check them.
+    pre_arcs and post_arcs map row-major cell indices (finset's product
+    convention) to payloads, in index order, and hold exactly the cells
+    whose payload is not equal to default.  The two builders keep these
+    invariants; the constructor itself does not check them.
     """
 
     lin: Lineale
@@ -118,6 +120,23 @@ def _off_default(
     return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
 
 
+def _rebased(arcs: dict[int, object], n: int, held: object, default: object) -> dict[int, object]:
+    """The cells off default, in index order, of a relation of n cells that
+    holds held except at the cells listed in arcs."""
+    return _off_default(range(n), list(map(arcs.get, range(n), repeat(held))), default)
+
+
+def _modal(counts: Mapping[object, int], cells: Iterable[object]) -> object:
+    """The most frequent payload by counts (payload -> number of cells); a
+    tie goes to the tied payload met first in cells, the payloads of the
+    cells pre then post in index order, which are read only on a tie."""
+    top = max(counts.values())
+    tied = {v for v, c in counts.items() if c == top}
+    if len(tied) == 1:
+        return tied.pop()
+    return next(filter(tied.__contains__, cells))
+
+
 def _net_from_cells(
     lin: Lineale,
     places: FinSet,
@@ -128,49 +147,30 @@ def _net_from_cells(
 ) -> PetriNet:
     """The net whose relations hold fill except at the cells listed in pre
     and post (index -> payload maps in any order; a listed cell may equal
-    fill).  This is the one place that works out the stored form."""
+    fill)."""
     n = places.size * transitions.size
     pre_keys, post_keys = sorted(pre), sorted(post)
     pre_vals = list(map(pre.__getitem__, pre_keys))
     post_vals = list(map(post.__getitem__, post_keys))
     default = lin.unit_payload
     if n:
-        positions = chain(pre_keys, map(n.__add__, post_keys))
-        default = _modal_of_cells(fill, positions, pre_vals + post_vals, n)
-
-    def arcs(keys: list[int], payloads: list[object], held: dict) -> dict[int, object]:
-        if fill != default:
-            # every unlisted cell holds fill and is off the default
-            everywhere = list(map(held.get, range(n), repeat(fill)))
-            return _off_default(range(n), everywhere, default)
-        return _off_default(keys, payloads, default)
-
-    pre_arcs, post_arcs = arcs(pre_keys, pre_vals, pre), arcs(post_keys, post_vals, post)
-    return PetriNet(lin, places, transitions, default, pre_arcs, post_arcs)
-
-
-def _modal_of_cells(
-    fill: object, positions: Iterable[int], payloads: list[object], n: int
-) -> object:
-    """The modal payload of relations of n cells each that hold fill except
-    at the listed cells, positions ascending (post's shifted by n) in step
-    with payloads; ties go to the payload whose first cell comes first."""
-    counts = Counter(map(id, payloads))
-    # id -> payload, in the order of each object's first cell
-    objects = dict(zip(map(id, payloads), payloads))
-    uncovered = 2 * n - len(payloads)
-    if uncovered:
-        # the cells before the first unlisted one, which holds fill, are all listed
-        gap = next(compress(count(), map(ne, positions, count())), len(payloads))
-        head = dict(zip(map(id, payloads[:gap]), payloads[:gap]))
-        head.setdefault(id(fill), fill)
-        objects = {**head, **objects}
-        counts[id(fill)] += uncovered
-    by_value: dict[object, int] = {}
-    for i, v in objects.items():
-        by_value[v] = by_value.get(v, 0) + counts[i]
-    # max is stable, so ties go to the first payload met
-    return max(by_value, key=by_value.__getitem__)
+        payloads = pre_vals + post_vals
+        ids = Counter(map(id, payloads))
+        ids[id(fill)] += 2 * n - len(payloads)
+        # counted once per distinct payload object, fill first
+        counts: dict[object, int] = {}
+        for v in {id(fill): fill, **dict(zip(map(id, payloads), payloads))}.values():
+            counts[v] = counts.get(v, 0) + ids[id(v)]
+        # the cells before the first unlisted one, which holds fill, are all
+        # listed, so for a tie the cells read as these payloads in order
+        positions = map(ne, chain(pre_keys, map(n.__add__, post_keys)), count())
+        gap = next(compress(count(), positions), len(payloads))
+        default = _modal(counts, chain(islice(payloads, gap), [fill], islice(payloads, gap, None)))
+    if fill != default:  # every unlisted cell holds fill and is off the default
+        arcs = [_rebased(held, n, fill, default) for held in (pre, post)]
+    else:
+        arcs = map(_off_default, (pre_keys, post_keys), (pre_vals, post_vals), repeat(default))
+    return PetriNet(lin, places, transitions, default, *arcs)
 
 
 def net_from_arcs(
@@ -259,9 +259,8 @@ def check_net_morphism(
 def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
     """The stored form of a tensor or hom from the connective's dialset
     carriers and cell builder, run on the pre and on the post relations.
-    Every op-table entry fills equally many cells, so the modal payload is
-    the most frequent value over the entries; a tie goes to the tied value
-    met first in the cells, pre then post.
+    Every op-table entry fills equally many cells, so the entries count
+    the payloads for _modal.
     """
     _same_lineale(a, b)
     places, transitions = carriers(a, b)
@@ -273,23 +272,21 @@ def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
         return [cells[k * n_t : k * n_t + n_t] for k in range(net.pos.size)]
 
     shapes = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    tables, cells = zip(*[
+    tables, cells = map(list, zip(*[
         build(a.lin, rows(a, a_arcs), rows(b, b_arcs), *shapes)
         for a_arcs, b_arcs in ((a.pre_arcs, b.pre_arcs), (a.post_arcs, b.post_arcs))
-    ])
+    ]))
 
     def entries(table):
         return chain.from_iterable(chain.from_iterable(table))
 
+    def in_order():  # read only on a tie; the cells it reads are kept for the arcs
+        cells[:] = [list(c) for c in cells]
+        yield from chain(*cells)
+
     counts = Counter(chain(*map(entries, tables)))
-    top = max(counts.values(), default=0)
     # with no entries, which is exactly when there are no cells, it is the unit
-    tied = {v for v, c in counts.items() if c == top} or {a.lin.unit_payload}
-    if len(tied) > 1:
-        cells = [list(c) for c in cells]
-        default = next(filter(tied.__contains__, chain(*cells)))
-    else:
-        default = tied.pop()
+    default = _modal(counts, in_order()) if counts else a.lin.unit_payload
 
     def arcs(table, cells) -> dict[int, object]:
         # the comparison with the default runs once per distinct payload object
@@ -320,8 +317,8 @@ def _block_net(
 
     def cells(a_arcs: dict[int, object], b_arcs: dict[int, object]) -> dict[int, object]:
         if b.default != a.default:
-            # b's unlisted cells do not hold a's default, so list them all
-            b_arcs = dict(zip(range(n_b), map(b_arcs.get, range(n_b), repeat(b.default))))
+            # b's unlisted cells do not hold a's default, so list b's cells off it
+            b_arcs = _rebased(b_arcs, n_b, b.default, a.default)
         out: dict[int, object] = {}
         for net, arcs, (first, step, copies) in ((a, a_arcs, a_at), (b, b_arcs, b_at)):
             for k, w in arcs.items():

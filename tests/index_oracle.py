@@ -10,6 +10,11 @@ these loops.
 from dialnet.finset import hom_shape, tensor_shape
 
 
+def pair_index(i: int, j: int, b_size: int) -> int:
+    """Index of the pair (i, j) in A x B, row-major, with |B| = b_size."""
+    return i * b_size + j
+
+
 def fn_index(table: tuple[int, ...], base_size: int) -> int:
     """Index of a table in base^|table|, read as a numeral with table[0] high."""
     k = 0

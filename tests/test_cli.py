@@ -108,6 +108,35 @@ def test_validate_value_outside_carrier(tmp_path):
     assert code == 3
 
 
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "tag, unit, text",
+    [
+        ("nat", "0", LONG),
+        ("int", "0", "-" + LONG),
+        ("prob", "1", LONG + "/1"),
+        ("prob", "1", "1/" + LONG),
+        ("prod(prob,int)", "(1,0)", f"(1/2,{LONG})"),
+    ],
+)
+@pytest.mark.parametrize("where", ["default_weight", "pre[0]"])
+def test_validate_names_an_over_long_integer_without_echoing_it(tmp_path, tag, unit, text, where):
+    obj = {
+        "format_version": "1", "lineale": tag, "places": ["p"], "transitions": ["t"],
+        "default_weight": text if where == "default_weight" else unit,
+        "pre": [["p", "t", text if where == "pre[0]" else unit]], "post": [],
+    }
+    p = tmp_path / "long.net"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run("validate", str(p))
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}: ") and len(err) < 200
+    assert f"{len(LONG)} digits" in err and str(sys.get_int_max_str_digits()) in err
+    assert "9999" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-morphism
 # ---------------------------------------------------------------------------

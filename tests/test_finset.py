@@ -23,7 +23,6 @@ from dialnet.finset import (
     identity,
     inl,
     inr,
-    pair_index,
     pairing,
     product_fn,
     product_set,
@@ -32,7 +31,7 @@ from dialnet.finset import (
     swap,
     tensor_shape,
 )
-from index_oracle import fn_from_index, fn_index, fn_pair_from_index, fn_pair_index
+from index_oracle import fn_from_index, fn_index, fn_pair_from_index, fn_pair_index, pair_index
 
 
 def test_finset_equality_ignores_labels():
@@ -127,6 +126,35 @@ def test_product_fn_acts_componentwise():
     h = product_fn(f, g)
     for i, j in itertools.product(range(2), range(2)):
         assert h.table[pair_index(i, j, 2)] == pair_index(f.table[i], g.table[j], 3)
+
+
+def test_product_maps_match_the_per_element_formulas():
+    for m, n in itertools.product(range(4), repeat=2):
+        a, b = FinSet(m), FinSet(n)
+        cells = range(m * n)
+        assert proj1(a, b).table == tuple(k // n for k in cells)
+        assert proj2(a, b).table == tuple(k % n for k in cells)
+        assert swap(a, b).table == tuple(pair_index(k % n, k // n, m) for k in cells)
+
+
+def small_tables():
+    """Every table between sets of size at most 2, empty sets included."""
+    for d, c in itertools.product(range(3), repeat=2):
+        for t in itertools.product(range(c), repeat=d):
+            yield FnTable(FinSet(d), FinSet(c), t)
+
+
+def test_product_fn_and_pairing_match_pair_index():
+    tables = list(small_tables())
+    for f, g in itertools.product(tables, repeat=2):
+        n = g.cod.size
+        h = product_fn(f, g)
+        assert (h.dom.size, h.cod.size) == (f.dom.size * g.dom.size, f.cod.size * n)
+        assert h.table == tuple(pair_index(x, y, n) for x in f.table for y in g.table)
+        if f.dom.size == g.dom.size:
+            p = pairing(f, g)
+            assert (p.dom.size, p.cod.size) == (f.dom.size, f.cod.size * n)
+            assert p.table == tuple(pair_index(x, y, n) for x, y in zip(f.table, g.table))
 
 
 # ---------------------------------------------------------------------------

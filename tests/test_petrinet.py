@@ -827,6 +827,55 @@ def test_tensor_and_hom_of_default_only_and_empty_nets():
         assert (net.default, net.pre_arcs, net.post_arcs) == (default, {}, {})
 
 
+def _guard_cells(monkeypatch):
+    """Patch the cell builders of net_tensor and net_hom so that the cell
+    iterators they return raise when read while reads["allowed"] is False."""
+    reads = {"allowed": False}
+
+    def guard(build):
+        def guarded(*args):
+            table, cells = build(*args)
+
+            def read():
+                if not reads["allowed"]:
+                    raise AssertionError("read a relation's cells")
+                yield from cells
+
+            return table, read()
+
+        return guarded
+
+    for name in ("_tensor_cells", "_hom_cells"):
+        monkeypatch.setattr(dialnet.petrinet, name, guard(getattr(dialnet.petrinet, name)))
+    return reads
+
+
+def test_tensor_and_hom_read_cells_only_on_a_tie_or_for_arcs(monkeypatch):
+    from dialnet import hom_obj
+
+    reads = _guard_cells(monkeypatch)
+    ops = ((net_tensor, tensor_obj), (net_hom, hom_obj))
+    # arc-free inputs give one value per op table: the default, with no arcs
+    arc_free = [
+        (_doc_net("nat", ("p0", "p1"), ("t0", "t1", "t2"), "2"), _doc_net("nat", ("q0",), ("s0", "s1"), "3")),
+        (_doc_net("prob", ("p0",), ("t0", "t1"), "1/2"), _doc_net("prob", ("q0", "q1"), ("s0",), "1/3")),
+        (_doc_net("kleene3", ("p0", "p1"), ("t0",), "0"), _doc_net("kleene3", ("q0",), ("s0", "s1"), "1")),
+    ]
+    for a, b in arc_free:
+        for net_op, dense_op in ops:
+            _assert_equals_dense_route(net_op, dense_op, a, b)
+            _assert_equals_dense_route(net_op, dense_op, b, a)
+    # a tie reads the cells: pre holds 0 + 0, post 1 + 0
+    one = _doc_net("nat", ("p",), ("t",), "0", post=(("p", "t", "1"),))
+    zero = _doc_net("nat", ("q",), ("s",), "0")
+    with pytest.raises(AssertionError, match="read a relation's cells"):
+        net_tensor(one, zero)
+    reads["allowed"] = True
+    for net_op, dense_op in ops:
+        _assert_equals_dense_route(net_op, dense_op, one, zero)
+        _assert_equals_dense_route(net_op, dense_op, zero, one)
+
+
 def test_combine_builds_no_dialobject(tmp_path, monkeypatch):
     from dialnet import example_path
     from dialnet.cli import main
