@@ -204,6 +204,15 @@ def format_payload(p: Any) -> str:
 # --------------------------------------------------------------------------
 
 
+def _echo(text: str, limit: int = 60) -> str:
+    """repr(text) for an error message; a text over limit characters shows
+    as the repr of a head that fits in limit characters, and its length."""
+    head = text[:limit]
+    while len(text) > limit and len(repr(head)) > limit + 2:  # an escape takes several
+        head = head[:-1]
+    return repr(text) if head == text else f"{head!r}… ({len(text)} characters)"
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text, 10)
@@ -211,7 +220,7 @@ def _parse_int(text: str) -> int:
         if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int's syntax, so only too long
             digits, limit = sum(map(str.isdecimal, text)), sys.get_int_max_str_digits()
             raise ValueSyntaxError(f"integer of {digits} digits, over the limit of {limit}") from None
-        raise ValueSyntaxError(f"not an integer: {text!r}") from None
+        raise ValueSyntaxError(f"not an integer: {_echo(text)}") from None
 
 
 def _bool2() -> Lineale:
@@ -224,7 +233,7 @@ def _bool2() -> Lineale:
             return True
         if text == "false":
             return False
-        raise ValueSyntaxError(f"not a bool2 value: {text!r}")
+        raise ValueSyntaxError(f"not a bool2 value: {_echo(text)}")
 
     return Lineale(
         tag="bool2",
@@ -306,7 +315,7 @@ def _prob() -> Lineale:
             num_s, _, den_s = text.partition("/")
             num, den = _parse_int(num_s), _parse_int(den_s)
             if den == 0:
-                raise ValueSyntaxError(f"zero denominator in {text!r}")
+                raise ValueSyntaxError(f"zero denominator in {_echo(text)}")
             return Fraction(num, den)
         return Fraction(_parse_int(text))
 
@@ -387,11 +396,11 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
 
     def parse(text):
         if not (text.startswith("(") and text.endswith(")")):
-            raise ValueSyntaxError(f"not a pair value: {text!r}")
+            raise ValueSyntaxError(f"not a pair value: {_echo(text)}")
         body = text[1:-1]
         split = _top_level_comma(body)
         if split < 0:
-            raise ValueSyntaxError(f"missing top-level comma in pair: {text!r}")
+            raise ValueSyntaxError(f"missing top-level comma in pair: {_echo(text)}")
         return (
             first._parse_payload(body[:split]),
             second._parse_payload(body[split + 1 :]),

@@ -38,13 +38,17 @@ serialize_net writes a net and serialize_net_document a document through
 one layout, so a parsed canonical file is reproduced byte for byte.
 
 Reading and writing cost time in the labels and arcs, not in the cells.
-A document becomes a net in its stored form (see petrinet) without a
-dense matrix, and each distinct weight text is parsed once.  A net is
-written straight from its arc maps: each label and each distinct payload
-object is encoded once and the arcs are joined in C; only an explicit
-default other than the net's own visits every cell.  save_net refuses
-what it could not read back: a text over MAX_DOCUMENT_BYTES
-(CapExceeded) and a lone-surrogate label (DocumentSyntaxError).
+A file goes from the loaded JSON to the net's stored form (see petrinet)
+in one checked pass: every field's syntax is checked in place, then each
+relation's arcs are looked up, keyed and counted in C passes, each
+distinct weight text is parsed once, and the relation's list is dropped
+once it is built.  Only when a pass fails does a per-arc loop run, in
+the order of the checks, to name the first defect.  A net is written
+straight from its arc maps: each label and each distinct payload object
+is encoded once and the arcs are joined in C; only an explicit default
+other than the net's own visits every cell.  save_net refuses what it
+could not read back: a text over MAX_DOCUMENT_BYTES (CapExceeded) and a
+lone-surrogate label (DocumentSyntaxError).
 """
 
 from __future__ import annotations
@@ -52,20 +56,16 @@ from __future__ import annotations
 import json
 import os
 import stat
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from operator import floordiv, mod
+from operator import add, floordiv, itemgetter, mod, mul
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import (
-    CapExceeded,
-    DialnetError,
-    DocumentSemanticError,
-    DocumentSyntaxError,
-    ShapeMismatch,
-)
+from .errors import CapExceeded, DialnetError, DocumentSemanticError, DocumentSyntaxError
+from .errors import ShapeMismatch
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
@@ -96,20 +96,12 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 # 32 MiB: eight times a combined net at the size cap (about 4 MB), while
-# validating a document at the bound (660k arcs) peaks near 300 MiB
+# validating a document at the bound (660k arcs) peaks near 200 MiB
 MAX_DOCUMENT_BYTES = 32 * 2**20
 
 EXAMPLE_NAMES = ("water", "sir", "circadian", "inhibitor", "catalysis")
 
-_NET_KEYS = (
-    "format_version",
-    "lineale",
-    "default_weight",
-    "places",
-    "transitions",
-    "pre",
-    "post",
-)
+_NET_KEYS = ("format_version", "lineale", "default_weight", "places", "transitions", "pre", "post")
 _MOR_KEYS = ("format_version", "source", "target", "f", "F")
 
 
@@ -145,7 +137,7 @@ def _expect_str(value, where: str) -> str:
     return value
 
 
-def _expect_label_list(value, where: str) -> tuple[str, ...]:
+def _expect_label_list(value, where: str) -> None:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"{where} must be a list of strings")
     # the common case is checked in C; the loop names the first bad item
@@ -155,7 +147,6 @@ def _expect_label_list(value, where: str) -> tuple[str, ...]:
                 raise DocumentSyntaxError(f"{where}[{i}] must be a string")
             if not _has_utf8(item):
                 raise DocumentSyntaxError(f"{where}[{i}] holds a lone surrogate")
-    return tuple(value)
 
 
 def _has_utf8(text: str) -> bool:
@@ -164,7 +155,7 @@ def _has_utf8(text: str) -> bool:
     return text.encode("utf-8", "ignore").decode("utf-8") == text
 
 
-def _expect_triples(value, where: str) -> tuple[tuple[str, str, str], ...]:
+def _expect_triples(value, where: str) -> None:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"{where} must be a list of triples")
     # the common case is checked in C; the loop names the first bad item
@@ -180,7 +171,6 @@ def _expect_triples(value, where: str) -> tuple[tuple[str, str, str], ...]:
                 )
             if not all(isinstance(x, str) for x in item):
                 raise DocumentSyntaxError(f"{where}[{i}] must be a string")
-    return tuple(map(tuple, value))
 
 
 def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
@@ -198,18 +188,22 @@ def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
         )
 
 
-def _net_document_from_json(obj, what: str = "net document") -> NetDocument:
+def _net_fields(obj, what: str = "net document") -> dict:
+    """obj itself, once every field has the syntax of a net document."""
     if not isinstance(obj, dict):
         raise DocumentSyntaxError(f"{what} must be a JSON object")
     _check_keys(obj, _NET_KEYS, what)
-    return NetDocument(
-        lineale=_expect_str(obj["lineale"], "lineale"),
-        default_weight=_expect_str(obj["default_weight"], "default_weight"),
-        places=_expect_label_list(obj["places"], "places"),
-        transitions=_expect_label_list(obj["transitions"], "transitions"),
-        pre=_expect_triples(obj["pre"], "pre"),
-        post=_expect_triples(obj["post"], "post"),
-    )
+    checks = (_expect_str,) * 2 + (_expect_label_list,) * 2 + (_expect_triples,) * 2
+    for key, check in zip(_NET_KEYS[1:], checks):
+        check(obj[key], key)
+    return obj
+
+
+def _net_document_from_json(obj, what: str = "net document") -> NetDocument:
+    f = _net_fields(obj, what)
+    labels = (tuple(f[k]) for k in ("places", "transitions"))
+    arcs = (tuple(map(tuple, f[k])) for k in ("pre", "post"))
+    return NetDocument(f["lineale"], f["default_weight"], *labels, *arcs)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -280,25 +274,18 @@ def serialize_net_document(doc: NetDocument) -> str:
     return _layout(doc.lineale, doc.default_weight, doc.places, doc.transitions, pre, post)
 
 
-def _parse_weight(lin, text: str, where) -> object:
-    """The payload a weight text denotes; ``where()`` names the text in the error."""
+def _parse_weight(lin, text: str, where: str) -> object:
+    """The payload a weight text denotes; where names the text in the error."""
     try:
         return lin.parse(text).payload
     except DialnetError as e:
-        raise DocumentSemanticError(f"{where()}: {e}") from None
+        raise DocumentSemanticError(f"{where}: {e}") from None
 
 
-def document_to_net(doc: NetDocument) -> PetriNet:
-    """Validate a document and build the net it denotes.
-
-    Each distinct weight text is parsed once, so equal texts share one
-    payload object.
-    """
-    try:
-        lin = get_lineale(doc.lineale)
-    except DialnetError as e:
-        raise DocumentSemanticError(str(e)) from None
-    for kind, labels in (("place", doc.places), ("transition", doc.transitions)):
+def _label_index(labels, kind: str) -> dict[str, int]:
+    """label -> position, for labels that are all distinct and nonempty."""
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) < len(labels) or "" in index:
         seen = set()
         for lbl in labels:
             if not lbl:
@@ -306,44 +293,71 @@ def document_to_net(doc: NetDocument) -> PetriNet:
             if lbl in seen:
                 raise DocumentSemanticError(f"duplicate {kind} label {lbl!r}")
             seen.add(lbl)
-    default = _parse_weight(lin, doc.default_weight, lambda: "default_weight")
-    payloads = {doc.default_weight: default}
-    places = FinSet(len(doc.places), doc.places)
-    transitions = FinSet(len(doc.transitions), doc.transitions)
-    place_index = dict(zip(doc.places, range(places.size)))
-    transition_index = dict(zip(doc.transitions, range(transitions.size)))
-    n_t = transitions.size
+    return index
 
-    def cells(triples, part: str) -> dict[int, object]:
-        out = {}
+
+def _cells(lin, triples, part: str, places: dict, transitions: dict, payloads: dict, listed: dict):
+    """The cells that a relation's checked triples list, as index -> payload.
+    payloads maps each weight text met so far to its one payload object, and
+    listed counts the listed cells by payload value."""
+    column = lambda i: map(itemgetter(i), triples)
+    texts = Counter(column(2))
+    try:
+        for text in texts.keys() - payloads.keys():
+            payloads[text] = lin.parse(text).payload
+        rows = map(mul, map(places.__getitem__, column(0)), repeat(len(transitions)))
+        keys = map(add, rows, map(transitions.__getitem__, column(1)))
+        cells = dict(zip(keys, map(payloads.__getitem__, column(2))))
+    except (KeyError, DialnetError):
+        cells = {}
+    if len(cells) < len(triples):  # the loop names the first defective arc
+        seen = set()
         for i, (p, t, v) in enumerate(triples):
-            u = place_index.get(p)
-            if u is None:
+            if p not in places:
                 raise DocumentSemanticError(f"{part}[{i}]: unknown place label {p!r}")
-            x = transition_index.get(t)
-            if x is None:
-                raise DocumentSemanticError(
-                    f"{part}[{i}]: unknown transition label {t!r}"
-                )
-            k = u * n_t + x
-            if k in out:
-                raise DocumentSemanticError(
-                    f"{part}[{i}]: duplicate arc for ({p!r}, {t!r})"
-                )
-            w = payloads.get(v)
-            if w is None:
-                w = payloads[v] = _parse_weight(lin, v, lambda: f"{part}[{i}]")
-            out[k] = w
-        return out
+            if t not in transitions:
+                raise DocumentSemanticError(f"{part}[{i}]: unknown transition label {t!r}")
+            if (p, t) in seen:
+                raise DocumentSemanticError(f"{part}[{i}]: duplicate arc for ({p!r}, {t!r})")
+            seen.add((p, t))
+            if v not in payloads:
+                _parse_weight(lin, v, f"{part}[{i}]")
+    for text, k in texts.items():  # texts of equal values merge
+        listed[payloads[text]] = listed.get(payloads[text], 0) + k
+    return cells
 
-    return _net_from_cells(
-        lin,
-        places,
-        transitions,
-        default,
-        cells(doc.pre, "pre"),
-        cells(doc.post, "post"),
-    )
+
+def _net_from_fields(fields: dict) -> PetriNet:
+    """The net that a document's checked fields denote.  Once its relation
+    is built, each relation's list in fields is replaced by its arc count,
+    so that the list can be freed."""
+    try:
+        lin = get_lineale(fields["lineale"])
+    except DialnetError as e:
+        raise DocumentSemanticError(str(e)) from None
+    places, transitions = fields["places"], fields["transitions"]
+    index = _label_index(places, "place"), _label_index(transitions, "transition")
+    default = _parse_weight(lin, fields["default_weight"], "default_weight")
+    payloads, cells, listed = {fields["default_weight"]: default}, [], {}
+    for part in ("pre", "post"):
+        triples = fields[part]
+        cells.append(_cells(lin, triples, part, *index, payloads, listed))
+        fields[part] = len(triples)
+    del triples  # post's list, before the net is built
+    places, transitions = (FinSet(len(s), tuple(s)) for s in (places, transitions))
+    return _net_from_cells(lin, places, transitions, default, *cells, listed)
+
+
+def document_to_net(doc: NetDocument) -> PetriNet:
+    """Validate a document and build the net it denotes."""
+    return _net_from_fields(dict(vars(doc)))
+
+
+def _read_net(path: Union[str, Path]) -> tuple[PetriNet, dict]:
+    """The net a file holds, and the file's checked fields, with each
+    relation's list replaced by its arc count."""
+    fields = _net_fields(_load_json(read_text(path)))
+    return _net_from_fields(fields), fields
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:
@@ -445,7 +459,7 @@ def example_default(name: str) -> LinealeValue:
 
 
 def load_net(path: Union[str, Path]) -> PetriNet:
-    return document_to_net(parse_net_document(read_text(path)))
+    return _read_net(path)[0]
 
 
 def build_example(name: str) -> PetriNet:
@@ -477,10 +491,12 @@ def save_net(
 def _expect_label_map(value, where: str) -> tuple[tuple[str, str], ...]:
     if not isinstance(value, dict):
         raise DocumentSyntaxError(f"{where} must be an object of label pairs")
-    out = []
-    for k, v in value.items():
-        out.append((_expect_str(k, f"{where} key"), _expect_str(v, f"{where}[{k!r}]")))
-    return tuple(out)
+    # the common case is checked in C; the loop names the first bad item
+    if not set(map(type, chain(value, value.values()))) <= {str}:
+        for k, v in value.items():
+            _expect_str(k, f"{where} key")
+            _expect_str(v, f"{where}[{k!r}]")
+    return tuple(value.items())
 
 
 def parse_morphism_document(text: str) -> MorphismDocument:
@@ -505,10 +521,7 @@ def parse_morphism_document(text: str) -> MorphismDocument:
 def _resolve_end(end: Union[str, NetDocument], base_dir: Path) -> PetriNet:
     if isinstance(end, NetDocument):
         return document_to_net(end)
-    path = Path(end)
-    if not path.is_absolute():
-        path = base_dir / path
-    return load_net(path)
+    return load_net(base_dir / end)  # an absolute end replaces base_dir
 
 
 def resolve_morphism_document(
@@ -524,29 +537,29 @@ def resolve_morphism_document(
     target = _resolve_end(mdoc.target, base)
 
     def to_table(pairs, dom, cod, name: str, dom_kind: str, cod_kind: str) -> FnTable:
+        mapping, index = dict(pairs), dict(zip(cod.labels, range(cod.size)))
+        try:  # the common case runs in C; the loop below names the first defect
+            if len(mapping) == len(pairs):
+                table = tuple(map(index.__getitem__, map(mapping.pop, dom.labels)))
+                if not mapping:
+                    return FnTable(dom, cod, table)
+        except KeyError:
+            pass
         mapping = {}
         for k, v in pairs:
             if k in mapping:
                 raise DocumentSemanticError(f"{name}: duplicate entry for {k!r}")
             mapping[k] = v
-        table = []
-        for i in range(dom.size):
-            lbl = dom.label(i)
+        for lbl in dom.labels:
             if lbl not in mapping:
-                raise DocumentSemanticError(
-                    f"{name}: no entry for {dom_kind} {lbl!r}"
-                )
+                raise DocumentSemanticError(f"{name}: no entry for {dom_kind} {lbl!r}")
             img = mapping.pop(lbl)
-            try:
-                table.append(cod.index_of(img))
-            except DialnetError:
+            if img not in index:
                 raise DocumentSemanticError(
                     f"{name}: unknown {cod_kind} {img!r} (image of {lbl!r})"
-                ) from None
-        if mapping:
-            stray = ", ".join(repr(k) for k in mapping)
-            raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}")
-        return FnTable(dom, cod, tuple(table))
+                )
+        stray = ", ".join(repr(k) for k in mapping)
+        raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}")
 
     fwd = to_table(
         mdoc.place_map, source.places, target.places, "f", "source place", "target place"

@@ -20,20 +20,22 @@ met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
 _modal is the one place that picks the default, and _rebased the one
 place that re-lists a relation against another default.  Two builders
-work the stored form out, comparing with the default once per distinct
-payload object: _net_from_cells from a fill payload and the cells listed
-off it, _pointwise_net from the op tables and cells of the tensor or hom
-cell builder that dialset's tensor_obj and hom_obj share.
+work the stored form out from counts of the distinct payloads:
+_net_from_cells from a fill payload and the cells listed off it, which
+become the arcs as they are when they run in index order and hold no
+default, _pointwise_net from the op tables and cells of the tensor or
+hom cell builder that dialset's tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
 in all of b's cells when its default differs from a's).  tensor and hom
 count the default over their op tables, one payload per pair of input
 cells, and pick the arcs out of a relation's cells in one C pass,
-unless nothing in the relation is off the default.  Before it
-builds anything, each connective refuses a product or exponential
-carrier over DEFAULT_CAP elements and a result relation over MAX_CELLS
-cells, so arc-free inputs cannot make it walk millions of cells.
+unless nothing in the relation is off the default; when neither input
+has an arc, every cell holds one payload and no table is built.
+Before it builds anything, each connective refuses a product or
+exponential carrier over DEFAULT_CAP elements and a result relation
+over MAX_CELLS cells.
 
 Checking a net morphism costs time in the carrier sizes plus the arcs
 and their preimages, not in the cells: check_net_morphism compares one
@@ -48,8 +50,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import is_not, ne
-from typing import Iterable, Mapping, NamedTuple
+from operator import is_not, lt, ne
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
 from .dialset import check_shapes
@@ -101,29 +103,22 @@ class PetriNet:
         """The transitions: the negative carrier of both relations."""
         return self.transitions
 
-def _off_default(
-    keys: Iterable[int], payloads: list[object], default: object
-) -> dict[int, object]:
-    """The cells whose payload is not equal to default, as key -> payload;
-    keys run in step with payloads.
+def _rebased(arcs: dict[int, object], n: int, held: object, default: object) -> dict[int, object]:
+    """The cells off default, in index order, of a relation of n cells that
+    holds held except at the cells listed in arcs.
 
     The cells that are the default object itself are set aside by an
     identity test, the comparison runs once per other distinct payload
     object, and the selection of cells by object id runs in C.
     """
+    payloads = list(map(arcs.get, range(n), repeat(held)))
     rest = list(map(is_not, payloads, repeat(default)))
-    keys, payloads = compress(keys, rest), list(compress(payloads, rest))
+    keys, payloads = compress(range(n), rest), list(compress(payloads, rest))
     objects = dict(zip(map(id, payloads), payloads))
     off = {i for i, v in objects.items() if v != default}
     if len(off) == len(objects):
         return dict(zip(keys, payloads))
     return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
-
-
-def _rebased(arcs: dict[int, object], n: int, held: object, default: object) -> dict[int, object]:
-    """The cells off default, in index order, of a relation of n cells that
-    holds held except at the cells listed in arcs."""
-    return _off_default(range(n), list(map(arcs.get, range(n), repeat(held))), default)
 
 
 def _modal(counts: Mapping[object, int], cells: Iterable[object]) -> object:
@@ -144,33 +139,43 @@ def _net_from_cells(
     fill: object,
     pre: dict[int, object],
     post: dict[int, object],
+    listed: Optional[dict[object, int]] = None,
 ) -> PetriNet:
     """The net whose relations hold fill except at the cells listed in pre
     and post (index -> payload maps in any order; a listed cell may equal
-    fill)."""
+    fill).  listed counts those cells by payload value; without it, they
+    are counted here once per distinct payload object.  A map that lists
+    its cells in index order, none equal to the default, becomes the
+    relation's arcs as it is, so the caller hands it over."""
     n = places.size * transitions.size
-    pre_keys, post_keys = sorted(pre), sorted(post)
-    pre_vals = list(map(pre.__getitem__, pre_keys))
-    post_vals = list(map(post.__getitem__, post_keys))
+    if listed is None:
+        values = list(chain(pre.values(), post.values()))
+        ids, listed = Counter(map(id, values)), {}
+        for v in dict(zip(map(id, values), values)).values():
+            listed[v] = listed.get(v, 0) + ids[id(v)]
     default = lin.unit_payload
     if n:
-        payloads = pre_vals + post_vals
-        ids = Counter(map(id, payloads))
-        ids[id(fill)] += 2 * n - len(payloads)
-        # counted once per distinct payload object, fill first
-        counts: dict[object, int] = {}
-        for v in {id(fill): fill, **dict(zip(map(id, payloads), payloads))}.values():
-            counts[v] = counts.get(v, 0) + ids[id(v)]
-        # the cells before the first unlisted one, which holds fill, are all
-        # listed, so for a tie the cells read as these payloads in order
-        positions = map(ne, chain(pre_keys, map(n.__add__, post_keys)), count())
-        gap = next(compress(count(), positions), len(payloads))
-        default = _modal(counts, chain(islice(payloads, gap), [fill], islice(payloads, gap, None)))
+        counts = {fill: 2 * n - len(pre) - len(post)}
+        for v, k in listed.items():
+            counts[v] = counts.get(v, 0) + k
+
+        def in_order():  # read only on a tie, which needs n <= len(pre) + len(post)
+            for cells in (pre, post):
+                yield from map(cells.get, range(n), repeat(fill))
+
+        default = _modal(counts, in_order())
     if fill != default:  # every unlisted cell holds fill and is off the default
-        arcs = [_rebased(held, n, fill, default) for held in (pre, post)]
-    else:
-        arcs = map(_off_default, (pre_keys, post_keys), (pre_vals, post_vals), repeat(default))
-    return PetriNet(lin, places, transitions, default, *arcs)
+        arcs = (_rebased(cells, n, fill, default) for cells in (pre, post))
+        return PetriNet(lin, places, transitions, default, *arcs)
+
+    def arcs(cells: dict[int, object]) -> dict[int, object]:
+        if not all(map(lt, cells, islice(cells, 1, None))):
+            cells = dict(sorted(cells.items()))
+        if default in listed:
+            cells = dict(compress(cells.items(), map(ne, cells.values(), repeat(default))))
+        return cells
+
+    return PetriNet(lin, places, transitions, default, arcs(pre), arcs(post))
 
 
 def net_from_arcs(
@@ -265,6 +270,11 @@ def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
     _same_lineale(a, b)
     places, transitions = carriers(a, b)
     _guard(places.size * transitions.size, "net relation", MAX_CELLS, "cells")
+    arc_free = not (a.pre_arcs or a.post_arcs or b.pre_arcs or b.post_arcs)
+    if arc_free and places.size * transitions.size:
+        # every cell holds op(a.default, b.default): the op table of one-cell inputs
+        table, _ = build(a.lin, [[a.default]], [[b.default]], (1, 1), (1, 1))
+        return PetriNet(a.lin, places, transitions, table[0][0][0], {}, {})
 
     def rows(net: PetriNet, arcs: dict[int, object]) -> list[list[object]]:
         n_t = net.neg.size

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -135,6 +136,33 @@ def test_validate_names_an_over_long_integer_without_echoing_it(tmp_path, tag, u
     assert err.count("\n") == 1 and err.startswith(f"error: {where}: ") and len(err) < 200
     assert f"{len(LONG)} digits" in err and str(sys.get_int_max_str_digits()) in err
     assert "9999" not in err
+
+
+@pytest.mark.parametrize(
+    "tag, unit, text, message",
+    [
+        ("nat", "0", "9" * 4400 + "x", "not an integer"),
+        ("bool2", "true", "x" * 4400, "not a bool2 value"),
+        ("bool2", "true", "\x00" * 4400, "not a bool2 value"),
+        ("prob", "1", "1/" + "0" * 4000, "zero denominator in"),
+        ("prod(prob,int)", "(1,0)", "1" * 4400, "not a pair value"),
+        ("prod(prob,int)", "(1,0)", "(" + "1" * 4400 + ")", "missing top-level comma in pair"),
+    ],
+    ids=["integer", "bool2", "bool2-escapes", "zero-denominator", "pair", "pair-comma"],
+)
+@pytest.mark.parametrize("where", ["default_weight", "pre[0]"])
+def test_validate_bounds_the_echo_of_a_long_weight_text(tmp_path, tag, unit, text, message, where):
+    obj = {
+        "format_version": "1", "lineale": tag, "places": ["p"], "transitions": ["t"],
+        "default_weight": text if where == "default_weight" else unit,
+        "pre": [["p", "t", text if where == "pre[0]" else unit]], "post": [],
+    }
+    p = tmp_path / "long.net"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    code, _, err = run("validate", str(p))
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}: {message}") and len(err) < 200
+    assert err.endswith(f"… ({len(text)} characters)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +422,30 @@ def test_combine_over_the_cell_budget_is_refused_before_building(tmp_path, op, a
     assert not out_path.exists()
 
 
+def run_child(*argv):
+    """One command in a child process: (process, peak RSS in KiB, seconds
+    main took).  The child reads VmHWM, not ru_maxrss: Linux carries the
+    parent's high-water mark over exec into ru_maxrss, VmHWM is the new
+    image's own."""
+    code = (
+        "import sys, time; from dialnet.cli import main; t = time.perf_counter(); "
+        "rc = main(sys.argv[1:]); t = time.perf_counter() - t; "
+        "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')); "
+        "print(hwm.split()[1], t, file=sys.stderr); sys.exit(rc)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    hwm, seconds = proc.stderr.split()
+    return proc, int(hwm), float(seconds)
+
+
 def test_combine_at_the_cell_budget_stays_small(tmp_path):
-    # label-only nets whose tensor and hom have exactly MAX_CELLS cells; each
-    # command runs in a child process that prints its own peak RSS (KiB), and
-    # a dense result or a list per input cell would take hundreds of MiB.
-    # The child reads VmHWM, not ru_maxrss: Linux carries the parent's
-    # high-water mark over exec into ru_maxrss, VmHWM is the new image's own
+    # label-only nets whose tensor and hom have exactly MAX_CELLS cells: a
+    # dense result or a list per input cell would take hundreds of MiB, and
+    # an op table over every cell about a second
     paths = {}
     for side, (n_p, n_t), default in (("big", (256, 4096), "0"), ("one", (1, 1), "1")):
         doc = {
@@ -409,24 +455,46 @@ def test_combine_at_the_cell_budget_stays_small(tmp_path):
         }
         paths[side] = tmp_path / f"{side}.net"
         paths[side].write_text(json.dumps(doc))
-    code = (
-        "import sys; from dialnet.cli import main; rc = main(sys.argv[1:]); "
-        "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')); "
-        "print(hwm.split()[1], file=sys.stderr); sys.exit(rc)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1]))
     # over nat, tensor is + and 1 implies 0 is max(0 - 1, 0)
     for op, a, b, default in (("tensor", "big", "one", 1), ("hom", "one", "big", 0)):
         out_path = tmp_path / f"{op}.net"
         argv = ["combine", "--op", op, str(paths[a]), str(paths[b]), "--out", str(out_path)]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
+        _, hwm, seconds = run_child(*argv)
         net = load_net(out_path)
         assert net.places.size * net.transitions.size == dialnet.finset.MAX_CELLS
         assert (net.default, net.pre_arcs, net.post_arcs) == (default, {}, {})
-        assert int(proc.stderr) < 100 * 1024, op
+        assert hwm < 100 * 1024 and seconds < 0.3, op
+
+
+def test_validate_of_a_30_mb_document_stays_small(tmp_path):
+    # a seeded 1320 x 300 nat net with 280k arcs in each relation, in the
+    # canonical layout (about 28 MB); json.loads alone holds about 150 MiB
+    rng = random.Random(1320)
+    places, transitions = [f"p{i}" for i in range(1320)], [f"t{i}" for i in range(300)]
+
+    def arcs() -> str:
+        cells = sorted(rng.sample(range(1320 * 300), 280_000))
+        return ",\n".join(
+            f'    [\n      "{places[k // 300]}",\n      "{transitions[k % 300]}",\n'
+            f'      "{rng.randint(1, 9)}"\n    ]'
+            for k in cells
+        )
+
+    head = json.dumps(
+        {"format_version": "1", "lineale": "nat", "default_weight": "0",
+         "places": places, "transitions": transitions},
+        indent=2,
+    )
+    path = tmp_path / "big.net"
+    path.write_text(f'{head[:-2]},\n  "pre": [\n{arcs()}\n  ],\n  "post": [\n{arcs()}\n  ]\n}}\n')
+    assert 27 * 2**20 < path.stat().st_size < 32 * 2**20
+    proc, hwm, _ = run_child("validate", str(path))
+    assert proc.stdout == (
+        f"ok: {path}\n  lineale: nat\n  places (1320): {', '.join(places)}\n"
+        f"  transitions (300): {', '.join(transitions)}\n"
+        "  arcs: 280000 pre, 280000 post (default weight 0)\n"
+    )
+    assert hwm < 190 * 1024
 
 
 # ---------------------------------------------------------------------------

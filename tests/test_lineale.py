@@ -375,3 +375,19 @@ def test_unwrap_checks_the_tag():
         NAT.unwrap(INT.value(3))
     with pytest.raises(TagMismatch):
         NAT.unwrap(3)
+
+
+def test_echo_quotes_a_short_text_whole_and_a_long_one_bounded():
+    from ast import literal_eval
+
+    from dialnet.lineale import _echo
+
+    for text in ("", "x", "'\"", "x" * 60, "\x00" * 60):
+        assert _echo(text) == repr(text)
+    assert _echo("x" * 61) == repr("x" * 60) + "… (61 characters)"
+    # escapes spell a character in several, and the head is cut to fit
+    for text in ("\x00" * 61, "\U000e0001" * 500, "'" * 30 + '"' * 70):
+        shown = _echo(text)
+        head, tail = shown.rsplit("… ", 1)
+        assert tail == f"({len(text)} characters)" and len(head) <= 62
+        assert text.startswith(literal_eval(head)) and literal_eval(head)

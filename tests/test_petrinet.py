@@ -876,6 +876,48 @@ def test_tensor_and_hom_read_cells_only_on_a_tie_or_for_arcs(monkeypatch):
         _assert_equals_dense_route(net_op, dense_op, zero, one)
 
 
+def test_tensor_and_hom_of_arc_free_nets_build_no_op_table(monkeypatch):
+    from dialnet import hom_obj
+
+    # the shapes each cell builder of net_tensor and net_hom is called with
+    shapes = []
+
+    def record(build):
+        def recorded(lin, a_rows, b_rows, *args):
+            shapes.append(args)
+            return build(lin, a_rows, b_rows, *args)
+
+        return recorded
+
+    for name in ("_tensor_cells", "_hom_cells"):
+        monkeypatch.setattr(dialnet.petrinet, name, record(getattr(dialnet.petrinet, name)))
+    ops = ((net_tensor, tensor_obj), (net_hom, hom_obj))
+    # arc-free nets, with empty carriers on either side
+    arc_free = [
+        _doc_net("nat", ("p0", "p1"), ("t0", "t1", "t2"), "2"),
+        _doc_net("nat", ("q0",), ("s0", "s1"), "3"),
+        _doc_net("nat", (), ("s0",), "1"),
+        _doc_net("nat", ("q0", "q1"), (), "4"),
+        _doc_net("nat", (), (), "5"),
+    ]
+    for a in arc_free:
+        for b in arc_free:
+            for net_op, dense_op in ops:
+                _assert_equals_dense_route(net_op, dense_op, a, b)
+                shapes.clear()
+                net = net_op(a, b)
+                if net.places.size * net.transitions.size:
+                    # only op(a.default, b.default) is computed
+                    assert shapes == [((1, 1), (1, 1))]
+    # one input with an arc: the whole op table is built
+    one_arc = _doc_net("nat", ("p0", "p1"), ("t0",), "2", pre=(("p1", "t0", "5"),))
+    for net_op, dense_op in ops:
+        for a, b in ((one_arc, arc_free[1]), (arc_free[1], one_arc)):
+            shapes.clear()
+            _assert_equals_dense_route(net_op, dense_op, a, b)
+            assert tuple((n.places.size, n.transitions.size) for n in (a, b)) in shapes
+
+
 def test_combine_builds_no_dialobject(tmp_path, monkeypatch):
     from dialnet import example_path
     from dialnet.cli import main
