@@ -20,11 +20,25 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import CapExceeded, DialnetError, DocumentSyntaxError
+from .errors import (
+    CapExceeded,
+    DialnetError,
+    DocumentSyntaxError,
+)
 from .laws import DEFAULT_SEED, mutate_imp, run_all
 from .lineale import get_lineale
-from .netdoc import EXAMPLE_NAMES, _read_net, example_path, export_dot, load_net, read_text
-from .netdoc import parse_morphism_document, resolve_morphism_document, save_net, write_text
+from .netdoc import (
+    EXAMPLE_NAMES,
+    example_path,
+    export_dot,
+    load_net,
+    parse_morphism_document,
+    read_net,
+    read_text,
+    resolve_morphism_document,
+    save_net,
+    write_text,
+)
 from . import petrinet
 from .petrinet import check_net_morphism
 
@@ -36,12 +50,15 @@ _COMBINE_OPS = ("hom", "oplus", "tensor", "with")
 
 
 def _cmd_validate(args) -> int:
-    net, doc = _read_net(args.net)
+    net, doc = read_net(args.net)
     print(f"ok: {args.net}")
-    print(f"  lineale: {doc['lineale']}")
-    print(f"  places ({net.places.size}): {', '.join(doc['places'])}")
-    print(f"  transitions ({net.transitions.size}): {', '.join(doc['transitions'])}")
-    print(f"  arcs: {doc['pre']} pre, {doc['post']} post (default weight {doc['default_weight']})")
+    print(f"  lineale: {doc.lineale}")
+    print(f"  places ({net.places.size}): {', '.join(net.places.labels)}")
+    print(f"  transitions ({net.transitions.size}): {', '.join(net.transitions.labels)}")
+    print(
+        f"  arcs: {doc.pre} pre, {doc.post} post "
+        f"(default weight {doc.default_weight})"
+    )
     return 0
 
 
@@ -100,8 +117,8 @@ def _emit(text: str, out: Optional[str]) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    net, doc = _read_net(args.net)
-    return _emit(export_dot(net, net.lin.parse(doc["default_weight"])), args.out)
+    net, doc = read_net(args.net)
+    return _emit(export_dot(net, net.lin.parse(doc.default_weight)), args.out)
 
 
 def _cmd_example(args) -> int:

@@ -45,10 +45,11 @@ distinct weight text is parsed once, and the relation's list is dropped
 once it is built.  Only when a pass fails does a per-arc loop run, in
 the order of the checks, to name the first defect.  A net is written
 straight from its arc maps: each label and each distinct payload object
-is encoded once and the arcs are joined in C; only an explicit default
-other than the net's own visits every cell.  save_net refuses what it
-could not read back: a text over MAX_DOCUMENT_BYTES (CapExceeded) and a
-lone-surrogate label (DocumentSyntaxError).
+is encoded once and every piece of the text is joined in one C call;
+only an explicit default other than the net's own visits every cell.
+save_net refuses what it could not read back: a text over
+MAX_DOCUMENT_BYTES (CapExceeded) and a lone-surrogate label
+(DocumentSyntaxError).
 """
 
 from __future__ import annotations
@@ -62,10 +63,15 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import add, floordiv, itemgetter, mod, mul
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import CapExceeded, DialnetError, DocumentSemanticError, DocumentSyntaxError
-from .errors import ShapeMismatch
+from .errors import (
+    CapExceeded,
+    DialnetError,
+    DocumentSemanticError,
+    DocumentSyntaxError,
+    ShapeMismatch,
+)
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
@@ -75,6 +81,7 @@ __all__ = [
     "MAX_DOCUMENT_BYTES",
     "EXAMPLE_NAMES",
     "NetDocument",
+    "NetSummary",
     "MorphismDocument",
     "parse_net_document",
     "serialize_net_document",
@@ -83,6 +90,7 @@ __all__ = [
     "net_to_document",
     "read_text",
     "write_text",
+    "read_net",
     "load_net",
     "save_net",
     "example_path",
@@ -101,7 +109,15 @@ MAX_DOCUMENT_BYTES = 32 * 2**20
 
 EXAMPLE_NAMES = ("water", "sir", "circadian", "inhibitor", "catalysis")
 
-_NET_KEYS = ("format_version", "lineale", "default_weight", "places", "transitions", "pre", "post")
+_NET_KEYS = (
+    "format_version",
+    "lineale",
+    "default_weight",
+    "places",
+    "transitions",
+    "pre",
+    "post",
+)
 _MOR_KEYS = ("format_version", "source", "target", "f", "F")
 
 
@@ -239,28 +255,39 @@ _ARC_PIECES = ("[\n      {},\n      ", "{},\n      ", "{}\n    ],\n    ")
 
 def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -> str:
     """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a
-    newline; pre and post list the place, transition and value pieces of arcs."""
+    newline; pre and post list the place, transition and value pieces of arcs.
+    Every piece is joined once, in C, so the text is built in one copy."""
 
-    def array(*columns: list[str]) -> str:
-        # the pieces of every element in turn, joined in C
+    def array(*columns: list[str]) -> list[str]:
+        # the pieces of every element in turn; the last drops its separator
         joined = [""] * (len(columns) * len(columns[0]))
         for i, column in enumerate(columns):
             joined[i :: len(columns)] = column
-        return "[\n    " + "".join(joined)[: -len(",\n    ")] + "\n  ]" if joined else "[]"
+        if not joined:
+            return ["[]"]
+        joined[-1] = joined[-1][: -len(",\n    ")]
+        joined[0] = "[\n    " + joined[0]
+        joined.append("\n  ]")
+        return joined
 
-    def labels(texts) -> str:
+    def labels(texts) -> list[str]:
         return array([_ELEMENT.format(encode_basestring(t)) for t in texts])
 
     fields = (
-        ("format_version", encode_basestring(FORMAT_VERSION)),
-        ("lineale", encode_basestring(lineale)),
-        ("default_weight", encode_basestring(default_weight)),
+        ("format_version", [encode_basestring(FORMAT_VERSION)]),
+        ("lineale", [encode_basestring(lineale)]),
+        ("default_weight", [encode_basestring(default_weight)]),
         ("places", labels(places)),
         ("transitions", labels(transitions)),
         ("pre", array(*pre)),
         ("post", array(*post)),
     )
-    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}\n"
+    text = []
+    for sep, (key, value) in zip(chain(["{\n"], repeat(",\n")), fields):
+        text.append(f'{sep}  "{key}": ')
+        text += value
+    text.append("\n}\n")
+    return "".join(text)
 
 
 def serialize_net_document(doc: NetDocument) -> str:
@@ -353,11 +380,21 @@ def document_to_net(doc: NetDocument) -> PetriNet:
     return _net_from_fields(dict(vars(doc)))
 
 
-def _read_net(path: Union[str, Path]) -> tuple[PetriNet, dict]:
-    """The net a file holds, and the file's checked fields, with each
-    relation's list replaced by its arc count."""
+class NetSummary(NamedTuple):
+    """What a net file says beyond the net it denotes: the lineale and
+    default weight as written, and how many arcs pre and post list."""
+
+    lineale: str
+    default_weight: str
+    pre: int
+    post: int
+
+
+def read_net(path: Union[str, Path]) -> tuple[PetriNet, NetSummary]:
+    """The net a file holds, and the file's NetSummary."""
     fields = _net_fields(_load_json(read_text(path)))
-    return _net_from_fields(fields), fields
+    net = _net_from_fields(fields)
+    return net, NetSummary(*map(fields.get, ("lineale", "default_weight", "pre", "post")))
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:
@@ -459,7 +496,7 @@ def example_default(name: str) -> LinealeValue:
 
 
 def load_net(path: Union[str, Path]) -> PetriNet:
-    return _read_net(path)[0]
+    return read_net(path)[0]
 
 
 def build_example(name: str) -> PetriNet:

@@ -170,7 +170,8 @@ def _net_from_cells(
 
     def arcs(cells: dict[int, object]) -> dict[int, object]:
         if not all(map(lt, cells, islice(cells, 1, None))):
-            cells = dict(sorted(cells.items()))
+            keys = sorted(cells)  # the keys alone: sorting the items makes a tuple per cell
+            cells = dict(zip(keys, map(cells.__getitem__, keys)))
         if default in listed:
             cells = dict(compress(cells.items(), map(ne, cells.values(), repeat(default))))
         return cells

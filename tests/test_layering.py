@@ -23,7 +23,6 @@ ALLOWED = {
     ("laws", "dialset", "_hom_tables"),
     ("netdoc", "petrinet", "_net_from_cells"),
     ("netdoc", "petrinet", "_rebased"),
-    ("cli", "netdoc", "_read_net"),
 }
 
 

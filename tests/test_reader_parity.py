@@ -140,6 +140,15 @@ def _assert_as_oracle(read, argv, obj) -> None:
         # which ends over two lineales fail
         assert code == 0 or argv[0] == "check-morphism" and code == 3
         assert err == "" or err.startswith("error: objects over ") and not out
+        if argv[0] == "validate":  # the summary gives the texts and arc counts as written
+            places, transitions = obj["places"], obj["transitions"]
+            assert out.splitlines()[1:] == [
+                f"  lineale: {obj['lineale']}",
+                f"  places ({len(places)}): {', '.join(places)}",
+                f"  transitions ({len(transitions)}): {', '.join(transitions)}",
+                f"  arcs: {len(obj['pre'])} pre, {len(obj['post'])} post "
+                f"(default weight {obj['default_weight']})",
+            ]
 
 
 @settings(max_examples=400, deadline=None)
