@@ -43,6 +43,8 @@ cap finset.DEFAULT_CAP before it builds any label or row.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 from collections import Counter
@@ -387,6 +389,40 @@ def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
     return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
 
 
+# (builder, id(a), id(b)) -> (object, a, b) while a _shared() block runs
+# in this thread, else None; holding the factors keeps their ids from being reused
+_share: contextvars.ContextVar[dict | None] = contextvars.ContextVar("share", default=None)
+
+
+@contextlib.contextmanager
+def _shared():
+    """Within the block, tensor_obj and hom_obj build each object once per
+    pair of factors and hand out that one object again, so equal objects are
+    the same object; the share is dropped when the block ends."""
+    token = _share.set({})
+    try:
+        yield
+    finally:
+        _share.reset(token)
+
+
+def _once(build):
+    """build(a, b) as it runs outside a share, looked up in the open one."""
+
+    @functools.wraps(build)
+    def shared(a, b):
+        share = _share.get()
+        if share is None:
+            return build(a, b)
+        key = (build, id(a), id(b))
+        if key not in share:
+            share[key] = build(a, b), a, b
+        return share[key][0]
+
+    return shared
+
+
+@_once
 def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     """Monoidal product.
 
@@ -446,6 +482,7 @@ def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
     return table, itertools.chain.from_iterable(map(rows, fs))
 
 
+@_once
 def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     """Internal hom.
 

@@ -27,6 +27,7 @@ from .dialset import (
     DialMorphism,
     _hom_counts,
     _hom_tables,
+    _shared,
     associator,
     check_morphism,
     compose,
@@ -171,56 +172,49 @@ def random_object(lin: Lineale, rng: random.Random) -> DialObject:
     return _random_object_on(lin, rng, pos, neg)
 
 
+def _random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into: bool) -> DialMorphism:
+    """A valid morphism out of end, or into it when into, whose other end is
+    built fresh: tables are random, and the fresh weights start random and
+    are then raised (out of end) or lowered (into it) just far enough to
+    satisfy the order condition."""
+    pos = FinSet(rng.choice(_SIZES))
+    neg = FinSet(rng.choice(_SIZES))
+    ends = [(pos, neg), (end.pos, end.neg)]
+    (src_pos, src_neg), (tgt_pos, tgt_neg) = ends if into else ends[::-1]
+    f = tuple(rng.randrange(tgt_pos.size) for _ in range(src_pos.size))
+    bt = tuple(rng.randrange(src_neg.size) for _ in range(tgt_neg.size))
+    rows = []
+    for i in range(pos.size):
+        row = []
+        for j in range(neg.size):
+            val = lin._sample(rng, _VALUE_BOUND)
+            # the weights of end that the order condition holds this one to
+            if into:
+                bounds = [end.weight[f[i]][y] for y in range(end.neg.size) if bt[y] == j]
+            else:
+                bounds = [end.weight[u][bt[j]] for u in range(end.pos.size) if f[u] == i]
+            for w in bounds:
+                val = _bound(lin, val, w, upper=not into)
+            row.append(val)
+        rows.append(tuple(row))
+    fresh = DialObject(lin, pos, neg, tuple(rows))
+    source, target = (fresh, end) if into else (end, fresh)
+    return dial_morphism(source, target, FnTable(src_pos, tgt_pos, f), FnTable(tgt_neg, src_neg, bt))
+
+
 def random_morphism_from(
     lin: Lineale, rng: random.Random, source: DialObject
 ) -> DialMorphism:
-    """A valid morphism out of ``source`` with freshly built target.
-
-    Tables are random; target weights start random and are then raised
-    just far enough to satisfy the order condition.
-    """
-    pos = FinSet(rng.choice(_SIZES))
-    neg = FinSet(rng.choice(_SIZES))
-    f = tuple(rng.randrange(pos.size) for _ in range(source.pos.size))
-    bt = tuple(rng.randrange(source.neg.size) for _ in range(neg.size))
-    rows = []
-    for v in range(pos.size):
-        row = []
-        for y in range(neg.size):
-            val = lin._sample(rng, _VALUE_BOUND)
-            for u in range(source.pos.size):
-                if f[u] == v:
-                    val = _bound(lin, val, source.weight[u][bt[y]], upper=True)
-            row.append(val)
-        rows.append(tuple(row))
-    target = DialObject(lin, pos, neg, tuple(rows))
-    return dial_morphism(
-        source, target, FnTable(source.pos, pos, f), FnTable(neg, source.neg, bt)
-    )
+    """A valid morphism out of ``source`` with freshly built target, whose
+    weights are raised just far enough to satisfy the order condition."""
+    return _random_morphism(lin, rng, source, into=False)
 
 
 def random_morphism_into(
     lin: Lineale, rng: random.Random, target: DialObject
 ) -> DialMorphism:
     """Dual of random_morphism_from: builds the source, lowering weights."""
-    pos = FinSet(rng.choice(_SIZES))
-    neg = FinSet(rng.choice(_SIZES))
-    f = tuple(rng.randrange(target.pos.size) for _ in range(pos.size))
-    bt = tuple(rng.randrange(neg.size) for _ in range(target.neg.size))
-    rows = []
-    for u in range(pos.size):
-        row = []
-        for x in range(neg.size):
-            val = lin._sample(rng, _VALUE_BOUND)
-            for y in range(target.neg.size):
-                if bt[y] == x:
-                    val = _bound(lin, val, target.weight[f[u]][y], upper=False)
-            row.append(val)
-        rows.append(tuple(row))
-    source = DialObject(lin, pos, neg, tuple(rows))
-    return dial_morphism(
-        source, target, FnTable(pos, target.pos, f), FnTable(target.neg, neg, bt)
-    )
+    return _random_morphism(lin, rng, target, into=True)
 
 
 def all_objects(lin: Lineale, max_size: int = 2) -> list[DialObject]:
@@ -423,44 +417,47 @@ def adjunction_oracle(
     for i in range(cases):
         a = random_object(lin, rng)
         b = random_object(lin, rng)
+        # built outside the share, so that the round trip holds the shared
+        # tensor(A, B) that uncurry_dial builds to one built on its own
         ab = tensor_obj(a, b)
-        if i % 4 == 3:
-            c = random_object(lin, rng)
-        else:
-            c = random_morphism_from(lin, rng, ab).target
-        h = hom_obj(b, c)
-        left = enumerate_morphisms(ab, c)
-        right = enumerate_morphisms(a, h)
-        ctx = lambda: (
-            f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} "
-            f"|left|={len(left)} |right|={len(right)}"
-        )
-        counts.check(len(left) == len(right), ctx)
-        right_keys = {(m.fwd.table, m.bwd.table) for m in right}
-        seen = set()
-        for m in left:
-            im = curry_dial(m, a, b)
-            key = (im.fwd.table, im.bwd.table)
-            bijection.check(
-                key in right_keys and key not in seen,
-                lambda: f"{ctx()} curried={_show_mor(im)}",
+        with _shared():  # one case's objects are built once and kept no longer
+            if i % 4 == 3:
+                c = random_object(lin, rng)
+            else:
+                c = random_morphism_from(lin, rng, ab).target
+            h = hom_obj(b, c)
+            left = enumerate_morphisms(ab, c)
+            right = enumerate_morphisms(a, h)
+            ctx = lambda: (
+                f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} "
+                f"|left|={len(left)} |right|={len(right)}"
             )
-            seen.add(key)
-            roundtrip.check(
-                uncurry_dial(im, b, c) == m, lambda: _show_mor(m)
-            )
-            validity.check(
-                not check_morphism(a, h, im.fwd, im.bwd),
-                lambda: _show_mor(im),
-            )
-        if left:
-            m = rng.choice(left)
-            n = random_morphism_into(lin, rng, a)
-            lhs = curry_dial(
-                compose(m, tensor_mor(n, identity(b))), n.source, b
-            )
-            rhs = compose(curry_dial(m, a, b), n)
-            natural.check(lhs == rhs, lambda: f"{_show_mor(m)} via {_show_mor(n)}")
+            counts.check(len(left) == len(right), ctx)
+            right_keys = {(m.fwd.table, m.bwd.table) for m in right}
+            seen = set()
+            for m in left:
+                im = curry_dial(m, a, b)
+                key = (im.fwd.table, im.bwd.table)
+                bijection.check(
+                    key in right_keys and key not in seen,
+                    lambda: f"{ctx()} curried={_show_mor(im)}",
+                )
+                seen.add(key)
+                roundtrip.check(
+                    uncurry_dial(im, b, c) == m, lambda: _show_mor(m)
+                )
+                validity.check(
+                    not check_morphism(a, h, im.fwd, im.bwd),
+                    lambda: _show_mor(im),
+                )
+            if left:
+                m = rng.choice(left)
+                n = random_morphism_into(lin, rng, a)
+                lhs = curry_dial(
+                    compose(m, tensor_mor(n, identity(b))), n.source, b
+                )
+                rhs = compose(curry_dial(m, a, b), n)
+                natural.check(lhs == rhs, lambda: f"{_show_mor(m)} via {_show_mor(n)}")
     return [law.result() for law in (counts, bijection, roundtrip, validity, natural)]
 
 
@@ -479,37 +476,38 @@ def functoriality_laws(
     h_comp = _Law("hom.functor.composition")
     h_valid = _Law("hom.functor.valid")
     for _ in range(cases):
-        a = random_object(lin, rng)
-        b = random_object(lin, rng)
-        ctx = lambda: f"A={_show_obj(a)} B={_show_obj(b)}"
-        t_id.check(tensor_mor(identity(a), identity(b)) == identity(tensor_obj(a, b)), ctx)
-        h_id.check(hom_mor(identity(a), identity(b)) == identity(hom_obj(a, b)), ctx)
+        with _shared():  # one case's objects are built once and kept no longer
+            a = random_object(lin, rng)
+            b = random_object(lin, rng)
+            ctx = lambda: f"A={_show_obj(a)} B={_show_obj(b)}"
+            t_id.check(tensor_mor(identity(a), identity(b)) == identity(tensor_obj(a, b)), ctx)
+            h_id.check(hom_mor(identity(a), identity(b)) == identity(hom_obj(a, b)), ctx)
 
-        m1 = random_morphism_from(lin, rng, a)
-        m1p = random_morphism_from(lin, rng, m1.target)
-        m2 = random_morphism_from(lin, rng, b)
-        m2p = random_morphism_from(lin, rng, m2.target)
-        lhs = tensor_mor(compose(m1p, m1), compose(m2p, m2))
-        rhs = compose(tensor_mor(m1p, m2p), tensor_mor(m1, m2))
-        t_comp.check(
-            lhs == rhs, lambda: f"{_show_mor(m1)}+{_show_mor(m1p)} x {_show_mor(m2)}+{_show_mor(m2p)}"
-        )
-        tm = tensor_mor(m1, m2)
-        t_valid.check(_valid(tm), lambda: _show_mor(tm))
+            m1 = random_morphism_from(lin, rng, a)
+            m1p = random_morphism_from(lin, rng, m1.target)
+            m2 = random_morphism_from(lin, rng, b)
+            m2p = random_morphism_from(lin, rng, m2.target)
+            lhs = tensor_mor(compose(m1p, m1), compose(m2p, m2))
+            rhs = compose(tensor_mor(m1p, m2p), tensor_mor(m1, m2))
+            t_comp.check(
+                lhs == rhs, lambda: f"{_show_mor(m1)}+{_show_mor(m1p)} x {_show_mor(m2)}+{_show_mor(m2p)}"
+            )
+            tm = tensor_mor(m1, m2)
+            t_valid.check(_valid(tm), lambda: _show_mor(tm))
 
-        a1 = random_morphism_from(lin, rng, random_object(lin, rng))
-        a2 = random_morphism_from(lin, rng, a1.target)
-        b1 = random_morphism_from(lin, rng, random_object(lin, rng))
-        b2 = random_morphism_from(lin, rng, b1.target)
-        # hom_mor(a2 . a1, b2 . b1) factors through the middle hom object
-        lhs = hom_mor(compose(a2, a1), compose(b2, b1))
-        rhs = compose(hom_mor(a1, b2), hom_mor(a2, b1))
-        h_comp.check(
-            lhs == rhs,
-            lambda: f"{_show_mor(a1)}+{_show_mor(a2)} x {_show_mor(b1)}+{_show_mor(b2)}",
-        )
-        hm = hom_mor(a2, b1)
-        h_valid.check(_valid(hm), lambda: _show_mor(hm))
+            a1 = random_morphism_from(lin, rng, random_object(lin, rng))
+            a2 = random_morphism_from(lin, rng, a1.target)
+            b1 = random_morphism_from(lin, rng, random_object(lin, rng))
+            b2 = random_morphism_from(lin, rng, b1.target)
+            # hom_mor(a2 . a1, b2 . b1) factors through the middle hom object
+            lhs = hom_mor(compose(a2, a1), compose(b2, b1))
+            rhs = compose(hom_mor(a1, b2), hom_mor(a2, b1))
+            h_comp.check(
+                lhs == rhs,
+                lambda: f"{_show_mor(a1)}+{_show_mor(a2)} x {_show_mor(b1)}+{_show_mor(b2)}",
+            )
+            hm = hom_mor(a2, b1)
+            h_valid.check(_valid(hm), lambda: _show_mor(hm))
     return [law.result() for law in (t_id, t_comp, t_valid, h_id, h_comp, h_valid)]
 
 
@@ -543,17 +541,14 @@ def coherence_laws(
     """
     rng = random.Random(seed)
     sides = tuple(itertools.product(_SIZES, repeat=2))  # (pos, neg) choices per object
-    # (largest carrier, total weight entries) per choice of four shapes;
-    # sizes stay in {1, 2}, so even the uncapped stages are small integers
-    plans = {}
-    for combo in itertools.product(sides, repeat=4):
+
+    def fits(combo) -> bool:  # by its largest carrier and its total weight entries
+        # sizes stay in {1, 2}, so even the uncapped stages are small integers
         stages = _pentagon_stages(combo)
-        plans[combo] = (max(max(s) for s in stages), sum(p * n for p, n in stages))
-    pentagon_sizes = [
-        combo
-        for combo, (largest, cost) in plans.items()
-        if largest <= DEFAULT_CAP and cost <= _PENTAGON_ENTRY_BUDGET
-    ]
+        largest, cost = max(max(s) for s in stages), sum(p * n for p, n in stages)
+        return largest <= DEFAULT_CAP and cost <= _PENTAGON_ENTRY_BUDGET
+
+    pentagon_sizes = list(filter(fits, itertools.product(sides, repeat=4)))
 
     pentagon = _Law("coherence.pentagon")
     triangle = _Law("coherence.triangle")
@@ -565,59 +560,60 @@ def coherence_laws(
     sym_unit = _Law("coherence.symmetry.unitor")
 
     for _ in range(cases):
-        sz = pentagon_sizes[rng.randrange(len(pentagon_sizes))]
-        a, b, c, d = (_random_object_on(lin, rng, FinSet(p), FinSet(n)) for p, n in sz)
-        bc = tensor_obj(b, c)
-        cd = tensor_obj(c, d)
-        ab = tensor_obj(a, b)
-        left = compose(
-            tensor_mor(identity(a), associator(b, c, d)),
-            compose(
-                associator(a, bc, d),
-                tensor_mor(associator(a, b, c), identity(d)),
-            ),
-        )
-        right = compose(associator(a, b, cd), associator(ab, c, d))
-        pentagon.check(
-            left == right,
-            lambda: f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} D={_show_obj(d)}",
-        )
+        with _shared():  # one case's objects are built once and kept no longer
+            sz = pentagon_sizes[rng.randrange(len(pentagon_sizes))]
+            a, b, c, d = (_random_object_on(lin, rng, FinSet(p), FinSet(n)) for p, n in sz)
+            bc = tensor_obj(b, c)
+            cd = tensor_obj(c, d)
+            ab = tensor_obj(a, b)
+            left = compose(
+                tensor_mor(identity(a), associator(b, c, d)),
+                compose(
+                    associator(a, bc, d),
+                    tensor_mor(associator(a, b, c), identity(d)),
+                ),
+            )
+            right = compose(associator(a, b, cd), associator(ab, c, d))
+            pentagon.check(
+                left == right,
+                lambda: f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} D={_show_obj(d)}",
+            )
 
-        a2 = random_object(lin, rng)
-        b2 = random_object(lin, rng)
-        ctx2 = lambda: f"A={_show_obj(a2)} B={_show_obj(b2)}"
-        i = tensor_unit(lin)
-        tri_left = tensor_mor(right_unitor(a2), identity(b2))
-        tri_right = compose(
-            tensor_mor(identity(a2), left_unitor(b2)),
-            associator(a2, i, b2),
-        )
-        triangle.check(tri_left == tri_right, ctx2)
+            a2 = random_object(lin, rng)
+            b2 = random_object(lin, rng)
+            ctx2 = lambda: f"A={_show_obj(a2)} B={_show_obj(b2)}"
+            i = tensor_unit(lin)
+            tri_left = tensor_mor(right_unitor(a2), identity(b2))
+            tri_right = compose(
+                tensor_mor(identity(a2), left_unitor(b2)),
+                associator(a2, i, b2),
+            )
+            triangle.check(tri_left == tri_right, ctx2)
 
-        lu = left_unitor(a2)
-        ru = right_unitor(a2)
-        unitor_w.check(
-            lu.source.weight == a2.weight and ru.source.weight == a2.weight,
-            ctx2,
-        )
-        unitor_iso.check(all([_iso(lu), _iso(ru)]), ctx2)
+            lu = left_unitor(a2)
+            ru = right_unitor(a2)
+            unitor_w.check(
+                lu.source.weight == a2.weight and ru.source.weight == a2.weight,
+                ctx2,
+            )
+            unitor_iso.check(all([_iso(lu), _iso(ru)]), ctx2)
 
-        c2 = random_object(lin, rng)
-        assoc_iso.check(_iso(associator(a2, b2, c2)), lambda: f"{ctx2()} C={_show_obj(c2)}")
+            c2 = random_object(lin, rng)
+            assoc_iso.check(_iso(associator(a2, b2, c2)), lambda: f"{ctx2()} C={_show_obj(c2)}")
 
-        sym = symmetry(a2, b2)
-        sym_inv.check(_valid(sym) and compose(symmetry(b2, a2), sym) == identity(sym.source), ctx2)
-        n1 = random_morphism_from(lin, rng, a2)
-        n2 = random_morphism_from(lin, rng, b2)
-        sym_nat.check(
-            compose(symmetry(n1.target, n2.target), tensor_mor(n1, n2))
-            == compose(tensor_mor(n2, n1), sym),
-            lambda: f"{_show_mor(n1)} x {_show_mor(n2)}",
-        )
-        sym_unit.check(
-            compose(left_unitor(a2), symmetry(a2, i)) == right_unitor(a2),
-            ctx2,
-        )
+            sym = symmetry(a2, b2)
+            sym_inv.check(_valid(sym) and compose(symmetry(b2, a2), sym) == identity(sym.source), ctx2)
+            n1 = random_morphism_from(lin, rng, a2)
+            n2 = random_morphism_from(lin, rng, b2)
+            sym_nat.check(
+                compose(symmetry(n1.target, n2.target), tensor_mor(n1, n2))
+                == compose(tensor_mor(n2, n1), sym),
+                lambda: f"{_show_mor(n1)} x {_show_mor(n2)}",
+            )
+            sym_unit.check(
+                compose(left_unitor(a2), symmetry(a2, i)) == right_unitor(a2),
+                ctx2,
+            )
     checked = (pentagon, triangle, unitor_w, unitor_iso, assoc_iso, sym_inv, sym_nat, sym_unit)
     return [law.result() for law in checked]
 

@@ -458,6 +458,6 @@ def get_lineale(tag: str) -> Lineale:
         body = tag[5:-1]
         i = _top_level_comma(body)
         if i < 0:
-            raise UnknownLineale(f"malformed product tag: {tag!r}")
+            raise UnknownLineale(f"malformed product tag: {_echo(tag)}")
         return product_lineale(get_lineale(body[:i]), get_lineale(body[i + 1 :]))
-    raise UnknownLineale(f"unknown lineale tag: {tag!r}")
+    raise UnknownLineale(f"unknown lineale tag: {_echo(tag)}")

@@ -73,7 +73,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finset import FinSet, FnTable
-from .lineale import LinealeValue, format_payload, get_lineale
+from .lineale import LinealeValue, _echo, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
 
 __all__ = [
@@ -195,11 +195,13 @@ def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
         raise DocumentSyntaxError(f"{what} is missing keys: {', '.join(missing)}")
     extra = [k for k in obj if k not in keys]
     if extra:
-        raise DocumentSyntaxError(f"{what} has unknown keys: {', '.join(extra)}")
+        shown = ", ".join(extra)
+        shown = shown if len(shown) <= 60 else _echo(shown)  # a long list is quoted and cut
+        raise DocumentSyntaxError(f"{what} has unknown keys: {shown}")
     version = _expect_str(obj["format_version"], "format_version")
     if version != FORMAT_VERSION:
         raise DocumentSyntaxError(
-            f"unsupported format_version {version!r}; this tool reads "
+            f"unsupported format_version {_echo(version)}; this tool reads "
             f"{FORMAT_VERSION!r}"
         )
 
@@ -229,7 +231,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for k, _ in pairs:
             if k in seen:
-                raise DocumentSyntaxError(f"repeated key {k!r} in a JSON object")
+                raise DocumentSyntaxError(f"repeated key {_echo(k)} in a JSON object")
             seen.add(k)
     return obj
 
@@ -318,7 +320,7 @@ def _label_index(labels, kind: str) -> dict[str, int]:
             if not lbl:
                 raise DocumentSemanticError(f"empty {kind} label")
             if lbl in seen:
-                raise DocumentSemanticError(f"duplicate {kind} label {lbl!r}")
+                raise DocumentSemanticError(f"duplicate {kind} label {_echo(lbl)}")
             seen.add(lbl)
     return index
 
@@ -341,11 +343,11 @@ def _cells(lin, triples, part: str, places: dict, transitions: dict, payloads: d
         seen = set()
         for i, (p, t, v) in enumerate(triples):
             if p not in places:
-                raise DocumentSemanticError(f"{part}[{i}]: unknown place label {p!r}")
+                raise DocumentSemanticError(f"{part}[{i}]: unknown place label {_echo(p)}")
             if t not in transitions:
-                raise DocumentSemanticError(f"{part}[{i}]: unknown transition label {t!r}")
+                raise DocumentSemanticError(f"{part}[{i}]: unknown transition label {_echo(t)}")
             if (p, t) in seen:
-                raise DocumentSemanticError(f"{part}[{i}]: duplicate arc for ({p!r}, {t!r})")
+                raise DocumentSemanticError(f"{part}[{i}]: duplicate arc for ({_echo(p)}, {_echo(t)})")
             seen.add((p, t))
             if v not in payloads:
                 _parse_weight(lin, v, f"{part}[{i}]")
@@ -532,7 +534,7 @@ def _expect_label_map(value, where: str) -> tuple[tuple[str, str], ...]:
     if not set(map(type, chain(value, value.values()))) <= {str}:
         for k, v in value.items():
             _expect_str(k, f"{where} key")
-            _expect_str(v, f"{where}[{k!r}]")
+            _expect_str(v, f"{where}[{_echo(k)}]")
     return tuple(value.items())
 
 
@@ -585,18 +587,19 @@ def resolve_morphism_document(
         mapping = {}
         for k, v in pairs:
             if k in mapping:
-                raise DocumentSemanticError(f"{name}: duplicate entry for {k!r}")
+                raise DocumentSemanticError(f"{name}: duplicate entry for {_echo(k)}")
             mapping[k] = v
         for lbl in dom.labels:
             if lbl not in mapping:
-                raise DocumentSemanticError(f"{name}: no entry for {dom_kind} {lbl!r}")
+                raise DocumentSemanticError(f"{name}: no entry for {dom_kind} {_echo(lbl)}")
             img = mapping.pop(lbl)
             if img not in index:
                 raise DocumentSemanticError(
-                    f"{name}: unknown {cod_kind} {img!r} (image of {lbl!r})"
+                    f"{name}: unknown {cod_kind} {_echo(img)} (image of {_echo(lbl)})"
                 )
-        stray = ", ".join(repr(k) for k in mapping)
-        raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}")
+        stray = ", ".join(map(_echo, list(mapping)[:3]))
+        more = f" and {len(mapping) - 3} more" if len(mapping) > 3 else ""
+        raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}{more}")
 
     fwd = to_table(
         mdoc.place_map, source.places, target.places, "f", "source place", "target place"

@@ -503,8 +503,10 @@ def test_validate_of_a_30_mb_document_stays_small(tmp_path):
 
 
 # (exit code, sha256 of stdout) of `laws --cases 8` on the benchmark's seven
-# lineales, with --mutate-imp on kleene3 and nat, recorded before the
-# exhaustive identity law searched each source object's hom-sets in one pass
+# lineales, with --mutate-imp on kleene3 and nat; seeds 1 and 2 recorded before
+# the exhaustive identity law searched each source object's hom-sets in one
+# pass, seeds 3 to 5 before the law suites shared tensor and hom objects
+# within a case
 LAWS_OUTPUT = {
     ("bool2", 1, False): (0, "e6761be22cbd770e9af9200277782e842c33dada7c9ddc29a94d9ce70b99626c"),
     ("kleene3", 1, False): (0, "07e6bc84f6b1e38c4631d679f6afa6e213714dd088c7b13cbea2c0402b666e94"),
@@ -524,6 +526,33 @@ LAWS_OUTPUT = {
     ("prob", 2, False): (0, "d5f689cf0fe172b1fcf7ed551b1bf60f05e513a2be6707c5add98a20583388fa"),
     ("prod(prob,int)", 2, False): (0, "3cacbb32fb3607ae06f37b311c7fb6284e54dc136de892a21ff0046517a18ad0"),
     ("prod(bool2,kleene3)", 2, False): (0, "03e93c5ea5b3e8a2b23b66109075fdcadc9c6c34944697b5a7ac681de45a3e73"),
+    ("bool2", 3, False): (0, "e8e9ee7ca704f8f30a0220faae3a93b87922f51262b2ebdb4843e4af018fb621"),
+    ("kleene3", 3, False): (0, "8dce522050818b12f36f61f1d0087b444e0c9f3e17eb02ae59b60f8eab72bb46"),
+    ("kleene3", 3, True): (3, "fa9c74fd49c643cf015af9d91790e85d0b46adf84d844027ccb73e0c9d89c489"),
+    ("nat", 3, False): (0, "15cf08b1fde59f903d74e1e4243b3488d6be76d3b238510eb35645f89b4afa72"),
+    ("nat", 3, True): (3, "9b0f1ccba2fdc9f1abbeab942f8f18240fed13a4cbf7a615c84be9d594c6fc19"),
+    ("int", 3, False): (0, "f311c361d8dd169724dc9956e488cc5f406008d432e3b3f3aef63e96bad22a52"),
+    ("prob", 3, False): (0, "7abc43b36ec03b73232d910a6278b5cf9ee8c872f4d6fec1dca94c0da30d0119"),
+    ("prod(prob,int)", 3, False): (0, "bd650602dcabb63369551de7fc9d76cfb699416e3b52498d70f4db923ff74781"),
+    ("prod(bool2,kleene3)", 3, False): (0, "182cab6e5ecb87e290a7b2bd4846dfe4885c95fb646d061dc48e8d4815e3eb7b"),
+    ("bool2", 4, False): (0, "e8e9ee7ca704f8f30a0220faae3a93b87922f51262b2ebdb4843e4af018fb621"),
+    ("kleene3", 4, False): (0, "ede32d3351852549cb367c0c5fc83697c545ea27038a0540847a144e393485e3"),
+    ("kleene3", 4, True): (3, "5cb857ba8cf089cafd0ec3c320c67f6d03a62d4208cfcd6017a1ab29485d5c80"),
+    ("nat", 4, False): (0, "0490479c4e430ebe52fc59c0d48660304a1c4a4686e8bebd975f4c5fd53eca5f"),
+    ("nat", 4, True): (3, "553395af26368f0ad16d2d53c4d97702a4bc660b8da231c9e8620cdacd6094fa"),
+    ("int", 4, False): (0, "1e1e821a4b4801325c80f421f94bae3be70d6b7b6b3dc719c495713ba0b35c63"),
+    ("prob", 4, False): (0, "897504925cd1073ee4c4705d94cabacd1140d320d80151eba95b654bf524d305"),
+    ("prod(prob,int)", 4, False): (0, "eb1615389fb313bb6cc91f979eb9e4596aaeedde83052a35ef26019b3855237a"),
+    ("prod(bool2,kleene3)", 4, False): (0, "71a5b5769f7575e7633e0abfa965b7689c09b8d030e672354f06584265fe147c"),
+    ("bool2", 5, False): (0, "c7a9f435659ce50c0becaa637ddbbfce2cdfa4aee2c590c3ca9c498dc679d05b"),
+    ("kleene3", 5, False): (0, "4b892a5d781ceee4faf8ffbdb39b99458d649d2d32b0b3942ce4f28fd3d390ec"),
+    ("kleene3", 5, True): (3, "d660a01766624771a5c59f8bb09e08f0c78456026deb3d788d2b3e9959ba30a8"),
+    ("nat", 5, False): (0, "22aa060debc1b2df61a18e5a6f46acc10969dbb41adf66929d06cb3c9e614849"),
+    ("nat", 5, True): (3, "dd34e7d0994de2be9054f30fa624634f6101d799b12a5adbbc0b0eb99f932663"),
+    ("int", 5, False): (0, "e39a87e78af8f130444db852d6ceed17a3547ea386652bcf4a5ef17d36f47905"),
+    ("prob", 5, False): (0, "03fa324a75c82582c444cac403934a8ccf9b78aec88eca3d58ed56ab63d52a95"),
+    ("prod(prob,int)", 5, False): (0, "e100f685771c3facd1f44dd4c357a8705e194b1f24e0228d44f5ab517a8dbef1"),
+    ("prod(bool2,kleene3)", 5, False): (0, "a85c02da106bdfcdb44e30ce6187100c340b92f3b95707fbc3c69de14553e748"),
 }
 
 
@@ -815,6 +844,62 @@ def test_a_repeated_map_entry_is_refused(tmp_path, name, key, image):
     entries = appending(doc.pop(name), key, json.dumps(image))
     m.write_text(appending(doc, name, entries), encoding="utf-8")
     assert run("check-morphism", str(m)) == (2, "", f"error: repeated key {key!r} in a JSON object\n")
+
+
+HUGE = "x" * 100_000
+
+
+def _water(**fields) -> dict:
+    return {**WATER_OBJ, **fields}
+
+
+def _water_morphism(source=WATER, **maps) -> str:
+    return json.dumps({"format_version": "1", "source": source, "target": WATER, **WATER_MAPS, **maps})
+
+
+# per message that echoes a label, tag, key or version text: the command, its
+# exit code, and a document whose one such text has 100,000 characters
+LONG_ECHOES = {
+    "format-version": ("validate", 2, json.dumps(_water(format_version=HUGE))),
+    "repeated-key": ("validate", 2, appending({HUGE: 1}, HUGE, "2")),
+    "unknown-key": ("validate", 2, json.dumps(_water(**{HUGE: 1}))),
+    "unknown-tag": ("validate", 3, json.dumps(_water(lineale=HUGE))),
+    "malformed-tag": ("validate", 3, json.dumps(_water(lineale=f"prod({HUGE})"))),
+    "duplicate-label": ("validate", 3, json.dumps(_water(places=[HUGE, HUGE]))),
+    "unknown-place": ("validate", 3, json.dumps(_water(pre=[[HUGE, "t", "1"]]))),
+    "unknown-transition": ("validate", 3, json.dumps(_water(pre=[["H2", HUGE, "1"]]))),
+    "duplicate-arc": ("validate", 3, json.dumps(_water(places=[HUGE], pre=[[HUGE, "t", "1"]] * 2, post=[]))),
+    "map-value": ("check-morphism", 2, _water_morphism(f={HUGE: 1})),
+    "no-entry": ("check-morphism", 3, _water_morphism(_water(places=[*WATER_OBJ["places"], HUGE]))),
+    "unknown-image": ("check-morphism", 3, _water_morphism(f={**WATER_MAPS["f"], "H2": HUGE})),
+    "unknown-domain": ("check-morphism", 3, _water_morphism(f={**WATER_MAPS["f"], HUGE: "H2"})),
+}
+
+
+@pytest.mark.parametrize("message", list(LONG_ECHOES))
+def test_a_long_echoed_text_is_cut_to_one_short_line(tmp_path, message):
+    command, code, text = LONG_ECHOES[message]
+    p = tmp_path / "long.json"
+    p.write_text(text, encoding="utf-8")
+    got, out, err = run(command, str(p))
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200
+    assert re.search(r"… \(1000\d\d characters\)", err)
+
+
+def test_a_long_lineale_argument_is_cut_to_one_short_line():
+    code, out, err = run("laws", "--lineale", HUGE)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and len(err) < 200 and "… (100000 characters)" in err
+
+
+def test_a_long_repeated_map_entry_is_cut_to_a_short_message():
+    # a JSON map cannot repeat a key, so only a document built in code reaches this check
+    pairs = (("H2", "H2"), (HUGE, "H2"), (HUGE, "O2"))
+    doc = dialnet.MorphismDocument(WATER, WATER, pairs, (("t", "t"),))
+    with pytest.raises(dialnet.DocumentSemanticError) as e:
+        dialnet.resolve_morphism_document(doc)
+    assert len(str(e.value)) < 200 and "… (100000 characters)" in str(e.value)
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,8 @@ from dialnet import (
     with_proj1,
     with_proj2,
 )
-from dialnet.dialset import _hom_counts, _hom_tables
+import dialnet.dialset
+from dialnet.dialset import _hom_counts, _hom_tables, _shared
 from dialnet.laws import all_objects, random_morphism_from, random_object
 import index_oracle
 from index_oracle import fn_from_index, fn_pair_from_index
@@ -485,6 +486,22 @@ def test_hom_tables_keep_nothing_from_one_call_to_the_next():
     ]
     for objs in (kleenes, bools):
         assert _found_hom_tables(objs, objs, []) == _oracle_hom_tables(objs, objs)
+
+
+def test_a_share_builds_each_object_once_and_is_dropped_with_its_block():
+    a, b = random_object(KLEENE3, random.Random(3)), random_object(KLEENE3, random.Random(4))
+    assert tensor_obj(a, b) is not tensor_obj(a, b)
+    twin = DialObject(b.lin, b.pos, b.neg, b.weight)  # equal to b, another object
+    with pytest.raises(RuntimeError):
+        with _shared():
+            ab = tensor_obj(a, b)
+            assert ab is tensor_obj(a, b) is symmetry(a, b).source
+            a_twin = tensor_obj(a, twin)
+            assert a_twin == ab and a_twin is not ab and a_twin is tensor_obj(a, twin)
+            assert hom_obj(a, b) is hom_obj(a, b) != ab
+            raise RuntimeError("a case ends early")
+    assert dialnet.dialset._share.get() is None
+    assert hom_obj(a, b) is not hom_obj(a, b)
 
 
 def _oracle_hom_counts(sources, targets):

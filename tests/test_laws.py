@@ -5,7 +5,9 @@ test_acceptance.py repeats them at the full advertised counts.  The
 mutation tests prove the suites can actually fail.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -16,6 +18,7 @@ import dialnet.laws
 from dialnet import (
     BOOL2,
     DialMorphism,
+    DialnetError,
     DialObject,
     FinSet,
     FnTable,
@@ -411,6 +414,55 @@ def test_broken_construction_fails_the_law_that_names_it(monkeypatch, constructi
     for module in (dialnet.dialset, dialnet.laws):
         monkeypatch.setattr(module, name, mutant)
     assert not verdict()
+
+
+def _flaky(cells_of):
+    # the cell builder with its first cell changed to another carrier value
+    # on every second call: equal factors no longer give equal objects
+    calls = itertools.count()
+
+    def mutant(lin, *args):
+        table, cells = cells_of(lin, *args)
+        if next(calls) % 2:
+            first = next(cells)
+            cells = itertools.chain([next(v for v in lin._carrier if v != first)], cells)
+        return table, cells
+
+    return mutant
+
+
+@pytest.mark.parametrize("lin", [KLEENE3, BOOL2], ids=lambda lin: lin.tag)
+@pytest.mark.parametrize("suite", [coherence_laws, functoriality_laws, adjunction_oracle])
+def test_a_nondeterministic_tensor_fails_every_suite_that_shares_it(monkeypatch, lin, suite):
+    # the change sits below the share, so the suites must still compare an
+    # object built outside it with its shared twin to see it
+    assert not failing(suite(lin, seed=1, cases=8))
+    monkeypatch.setattr(dialnet.dialset, "_tensor_cells", _flaky(dialnet.dialset._tensor_cells))
+    try:
+        assert failing(suite(lin, seed=1, cases=8))
+    except DialnetError:
+        pass
+
+
+@pytest.mark.parametrize("suite", [coherence_laws, functoriality_laws, adjunction_oracle])
+def test_the_share_lives_one_case(monkeypatch, suite):
+    # each case opens an empty share of its own and drops it when it ends,
+    # so nothing built in one case is reachable from the next or afterwards
+    shared, sizes = dialnet.dialset._shared, []
+
+    @contextlib.contextmanager
+    def recording():
+        assert dialnet.dialset._share.get() is None
+        with shared():
+            assert dialnet.dialset._share.get() == {}
+            yield
+            sizes.append(len(dialnet.dialset._share.get()))
+        assert dialnet.dialset._share.get() is None
+
+    monkeypatch.setattr(dialnet.laws, "_shared", recording)
+    assert not failing(suite(KLEENE3, seed=1, cases=8))
+    assert len(sizes) == 8 and min(sizes) > 0
+    assert dialnet.dialset._share.get() is None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ ALLOWED = {
     ("petrinet", "dialset", "_tensor_cells"),
     ("laws", "dialset", "_hom_counts"),
     ("laws", "dialset", "_hom_tables"),
+    ("laws", "dialset", "_shared"),
+    ("netdoc", "lineale", "_echo"),
     ("netdoc", "petrinet", "_net_from_cells"),
     ("netdoc", "petrinet", "_rebased"),
 }
