@@ -26,7 +26,7 @@ from .errors import (
     DocumentSyntaxError,
 )
 from .laws import DEFAULT_SEED, mutate_imp, run_all
-from .lineale import get_lineale
+from .lineale import _echo, get_lineale
 from .netdoc import (
     EXAMPLE_NAMES,
     example_path,
@@ -73,8 +73,8 @@ def _cmd_check_morphism(args) -> int:
     print(f"not a net morphism: {len(violations)} violation(s)")
     for v in violations:
         print(
-            f"  [{v.part}] place {source.places.label(v.u)!r} / "
-            f"transition {target.transitions.label(v.y)!r}: "
+            f"  [{v.part}] place {_echo(source.places.label(v.u))} / "
+            f"transition {_echo(target.transitions.label(v.y))}: "
             f"source weight {v.source_weight} is not below "
             f"target weight {v.target_weight}"
         )
@@ -140,9 +140,16 @@ def _case_count(text: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a message may echo a whole argument
+        if len(message) > 200:
+            message = f"{message[:200]}… ({len(message)} characters)"
+        super().error(message)
+
+
 @functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dialnet",
         description="Lineale-weighted Petri nets: validate, combine, and check laws.",
     )

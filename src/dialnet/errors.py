@@ -36,7 +36,6 @@ class CapExceeded(DialnetError):
     def __init__(self, required: int, cap: int, what: str = "carrier", unit: str = "elements"):
         self.required = required
         self.cap = cap
-        self.what = what
         super().__init__(f"{what} needs {required} {unit}, cap is {cap}")
 
 

@@ -17,9 +17,9 @@ constrained values.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
+from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from .dialset import (
@@ -690,10 +690,7 @@ def mutate_imp(lin: Lineale) -> Lineale:
     tag, which get_lineale does not resolve, so its values never mix with
     those of the honest lineale.
     """
-    broken = copy.copy(lin)
-    broken.tag = f"mutate_imp({lin.tag})"
-    broken._imp = lambda a, b: lin.unit_payload
-    return broken
+    return replace(lin, tag=f"mutate_imp({lin.tag})", _imp=lambda a, b: lin.unit_payload)
 
 
 def mutated_kleene3() -> Lineale:

@@ -65,6 +65,7 @@ class LinealeValue:
         return format_value(self)
 
 
+@dataclass(eq=False, slots=True)
 class Lineale:
     """A lineale instance: the order, product, unit, and implication.
 
@@ -73,45 +74,17 @@ class Lineale:
     that both arguments carry this instance's tag.
     """
 
-    __slots__ = (
-        "tag",
-        "unit_payload",
-        "factors",
-        "_leq",
-        "_tensor",
-        "_imp",
-        "_sample",
-        "_coerce",
-        "_validate",
-        "_parse",
-        "_carrier",
-    )
-
-    def __init__(
-        self,
-        tag: str,
-        unit_payload: Any,
-        leq: Callable[[Any, Any], bool],
-        tensor: Callable[[Any, Any], Any],
-        imp: Callable[[Any, Any], Any],
-        sample: Callable[[random.Random, int], Any],
-        validate: Callable[[Any], None],
-        parse: Callable[[str], Any],
-        coerce: Optional[Callable[[Any], Any]] = None,
-        carrier: Optional[tuple] = None,
-        factors: Optional[tuple["Lineale", "Lineale"]] = None,
-    ):
-        self.tag = tag
-        self.unit_payload = unit_payload
-        self.factors = factors
-        self._leq = leq
-        self._tensor = tensor
-        self._imp = imp
-        self._sample = sample
-        self._coerce = coerce if coerce is not None else lambda p: p
-        self._validate = validate
-        self._parse = parse
-        self._carrier = carrier
+    tag: str
+    unit_payload: Any
+    _leq: Callable[[Any, Any], bool]
+    _tensor: Callable[[Any, Any], Any]
+    _imp: Callable[[Any, Any], Any]
+    _sample: Callable[[random.Random, int], Any]
+    _validate: Callable[[Any], None]
+    _parse: Callable[[str], Any]
+    _coerce: Callable[[Any], Any] = lambda p: p
+    _carrier: Optional[tuple] = None
+    factors: Optional[tuple["Lineale", "Lineale"]] = None
 
     def __repr__(self) -> str:
         return f"Lineale({self.tag!r})"
@@ -238,13 +211,13 @@ def _bool2() -> Lineale:
     return Lineale(
         tag="bool2",
         unit_payload=True,
-        leq=lambda a, b: (not a) or b,
-        tensor=lambda a, b: a and b,
-        imp=lambda a, b: (not a) or b,
-        sample=lambda rng, bound: rng.random() < 0.5,
-        validate=validate,
-        parse=parse,
-        carrier=(False, True),
+        _leq=lambda a, b: (not a) or b,
+        _tensor=lambda a, b: a and b,
+        _imp=lambda a, b: (not a) or b,
+        _sample=lambda rng, bound: rng.random() < 0.5,
+        _validate=validate,
+        _parse=parse,
+        _carrier=(False, True),
     )
 
 
@@ -256,13 +229,13 @@ def _kleene3() -> Lineale:
     return Lineale(
         tag="kleene3",
         unit_payload=1,
-        leq=lambda a, b: a <= b,
-        tensor=min,
-        imp=lambda a, b: 1 if a <= b else b,
-        sample=lambda rng, bound: rng.choice((-1, 0, 1)),
-        validate=validate,
-        parse=_parse_int,
-        carrier=(-1, 0, 1),
+        _leq=lambda a, b: a <= b,
+        _tensor=min,
+        _imp=lambda a, b: 1 if a <= b else b,
+        _sample=lambda rng, bound: rng.choice((-1, 0, 1)),
+        _validate=validate,
+        _parse=_parse_int,
+        _carrier=(-1, 0, 1),
     )
 
 
@@ -278,12 +251,12 @@ def _nat() -> Lineale:
     return Lineale(
         tag="nat",
         unit_payload=0,
-        leq=lambda a, b: a >= b,
-        tensor=lambda a, b: a + b,
-        imp=lambda a, b: max(b - a, 0),
-        sample=lambda rng, bound: rng.randint(0, bound),
-        validate=validate,
-        parse=_parse_int,
+        _leq=lambda a, b: a >= b,
+        _tensor=lambda a, b: a + b,
+        _imp=lambda a, b: max(b - a, 0),
+        _sample=lambda rng, bound: rng.randint(0, bound),
+        _validate=validate,
+        _parse=_parse_int,
     )
 
 
@@ -326,13 +299,13 @@ def _prob() -> Lineale:
     return Lineale(
         tag="prob",
         unit_payload=one,
-        leq=lambda a, b: a <= b,
-        tensor=lambda a, b: a * b,
-        imp=imp,
-        sample=draw,
-        coerce=coerce,
-        validate=validate,
-        parse=parse,
+        _leq=lambda a, b: a <= b,
+        _tensor=lambda a, b: a * b,
+        _imp=imp,
+        _sample=draw,
+        _coerce=coerce,
+        _validate=validate,
+        _parse=parse,
     )
 
 
@@ -345,12 +318,12 @@ def _int() -> Lineale:
     return Lineale(
         tag="int",
         unit_payload=0,
-        leq=lambda a, b: a <= b,
-        tensor=lambda a, b: a + b,
-        imp=lambda a, b: b - a,
-        sample=lambda rng, bound: rng.randint(-bound, bound),
-        validate=validate,
-        parse=_parse_int,
+        _leq=lambda a, b: a <= b,
+        _tensor=lambda a, b: a + b,
+        _imp=lambda a, b: b - a,
+        _sample=lambda rng, bound: rng.randint(-bound, bound),
+        _validate=validate,
+        _parse=_parse_int,
     )
 
 
@@ -414,14 +387,14 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
     return Lineale(
         tag=tag,
         unit_payload=(first.unit_payload, second.unit_payload),
-        leq=leq,
-        tensor=tensor,
-        imp=imp,
-        sample=draw,
-        coerce=coerce,
-        validate=validate,
-        parse=parse,
-        carrier=carrier,
+        _leq=leq,
+        _tensor=tensor,
+        _imp=imp,
+        _sample=draw,
+        _coerce=coerce,
+        _validate=validate,
+        _parse=parse,
+        _carrier=carrier,
         factors=(first, second),
     )
 

@@ -21,10 +21,10 @@ stored form, and two nets are equal exactly when their relations are.
 _modal is the one place that picks the default, and _rebased the one
 place that re-lists a relation against another default.  Two builders
 work the stored form out from counts of the distinct payloads:
-_net_from_cells from a fill payload and the cells listed off it, which
-become the arcs as they are when they run in index order and hold no
-default, _pointwise_net from the op tables and cells of the tensor or
-hom cell builder that dialset's tensor_obj and hom_obj share.
+_net_from_cells from a fill payload, the cells listed off it (the arcs
+as they are if in index order and free of the default) and their count
+by value, which every caller hands over; _pointwise_net from the op
+tables and cells of the tensor or hom builder tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import is_not, lt, ne
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
 from .dialset import check_shapes
@@ -139,20 +139,14 @@ def _net_from_cells(
     fill: object,
     pre: dict[int, object],
     post: dict[int, object],
-    listed: Optional[dict[object, int]] = None,
+    listed: Mapping[object, int],
 ) -> PetriNet:
     """The net whose relations hold fill except at the cells listed in pre
     and post (index -> payload maps in any order; a listed cell may equal
-    fill).  listed counts those cells by payload value; without it, they
-    are counted here once per distinct payload object.  A map that lists
-    its cells in index order, none equal to the default, becomes the
+    fill), which listed counts by payload value.  A map that lists its
+    cells in index order, none equal to the default, becomes the
     relation's arcs as it is, so the caller hands it over."""
     n = places.size * transitions.size
-    if listed is None:
-        values = list(chain(pre.values(), post.values()))
-        ids, listed = Counter(map(id, values)), {}
-        for v in dict(zip(map(id, values), values)).values():
-            listed[v] = listed.get(v, 0) + ids[id(v)]
     default = lin.unit_payload
     if n:
         counts = {fill: 2 * n - len(pre) - len(post)}
@@ -199,9 +193,9 @@ def net_from_arcs(
             for (p, t), v in arcs.items()
         }
 
-    return _net_from_cells(
-        lin, places, transitions, fill, cells(pre_arcs), cells(post_arcs)
-    )
+    pre, post = cells(pre_arcs), cells(post_arcs)
+    listed = Counter(chain(pre.values(), post.values()))
+    return _net_from_cells(lin, places, transitions, fill, pre, post, listed)
 
 
 class NetViolation(NamedTuple):
@@ -325,6 +319,7 @@ def _block_net(
     b_at are (first, step, copies): input cell (r, c) goes to the result
     cells first(r, c) + i * step for i < copies."""
     n_b = b.places.size * b.transitions.size
+    listed: dict[object, int] = {}  # the result's listed cells by payload value
 
     def cells(a_arcs: dict[int, object], b_arcs: dict[int, object]) -> dict[int, object]:
         if b.default != a.default:
@@ -335,10 +330,11 @@ def _block_net(
             for k, w in arcs.items():
                 start = first(*divmod(k, net.transitions.size))
                 out.update(zip(range(start, start + step * copies, step), repeat(w)))
+                listed[w] = listed.get(w, 0) + copies
         return out
 
     pre, post = cells(a.pre_arcs, b.pre_arcs), cells(a.post_arcs, b.post_arcs)
-    return _net_from_cells(a.lin, places, transitions, a.default, pre, post)
+    return _net_from_cells(a.lin, places, transitions, a.default, pre, post, listed)
 
 
 def net_with(a: PetriNet, b: PetriNet) -> PetriNet:

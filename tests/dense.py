@@ -8,6 +8,7 @@ dialset's cell builders, the tests also check every cell against the
 connective's formula.
 """
 
+from collections import Counter
 from itertools import chain, compress, count, repeat
 from operator import is_not
 
@@ -47,4 +48,6 @@ def net_from_relations(pre: DialObject, post: DialObject) -> PetriNet:
         flat = list(chain.from_iterable(obj.weight))
         return dict(compress(zip(count(), flat), map(is_not, flat, repeat(first))))
 
-    return _net_from_cells(pre.lin, pre.pos, pre.neg, first, cells(pre), cells(post))
+    pre_cells, post_cells = cells(pre), cells(post)
+    listed = Counter(chain(pre_cells.values(), post_cells.values()))
+    return _net_from_cells(pre.lin, pre.pos, pre.neg, first, pre_cells, post_cells, listed)

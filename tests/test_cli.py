@@ -902,6 +902,34 @@ def test_a_long_repeated_map_entry_is_cut_to_a_short_message():
     assert len(str(e.value)) < 200 and "… (100000 characters)" in str(e.value)
 
 
+def test_a_violation_line_cuts_a_long_place_label(tmp_path):
+    source = _water(places=[HUGE, "O2", "H2O"], pre=[[HUGE, "t", "1"], ["O2", "t", "1"]])
+    m = tmp_path / "long.mor"
+    m.write_text(_water_morphism(source, f={HUGE: "H2", "O2": "O2", "H2O": "H2O"}), encoding="utf-8")
+    code, out, err = run("check-morphism", str(m))
+    assert (code, err) == (3, "")
+    head, line = out.splitlines()
+    assert head == "not a net morphism: 1 violation(s)" and len(line) < 200
+    assert line.startswith("  [pre] place 'xxx") and "… (100000 characters) / transition 't': " in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["laws", "--lineale", "nat", "--cases"], ["laws", "--lineale", "nat", "--seed"],
+     ["combine", "a.net", "b.net", "--out", "c.net", "--op"], ["example", "--name"]],
+    ids=["cases", "seed", "op", "name"],
+)
+def test_a_long_argument_is_cut_in_the_usage_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([*argv, "x" * 5000])
+    assert exc.value.code == 2
+    errors = [line for line in err.getvalue().splitlines() if ": error: " in line]
+    assert len(errors) == 1 and len(errors[0].encode("utf-8")) < 300
+    assert re.search(r"… \(5\d\d\d characters\)$", errors[0])
+    assert len(err.getvalue().encode("utf-8")) < 600
+
+
 @pytest.mark.parametrize(
     "tag, weight, needed",
     [("nat", "{}", lambda n: n + 1), ("int", "-{}", lambda n: n + 1), ("prob", "1/{}", lambda n: 2 * n)],

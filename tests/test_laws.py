@@ -26,6 +26,7 @@ from dialnet import (
     INT,
     KLEENE3,
     LawResult,
+    Lineale,
     NAT,
     PROB,
     TagMismatch,
@@ -370,6 +371,30 @@ def test_broken_imp_fails_on_bool2_too():
 def test_broken_imp_breaks_the_oracle():
     rs = adjunction_oracle(mutated_kleene3(), cases=6)
     assert failing(rs) != []
+
+
+def test_a_lineale_built_positionally_in_the_documented_order_passes_its_laws():
+    # the field order README gives: tag, unit payload, then the payload ops
+    ops = (BOOL2._leq, BOOL2._tensor, BOOL2._imp, BOOL2._sample, BOOL2._validate, BOOL2._parse)
+    args = ("bool2_again", True, *ops, BOOL2._coerce, (False, True), None)
+    lin = Lineale(*args)
+    assert [getattr(lin, f.name) for f in dataclasses.fields(Lineale)] == list(args)
+    assert lin != BOOL2 and lin.carrier() == tuple(lin.value(p) for p in (False, True))
+    results = lineale_laws(lin)
+    assert results and all(r.passed for r in results)
+    # the identity is the default coercion
+    assert Lineale(*args[:8]).value(True) == lin.value(True)
+
+
+def test_mutate_imp_leaves_the_honest_lineale_as_it_was():
+    imp, one, low = KLEENE3._imp, KLEENE3.value(1), KLEENE3.value(-1)
+    broken = mutate_imp(KLEENE3)
+    assert KLEENE3._imp is imp and KLEENE3.tag == "kleene3"
+    assert KLEENE3.imp(one, low) == low and broken._imp(1, -1) == 1
+    assert broken != KLEENE3 and broken.tag == "mutate_imp(kleene3)"
+    with pytest.raises(UnknownLineale):
+        get_lineale(broken.tag)
+    assert get_lineale("kleene3") is KLEENE3
 
 
 def test_mutated_suite_differs_from_honest_suite():

@@ -22,6 +22,7 @@ ALLOWED = {
     ("laws", "dialset", "_hom_counts"),
     ("laws", "dialset", "_hom_tables"),
     ("laws", "dialset", "_shared"),
+    ("cli", "lineale", "_echo"),
     ("netdoc", "lineale", "_echo"),
     ("netdoc", "petrinet", "_net_from_cells"),
     ("netdoc", "petrinet", "_rebased"),

@@ -10,6 +10,7 @@ import os
 import tempfile
 import types
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import dense
@@ -614,6 +615,31 @@ def test_net_text_matches_the_document_path_and_json_dumps(net, data):
     with tempfile.TemporaryDirectory() as tmp:
         save_net(net, Path(tmp) / "n.net", default)
         assert (Path(tmp) / "n.net").read_bytes() == data
+
+
+_PROB = get_lineale("prob")
+_HALF = Fraction(1, 2)
+# 1/2 as two distinct objects, and an arc equal to the default 0: by value,
+# 1/2 and 0 each fill three cells, a tie that 1/2, met first, wins
+_HALVES = net_from_arcs(
+    _PROB, ("p",), ("a", "b", "c"), _PROB.value(Fraction(0)),
+    {("p", "a"): _PROB.value(_HALF), ("p", "b"): _PROB.value(Fraction(2, 4)),
+     ("p", "c"): _PROB.value(Fraction(0))},
+    {("p", "a"): _PROB.value(_HALF)},
+)
+
+
+def test_net_from_arcs_counts_its_cells_by_value():
+    assert (_HALVES.default, _HALVES.pre_arcs, _HALVES.post_arcs) == (_HALF, {2: 0}, {1: 0, 2: 0})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_nets())
+@example(_HALVES)
+def test_net_from_arcs_equals_the_net_of_its_dense_relations(net):
+    oracle = dense.net_from_relations(dense.pre(net), dense.post(net))
+    assert net == oracle
+    assert (net.default, net.pre_arcs, net.post_arcs) == (oracle.default, oracle.pre_arcs, oracle.post_arcs)
 
 
 _NAT = get_lineale("nat")
