@@ -62,6 +62,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _weight(value) -> str:
+    text = str(value)
+    return text if len(text) <= 60 else _echo(text)  # a long weight is quoted and cut
+
+
 def _cmd_check_morphism(args) -> int:
     mdoc = parse_morphism_document(read_text(args.morphism))
     base = Path(args.morphism).resolve().parent
@@ -75,8 +80,8 @@ def _cmd_check_morphism(args) -> int:
         print(
             f"  [{v.part}] place {_echo(source.places.label(v.u))} / "
             f"transition {_echo(target.transitions.label(v.y))}: "
-            f"source weight {v.source_weight} is not below "
-            f"target weight {v.target_weight}"
+            f"source weight {_weight(v.source_weight)} is not below "
+            f"target weight {_weight(v.target_weight)}"
         )
     return 3
 

@@ -340,11 +340,6 @@ def _landing(weights, reads, n: int) -> list[int]:
     return out
 
 
-def tensor_unit(lin: Lineale) -> DialObject:
-    """One-element carriers weighted by the lineale's unit."""
-    return DialObject(lin, FinSet(1), FinSet(1), ((lin.unit_payload,),))
-
-
 def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
     """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)): one payload per
     pair of input cells, so cells with equal inputs share one object."""
@@ -389,16 +384,16 @@ def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
     return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
 
 
-# (builder, id(a), id(b)) -> (object, a, b) while a _shared() block runs
-# in this thread, else None; holding the factors keeps their ids from being reused
+# (builder, *ids of its arguments) -> (object, arguments) while a _shared() block
+# runs in this thread, else None; holding the arguments keeps their ids from being reused
 _share: contextvars.ContextVar[dict | None] = contextvars.ContextVar("share", default=None)
 
 
 @contextlib.contextmanager
 def _shared():
-    """Within the block, tensor_obj and hom_obj build each object once per
-    pair of factors and hand out that one object again, so equal objects are
-    the same object; the share is dropped when the block ends."""
+    """Within the block, tensor_unit, tensor_obj and hom_obj build each object
+    once per tuple of arguments and hand out that one object again, so equal
+    objects are the same object; the share is dropped when the block ends."""
     token = _share.set({})
     try:
         yield
@@ -407,19 +402,25 @@ def _shared():
 
 
 def _once(build):
-    """build(a, b) as it runs outside a share, looked up in the open one."""
+    """build(*args) as it runs outside a share, looked up in the open one."""
 
     @functools.wraps(build)
-    def shared(a, b):
+    def shared(*args):
         share = _share.get()
         if share is None:
-            return build(a, b)
-        key = (build, id(a), id(b))
+            return build(*args)
+        key = (build, *map(id, args))
         if key not in share:
-            share[key] = build(a, b), a, b
+            share[key] = build(*args), args
         return share[key][0]
 
     return shared
+
+
+@_once
+def tensor_unit(lin: Lineale) -> DialObject:
+    """One-element carriers weighted by the lineale's unit."""
+    return DialObject(lin, FinSet(1), FinSet(1), ((lin.unit_payload,),))
 
 
 @_once

@@ -9,10 +9,10 @@ and where.
 Finite lineales are checked exhaustively, the identity law on hom-sets
 read as table tuples; infinite ones with seeded random values.  Random
 objects keep carrier sizes in {1, 2} so that the morphism enumerations
-stay under the fixed size cap, and random valid morphisms are produced
-constructively: pick the tables first, then force the target (or
-source) weights to satisfy the order condition by joining in the
-constrained values.
+stay under the fixed size cap.  random_morphism builds a valid morphism
+out of a given object (or into it): it picks the tables first, then
+raises (or lowers) the fresh end's weights just far enough to satisfy
+the order condition.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ __all__ = [
     "run_all",
     "all_objects",
     "random_object",
-    "random_morphism_from",
-    "random_morphism_into",
+    "random_morphism",
     "mutate_imp",
     "mutated_kleene3",
 ]
@@ -172,7 +171,7 @@ def random_object(lin: Lineale, rng: random.Random) -> DialObject:
     return _random_object_on(lin, rng, pos, neg)
 
 
-def _random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into: bool) -> DialMorphism:
+def random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into=False) -> DialMorphism:
     """A valid morphism out of end, or into it when into, whose other end is
     built fresh: tables are random, and the fresh weights start random and
     are then raised (out of end) or lowered (into it) just far enough to
@@ -200,21 +199,6 @@ def _random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into: bo
     fresh = DialObject(lin, pos, neg, tuple(rows))
     source, target = (fresh, end) if into else (end, fresh)
     return dial_morphism(source, target, FnTable(src_pos, tgt_pos, f), FnTable(tgt_neg, src_neg, bt))
-
-
-def random_morphism_from(
-    lin: Lineale, rng: random.Random, source: DialObject
-) -> DialMorphism:
-    """A valid morphism out of ``source`` with freshly built target, whose
-    weights are raised just far enough to satisfy the order condition."""
-    return _random_morphism(lin, rng, source, into=False)
-
-
-def random_morphism_into(
-    lin: Lineale, rng: random.Random, target: DialObject
-) -> DialMorphism:
-    """Dual of random_morphism_from: builds the source, lowering weights."""
-    return _random_morphism(lin, rng, target, into=True)
 
 
 def all_objects(lin: Lineale, max_size: int = 2) -> list[DialObject]:
@@ -255,43 +239,24 @@ def lineale_laws(
         ]
 
     leq, tens, imp, e = lin.leq, lin.tensor, lin.imp, lin.unit
-    laws = {
-        name: _Law(name)
-        for name in (
-            "order.reflexive",
-            "order.antisymmetric",
-            "order.transitive",
-            "monoid.associative",
-            "monoid.unit",
-            "monoid.commutative",
-            "order.compatible",
-            "hom.adjunction",
-            "hom.variance",
-        )
+    axioms = {  # law name -> whether the quadruple (a, b, c, d) keeps it
+        "order.reflexive": lambda a, b, c, d: leq(a, a),
+        "order.antisymmetric": lambda a, b, c, d: not (leq(a, b) and leq(b, a)) or a == b,
+        "order.transitive": lambda a, b, c, d: not (leq(a, b) and leq(b, c)) or leq(a, c),
+        "monoid.associative": lambda a, b, c, d: tens(tens(a, b), c) == tens(a, tens(b, c)),
+        "monoid.unit": lambda a, b, c, d: tens(e, a) == a and tens(a, e) == a,
+        "monoid.commutative": lambda a, b, c, d: tens(a, b) == tens(b, a),
+        "order.compatible": lambda a, b, c, d: (
+            not (leq(a, b) and leq(c, d)) or leq(tens(a, c), tens(b, d))
+        ),
+        "hom.adjunction": lambda a, b, c, d: leq(tens(b, c), a) == leq(b, imp(c, a)),
+        "hom.variance": lambda a, b, c, d: not (leq(b, a) and leq(c, d)) or leq(imp(a, c), imp(b, d)),
     }
+    laws = {name: _Law(name) for name in axioms}
     for a, b, c, d in quads:
         ctx = lambda: f"a={a} b={b} c={c} d={d}"
-        laws["order.reflexive"].check(leq(a, a), ctx)
-        laws["order.antisymmetric"].check(
-            not (leq(a, b) and leq(b, a)) or a == b, ctx
-        )
-        laws["order.transitive"].check(
-            not (leq(a, b) and leq(b, c)) or leq(a, c), ctx
-        )
-        laws["monoid.associative"].check(
-            tens(tens(a, b), c) == tens(a, tens(b, c)), ctx
-        )
-        laws["monoid.unit"].check(tens(e, a) == a and tens(a, e) == a, ctx)
-        laws["monoid.commutative"].check(tens(a, b) == tens(b, a), ctx)
-        laws["order.compatible"].check(
-            not (leq(a, b) and leq(c, d)) or leq(tens(a, c), tens(b, d)), ctx
-        )
-        laws["hom.adjunction"].check(
-            leq(tens(b, c), a) == leq(b, imp(c, a)), ctx
-        )
-        laws["hom.variance"].check(
-            not (leq(b, a) and leq(c, d)) or leq(imp(a, c), imp(b, d)), ctx
-        )
+        for name, holds in axioms.items():
+            laws[name].check(holds(a, b, c, d), ctx)
     return [law.result() for law in laws.values()]
 
 
@@ -308,10 +273,10 @@ def category_laws(
     carrier = lin.carrier()
     if carrier is not None and len(carrier) <= 3:
         # id_b . m == m and m . id_a == m on table tuples, each through the pure
-        # finset.compose once per pair of identity tables.  A source whose table
-        # spaces all keep the law has its cases counted; any other is searched
-        # in order.  Its last case also goes through dialset.compose.  (kleene3:
-        # about 30 ms for this suite in-process, 114 ms walking every case.)
+        # finset.compose once per pair of identity tables.  If every table space
+        # keeps the law, each source has its cases counted; else every source is
+        # searched in order.  Each last case also goes through dialset.compose.
+        # (kleene3: about 30 ms for this suite in-process, 114 ms walking every case.)
         law = _Law("category.identity.exhaustive")
         objs = all_objects(lin, 2)
         ids = {id(a): identity(a) for a in objs}
@@ -328,18 +293,15 @@ def category_laws(
             return DialMorphism(a, b, FnTable(a.pos, b.pos, f), FnTable(b.neg, a.neg, bt))
 
         kinds = {(m.fwd.table, m.bwd.table): m for m in ids.values()}  # one per identity
-        clean = {  # a source's identity -> every table of each space it meets keeps the law
-            kind: all(
-                keeps(t, i, j)
-                for ib in kinds.values()
-                for i, j in ((ia.fwd, ib.fwd), (ib.bwd, ia.bwd))
-                for t in itertools.product(range(j.dom.size), repeat=i.cod.size)
-            )
-            for kind, ia in kinds.items()
-        }
+        clean = all(  # every table of every space between two identities keeps the law
+            keeps(t, i, j)
+            for ia, ib in itertools.product(kinds.values(), repeat=2)
+            for i, j in ((ia.fwd, ib.fwd), (ib.bwd, ia.bwd))
+            for t in itertools.product(range(j.dom.size), repeat=i.cod.size)
+        )
         for a, count, last in _hom_counts(objs, objs):
             ia = ids[id(a)]
-            if clean[ia.fwd.table, ia.bwd.table]:
+            if clean:
                 law.check(True, None, count)
             else:
                 for _, b, f, bwds in _hom_tables((a,), objs):
@@ -371,9 +333,9 @@ def category_laws(
     closed = _Law("category.compose.valid")
     for _ in range(cases):
         a = random_object(lin, rng)
-        m1 = random_morphism_from(lin, rng, a)
-        m2 = random_morphism_from(lin, rng, m1.target)
-        m3 = random_morphism_from(lin, rng, m2.target)
+        m1 = random_morphism(lin, rng, a)
+        m2 = random_morphism(lin, rng, m1.target)
+        m3 = random_morphism(lin, rng, m2.target)
         ident.check(
             compose(identity(m1.target), m1) == m1
             and compose(m1, identity(a)) == m1,
@@ -424,7 +386,7 @@ def adjunction_oracle(
             if i % 4 == 3:
                 c = random_object(lin, rng)
             else:
-                c = random_morphism_from(lin, rng, ab).target
+                c = random_morphism(lin, rng, ab).target
             h = hom_obj(b, c)
             left = enumerate_morphisms(ab, c)
             right = enumerate_morphisms(a, h)
@@ -452,7 +414,7 @@ def adjunction_oracle(
                 )
             if left:
                 m = rng.choice(left)
-                n = random_morphism_into(lin, rng, a)
+                n = random_morphism(lin, rng, a, into=True)
                 lhs = curry_dial(
                     compose(m, tensor_mor(n, identity(b))), n.source, b
                 )
@@ -483,10 +445,10 @@ def functoriality_laws(
             t_id.check(tensor_mor(identity(a), identity(b)) == identity(tensor_obj(a, b)), ctx)
             h_id.check(hom_mor(identity(a), identity(b)) == identity(hom_obj(a, b)), ctx)
 
-            m1 = random_morphism_from(lin, rng, a)
-            m1p = random_morphism_from(lin, rng, m1.target)
-            m2 = random_morphism_from(lin, rng, b)
-            m2p = random_morphism_from(lin, rng, m2.target)
+            m1 = random_morphism(lin, rng, a)
+            m1p = random_morphism(lin, rng, m1.target)
+            m2 = random_morphism(lin, rng, b)
+            m2p = random_morphism(lin, rng, m2.target)
             lhs = tensor_mor(compose(m1p, m1), compose(m2p, m2))
             rhs = compose(tensor_mor(m1p, m2p), tensor_mor(m1, m2))
             t_comp.check(
@@ -495,10 +457,10 @@ def functoriality_laws(
             tm = tensor_mor(m1, m2)
             t_valid.check(_valid(tm), lambda: _show_mor(tm))
 
-            a1 = random_morphism_from(lin, rng, random_object(lin, rng))
-            a2 = random_morphism_from(lin, rng, a1.target)
-            b1 = random_morphism_from(lin, rng, random_object(lin, rng))
-            b2 = random_morphism_from(lin, rng, b1.target)
+            a1 = random_morphism(lin, rng, random_object(lin, rng))
+            a2 = random_morphism(lin, rng, a1.target)
+            b1 = random_morphism(lin, rng, random_object(lin, rng))
+            b2 = random_morphism(lin, rng, b1.target)
             # hom_mor(a2 . a1, b2 . b1) factors through the middle hom object
             lhs = hom_mor(compose(a2, a1), compose(b2, b1))
             rhs = compose(hom_mor(a1, b2), hom_mor(a2, b1))
@@ -603,8 +565,8 @@ def coherence_laws(
 
             sym = symmetry(a2, b2)
             sym_inv.check(_valid(sym) and compose(symmetry(b2, a2), sym) == identity(sym.source), ctx2)
-            n1 = random_morphism_from(lin, rng, a2)
-            n2 = random_morphism_from(lin, rng, b2)
+            n1 = random_morphism(lin, rng, a2)
+            n2 = random_morphism(lin, rng, b2)
             sym_nat.check(
                 compose(symmetry(n1.target, n2.target), tensor_mor(n1, n2))
                 == compose(tensor_mor(n2, n1), sym),
@@ -632,8 +594,8 @@ def universal_laws(
     s_unq = _Law("coproduct.unique")
     for _ in range(cases):
         src = random_object(lin, rng)
-        m1 = random_morphism_from(lin, rng, src)
-        m2 = random_morphism_from(lin, rng, src)
+        m1 = random_morphism(lin, rng, src)
+        m2 = random_morphism(lin, rng, src)
         a, b = m1.target, m2.target
         pair = with_pairing(m1, m2)
         p1, p2 = with_proj1(a, b), with_proj2(a, b)
@@ -647,8 +609,8 @@ def universal_laws(
         p_unq.check(mediating == [pair], ctx)
 
         tgt = random_object(lin, rng)
-        n1 = random_morphism_into(lin, rng, tgt)
-        n2 = random_morphism_into(lin, rng, tgt)
+        n1 = random_morphism(lin, rng, tgt, into=True)
+        n2 = random_morphism(lin, rng, tgt, into=True)
         a, b = n1.source, n2.source
         cop = oplus_copair(n1, n2)
         i1, i2 = oplus_inl(a, b), oplus_inr(a, b)

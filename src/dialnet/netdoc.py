@@ -506,14 +506,12 @@ def build_example(name: str) -> PetriNet:
     return load_net(example_path(name))
 
 
-def save_net(
-    net: PetriNet, path: Union[str, Path], default: Optional[LinealeValue] = None
-) -> None:
-    """Write serialize_net(net, default).  A text over MAX_DOCUMENT_BYTES,
+def save_net(net: PetriNet, path: Union[str, Path]) -> None:
+    """Write serialize_net(net).  A text over MAX_DOCUMENT_BYTES,
     which read_text would refuse, raises CapExceeded, and a label the reader
     would refuse raises its DocumentSyntaxError; neither writes anything."""
     try:
-        data = serialize_net(net, default).encode("utf-8")
+        data = serialize_net(net).encode("utf-8")
     except UnicodeEncodeError:
         # only a label can hold a lone surrogate; name it as the reader does
         _expect_label_list(list(_labels(net.places)), "places")

@@ -913,6 +913,18 @@ def test_a_violation_line_cuts_a_long_place_label(tmp_path):
     assert line.startswith("  [pre] place 'xxx") and "… (100000 characters) / transition 't': " in line
 
 
+def test_a_violation_line_cuts_a_long_weight(tmp_path):
+    target = tmp_path / "big.net"
+    target.write_text(json.dumps(_water(pre=[["H2", "t", "9" * 4000], ["O2", "t", "1"]])), encoding="utf-8")
+    m = tmp_path / "big.mor"
+    m.write_text(_water_morphism(WATER, target=str(target)), encoding="utf-8")
+    code, out, err = run("check-morphism", str(m))
+    assert (code, err) == (3, "")
+    head, line = out.splitlines()
+    assert head == "not a net morphism: 1 violation(s)" and len(line.encode("utf-8")) < 300
+    assert line.endswith("target weight '" + "9" * 60 + "'… (4000 characters)")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["laws", "--lineale", "nat", "--cases"], ["laws", "--lineale", "nat", "--seed"],

@@ -52,7 +52,7 @@ from dialnet import (
 )
 import dialnet.dialset
 from dialnet.dialset import _hom_counts, _hom_tables, _shared
-from dialnet.laws import all_objects, random_morphism_from, random_object
+from dialnet.laws import all_objects, random_morphism, random_object
 import index_oracle
 from index_oracle import fn_from_index, fn_pair_from_index
 
@@ -323,7 +323,7 @@ def test_curry_uncurry_roundtrip_small():
     a, b = bool_obj([[1, 0]]), bool_obj([[1], [0]])
     rng = random.Random(3)
     for _ in range(10):
-        m = random_morphism_from(BOOL2, rng, tensor_obj(a, b))
+        m = random_morphism(BOOL2, rng, tensor_obj(a, b))
         n = curry_dial(m, a, b)
         assert n.source == a
         assert n.target == hom_obj(b, m.target)
@@ -504,6 +504,16 @@ def test_a_share_builds_each_object_once_and_is_dropped_with_its_block():
     assert hom_obj(a, b) is not hom_obj(a, b)
 
 
+def test_a_share_holds_the_unit_object_the_unitors_tensor_with():
+    a = random_object(KLEENE3, random.Random(5))
+    with _shared():
+        i = tensor_unit(KLEENE3)
+        assert tensor_unit(KLEENE3) is i
+        assert left_unitor(a).source is tensor_obj(i, a)
+        assert right_unitor(a).source is tensor_obj(a, i)
+    assert tensor_unit(KLEENE3) is not tensor_unit(KLEENE3)
+
+
 def _oracle_hom_counts(sources, targets):
     """Per source, the oracle's number of morphisms into all of targets and
     the last of them, as (source, count, (target, f, bwd) or None)."""
@@ -591,7 +601,7 @@ def test_random_generators_produce_valid_morphisms():
     rng = random.Random(11)
     for _ in range(25):
         a = random_object(KLEENE3, rng)
-        m = random_morphism_from(KLEENE3, rng, a)
+        m = random_morphism(KLEENE3, rng, a)
         assert check_morphism(m.source, m.target, m.fwd, m.bwd) == []
 
 

@@ -44,7 +44,7 @@ from dialnet import (
     universal_laws,
 )
 from dialnet.finset import compose as table_compose
-from dialnet.laws import _Law, random_morphism_into, random_object
+from dialnet.laws import _Law, random_morphism, random_object
 
 ALL_TAGS = ("bool2", "kleene3", "nat", "int", "prob", "prod(prob,int)")
 
@@ -328,11 +328,11 @@ def test_a_law_that_checked_no_case_fails():
     assert "no case" in str(r)
 
 
-def test_random_morphism_into_is_valid():
+def test_random_morphism_into_an_object_is_valid():
     rng = random.Random(23)
     for _ in range(25):
         t = random_object(KLEENE3, rng)
-        m = random_morphism_into(KLEENE3, rng, t)
+        m = random_morphism(KLEENE3, rng, t, into=True)
         assert m.target == t
         assert check_morphism(m.source, m.target, m.fwd, m.bwd) == []
 

@@ -115,10 +115,11 @@ def test_default_of_another_lineale_is_refused():
 
 
 def test_save_and_load(tmp_path):
-    p = tmp_path / "w.net"
-    save_net(build_example("water"), p, example_default("water"))
-    assert p.read_text(encoding="utf-8") == WATER_TEXT
-    assert load_net(p) == build_example("water")
+    p, water = tmp_path / "w.net", build_example("water")
+    save_net(water, p)
+    assert p.read_text(encoding="utf-8") == serialize_net(water)
+    assert serialize_net(water, example_default("water")) == WATER_TEXT
+    assert load_net(p) == water
 
 
 def test_default_weight_fills_unlisted_arcs():
@@ -608,13 +609,13 @@ def test_net_text_matches_the_document_path_and_json_dumps(net, data):
         with pytest.raises(DocumentSyntaxError, match="holds a lone surrogate") as want:
             net_to_document(net, default)
         with tempfile.TemporaryDirectory() as tmp, pytest.raises(DocumentSyntaxError) as got:
-            save_net(net, Path(tmp) / "n.net", default)
+            save_net(net, Path(tmp) / "n.net")
         assert str(got.value) == str(want.value)
         return
     assert text == serialize_net_document(net_to_document(net, default))
     with tempfile.TemporaryDirectory() as tmp:
-        save_net(net, Path(tmp) / "n.net", default)
-        assert (Path(tmp) / "n.net").read_bytes() == data
+        save_net(net, Path(tmp) / "n.net")
+        assert (Path(tmp) / "n.net").read_bytes() == serialize_net(net).encode("utf-8")
 
 
 _PROB = get_lineale("prob")
