@@ -26,7 +26,7 @@ from .errors import (
     DocumentSyntaxError,
 )
 from .laws import DEFAULT_SEED, mutate_imp, run_all
-from .lineale import _echo, get_lineale
+from .lineale import _echo, _shown, get_lineale
 from .netdoc import (
     EXAMPLE_NAMES,
     example_path,
@@ -62,11 +62,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _weight(value) -> str:
-    text = str(value)
-    return text if len(text) <= 60 else _echo(text)  # a long weight is quoted and cut
-
-
 def _cmd_check_morphism(args) -> int:
     mdoc = parse_morphism_document(read_text(args.morphism))
     base = Path(args.morphism).resolve().parent
@@ -80,8 +75,8 @@ def _cmd_check_morphism(args) -> int:
         print(
             f"  [{v.part}] place {_echo(source.places.label(v.u))} / "
             f"transition {_echo(target.transitions.label(v.y))}: "
-            f"source weight {_weight(v.source_weight)} is not below "
-            f"target weight {_weight(v.target_weight)}"
+            f"source weight {_shown(str(v.source_weight))} is not below "
+            f"target weight {_shown(str(v.target_weight))}"
         )
     return 3
 
@@ -206,15 +201,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except DialnetError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, DocumentSyntaxError) else 4 if isinstance(e, CapExceeded) else 3
 
 
 if __name__ == "__main__":

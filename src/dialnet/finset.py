@@ -76,9 +76,9 @@ class FinSet:
     """A finite set {0, .., size-1}, optionally carrying distinct labels."""
 
     size: int
-    labels: Optional[tuple[str, ...]] = None
+    labels: Optional[tuple[str, ...]] = field(default=None, compare=False)  # presentation only
     # label -> index, built once; None for an unlabelled set
-    _index: Optional[dict[str, int]] = field(init=False, repr=False)
+    _index: Optional[dict[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
@@ -93,13 +93,6 @@ class FinSet:
             if len(index) != self.size:
                 raise ShapeMismatch("labels must be distinct")
         object.__setattr__(self, "_index", index)
-
-    def __eq__(self, other: object) -> bool:
-        # labels are presentation only
-        return isinstance(other, FinSet) and other.size == self.size
-
-    def __hash__(self) -> int:
-        return hash(("FinSet", self.size))
 
     def label(self, i: int) -> str:
         if self.labels is not None:

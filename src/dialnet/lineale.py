@@ -186,6 +186,11 @@ def _echo(text: str, limit: int = 60) -> str:
     return repr(text) if head == text else f"{head!r}… ({len(text)} characters)"
 
 
+def _shown(text: str) -> str:
+    """text as it is when it fits in 60 characters, else quoted and cut by _echo."""
+    return text if len(text) <= 60 else _echo(text)
+
+
 def _parse_int(text: str) -> int:
     try:
         return int(text, 10)

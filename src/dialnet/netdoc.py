@@ -73,7 +73,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .finset import FinSet, FnTable
-from .lineale import LinealeValue, _echo, format_payload, get_lineale
+from .lineale import LinealeValue, _echo, _shown, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
 
 __all__ = [
@@ -196,8 +196,7 @@ def _check_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
     extra = [k for k in obj if k not in keys]
     if extra:
         shown = ", ".join(extra)
-        shown = shown if len(shown) <= 60 else _echo(shown)  # a long list is quoted and cut
-        raise DocumentSyntaxError(f"{what} has unknown keys: {shown}")
+        raise DocumentSyntaxError(f"{what} has unknown keys: {_shown(shown)}")
     version = _expect_str(obj["format_version"], "format_version")
     if version != FORMAT_VERSION:
         raise DocumentSyntaxError(
@@ -239,7 +238,7 @@ def _unique_keys(pairs: list) -> dict:
 def _load_json(text: str):
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer over int's digit limit
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise DocumentSyntaxError("not valid JSON: nested too deeply") from None

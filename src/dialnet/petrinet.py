@@ -48,7 +48,7 @@ same loop compares every cell instead, still without densifying.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import is_not, lt, ne
 from typing import Iterable, Mapping, NamedTuple
@@ -77,21 +77,16 @@ class PetriNet:
     pre_arcs and post_arcs map row-major cell indices (finset's product
     convention) to payloads, in index order, and hold exactly the cells
     whose payload is not equal to default.  The two builders keep these
-    invariants; the constructor itself does not check them.
+    invariants; the constructor itself does not check them.  Equality
+    compares every field; the hash leaves out the arc maps, which are dicts.
     """
 
     lin: Lineale
     places: FinSet
     transitions: FinSet
     default: object
-    pre_arcs: dict[int, object]
-    post_arcs: dict[int, object]
-
-    def __hash__(self) -> int:
-        # the arc maps are dicts; equal nets still agree on these fields
-        sizes = (self.places.size, self.transitions.size)
-        arcs = (len(self.pre_arcs), len(self.post_arcs))
-        return hash((self.lin, sizes, self.default, arcs))
+    pre_arcs: dict[int, object] = field(hash=False)
+    post_arcs: dict[int, object] = field(hash=False)
 
     @property
     def pos(self) -> FinSet:

@@ -925,6 +925,27 @@ def test_a_violation_line_cuts_a_long_weight(tmp_path):
     assert line.endswith("target weight '" + "9" * 60 + "'… (4000 characters)")
 
 
+# a JSON integer longer than int's digit limit fails json.loads itself
+BIG = "9" * 5000
+BIG_NUMBER_DOCS = {
+    "validate": json.dumps(_water(places=["@", "O2", "H2O"])),
+    "export-dot": json.dumps(_water(pre=[["H2", "t", "@"]])),
+    "combine": json.dumps(_water(default_weight="@")),
+    "check-morphism": _water_morphism(f={**WATER_MAPS["f"], "H2": "@"}),
+}
+
+
+@pytest.mark.parametrize("command", list(BIG_NUMBER_DOCS))
+def test_an_integer_too_long_to_read_is_a_malformed_document(tmp_path, command):
+    p = tmp_path / "big.json"
+    p.write_text(BIG_NUMBER_DOCS[command].replace('"@"', BIG), encoding="utf-8")
+    extra = {"combine": ["--op", "with", WATER, "--out", str(tmp_path / "c.net")]}.get(command, [])
+    code, out, err = run(command, *extra, str(p))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: not valid JSON: ") and len(err) < 200
+    assert "Traceback" not in err and not (tmp_path / "c.net").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["laws", "--lineale", "nat", "--cases"], ["laws", "--lineale", "nat", "--seed"],

@@ -716,3 +716,56 @@ def test_tensor_mor_and_hom_mor_tables_match_the_oracle_on_every_small_shape():
         hm = hom_mor(m1, m2)
         assert hm.fwd.table == index_oracle.hom_mor_fwd(s1, t1, s2, t2, f, fb, g, gb)
     assert collapsing > 1000  # non-injective f, g, fb and gb are well covered
+
+
+_ONE = DialObject(NAT, FinSet(1), FinSet(1), ((0,),))
+_TWO = DialObject(NAT, FinSet(2), FinSet(1), ((0,), (0,)))
+_BOOL_ONE = DialObject(BOOL2, FinSet(1), FinSet(1), ((True,),))
+_ONTO_ONE = FnTable(FinSet(2), FinSet(1), (0, 0))
+_ID_ONE = FnTable(FinSet(1), FinSet(1), (0,))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (
+            lambda: dialnet.dialset.DialMorphism(_ONE, _ONE, _ID_ONE, _ONTO_ONE),
+            ShapeMismatch,
+            "backward table does not map the negative carriers",
+        ),
+        (
+            lambda: inverse(dialnet.dialset.DialMorphism(_TWO, _ONE, _ONTO_ONE, _ID_ONE)),
+            ShapeMismatch,
+            "table is not a bijection",
+        ),
+        (lambda: with_pairing(identity(_ONE), identity(_TWO)), ShapeMismatch, "shared source"),
+        (lambda: oplus_copair(identity(_ONE), identity(_TWO)), ShapeMismatch, "shared target"),
+        (
+            lambda: curry_dial(identity(tensor_obj(_ONE, _ONE)), _BOOL_ONE, _BOOL_ONE),
+            TagMismatch,
+            "factors are over a different lineale",
+        ),
+        (
+            lambda: curry_dial(identity(_ONE), _TWO, _TWO),
+            ShapeMismatch,
+            "source is not shaped like the tensor",
+        ),
+        (
+            lambda: uncurry_dial(identity(hom_obj(_ONE, _ONE)), _BOOL_ONE, _BOOL_ONE),
+            TagMismatch,
+            "factors are over a different lineale",
+        ),
+        (
+            lambda: uncurry_dial(identity(_ONE), _TWO, _TWO),
+            ShapeMismatch,
+            "target is not shaped like the hom",
+        ),
+    ],
+    ids=[
+        "check_shapes_bwd", "inverse", "with_pairing", "oplus_copair",
+        "curry_tag", "curry_shape", "uncurry_tag", "uncurry_shape",
+    ],
+)
+def test_a_constructor_refuses_ill_shaped_input(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -38,7 +38,11 @@ def test_finset_equality_ignores_labels():
     # labels are presentation only; the carrier is the size
     assert FinSet(3) == FinSet(3, ("a", "b", "c"))
     assert FinSet(3) != FinSet(4)
+    assert FinSet(2) != 2
     assert hash(FinSet(2)) == hash(FinSet(2, ("x", "y")))
+    labelled = FnTable(FinSet(2, ("a", "b")), FinSet(1), (0, 0))
+    assert labelled == FnTable(FinSet(2), FinSet(1, ("z",)), (0, 0))
+    assert hash(labelled) == hash(FnTable(FinSet(2), FinSet(1), (0, 0)))
 
 
 def test_finset_label_fallback_and_lookup():
@@ -313,3 +317,18 @@ def test_shapes_match_built_carriers(a, b):
     for shape, build in ((tensor_shape, tensor_obj), (hom_shape, hom_obj)):
         built = build(a_obj, b_obj)  # carriers of at most 3**3 * 3**3, under the cap
         assert (built.pos.size, built.neg.size) == shape(a, b)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: FinSet(-1), "set size must be nonnegative, got -1"),
+        (lambda: FinSet(2).index_of("a"), "set has no labels"),
+        (lambda: pairing(identity(FinSet(1)), identity(FinSet(2))), "pairing needs a shared domain"),
+        (lambda: copair(identity(FinSet(1)), identity(FinSet(2))), "copairing needs a shared codomain"),
+    ],
+    ids=["negative_size", "index_of_unlabelled", "pairing", "copair"],
+)
+def test_a_set_or_table_builder_refuses_ill_shaped_input(call, fragment):
+    with pytest.raises(ShapeMismatch, match=fragment):
+        call()

@@ -517,3 +517,21 @@ def test_coherence_includes_pentagon_and_triangle():
     by_name = {r.name: r for r in rs}
     assert by_name["coherence.pentagon"].cases >= 12
     assert by_name["coherence.triangle"].cases >= 12
+
+
+_UNORDERED = dataclasses.replace(NAT, _leq=lambda a, b: False)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: dialnet.laws._bound(_UNORDERED, 1, 2, True), "no upper bound rule for nat"),
+        (lambda: dialnet.laws._bound(_UNORDERED, 1, 2, False), "no lower bound rule for nat"),
+        (lambda: dialnet.laws.all_objects(NAT), "nat has an infinite carrier"),
+        (lambda: dialnet.laws.all_objects(INT), "int has an infinite carrier"),
+    ],
+    ids=["no_upper_bound", "no_lower_bound", "all_objects_nat", "all_objects_int"],
+)
+def test_a_law_helper_refuses_a_lineale_it_cannot_serve(call, fragment):
+    with pytest.raises(DialnetError, match=fragment):
+        call()

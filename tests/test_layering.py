@@ -23,7 +23,9 @@ ALLOWED = {
     ("laws", "dialset", "_hom_tables"),
     ("laws", "dialset", "_shared"),
     ("cli", "lineale", "_echo"),
+    ("cli", "lineale", "_shown"),
     ("netdoc", "lineale", "_echo"),
+    ("netdoc", "lineale", "_shown"),
     ("netdoc", "petrinet", "_net_from_cells"),
     ("netdoc", "petrinet", "_rebased"),
 }

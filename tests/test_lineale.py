@@ -391,3 +391,13 @@ def test_echo_quotes_a_short_text_whole_and_a_long_one_bounded():
         head, tail = shown.rsplit("… ", 1)
         assert tail == f"({len(text)} characters)" and len(head) <= 62
         assert text.startswith(literal_eval(head)) and literal_eval(head)
+
+
+@pytest.mark.parametrize(
+    "payload", [None, object(), [1], "1", 1.5], ids=["none", "object", "list", "str", "float"]
+)
+def test_format_payload_refuses_a_payload_no_lineale_holds(payload):
+    from dialnet.lineale import format_payload
+
+    with pytest.raises(InvalidValue, match="unprintable payload"):
+        format_payload(payload)

@@ -4,6 +4,7 @@ descriptions by hand and act as the oracle for the shipped example
 documents: every cell of every example is compared with them.
 """
 
+import json
 import re
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from dialnet import (
     compose,
     document_to_net,
     example_default,
+    example_path,
     get_lineale,
     identity,
     net_from_arcs,
@@ -77,6 +79,18 @@ def test_pre_and_post_share_carriers():
     assert hash(dense.net_from_relations(pre, post)) == hash(water)
     with pytest.raises(ShapeMismatch):
         dense.net_from_relations(pre, tensor_obj(post, post))
+    # the relations' labels do not count
+    assert DialObject(pre.lin, FinSet(3), FinSet(1), pre.weight) == pre
+    # the net read from its document is the net built from its arcs
+    doc = json.loads(example_path("water").read_text(encoding="utf-8"))
+    lin = get_lineale(doc["lineale"])
+    pre_arcs, post_arcs = ({(p, t): lin.parse(w) for p, t, w in doc[k]} for k in ("pre", "post"))
+    fields = (tuple(doc["places"]), tuple(doc["transitions"]), lin.parse(doc["default_weight"]))
+    built = net_from_arcs(lin, *fields, pre_arcs, post_arcs)
+    assert built == water and hash(built) == hash(water)
+    assert {water: "read"}[built] == "read"
+    pre_arcs[("H2", "t")] = lin.parse("3")
+    assert net_from_arcs(lin, *fields, pre_arcs, post_arcs) != water
 
 
 def test_net_from_arcs_rejects_values_of_another_lineale():
