@@ -48,7 +48,6 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -663,9 +662,9 @@ def _hom_search(sources, targets):
     targets, by_shape = tuple(targets), {}  # (|A.pos|, target index) -> [(f, v)]
 
     def hom(a):
-        n = a.pos.size
+        n, shape = a.pos.size, a.shape
         for j, b in enumerate(targets):
-            _guard(hom_shape(a.shape, b.shape)[0], "morphism candidate space")
+            _guard(hom_shape(shape, b.shape)[0], "morphism candidate space")
             if (n, j) not in by_shape:
                 # with no rows every column reads the empty value tuple
                 empty, row = ((),) * b.neg.size, b.weight.__getitem__
@@ -678,8 +677,8 @@ def _hom_search(sources, targets):
 
 
 def _column(a):
-    leq, xs, rows = a.lin._leq, range(a.neg.size), a.weight
-    fits = lambda vy: tuple(x for x in xs if all(map(leq, (r[x] for r in rows), vy)))
+    leq, cols = a.lin._leq, [(x, [r[x] for r in a.weight]) for x in range(a.neg.size)]
+    fits = lambda vy: tuple(x for x, col in cols if all(map(leq, col, vy)))
     return functools.cache(fits)
 
 
@@ -702,18 +701,24 @@ def _hom_tables(sources, targets):
 
 def _hom_counts(sources, targets):
     """Per source a in order, (a, count, last): how many valid morphisms run
-    from a into the targets, and the last as (b, f, bwd) or None.  The count
-    sums per value tuple its column sizes' product times its multiplicity
-    over (target, f), found once per source shape; last reads back to front."""
-    per_shape: dict = {}  # source shape -> (hom as a list, Counter of v over every (target, f))
+    from a into the targets, and the last as (b, f, bwd) or None.  Per source
+    shape, each distinct value tuple v has its multiplicity m over (target, f)
+    and its columns' indices; a source reads each column size once and sums m
+    times the product of v's sizes.  last reads back to front."""
+    per_shape: dict = {}  # source shape -> (homs, column tuples, multiplicities, index columns)
     for a, column, hom in _hom_search(sources, targets):
         if a.shape not in per_shape:
-            homs = list(hom)
-            per_shape[a.shape] = homs, Counter(v for _, fs in homs for _, v in fs)
-        homs, mult = per_shape[a.shape]
-        count = sum(m * prod(map(len, map(column, v))) for v, m in mult.items())
+            homs, index = list(hom), {}
+            mult = Counter(v for _, fs in homs for _, v in fs)
+            keys = [[index.setdefault(vy, len(index)) for vy in v] for v in mult]
+            padded = itertools.zip_longest(*keys, fillvalue=-1)  # index -1 reads size 1
+            per_shape[a.shape] = homs, [*index], [*mult.values()], [*padded]
+        homs, vys, ms, index_columns = per_shape[a.shape]
+        terms, size = ms, [*map(len, map(column, vys)), 1].__getitem__
+        for col in index_columns:
+            terms = map(mul, terms, map(size, col))
         last = next(_cases(column, ((b, fs[::-1]) for b, fs in homs[::-1])), None)
-        yield a, count, last and (*last[:2], tuple(col[-1] for col in last[2]))
+        yield a, sum(terms), last and (*last[:2], tuple(col[-1] for col in last[2]))
 
 
 def enumerate_morphisms(a: DialObject, b: DialObject) -> list[DialMorphism]:

@@ -186,9 +186,9 @@ def _echo(text: str, limit: int = 60) -> str:
     return repr(text) if head == text else f"{head!r}… ({len(text)} characters)"
 
 
-def _shown(text: str) -> str:
-    """text as it is when it fits in 60 characters, else quoted and cut by _echo."""
-    return text if len(text) <= 60 else _echo(text)
+def _shown(text: str, limit: int = 60) -> str:
+    """text as it is when it fits in limit characters, else quoted and cut by _echo."""
+    return text if len(text) <= limit else _echo(text, limit)
 
 
 def _parse_int(text: str) -> int:

@@ -457,27 +457,35 @@ def _open_nonblocking(path: str, flags: int) -> int:
     return os.open(path, flags | os.O_NONBLOCK)
 
 
+def _cannot(verb: str, path, why) -> DocumentSyntaxError:
+    """cannot <verb> <path>: <why>, with a path over 200 characters cut, and
+    then an OSError's reason without its own copy of the path."""
+    if len(str(path)) > 200 and getattr(why, "filename", None) is not None:
+        why = f"[Errno {why.errno}] {why.strerror}"
+    return DocumentSyntaxError(f"cannot {verb} {_shown(str(path), 200)}: {why}")
+
+
 def read_text(path: Union[str, Path]) -> str:
     """A regular file's text; an unreadable or non-UTF-8 file, a pipe or device
     (which may never end), a file over MAX_DOCUMENT_BYTES, or a NUL byte in
     the path is a DocumentSyntaxError."""
-    too_large = f"cannot read {path}: larger than {MAX_DOCUMENT_BYTES} bytes"
+    too_large = f"larger than {MAX_DOCUMENT_BYTES} bytes"
     try:
         with open(path, encoding="utf-8", opener=_open_nonblocking) as f:
             st = os.fstat(f.fileno())
             if not stat.S_ISREG(st.st_mode):
-                raise DocumentSyntaxError(f"cannot read {path}: not a regular file")
+                raise _cannot("read", path, "not a regular file")
             if st.st_size > MAX_DOCUMENT_BYTES:
-                raise DocumentSyntaxError(too_large)
+                raise _cannot("read", path, too_large)
             # a file that grew since fstat is read on to one character past the
             # bound; asking for that much up front would allocate 32 MiB
             text = f.read(st.st_size + 1)
             if len(text) > st.st_size:
                 text += f.read(MAX_DOCUMENT_BYTES - st.st_size)
     except (OSError, ValueError) as e:
-        raise DocumentSyntaxError(f"cannot read {path}: {e}") from None
+        raise _cannot("read", path, e) from None
     if len(text) > MAX_DOCUMENT_BYTES:
-        raise DocumentSyntaxError(too_large)
+        raise _cannot("read", path, too_large)
     return text
 
 
@@ -487,7 +495,7 @@ def write_text(path: Union[str, Path], text: Union[str, bytes]) -> None:
     try:
         Path(path).write_bytes(data)
     except OSError as e:
-        raise DocumentSyntaxError(f"cannot write {path}: {e}") from None
+        raise _cannot("write", path, e) from None
 
 
 def example_default(name: str) -> LinealeValue:

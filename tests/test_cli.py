@@ -6,6 +6,7 @@ One subprocess test proves the module entry points work end to end.
 """
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ import pytest
 import dialnet
 from dialnet import example_path, load_net, net_with
 from dialnet.cli import _build_parser, main
+from dialnet.lineale import _echo
 
 WATER = str(example_path("water"))
 SIR = str(example_path("sir"))
@@ -770,6 +772,28 @@ def test_documents_over_the_size_bound_are_refused(tmp_path):
         proc = run_limited(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr == f"error: cannot read {big}: larger than {bound} bytes\n"
+
+
+@pytest.mark.parametrize("length", [200, 201, 5_000, 200_000])
+def test_a_path_over_200_characters_is_cut_in_its_error_line(tmp_path, length):
+    # the path shows once: whole up to 200 characters, else cut as usage
+    # errors are, with the OSError's reason but not its copy of the path
+    head = str(tmp_path / "absent") + os.sep
+    path = head + "x" * (length - len(head))
+    with pytest.raises(OSError) as reason:
+        open(path, "rb")
+    e = reason.value
+    shown = f"{path}: {e}" if length <= 200 else f"{_echo(path, 200)}: [Errno {e.errno}] {e.strerror}"
+    f = {l: l for l in ("H2", "O2", "H2O")}
+    m = write_morphism(tmp_path, "long.mor", path, WATER, f, {"t": "t"})
+    for verb, argv in (
+        ("read", ("validate", path)),
+        ("read", ("check-morphism", m)),
+        ("write", ("export-dot", WATER, "--out", path)),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out, err) == (2, "", f"error: cannot {verb} {shown}\n"), argv
+        assert length <= 200 or len(err) < 320, argv  # bounded whatever the path
 
 
 @pytest.mark.parametrize("key, index", [("places", 1), ("transitions", 0)])

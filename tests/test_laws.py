@@ -405,6 +405,61 @@ def test_mutated_suite_differs_from_honest_suite():
     assert not all(broken.values())
 
 
+# each axiom a mutant below breaks, on values through the public ops
+_AXIOM_ON_VALUES = {
+    "order.reflexive": lambda L, a, b, c, d: L.leq(a, a),
+    "order.antisymmetric": lambda L, a, b, c, d: not (L.leq(a, b) and L.leq(b, a)) or a == b,
+    "order.transitive": lambda L, a, b, c, d: not (L.leq(a, b) and L.leq(b, c)) or L.leq(a, c),
+    "monoid.associative": lambda L, a, b, c, d: L.tensor(L.tensor(a, b), c) == L.tensor(a, L.tensor(b, c)),
+    "monoid.unit": lambda L, a, b, c, d: L.tensor(L.unit, a) == a == L.tensor(a, L.unit),
+    "monoid.commutative": lambda L, a, b, c, d: L.tensor(a, b) == L.tensor(b, a),
+    "hom.variance": lambda L, a, b, c, d: (
+        not (L.leq(b, a) and L.leq(c, d)) or L.leq(L.imp(a, c), L.imp(b, d))
+    ),
+}
+
+# (lineale, what the mutant replaces, the law it must fail); kleene3's laws
+# run over every quadruple, nat's over seeded samples
+_AXIOM_MUTANTS = [
+    (KLEENE3, {"_tensor": lambda a, b: a}, "monoid.commutative"),
+    (KLEENE3, {"_tensor": lambda a, b: -min(a, b)}, "monoid.associative"),
+    (KLEENE3, {"unit_payload": 0}, "monoid.unit"),
+    (KLEENE3, {"_leq": lambda a, b: a < b}, "order.reflexive"),
+    (KLEENE3, {"_leq": lambda a, b: True}, "order.antisymmetric"),
+    (KLEENE3, {"_leq": lambda a, b: b in (a, a + 1)}, "order.transitive"),
+    (KLEENE3, {"_imp": lambda a, b: a}, "hom.variance"),
+    (NAT, {"_tensor": lambda a, b: a}, "monoid.commutative"),
+    (NAT, {"_tensor": lambda a, b: abs(a - b)}, "monoid.associative"),
+    (NAT, {"unit_payload": 1}, "monoid.unit"),
+    (NAT, {"_leq": lambda a, b: a > b}, "order.reflexive"),
+    (NAT, {"_leq": lambda a, b: True}, "order.antisymmetric"),
+    (NAT, {"_leq": lambda a, b: a in (b, b + 1)}, "order.transitive"),
+    (NAT, {"_imp": lambda a, b: a}, "hom.variance"),
+]
+
+
+@pytest.mark.parametrize(
+    "lin, fields, law_name",
+    _AXIOM_MUTANTS,
+    ids=[f"{lin.tag}-{law}-{','.join(f)}" for lin, f, law in _AXIOM_MUTANTS],
+)
+def test_a_broken_axiom_fails_with_the_first_counterexample(lin, fields, law_name):
+    mutant = dataclasses.replace(lin, tag=f"mutant({lin.tag})", **fields)
+    seed, cases = 5, 400
+    got = {r.name: r for r in lineale_laws(mutant, seed, cases)}[law_name]
+    # the same quadruples as values, in the same order, checked one by one
+    carrier = mutant.carrier()
+    if carrier is not None:
+        quads = itertools.product(carrier, repeat=4)
+    else:
+        rng = random.Random(seed)
+        quads = (tuple(mutant.sample(rng, 6) for _ in range(4)) for _ in range(cases))
+    holds = _AXIOM_ON_VALUES[law_name]
+    first = next(q for q in quads if not holds(mutant, *q))
+    assert (got.passed, got.cases) == (False, len(carrier) ** 4 if carrier else cases)
+    assert got.counterexample == "a={} b={} c={} d={}".format(*first)
+
+
 def _reversed(construct, side: str = "bwd"):
     # the construction with its backward (or forward) table read back to
     # front: the shapes still fit, the morphism is wrong
