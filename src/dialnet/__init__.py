@@ -6,7 +6,7 @@ The package has three layers:
   finite carriers with tabulated functions;
 * dialset: weighted relations between carriers, the lax morphisms
   between them, and the cartesian / cocartesian / monoidal closed
-  structure, each law machine-checkable;
+  structure, each law machine-checked by the suites in `laws`, loaded on first use;
 * petrinet / netdoc / cli: Petri nets as pre/post relation pairs,
   simulation checking, a JSON file format, DOT export, and the
   `dialnet` command.
@@ -95,18 +95,18 @@ from .netdoc import (
     serialize_net,
     serialize_net_document,
 )
-from .laws import (
-    DEFAULT_SEED,
-    LawResult,
-    adjunction_oracle,
-    category_laws,
-    coherence_laws,
-    functoriality_laws,
-    lineale_laws,
-    mutate_imp,
-    mutated_kleene3,
-    run_all,
-    universal_laws,
-)
 
 __version__ = "0.1.0"
+
+_LAW_NAMES = {
+    "DEFAULT_SEED", "LawResult", "adjunction_oracle", "category_laws", "coherence_laws",
+    "functoriality_laws", "lineale_laws", "mutate_imp", "mutated_kleene3", "run_all",
+    "universal_laws",
+}
+
+
+def __getattr__(name: str):  # PEP 562: a law name loads the suites
+    if name in _LAW_NAMES:
+        from . import laws
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -169,7 +169,7 @@ def format_payload(p: Any) -> str:
             raise CapExceeded(digits, sys.get_int_max_str_digits(), "weight text", "digits") from None
     if isinstance(p, tuple):
         return f"({format_payload(p[0])},{format_payload(p[1])})"
-    raise InvalidValue(f"unprintable payload {p!r}")
+    raise InvalidValue(f"unprintable payload {_shown(repr(p))}")
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def _parse_int(text: str) -> int:
 def _bool2() -> Lineale:
     def validate(p):
         if not isinstance(p, bool):
-            raise InvalidValue(f"bool2 payload must be a bool, got {p!r}")
+            raise InvalidValue(f"bool2 payload must be a bool, got {_shown(repr(p))}")
 
     def parse(text):
         if text == "true":
@@ -229,7 +229,7 @@ def _bool2() -> Lineale:
 def _kleene3() -> Lineale:
     def validate(p):
         if type(p) is not int or p not in (-1, 0, 1):
-            raise InvalidValue(f"kleene3 payload must be -1, 0 or 1, got {p!r}")
+            raise InvalidValue(f"kleene3 payload must be -1, 0 or 1, got {_shown(repr(p))}")
 
     return Lineale(
         tag="kleene3",
@@ -249,9 +249,9 @@ def _nat() -> Lineale:
     # is addition, so "smaller" in the lineale means "needs more".
     def validate(p):
         if type(p) is not int:
-            raise InvalidValue(f"nat payload must be an int, got {p!r}")
+            raise InvalidValue(f"nat payload must be an int, got {_shown(repr(p))}")
         if p < 0:
-            raise InvalidValue(f"nat payload must be nonnegative, got {p}")
+            raise InvalidValue(f"nat payload must be nonnegative, got {_shown(str(p))}")
 
     return Lineale(
         tag="nat",
@@ -279,9 +279,9 @@ def _prob() -> Lineale:
 
     def validate(p):
         if not isinstance(p, Fraction):
-            raise InvalidValue(f"prob payload must be a Fraction, got {p!r}")
+            raise InvalidValue(f"prob payload must be a Fraction, got {_shown(repr(p))}")
         if not 0 <= p <= 1:
-            raise InvalidValue(f"prob payload must lie in [0, 1], got {p}")
+            raise InvalidValue(f"prob payload must lie in [0, 1], got {_shown(str(p))}")
 
     def imp(a, b):
         if a == 0 or a < b:
@@ -318,7 +318,7 @@ def _int() -> Lineale:
     # a partially ordered group: imp(a, b) = tensor(b, inverse(a)) = b - a
     def validate(p):
         if type(p) is not int:
-            raise InvalidValue(f"int payload must be an int, got {p!r}")
+            raise InvalidValue(f"int payload must be an int, got {_shown(repr(p))}")
 
     return Lineale(
         tag="int",
@@ -351,7 +351,7 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
 
     def validate(p):
         if not (isinstance(p, tuple) and len(p) == 2):
-            raise InvalidValue(f"{tag} payload must be a pair, got {p!r}")
+            raise InvalidValue(f"{tag} payload must be a pair, got {_shown(repr(p))}")
         first._validate(p[0])
         second._validate(p[1])
 

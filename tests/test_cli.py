@@ -508,7 +508,8 @@ def test_validate_of_a_30_mb_document_stays_small(tmp_path):
 # lineales, with --mutate-imp on kleene3 and nat; seeds 1 and 2 recorded before
 # the exhaustive identity law searched each source object's hom-sets in one
 # pass, seeds 3 to 5 before the law suites shared tensor and hom objects
-# within a case
+# within a case; seed None omits --seed, recorded while the parser took its
+# default from the laws module
 LAWS_OUTPUT = {
     ("bool2", 1, False): (0, "e6761be22cbd770e9af9200277782e842c33dada7c9ddc29a94d9ce70b99626c"),
     ("kleene3", 1, False): (0, "07e6bc84f6b1e38c4631d679f6afa6e213714dd088c7b13cbea2c0402b666e94"),
@@ -555,12 +556,14 @@ LAWS_OUTPUT = {
     ("prob", 5, False): (0, "03fa324a75c82582c444cac403934a8ccf9b78aec88eca3d58ed56ab63d52a95"),
     ("prod(prob,int)", 5, False): (0, "e100f685771c3facd1f44dd4c357a8705e194b1f24e0228d44f5ab517a8dbef1"),
     ("prod(bool2,kleene3)", 5, False): (0, "a85c02da106bdfcdb44e30ce6187100c340b92f3b95707fbc3c69de14553e748"),
+    ("nat", None, False): (0, "912e320731ab526ba44e8b8ac77f0c616b45141282d2b8c8a84bf0cb40844c7e"),
+    ("kleene3", None, True): (3, "35cfe47c05edcb196b354ee38c4758d6de55e135a0112f4d8917606460039e77"),
 }
 
 
-@pytest.mark.parametrize("tag, seed, mutate", sorted(LAWS_OUTPUT))
+@pytest.mark.parametrize("tag, seed, mutate", sorted(LAWS_OUTPUT, key=repr))
 def test_laws_output_is_byte_stable(tag, seed, mutate):
-    argv = ["laws", "--lineale", tag, "--cases", "8", "--seed", str(seed)]
+    argv = ["laws", "--lineale", tag, "--cases", "8", *["--seed", str(seed)] * (seed is not None)]
     code, out, _ = run(*argv, *["--mutate-imp"] * mutate)
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == LAWS_OUTPUT[tag, seed, mutate]
 
@@ -947,6 +950,30 @@ def test_a_violation_line_cuts_a_long_weight(tmp_path):
     head, line = out.splitlines()
     assert head == "not a net morphism: 1 violation(s)" and len(line.encode("utf-8")) < 300
     assert line.endswith("target weight '" + "9" * 60 + "'… (4000 characters)")
+
+
+# a weight that parses but lies outside its lineale, with about 4,200 digits
+OVER = "1" + "0" * 4200 + "/3"
+PROB_ARCS = {"pre": [["H2", "t", "1"], ["O2", "t", "1"]], "post": [["H2O", "t", "1"]]}
+OUT_OF_RANGE = {
+    "prob-arc": _water(lineale="prob", **{**PROB_ARCS, "pre": [["H2", "t", OVER], ["O2", "t", "1"]]}),
+    "prob-default": _water(lineale="prob", default_weight=OVER, **PROB_ARCS),
+    "prob-in-a-pair": _water(
+        lineale="prod(prob,nat)", default_weight="(0,0)", pre=[["H2", "t", f"({OVER},1)"]], post=[]
+    ),
+    "negative-nat": _water(pre=[["H2", "t", "-" + "9" * 4200]]),
+    "kleene3": _water(lineale="kleene3", pre=[["H2", "t", "9" * 4200]], post=[]),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_a_long_weight_out_of_range_is_cut_to_one_short_line(tmp_path, case):
+    p = tmp_path / "range.net"
+    p.write_text(json.dumps(OUT_OF_RANGE[case]), encoding="utf-8")
+    code, out, err = run("validate", str(p))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err.encode("utf-8")) < 300
+    assert re.search(r"… \(42\d\d characters\)", err)
 
 
 # a JSON integer longer than int's digit limit fails json.loads itself
