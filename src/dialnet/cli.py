@@ -142,8 +142,9 @@ def _case_count(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a message may echo a whole argument
-        if len(message) > 200:
-            message = f"{message[:200]}… ({len(message)} characters)"
+        data = message.encode("utf-8", "surrogatepass")
+        if len(data) > 200:  # cut to 200 bytes, less a character cut in two
+            message = f"{data[:200].decode('utf-8', 'ignore')}… ({len(message)} characters)"
         super().error(message)
 
 

@@ -22,7 +22,7 @@ tensor and hom are adjoint; curry_dial / uncurry_dial realize the
 bijection between hom-sets.  Each has one cell builder, which the net
 layer shares: from plain weight rows it gives the op table, one payload
 per pair of input cells, and the result cells in row-major order, each
-an op-table object; tensor_obj and hom_obj cut the cells into rows.
+an op-table object; _pointwise, their one assembly, cuts them into rows.
 Every constructor here returns morphisms that are valid by the
 corresponding proof, but nothing is trusted: check_morphism recomputes
 the condition pointwise and the test suite always rechecks constructor
@@ -47,7 +47,7 @@ import contextvars
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import NamedTuple
 
@@ -349,12 +349,6 @@ def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
     return list(map(row, a_rows))
 
 
-def _cut(cells, n_rows: int, n_cols: int) -> tuple[tuple, ...]:
-    """The first n_rows * n_cols items of cells as rows of n_cols."""
-    # zip reads one iterator n_cols times per row
-    return tuple(zip(*[cells] * n_cols)) if n_cols else ((),) * n_rows
-
-
 def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
     """The tensor's carriers U x V and X^V x Y^U, after the cap guard."""
     _guard(max(tensor_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
@@ -380,6 +374,16 @@ def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
 
     pairs = itertools.product(range(n_u), range(n_v))
     return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
+
+
+def _pointwise(a: DialObject, b: DialObject, carriers, build) -> DialObject:
+    """The tensor or hom of a and b from the connective's carriers and cell
+    builder; zip cuts the cells into rows, reading their iterator |neg| times a row."""
+    lin = _same_lineale(a, b)
+    pos, neg = carriers(a, b)
+    _, cells = build(lin, a.weight, b.weight, a.shape, b.shape)
+    rows = tuple(zip(*[cells] * neg.size)) if neg.size else ((),) * pos.size
+    return DialObject(lin, pos, neg, rows)
 
 
 # (builder, *ids of its arguments) -> (object, arguments) while a _shared() block
@@ -429,10 +433,7 @@ def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     of response tables.  The weight at ((u, v), (f, g)) is
     tensor(weight_a(u, f(v)), weight_b(v, g(u))).
     """
-    lin = _same_lineale(a, b)
-    pos, neg = _tensor_carriers(a, b)
-    _, cells = _tensor_cells(lin, a.weight, b.weight, a.shape, b.shape)
-    return DialObject(lin, pos, neg, _cut(cells, pos.size, neg.size))
+    return _pointwise(a, b, _tensor_carriers, _tensor_cells)
 
 
 def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
@@ -491,10 +492,7 @@ def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     weight_b(f(u), y)), so a candidate is a morphism exactly when all
     its weights sit above the unit.
     """
-    lin = _same_lineale(a, b)
-    pos, neg = _hom_carriers(a, b)
-    _, cells = _hom_cells(lin, a.weight, b.weight, a.shape, b.shape)
-    return DialObject(lin, pos, neg, _cut(cells, pos.size, neg.size))
+    return _pointwise(a, b, _hom_carriers, _hom_cells)
 
 
 def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:
@@ -616,19 +614,14 @@ def associator(a: DialObject, b: DialObject, c: DialObject) -> DialMorphism:
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, digit_table(digits)))
 
 
-def _unitor(src: DialObject, a: DialObject) -> DialMorphism:
-    # tensoring with the singleton unit leaves both carriers' indices alone
-    return DialMorphism(src, a, table_identity(a.pos), table_identity(a.neg))
-
-
 def left_unitor(a: DialObject) -> DialMorphism:
     """tensor(I, a) -> a.  Both tables are identities under our indexing."""
-    return _unitor(tensor_obj(tensor_unit(a.lin), a), a)
+    return replace(identity(a), source=tensor_obj(tensor_unit(a.lin), a))
 
 
 def right_unitor(a: DialObject) -> DialMorphism:
     """tensor(a, I) -> a.  Both tables are identities under our indexing."""
-    return _unitor(tensor_obj(a, tensor_unit(a.lin)), a)
+    return replace(identity(a), source=tensor_obj(a, tensor_unit(a.lin)))
 
 
 def symmetry(a: DialObject, b: DialObject) -> DialMorphism:

@@ -73,12 +73,12 @@ def _guard(n: int, what: str = "carrier", cap: int = DEFAULT_CAP, unit: str = "e
 
 @dataclass(frozen=True, slots=True)
 class FinSet:
-    """A finite set {0, .., size-1}, optionally carrying distinct labels."""
+    """A finite set {0, .., size-1}, optionally carrying distinct labels;
+    index is the one label -> element map, read-only, None when unlabelled."""
 
     size: int
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)  # presentation only
-    # label -> index, built once; None for an unlabelled set
-    _index: Optional[dict[str, int]] = field(init=False, repr=False, compare=False)
+    index: Optional[dict[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
@@ -92,7 +92,7 @@ class FinSet:
             index = dict(zip(self.labels, range(self.size)))
             if len(index) != self.size:
                 raise ShapeMismatch("labels must be distinct")
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "index", index)
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -100,10 +100,10 @@ class FinSet:
         return str(i)
 
     def index_of(self, label: str) -> int:
-        if self._index is None:
+        if self.index is None:
             raise ShapeMismatch("set has no labels")
         try:
-            return self._index[label]
+            return self.index[label]
         except KeyError:
             raise ShapeMismatch(f"no element labelled {label!r}") from None
 

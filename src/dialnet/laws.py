@@ -56,7 +56,7 @@ from .dialset import (
 )
 from . import finset
 from .errors import DialnetError
-from .finset import DEFAULT_CAP, FinSet, FnTable, tensor_shape
+from .finset import FinSet, FnTable, tensor_shape
 from .lineale import KLEENE3, Lineale, format_payload
 
 __all__ = [
@@ -494,19 +494,15 @@ def coherence_laws(
 ) -> list[LawResult]:
     """Pentagon, triangle, unitor, symmetry, and isomorphism checks.
 
-    Pentagon instances are drawn from the size combinations whose
-    intermediate carriers fit under the cap and the entry budget; that
-    rules out the all-2 corner, which would need a carrier of several
-    million elements, and always keeps the all-1 corner.
+    Pentagon instances are drawn from the size combinations whose tensors
+    fit the entry budget, and so the cap; that rules out the all-2 corner
+    (a carrier of several million elements) and keeps the all-1 corner.
     """
     rng = random.Random(seed)
     sides = tuple(itertools.product(_SIZES, repeat=2))  # (pos, neg) choices per object
 
-    def fits(combo) -> bool:  # by its largest carrier and its total weight entries
-        # sizes stay in {1, 2}, so even the uncapped stages are small integers
-        stages = _pentagon_stages(combo)
-        largest, cost = max(max(s) for s in stages), sum(p * n for p, n in stages)
-        return largest <= DEFAULT_CAP and cost <= _PENTAGON_ENTRY_BUDGET
+    def fits(combo) -> bool:  # by its total weight entries; sizes in {1, 2} keep them small ints
+        return sum(p * n for p, n in _pentagon_stages(combo)) <= _PENTAGON_ENTRY_BUDGET
 
     pentagon_sizes = list(filter(fits, itertools.product(sides, repeat=4)))
 

@@ -169,7 +169,7 @@ def format_payload(p: Any) -> str:
             raise CapExceeded(digits, sys.get_int_max_str_digits(), "weight text", "digits") from None
     if isinstance(p, tuple):
         return f"({format_payload(p[0])},{format_payload(p[1])})"
-    raise InvalidValue(f"unprintable payload {_shown(repr(p))}")
+    raise InvalidValue(f"unprintable payload {_shown_payload(p)}")
 
 
 # --------------------------------------------------------------------------
@@ -178,17 +178,25 @@ def format_payload(p: Any) -> str:
 
 
 def _echo(text: str, limit: int = 60) -> str:
-    """repr(text) for an error message; a text over limit characters shows
-    as the repr of a head that fits in limit characters, and its length."""
-    head = text[:limit]
-    while len(text) > limit and len(repr(head)) > limit + 2:  # an escape takes several
+    """repr(text) for an error message; a text over limit bytes of UTF-8 shows
+    as the repr of a head that fits in limit bytes, and its length."""
+    head, long = text[:limit], len(text.encode("utf-8", "surrogatepass")) > limit
+    while long and len(repr(head).encode()) > limit + 2:  # an escape or a wide character takes several
         head = head[:-1]
     return repr(text) if head == text else f"{head!r}… ({len(text)} characters)"
 
 
 def _shown(text: str, limit: int = 60) -> str:
-    """text as it is when it fits in limit characters, else quoted and cut by _echo."""
-    return text if len(text) <= limit else _echo(text, limit)
+    """text as it is when it fits in limit bytes of UTF-8, else quoted and cut by _echo."""
+    return text if len(text.encode("utf-8", "surrogatepass")) <= limit else _echo(text, limit)
+
+
+def _shown_payload(p, text=repr) -> str:
+    """_shown(text(p)), or its type for a payload holding a number too long for text."""
+    try:
+        return _shown(text(p))
+    except ValueError:  # a number over int's limit of digits in text
+        return f"{type(p).__name__} with a number of over {sys.get_int_max_str_digits()} digits"
 
 
 def _parse_int(text: str) -> int:
@@ -204,7 +212,7 @@ def _parse_int(text: str) -> int:
 def _bool2() -> Lineale:
     def validate(p):
         if not isinstance(p, bool):
-            raise InvalidValue(f"bool2 payload must be a bool, got {_shown(repr(p))}")
+            raise InvalidValue(f"bool2 payload must be a bool, got {_shown_payload(p)}")
 
     def parse(text):
         if text == "true":
@@ -229,7 +237,7 @@ def _bool2() -> Lineale:
 def _kleene3() -> Lineale:
     def validate(p):
         if type(p) is not int or p not in (-1, 0, 1):
-            raise InvalidValue(f"kleene3 payload must be -1, 0 or 1, got {_shown(repr(p))}")
+            raise InvalidValue(f"kleene3 payload must be -1, 0 or 1, got {_shown_payload(p)}")
 
     return Lineale(
         tag="kleene3",
@@ -249,9 +257,9 @@ def _nat() -> Lineale:
     # is addition, so "smaller" in the lineale means "needs more".
     def validate(p):
         if type(p) is not int:
-            raise InvalidValue(f"nat payload must be an int, got {_shown(repr(p))}")
+            raise InvalidValue(f"nat payload must be an int, got {_shown_payload(p)}")
         if p < 0:
-            raise InvalidValue(f"nat payload must be nonnegative, got {_shown(str(p))}")
+            raise InvalidValue(f"nat payload must be nonnegative, got {_shown_payload(p, str)}")
 
     return Lineale(
         tag="nat",
@@ -279,9 +287,9 @@ def _prob() -> Lineale:
 
     def validate(p):
         if not isinstance(p, Fraction):
-            raise InvalidValue(f"prob payload must be a Fraction, got {_shown(repr(p))}")
+            raise InvalidValue(f"prob payload must be a Fraction, got {_shown_payload(p)}")
         if not 0 <= p <= 1:
-            raise InvalidValue(f"prob payload must lie in [0, 1], got {_shown(str(p))}")
+            raise InvalidValue(f"prob payload must lie in [0, 1], got {_shown_payload(p, str)}")
 
     def imp(a, b):
         if a == 0 or a < b:
@@ -318,7 +326,7 @@ def _int() -> Lineale:
     # a partially ordered group: imp(a, b) = tensor(b, inverse(a)) = b - a
     def validate(p):
         if type(p) is not int:
-            raise InvalidValue(f"int payload must be an int, got {_shown(repr(p))}")
+            raise InvalidValue(f"int payload must be an int, got {_shown_payload(p)}")
 
     return Lineale(
         tag="int",
@@ -351,7 +359,7 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
 
     def validate(p):
         if not (isinstance(p, tuple) and len(p) == 2):
-            raise InvalidValue(f"{tag} payload must be a pair, got {_shown(repr(p))}")
+            raise InvalidValue(f"{tag} payload must be a pair, got {_shown_payload(p)}")
         first._validate(p[0])
         second._validate(p[1])
 

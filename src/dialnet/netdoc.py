@@ -58,6 +58,7 @@ import json
 import os
 import stat
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -310,18 +311,19 @@ def _parse_weight(lin, text: str, where: str) -> object:
         raise DocumentSemanticError(f"{where}: {e}") from None
 
 
-def _label_index(labels, kind: str) -> dict[str, int]:
-    """label -> position, for labels that are all distinct and nonempty."""
-    index = dict(zip(labels, range(len(labels))))
-    if len(index) < len(labels) or "" in index:
-        seen = set()
-        for lbl in labels:
-            if not lbl:
-                raise DocumentSemanticError(f"empty {kind} label")
-            if lbl in seen:
-                raise DocumentSemanticError(f"duplicate {kind} label {_echo(lbl)}")
-            seen.add(lbl)
-    return index
+def _carrier(labels: list, kind: str) -> FinSet:
+    """The set of labels, which must be distinct and nonempty."""
+    with suppress(ShapeMismatch):  # a repeated label, which the loop names
+        carrier = FinSet(len(labels), tuple(labels))
+        if "" not in carrier.index:
+            return carrier
+    seen = set()
+    for lbl in labels:
+        if not lbl:
+            raise DocumentSemanticError(f"empty {kind} label")
+        if lbl in seen:
+            raise DocumentSemanticError(f"duplicate {kind} label {_echo(lbl)}")
+        seen.add(lbl)
 
 
 def _cells(lin, triples, part: str, places: dict, transitions: dict, payloads: dict, listed: dict):
@@ -363,16 +365,14 @@ def _net_from_fields(fields: dict) -> PetriNet:
         lin = get_lineale(fields["lineale"])
     except DialnetError as e:
         raise DocumentSemanticError(str(e)) from None
-    places, transitions = fields["places"], fields["transitions"]
-    index = _label_index(places, "place"), _label_index(transitions, "transition")
+    places, transitions = (_carrier(fields[kind + "s"], kind) for kind in ("place", "transition"))
     default = _parse_weight(lin, fields["default_weight"], "default_weight")
     payloads, cells, listed = {fields["default_weight"]: default}, [], {}
     for part in ("pre", "post"):
         triples = fields[part]
-        cells.append(_cells(lin, triples, part, *index, payloads, listed))
+        cells.append(_cells(lin, triples, part, places.index, transitions.index, payloads, listed))
         fields[part] = len(triples)
     del triples  # post's list, before the net is built
-    places, transitions = (FinSet(len(s), tuple(s)) for s in (places, transitions))
     return _net_from_cells(lin, places, transitions, default, *cells, listed)
 
 
@@ -458,10 +458,10 @@ def _open_nonblocking(path: str, flags: int) -> int:
 
 
 def _cannot(verb: str, path, why) -> DocumentSyntaxError:
-    """cannot <verb> <path>: <why>, with a path over 200 characters cut, and
-    then an OSError's reason without its own copy of the path."""
-    if len(str(path)) > 200 and getattr(why, "filename", None) is not None:
+    """cannot <verb> <path>: <why>, the path shown once, as _shown(path, 200) gives it."""
+    if getattr(why, "filename", None) is not None:  # an OSError's text repeats the path
         why = f"[Errno {why.errno}] {why.strerror}"
+    why = f"not UTF-8 ({why.reason})" if isinstance(why, UnicodeError) else why  # no position
     return DocumentSyntaxError(f"cannot {verb} {_shown(str(path), 200)}: {why}")
 
 
@@ -494,7 +494,7 @@ def write_text(path: Union[str, Path], text: Union[str, bytes]) -> None:
     data = text.encode("utf-8") if isinstance(text, str) else text
     try:
         Path(path).write_bytes(data)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL or lone surrogate in the path
         raise _cannot("write", path, e) from None
 
 
@@ -581,7 +581,7 @@ def resolve_morphism_document(
     target = _resolve_end(mdoc.target, base)
 
     def to_table(pairs, dom, cod, name: str, dom_kind: str, cod_kind: str) -> FnTable:
-        mapping, index = dict(pairs), dict(zip(cod.labels, range(cod.size)))
+        mapping, index = dict(pairs), cod.index
         try:  # the common case runs in C; the loop below names the first defect
             if len(mapping) == len(pairs):
                 table = tuple(map(index.__getitem__, map(mapping.pop, dom.labels)))
@@ -602,7 +602,7 @@ def resolve_morphism_document(
                 raise DocumentSemanticError(
                     f"{name}: unknown {cod_kind} {_echo(img)} (image of {_echo(lbl)})"
                 )
-        stray = ", ".join(map(_echo, list(mapping)[:3]))
+        stray = ", ".join(_echo(k, 40) for k in list(mapping)[:3])  # three fit in one line
         more = f" and {len(mapping) - 3} more" if len(mapping) > 3 else ""
         raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}{more}")
 

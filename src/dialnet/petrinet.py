@@ -18,13 +18,13 @@ list their cells in that order.  The default is the modal payload: the
 most frequent one across pre then post, ties going to the first one
 met (the lineale's unit when there are no cells).  So each net has one
 stored form, and two nets are equal exactly when their relations are.
-_modal is the one place that picks the default, and _rebased the one
-place that re-lists a relation against another default.  Two builders
-work the stored form out from counts of the distinct payloads:
-_net_from_cells from a fill payload, the cells listed off it (the arcs
-as they are if in index order and free of the default) and their count
-by value, which every caller hands over; _pointwise_net from the op
-tables and cells of the tensor or hom builder tensor_obj and hom_obj share.
+_modal is the one place that picks the default, and _off the one place
+that picks a relation's cells off a default.  Two builders work the
+stored form out from counts of the distinct payloads: _net_from_cells
+from a fill payload, the cells listed off it (the arcs as they are if
+in index order and free of the default) and their count by value, which
+every caller hands over; _pointwise_net from the op tables and cells of
+the tensor or hom builder tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from operator import is_not, lt, ne
+from operator import lt
 from typing import Iterable, Mapping, NamedTuple
 
 from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
@@ -98,22 +98,25 @@ class PetriNet:
         """The transitions: the negative carrier of both relations."""
         return self.transitions
 
+def _off(keys, payloads, default, objects) -> dict[int, object]:
+    """The cells keys[i] -> payloads[i] not equal to default, in order.  objects
+    is a collection of every object in payloads: each distinct one is compared
+    once, cells are picked by id in C, and payloads is not read if none is off."""
+    distinct = dict(zip(map(id, objects), objects))
+    off = {i for i, v in distinct.items() if v != default}
+    if not off:
+        return {}
+    if len(off) == len(distinct):
+        return dict(zip(keys, payloads))
+    payloads = list(payloads)
+    return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
+
+
 def _rebased(arcs: dict[int, object], n: int, held: object, default: object) -> dict[int, object]:
     """The cells off default, in index order, of a relation of n cells that
-    holds held except at the cells listed in arcs.
-
-    The cells that are the default object itself are set aside by an
-    identity test, the comparison runs once per other distinct payload
-    object, and the selection of cells by object id runs in C.
-    """
-    payloads = list(map(arcs.get, range(n), repeat(held)))
-    rest = list(map(is_not, payloads, repeat(default)))
-    keys, payloads = compress(range(n), rest), list(compress(payloads, rest))
-    objects = dict(zip(map(id, payloads), payloads))
-    off = {i for i, v in objects.items() if v != default}
-    if len(off) == len(objects):
-        return dict(zip(keys, payloads))
-    return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
+    holds held except at the cells listed in arcs."""
+    payloads = map(arcs.get, range(n), repeat(held))
+    return _off(range(n), payloads, default, [held, *arcs.values()])
 
 
 def _modal(counts: Mapping[object, int], cells: Iterable[object]) -> object:
@@ -144,9 +147,8 @@ def _net_from_cells(
     n = places.size * transitions.size
     default = lin.unit_payload
     if n:
-        counts = {fill: 2 * n - len(pre) - len(post)}
-        for v, k in listed.items():
-            counts[v] = counts.get(v, 0) + k
+        counts = Counter({fill: 2 * n - len(pre) - len(post)})
+        counts.update(listed)  # an equal listed payload adds to fill's count
 
         def in_order():  # read only on a tie, which needs n <= len(pre) + len(post)
             for cells in (pre, post):
@@ -162,7 +164,7 @@ def _net_from_cells(
             keys = sorted(cells)  # the keys alone: sorting the items makes a tuple per cell
             cells = dict(zip(keys, map(cells.__getitem__, keys)))
         if default in listed:
-            cells = dict(compress(cells.items(), map(ne, cells.values(), repeat(default))))
+            cells = _off(cells, cells.values(), default, cells.values())
         return cells
 
     return PetriNet(lin, places, transitions, default, arcs(pre), arcs(post))
@@ -288,16 +290,8 @@ def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
     # with no entries, which is exactly when there are no cells, it is the unit
     default = _modal(counts, in_order()) if counts else a.lin.unit_payload
 
-    def arcs(table, cells) -> dict[int, object]:
-        # the comparison with the default runs once per distinct payload object
-        objects = dict(zip(map(id, entries(table)), entries(table)))
-        off = {i for i, v in objects.items() if v != default}
-        if not off:
-            return {}
-        cells = list(cells)
-        return dict(compress(zip(count(), cells), map(off.__contains__, map(id, cells))))
-
-    return PetriNet(a.lin, places, transitions, default, *map(arcs, tables, cells))
+    arcs = (_off(count(), c, default, [*entries(t)]) for t, c in zip(tables, cells))
+    return PetriNet(a.lin, places, transitions, default, *arcs)
 
 
 def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:

@@ -786,7 +786,7 @@ def test_a_path_over_200_characters_is_cut_in_its_error_line(tmp_path, length):
     with pytest.raises(OSError) as reason:
         open(path, "rb")
     e = reason.value
-    shown = f"{path}: {e}" if length <= 200 else f"{_echo(path, 200)}: [Errno {e.errno}] {e.strerror}"
+    shown = f"{path if length <= 200 else _echo(path, 200)}: [Errno {e.errno}] {e.strerror}"
     f = {l: l for l in ("H2", "O2", "H2O")}
     m = write_morphism(tmp_path, "long.mor", path, WATER, f, {"t": "t"})
     for verb, argv in (
@@ -796,7 +796,55 @@ def test_a_path_over_200_characters_is_cut_in_its_error_line(tmp_path, length):
     ):
         code, out, err = run(*argv)
         assert (code, out, err) == (2, "", f"error: cannot {verb} {shown}\n"), argv
-        assert length <= 200 or len(err) < 320, argv  # bounded whatever the path
+        assert len(err.encode()) < 300, argv  # bounded whatever the path
+
+
+WIDE = "é水🜁" * 40  # 120 characters, 360 bytes of UTF-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("export-dot", WATER, "--out", "{tmp}/out\ud800"),
+        ("export-dot", WATER, "--out", "{tmp}/out\x00"),
+        ("example", "--name", "water", "--out", "{tmp}/" + "a" * 300 + "\ud800"),
+        ("validate", "{tmp}/" + WIDE),
+        ("check-morphism", "{tmp}/wide.mor"),
+        ("laws", "--lineale", "nat", "--cases", WIDE * 2),
+    ],
+    ids=["surrogate-out", "nul-out", "long-surrogate-out", "wide-path", "wide-source", "wide-argument"],
+)
+def test_an_odd_path_or_argument_ends_in_short_error_lines(tmp_path, argv):
+    # a NUL or lone surrogate in an output path is refused like an unwritable
+    # one; a path shows once, and every cut counts bytes of UTF-8, not characters
+    write_morphism(tmp_path, "wide.mor", WIDE, WATER, {"H2": "H2"}, {"t": "t"})
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # a usage error
+            code = e.code
+    assert code == 2 and err.getvalue()
+    for line in err.getvalue().splitlines():
+        assert len(line.encode("utf-8", "backslashreplace")) < 300, line
+
+
+def test_three_long_unknown_map_entries_fit_one_short_line(tmp_path):
+    f = {**{p: p for p in ("H2", "O2", "H2O")}, **{c * 100_000: "H2" for c in "xyzw"}}
+    m = write_morphism(tmp_path, "stray.mor", WATER, WATER, f, {"t": "t"})
+    code, out, err = run("check-morphism", m)
+    assert (code, out) == (3, "") and err.count("\n") == 1 and " and 1 more" in err
+    assert len(err.encode()) < 300 and err.count("(100000 characters)") == 3
+
+
+def test_a_document_that_is_not_utf8_is_named_so_in_one_short_line(tmp_path):
+    for name in ("bad.net", "b" * 200):
+        path = tmp_path / name
+        path.write_bytes(b"\xff{}")
+        code, out, err = run("validate", str(path))
+        assert (code, out) == (2, "") and err.endswith(": not UTF-8 (invalid start byte)\n")
+        assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("key, index", [("places", 1), ("transitions", 0)])

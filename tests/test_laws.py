@@ -574,6 +574,19 @@ def test_coherence_includes_pentagon_and_triangle():
     assert by_name["coherence.triangle"].cases >= 12
 
 
+def test_every_pentagon_size_within_the_entry_budget_fits_the_cap():
+    # coherence_laws draws pentagon sizes from the combinations within the entry
+    # budget; capping the largest carrier as well, as it once did, keeps the same list
+    laws, cap = dialnet.laws, dialnet.finset.DEFAULT_CAP
+    stages = laws._pentagon_stages
+    combos = list(itertools.product(itertools.product(laws._SIZES, repeat=2), repeat=4))
+    within = [c for c in combos if sum(p * n for p, n in stages(c)) <= laws._PENTAGON_ENTRY_BUDGET]
+    assert within == [c for c in within if max(max(s) for s in stages(c)) <= cap]
+    assert len(within) == 207 and ((1, 1),) * 4 in within and ((2, 2),) * 4 not in within
+    for combo in within:
+        assert len(stages(combo)) == 12 and all(max(shape) <= cap for shape in stages(combo))
+
+
 _UNORDERED = dataclasses.replace(NAT, _leq=lambda a, b: False)
 
 

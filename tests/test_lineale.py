@@ -6,6 +6,7 @@ tables below act as an independent oracle for the instance code.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from dialnet import (
     get_lineale,
     product_lineale,
 )
-from dialnet.lineale import MAX_PRODUCT_FACTORS
+from dialnet.lineale import MAX_PRODUCT_FACTORS, format_payload
 
 
 def payload(v):
@@ -401,3 +402,32 @@ def test_format_payload_refuses_a_payload_no_lineale_holds(payload):
 
     with pytest.raises(InvalidValue, match="unprintable payload"):
         format_payload(payload)
+
+
+HUGE_INT = 10**5000  # over the 4,300 digits Python writes an int in as text
+TOO_LONG = f"with a number of over {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BOOL2.value(HUGE_INT), f"bool2 payload must be a bool, got int {TOO_LONG}"),
+        (lambda: KLEENE3.value(HUGE_INT), f"kleene3 payload must be -1, 0 or 1, got int {TOO_LONG}"),
+        (lambda: NAT.value(-HUGE_INT), f"nat payload must be nonnegative, got int {TOO_LONG}"),
+        (lambda: INT.value([HUGE_INT]), f"int payload must be an int, got list {TOO_LONG}"),
+        (lambda: PROB.value(Fraction(HUGE_INT, 3)), f"prob payload must lie in [0, 1], got Fraction {TOO_LONG}"),
+        (lambda: get_lineale("prod(nat,int)").value(HUGE_INT), f"prod(nat,int) payload must be a pair, got int {TOO_LONG}"),
+        (lambda: format_payload([HUGE_INT]), f"unprintable payload list {TOO_LONG}"),
+        # a payload that writes as text is named as before
+        (lambda: NAT.value(-5), "nat payload must be nonnegative, got -5"),
+        (lambda: PROB.value(Fraction(3, 2)), "prob payload must lie in [0, 1], got 3/2"),
+        (lambda: KLEENE3.value(2), "kleene3 payload must be -1, 0 or 1, got 2"),
+        (lambda: BOOL2.value("yes"), "bool2 payload must be a bool, got 'yes'"),
+    ],
+    ids=["bool2", "kleene3", "nat", "int", "prob", "product", "format_payload",
+         "short-nat", "short-prob", "short-kleene3", "short-bool2"],
+)
+def test_a_payload_too_long_to_write_is_an_invalid_value(call, message):
+    with pytest.raises(InvalidValue) as e:
+        call()
+    assert str(e.value) == message
