@@ -248,10 +248,7 @@ def compose(m2: DialMorphism, m1: DialMorphism) -> DialMorphism:
 def _invert_table(t: FnTable) -> FnTable:
     if t.dom.size != t.cod.size or len(set(t.table)) != t.dom.size:
         raise ShapeMismatch("table is not a bijection")
-    inv = [0] * t.dom.size
-    for i, j in enumerate(t.table):
-        inv[j] = i
-    return FnTable(t.cod, t.dom, tuple(inv))
+    return FnTable(t.cod, t.dom, tuple(sorted(range(t.dom.size), key=t.table.__getitem__)))
 
 
 def inverse(m: DialMorphism) -> DialMorphism:

@@ -182,21 +182,20 @@ def random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into=Fals
     (src_pos, src_neg), (tgt_pos, tgt_neg) = ends if into else ends[::-1]
     f = tuple(rng.randrange(tgt_pos.size) for _ in range(src_pos.size))
     bt = tuple(rng.randrange(src_neg.size) for _ in range(tgt_neg.size))
-    rows = []
-    for i in range(pos.size):
-        row = []
-        for j in range(neg.size):
-            val = lin._sample(rng, _VALUE_BOUND)
-            # the weights of end that the order condition holds this one to
-            if into:
-                bounds = [end.weight[f[i]][y] for y in range(end.neg.size) if bt[y] == j]
-            else:
-                bounds = [end.weight[u][bt[j]] for u in range(end.pos.size) if f[u] == i]
-            for w in bounds:
-                val = _bound(lin, val, w, upper=not into)
-            row.append(val)
-        rows.append(tuple(row))
-    fresh = DialObject(lin, pos, neg, tuple(rows))
+
+    def weight(i: int, j: int):
+        val = lin._sample(rng, _VALUE_BOUND)
+        # the weights of end that the order condition holds this one to
+        if into:
+            bounds = [end.weight[f[i]][y] for y in range(end.neg.size) if bt[y] == j]
+        else:
+            bounds = [end.weight[u][bt[j]] for u in range(end.pos.size) if f[u] == i]
+        for w in bounds:
+            val = _bound(lin, val, w, upper=not into)
+        return val
+
+    rows = tuple(tuple(weight(i, j) for j in range(neg.size)) for i in range(pos.size))
+    fresh = DialObject(lin, pos, neg, rows)
     source, target = (fresh, end) if into else (end, fresh)
     return dial_morphism(source, target, FnTable(src_pos, tgt_pos, f), FnTable(tgt_neg, src_neg, bt))
 
@@ -211,9 +210,7 @@ def all_objects(lin: Lineale, max_size: int = 2) -> list[DialObject]:
         for nx in range(max_size + 1):
             pos, neg = FinSet(pu), FinSet(nx)
             for flat in itertools.product(carrier, repeat=pu * nx):
-                rows = tuple(
-                    tuple(flat[u * nx + x] for x in range(nx)) for u in range(pu)
-                )
+                rows = tuple(flat[u * nx : u * nx + nx] for u in range(pu))
                 out.append(DialObject(lin, pos, neg, rows))
     return out
 

@@ -60,6 +60,7 @@ import stat
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import add, floordiv, itemgetter, mod, mul
@@ -562,10 +563,10 @@ def parse_morphism_document(text: str) -> MorphismDocument:
     )
 
 
-def _resolve_end(end: Union[str, NetDocument], base_dir: Path) -> PetriNet:
+def _resolve_end(end: Union[str, NetDocument], base_dir: Path, load) -> PetriNet:
     if isinstance(end, NetDocument):
         return document_to_net(end)
-    return load_net(base_dir / end)  # an absolute end replaces base_dir
+    return load(base_dir / end)  # an absolute end replaces base_dir
 
 
 def resolve_morphism_document(
@@ -576,9 +577,9 @@ def resolve_morphism_document(
     f must cover every source place; F must cover every target
     transition.  Anything else is a semantic error.
     """
-    base = Path(base_dir)
-    source = _resolve_end(mdoc.source, base)
-    target = _resolve_end(mdoc.target, base)
+    base, load = Path(base_dir), cache(load_net)  # a file both ends name is read once
+    source = _resolve_end(mdoc.source, base, load)
+    target = _resolve_end(mdoc.target, base, load)
 
     def to_table(pairs, dom, cod, name: str, dom_kind: str, cod_kind: str) -> FnTable:
         mapping, index = dict(pairs), cod.index

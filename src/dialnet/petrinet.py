@@ -37,20 +37,20 @@ Before it builds anything, each connective refuses a product or
 exponential carrier over DEFAULT_CAP elements and a result relation
 over MAX_CELLS cells.
 
-Checking a net morphism costs time in the carrier sizes plus the arcs
-and their preimages, not in the cells: check_net_morphism compares one
-by one only the cells (u, y) with a source arc at (u, F(y)) or a target
-arc at (f(u), y), and compares the two defaults once for every other
-cell.  When that comparison fails, every other cell fails too, and the
-same loop compares every cell instead, still without densifying.
+Checking a net morphism costs time in the carrier sizes plus the source
+arcs and their F-preimages, the distinct target payloads and the
+f-preimages of the target arcs that fail, not in the cells: one pass
+compares each cell (u, y) over a source arc (u, F(y)); every other cell
+holds the source default, so the other pass lists it only under a target
+arc not above that default.  When the defaults fail, all cells are compared.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
-from operator import lt
+from itertools import chain, compress, count, islice, product, repeat
+from operator import eq, lt
 from typing import Iterable, Mapping, NamedTuple
 
 from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
@@ -98,12 +98,12 @@ class PetriNet:
         """The transitions: the negative carrier of both relations."""
         return self.transitions
 
-def _off(keys, payloads, default, objects) -> dict[int, object]:
-    """The cells keys[i] -> payloads[i] not equal to default, in order.  objects
-    is a collection of every object in payloads: each distinct one is compared
-    once, cells are picked by id in C, and payloads is not read if none is off."""
+def _off(keys, payloads, default, objects, fits=eq) -> dict[int, object]:
+    """The cells keys[i] -> payloads[i] with not fits(default, payload), in order.
+    objects holds every object in payloads: each distinct one is tested once,
+    cells are picked by id in C, and payloads is not read if none is off."""
     distinct = dict(zip(map(id, objects), objects))
-    off = {i for i, v in distinct.items() if v != default}
+    off = {i for i, v in distinct.items() if not fits(default, v)}
     if not off:
         return {}
     if len(off) == len(distinct):
@@ -215,41 +215,46 @@ def _preimages(table: tuple[int, ...], size: int) -> list[list[int]]:
 def check_net_morphism(
     source: PetriNet, target: PetriNet, fwd: FnTable, bwd: FnTable
 ) -> list[NetViolation]:
-    """All points where (fwd, bwd) fails for the pre or the post relation:
-    pre before post, then by u, then by y (see the module docstring for
-    which cells are compared one by one)."""
+    """All points where (fwd, bwd) fails for the pre or the post relation,
+    pre before post, then by u, then by y.  Two passes over the arcs find
+    them (see the module docstring); only the points found are sorted."""
     check_shapes(source, target, fwd, bwd)
     leq, ds, dt = source.lin._leq, source.default, target.default
-    everywhere = not leq(ds, dt)
     f, F = fwd.table, bwd.table
     n_x, n_y = source.transitions.size, target.transitions.size
     f_inv, F_inv = _preimages(f, target.places.size), _preimages(F, n_x)
     tag = source.lin.tag
+
+    def every_cell(s_arcs, t_arcs):  # the defaults fail, so every cell is compared
+        for u, y in product(range(source.places.size), range(n_y)):
+            a = s_arcs.get(u * n_x + F[y], ds)
+            b = t_arcs.get(f[u] * n_y + y, dt)
+            if not leq(a, b):
+                yield u, y, a, b
+
     out = []
     for part, s_arcs, t_arcs in (
         ("pre", source.pre_arcs, target.pre_arcs),
         ("post", source.post_arcs, target.post_arcs),
     ):
-        if everywhere:
-            # every cell off the arcs fails, so every cell is compared
-            cells: Iterable[int] = range(source.places.size * n_y)
-        else:
-            touched: set[int] = set()
-            for k in s_arcs:
-                u, x = divmod(k, n_x)
-                touched.update([u * n_y + y for y in F_inv[x]])
-            for k in t_arcs:
-                v, y = divmod(k, n_y)
-                touched.update([u * n_y + y for u in f_inv[v]])
-            cells = sorted(touched)
-        for c in cells:
-            u, y = divmod(c, n_y)
-            a = s_arcs.get(u * n_x + F[y], ds)
-            b = t_arcs.get(f[u] * n_y + y, dt)
-            if not leq(a, b):
-                out.append(
-                    NetViolation(part, u, y, LinealeValue(tag, a), LinealeValue(tag, b))
-                )
+        if not leq(ds, dt):
+            found = every_cell(s_arcs, t_arcs)
+        else:  # (u, y, a, b) per failing cell; pass one: the cells over a source arc (u, F(y))
+            found = []
+            for (u, x), a in zip(map(divmod, s_arcs, repeat(n_x)), s_arcs.values()):
+                for y in F_inv[x]:
+                    b = t_arcs.get(f[u] * n_y + y, dt)
+                    if not leq(a, b):
+                        found.append((u, y, a, b))
+            # pass two: the other cells hold ds, so fail only at target arcs not above it
+            failing = _off(t_arcs, t_arcs.values(), ds, t_arcs.values(), leq)
+            for (v, y), b in zip(map(divmod, failing, repeat(n_y)), failing.values()):
+                for u in f_inv[v]:
+                    if u * n_x + F[y] not in s_arcs:
+                        found.append((u, y, ds, b))
+            found.sort()  # the cells (u, y) are distinct, so no weights are compared
+        for u, y, a, b in found:
+            out.append(NetViolation(part, u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
     return out
 
 

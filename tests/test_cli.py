@@ -232,6 +232,34 @@ def test_check_morphism_with_nul_byte_in_source_path(tmp_path):
     assert err.startswith("error: cannot read ")
 
 
+def test_a_file_that_both_ends_name_is_read_once(tmp_path, monkeypatch):
+    read = []
+    load_net = dialnet.netdoc.load_net
+    counted = lambda path: read.append(path) or load_net(path)
+    monkeypatch.setattr(dialnet.netdoc, "load_net", counted)
+    (tmp_path / "sir.net").write_text(Path(SIR).read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "copy.net").write_text(Path(SIR).read_text(encoding="utf-8"), encoding="utf-8")
+    # a scrambled backward map, so that the violations are printed
+    f, big_f = {l: l for l in ("S", "I", "R")}, {"c": "r", "r": "c", "i": "i"}
+    outputs = []
+    for target, reads in (("sir.net", 1), ("./sir.net", 1), ("copy.net", 2), (SIR, 2)):
+        read.clear()
+        m = write_morphism(tmp_path, "m.mor", "sir.net", target, f, big_f)
+        outputs.append(run("check-morphism", m))
+        assert len(read) == reads, target
+    assert outputs[0][0] == 3 and "violation" in outputs[0][1]
+    assert outputs.count(outputs[0]) == 4
+    # a broken file named twice is read once and gives the error line it gave before
+    (tmp_path / "broken.net").write_text("{oops", encoding="utf-8")
+    read.clear()
+    m = write_morphism(tmp_path, "m.mor", "broken.net", "broken.net", {}, {})
+    assert run("check-morphism", m) == (2, "", (
+        "error: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"
+    ))
+    assert len(read) == 1
+
+
 # ---------------------------------------------------------------------------
 # combine
 # ---------------------------------------------------------------------------

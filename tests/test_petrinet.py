@@ -4,12 +4,13 @@ descriptions by hand and act as the oracle for the shipped example
 documents: every cell of every example is compared with them.
 """
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dialnet.dialset
 import dialnet.petrinet
@@ -659,11 +660,94 @@ def _net_morphisms(draw):
     return source, target, f, big_f
 
 
+def _nat_morphism(places, transitions, pre, post, f, big_f):
+    """A nat morphism between nets of default 0: places and transitions
+    are (source labels, target labels) pairs, pre and post (source arcs,
+    target arcs) pairs of {(place, transition): weight}, f and big_f tables."""
+    n = NAT.value
+    source, target = (
+        net_from_arcs(NAT, places[i], transitions[i], n(0),
+                      {k: n(w) for k, w in pre[i].items()}, {k: n(w) for k, w in post[i].items()})
+        for i in (0, 1)
+    )
+    return (source, target, FnTable(source.places, target.places, f),
+            FnTable(target.transitions, source.transitions, big_f))
+
+
+# Over nat, v is above the default 0 only when v is 0, so every target arc
+# below fails against it.  Source places p0, p1, p2 map to target places
+# q0, q1, q0 (f is not injective); target transitions s0, s1 map back to
+# t0, t1, so t2 is outside F's image.
+_TWO_PASSES = _nat_morphism(
+    (("p0", "p1", "p2"), ("q0", "q1")),
+    (("t0", "t1", "t2"), ("s0", "s1")),
+    # (p0, t0) sits under both a source arc and the failing target arc (q0, s0)
+    ({("p0", "t0"): 1, ("p1", "t0"): 1, ("p2", "t2"): 4},
+     {("q0", "s0"): 2, ("q1", "s0"): 3, ("q0", "s1"): 2}),
+    ({}, {("q1", "s1"): 1}),
+    (0, 1, 0),
+    (0, 1),
+)
+_UNDER_BOTH = _nat_morphism(
+    (("p0", "p1"), ("q0", "q1")), (("t0", "t1"), ("s0", "s1")),
+    ({("p0", "t0"): 1}, {("q0", "s0"): 2}), ({}, {}), (0, 1), (0, 1),
+)
+_NO_PLACES = _nat_morphism(((), ("q0",)), (("t0",), ("s0",)), ({}, {}), ({}, {}), (), (0,))
+_NO_TRANSITIONS = _nat_morphism(
+    (("p0", "p1"), ("q0",)), ((), ()), ({}, {}), ({}, {}), (0, 0), (),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_net_morphisms())
+@example(_TWO_PASSES)
+@example(_UNDER_BOTH)
+@example(_NO_PLACES)
+@example(_NO_TRANSITIONS)
 def test_sparse_check_equals_dense_oracle(case):
     source, target, f, big_f = case
     assert check_net_morphism(source, target, f, big_f) == _dense_check(source, target, f, big_f)
+
+
+def test_the_two_passes_list_each_failing_cell_once_in_row_major_order():
+    violations = check_net_morphism(*_TWO_PASSES)
+    assert violations == _dense_check(*_TWO_PASSES)
+    # pass one fails (0, 0) and (1, 0) at their source arcs, with the source
+    # arc's weight; pass two fails the preimage rows 0 and 2 of the target
+    # arcs (q0, s0) and (q0, s1), except (0, 0), which sits under a source arc
+    assert [(v.part, v.u, v.y, v.source_weight.payload, v.target_weight.payload)
+            for v in violations] == [
+        ("pre", 0, 0, 1, 2), ("pre", 0, 1, 0, 2), ("pre", 1, 0, 1, 3),
+        ("pre", 2, 0, 0, 2), ("pre", 2, 1, 0, 2), ("post", 1, 1, 0, 1),
+    ]
+    assert check_net_morphism(*_UNDER_BOTH) == [
+        NetViolation("pre", 0, 0, NAT.value(1), NAT.value(2)),
+    ]
+    assert check_net_morphism(*_NO_PLACES) == check_net_morphism(*_NO_TRANSITIONS) == []
+
+
+def test_the_check_compares_each_source_arc_cell_and_each_target_payload_once():
+    compared = []
+
+    def counting(a, b):
+        compared.append((a, b))
+        return a >= b
+
+    lin = dataclasses.replace(NAT, _leq=counting)
+    places = tuple(f"p{i}" for i in range(3000))
+    transitions = tuple(f"t{i}" for i in range(300))
+    source_arcs = {(places[i * 600], transitions[i * 60]): lin.value(3) for i in range(5)}
+    shared = lin.value(10**6)  # one payload object, not above the source default 0
+    target_arcs = {(places[i * 59 + 1], transitions[i * 5]): shared for i in range(50)}
+    source = net_from_arcs(lin, places, transitions, lin.value(0), source_arcs, source_arcs)
+    target = net_from_arcs(lin, places, transitions, lin.value(0), target_arcs, target_arcs)
+    assert len({id(v) for v in target.pre_arcs.values()}) == 1
+    m = identity(source)
+    compared.clear()
+    violations = check_net_morphism(source, target, m.fwd, m.bwd)
+    assert len(violations) == 2 * 50
+    # per relation: 5 source-arc cells, 1 distinct target payload, 1 for the defaults
+    assert len(compared) <= 2 * (5 + 1 + 1)
 
 
 def test_failing_default_comparison_lists_every_cell():
