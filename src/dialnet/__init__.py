@@ -3,14 +3,18 @@
 The package has three layers:
 
 * lineale / finset: weight values with ordered-monoid structure, and
-  finite carriers with tabulated functions;
+  finite carriers with tabulated functions, the morphism shape check and
+  the tensor and hom cell builders;
 * dialset: weighted relations between carriers, the lax morphisms
   between them, and the cartesian / cocartesian / monoidal closed
-  structure, each law machine-checked by the suites in `laws`, loaded on first use;
+  structure, each law machine-checked by the suites in `laws`; both load
+  on first use, when a name of theirs is read from the package;
 * petrinet / netdoc / cli: Petri nets as pre/post relation pairs,
   simulation checking, a JSON file format, DOT export, and the
   `dialnet` command.
 """
+
+import importlib
 
 from .errors import (
     CapExceeded,
@@ -36,36 +40,6 @@ from .lineale import (
     format_value,
     get_lineale,
     product_lineale,
-)
-from .dialset import (
-    DialMorphism,
-    DialObject,
-    Violation,
-    associator,
-    check_morphism,
-    compose,
-    curry_dial,
-    dial_morphism,
-    enumerate_morphisms,
-    hom_mor,
-    hom_obj,
-    identity,
-    inverse,
-    left_unitor,
-    oplus,
-    oplus_copair,
-    oplus_inl,
-    oplus_inr,
-    right_unitor,
-    symmetry,
-    tensor_mor,
-    tensor_obj,
-    tensor_unit,
-    uncurry_dial,
-    with_pairing,
-    with_product,
-    with_proj1,
-    with_proj2,
 )
 from .petrinet import (
     NetViolation,
@@ -98,15 +72,29 @@ from .netdoc import (
 
 __version__ = "0.1.0"
 
-_LAW_NAMES = {
-    "DEFAULT_SEED", "LawResult", "adjunction_oracle", "category_laws", "coherence_laws",
-    "functoriality_laws", "lineale_laws", "mutate_imp", "mutated_kleene3", "run_all",
-    "universal_laws",
+# name -> the module it is read from on first use (PEP 562), so that
+# `import dialnet.cli` loads neither the category nor the law suites
+_LAZY = {
+    **dict.fromkeys((
+        "DialMorphism", "DialObject", "Violation", "associator", "check_morphism", "compose",
+        "curry_dial", "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity",
+        "inverse", "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr",
+        "right_unitor", "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial",
+        "with_pairing", "with_product", "with_proj1", "with_proj2",
+    ), "dialset"),
+    **dict.fromkeys((
+        "DEFAULT_SEED", "LawResult", "adjunction_oracle", "category_laws", "coherence_laws",
+        "functoriality_laws", "lineale_laws", "mutate_imp", "mutated_kleene3", "run_all",
+        "universal_laws",
+    ), "laws"),
 }
 
 
-def __getattr__(name: str):  # PEP 562: a law name loads the suites
-    if name in _LAW_NAMES:
-        from . import laws
-        return getattr(laws, name)
+def __getattr__(name: str):  # PEP 562: a lazy name loads its module
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -19,10 +19,10 @@ The connectives:
 * hom_obj:                  carriers (V^U x X^Y, U x Y)
 
 tensor and hom are adjoint; curry_dial / uncurry_dial realize the
-bijection between hom-sets.  Each has one cell builder, which the net
-layer shares: from plain weight rows it gives the op table, one payload
-per pair of input cells, and the result cells in row-major order, each
-an op-table object; _pointwise, their one assembly, cuts them into rows.
+bijection between hom-sets.  Each has one cell builder in finset, which
+the net layer shares: from plain weight rows it gives the op table, one
+payload per pair of input cells, and the result cells in row-major order,
+each an op-table object; _pointwise, their one assembly, cuts them into rows.
 Every constructor here returns morphisms that are valid by the
 corresponding proof, but nothing is trusted: check_morphism recomputes
 the condition pointwise and the test suite always rechecks constructor
@@ -35,9 +35,10 @@ builds a morphism from each; _hom_counts counts them and finds each source's
 last, as the exhaustive identity law reads them unless a table breaks it.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
-exponentials, response-table pairs) and carrier shapes come from the
-finset module; every constructor checks the shape against the fixed
-cap finset.DEFAULT_CAP before it builds any label or row.
+exponentials, response-table pairs), carrier shapes and the morphism
+shape check come from the finset module; every constructor checks the
+shape against the fixed cap finset.DEFAULT_CAP before it builds any
+label or row.
 """
 
 from __future__ import annotations
@@ -52,26 +53,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import (
-    FinSet,
-    FnTable,
-    _guard,
-    copair,
-    coproduct_set,
-    digit_table,
-    exp_set,
-    fn_pair_digits,
-    fn_pair_weights,
-    hom_shape,
-    inl,
-    inr,
-    pairing,
-    product_fn,
-    product_set,
-    proj1,
-    proj2,
-    tensor_shape,
-)
+from .finset import FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
+from .finset import _tensor_carriers, _tensor_cells, check_shapes, copair, coproduct_set
+from .finset import digit_table, fn_pair_digits, fn_pair_weights, hom_shape, inl, inr, pairing
+from .finset import product_fn, product_set, proj1, proj2, tensor_shape
 from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .finset import swap as table_swap
@@ -156,27 +141,6 @@ class Violation(NamedTuple):
     y: int
     source_weight: LinealeValue
     target_weight: LinealeValue
-
-
-def _same_lineale(a, b) -> Lineale:
-    if a.lin.tag != b.lin.tag:
-        raise TagMismatch(f"objects over {a.lin.tag} and {b.lin.tag} cannot combine")
-    return a.lin
-
-
-def check_shapes(source, target, fwd: FnTable, bwd: FnTable) -> None:
-    """Raise unless both ends share a lineale, fwd maps the positive
-    carriers forward and bwd maps the negative carriers backward.
-
-    The ends are objects or nets: anything with a ``lin`` and ``pos`` /
-    ``neg`` carriers, so a net's shape is checked without building its
-    relations.
-    """
-    _same_lineale(source, target)
-    if fwd.dom.size != source.pos.size or fwd.cod.size != target.pos.size:
-        raise ShapeMismatch("forward table does not map the positive carriers")
-    if bwd.dom.size != target.neg.size or bwd.cod.size != source.neg.size:
-        raise ShapeMismatch("backward table does not map the negative carriers")
 
 
 def check_morphism(
@@ -335,44 +299,6 @@ def _landing(weights, reads, n: int) -> list[int]:
     return out
 
 
-def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
-    """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)): one payload per
-    pair of input cells, so cells with equal inputs share one object."""
-
-    def row(au) -> list[list]:  # each a(u, x) |Y| times against b's rows |X| times
-        ax = list(itertools.chain.from_iterable(map(itertools.repeat, au, itertools.repeat(n_y))))
-        return [list(map(op, ax, bv * n_x)) for bv in b_rows]
-
-    return list(map(row, a_rows))
-
-
-def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
-    """The tensor's carriers U x V and X^V x Y^U, after the cap guard."""
-    _guard(max(tensor_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
-    return product_set(a.pos, b.pos), product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
-
-
-def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
-    """The tensor's op table and its cells, from weight rows of shapes
-    (|U|, |X|) and (|V|, |Y|).  The cells ((u, v), (f, g)) come in row-major
-    order, each one the op-table object at (u, v, f(v), g(u)); they are
-    computed as they are read."""
-    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
-    table = _op_table(lin._tensor, a_rows, b_rows, n_x, n_y)
-    # f_at[v]: f(v) for every table f of X^V in index order, empty when
-    # X^V is (X empty, V not); g_at[u] likewise for Y^U
-    f_at = list(zip(*itertools.product(range(n_x), repeat=n_v))) or [()] * n_v
-    g_at = list(zip(*itertools.product(range(n_y), repeat=n_u))) or [()] * n_u
-
-    def row(u: int, v: int):  # per f, the part of x = f(v) over every g
-        parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
-        by_x = [list(map(part, g_at[u])) for part in parts]
-        return itertools.chain.from_iterable(map(by_x.__getitem__, f_at[v]))
-
-    pairs = itertools.product(range(n_u), range(n_v))
-    return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
-
-
 def _pointwise(a: DialObject, b: DialObject, carriers, build) -> DialObject:
     """The tensor or hom of a and b from the connective's carriers and cell
     builder; zip cuts the cells into rows, reading their iterator |neg| times a row."""
@@ -451,32 +377,6 @@ def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
     digits = [(fb, w) for w in _landing(f_w, m2.fwd.table, m2.target.pos.size)]
     digits += [(gb, w) for w in _landing(g_w, m1.fwd.table, m1.target.pos.size)]
     return DialMorphism(src, tgt, fwd, FnTable(tgt.neg, src.neg, digit_table(digits)))
-
-
-def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
-    """The internal hom's carriers V^U x X^Y and U x Y, after the cap guard."""
-    _guard(max(hom_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
-    return product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
-
-
-def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
-    """The internal hom's op table and its cells, from weight rows of shapes
-    (|U|, |X|) and (|V|, |Y|).  The cells ((f, F), (u, y)) come in row-major
-    order, each one the op-table object at (u, f(u), F(y), y); they are
-    computed as they are read."""
-    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
-    table = _op_table(lin._imp, a_rows, b_rows, n_x, n_y)
-    n_big_f = n_x**n_y
-    # per F, and within it per u, the entries F(y) * |Y| + y of every y
-    picks = [[x * n_y + y for y, x in enumerate(big_f)]
-             for big_f in itertools.product(range(n_x), repeat=n_y) for _ in range(n_u)]
-
-    def rows(f: tuple[int, ...]):  # the rows (f, F) of one f, for every F
-        at_f = [table[u][v].__getitem__ for u, v in enumerate(f)]
-        return itertools.chain.from_iterable(map(map, at_f * n_big_f, picks))
-
-    fs = itertools.product(range(n_v), repeat=n_u)
-    return table, itertools.chain.from_iterable(map(rows, fs))
 
 
 @_once

@@ -27,14 +27,23 @@ build anything.  Exponential carriers blow up quickly, so any
 constructor that builds one raises CapExceeded beyond DEFAULT_CAP (4096).
 A net connective's result relation has up to DEFAULT_CAP**2 cells, so the
 connectives also refuse one over MAX_CELLS (2**20) cells.
+
+The last section serves dialset's objects and petrinet's nets alike, so a
+net command never loads dialset: check_shapes, the one morphism shape
+check, and the carriers and cell builders of the tensor and the internal
+hom, which turn plain weight rows into an op table and the result cells.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .errors import CapExceeded, ShapeMismatch
+from .errors import CapExceeded, ShapeMismatch, TagMismatch
+
+if TYPE_CHECKING:
+    from .lineale import Lineale
 
 __all__ = [
     "DEFAULT_CAP",
@@ -59,6 +68,7 @@ __all__ = [
     "digit_table",
     "tensor_shape",
     "hom_shape",
+    "check_shapes",
 ]
 
 DEFAULT_CAP = 4096
@@ -285,3 +295,92 @@ def hom_shape(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """Shape of the internal hom: (V^U x X^Y, U x Y) for a = (U, X), b = (V, Y)."""
     (u, x), (v, y) = a, b
     return v**u * x**y, u * y
+
+# -- morphism shapes, and the tensor and hom cells ------------------------------
+# The ends of a morphism and the factors of a connective are objects or nets:
+# anything with a ``lin`` and ``pos`` / ``neg`` carriers.
+
+
+def _same_lineale(a, b) -> Lineale:
+    if a.lin.tag != b.lin.tag:
+        raise TagMismatch(f"objects over {a.lin.tag} and {b.lin.tag} cannot combine")
+    return a.lin
+
+
+def check_shapes(source, target, fwd: FnTable, bwd: FnTable) -> None:
+    """Raise unless both ends share a lineale, fwd maps the positive
+    carriers forward and bwd maps the negative carriers backward.
+
+    The ends are objects or nets: anything with a ``lin`` and ``pos`` /
+    ``neg`` carriers, so a net's shape is checked without building its
+    relations.
+    """
+    _same_lineale(source, target)
+    if fwd.dom.size != source.pos.size or fwd.cod.size != target.pos.size:
+        raise ShapeMismatch("forward table does not map the positive carriers")
+    if bwd.dom.size != target.neg.size or bwd.cod.size != source.neg.size:
+        raise ShapeMismatch("backward table does not map the negative carriers")
+
+
+def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
+    """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)): one payload per
+    pair of input cells, so cells with equal inputs share one object."""
+
+    def row(au) -> list[list]:  # each a(u, x) |Y| times against b's rows |X| times
+        ax = list(itertools.chain.from_iterable(map(itertools.repeat, au, itertools.repeat(n_y))))
+        return [list(map(op, ax, bv * n_x)) for bv in b_rows]
+
+    return list(map(row, a_rows))
+
+
+def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
+    """The tensor's carriers U x V and X^V x Y^U, after the cap guard."""
+    _guard(max(tensor_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
+    return product_set(a.pos, b.pos), product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
+
+
+def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
+    """The tensor's op table and its cells, from weight rows of shapes
+    (|U|, |X|) and (|V|, |Y|).  The cells ((u, v), (f, g)) come in row-major
+    order, each one the op-table object at (u, v, f(v), g(u)); they are
+    computed as they are read."""
+    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
+    table = _op_table(lin._tensor, a_rows, b_rows, n_x, n_y)
+    # f_at[v]: f(v) for every table f of X^V in index order, empty when
+    # X^V is (X empty, V not); g_at[u] likewise for Y^U
+    f_at = list(zip(*itertools.product(range(n_x), repeat=n_v))) or [()] * n_v
+    g_at = list(zip(*itertools.product(range(n_y), repeat=n_u))) or [()] * n_u
+
+    def row(u: int, v: int):  # per f, the part of x = f(v) over every g
+        parts = [table[u][v][x * n_y : x * n_y + n_y].__getitem__ for x in range(n_x)]
+        by_x = [list(map(part, g_at[u])) for part in parts]
+        return itertools.chain.from_iterable(map(by_x.__getitem__, f_at[v]))
+
+    pairs = itertools.product(range(n_u), range(n_v))
+    return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
+
+
+def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
+    """The internal hom's carriers V^U x X^Y and U x Y, after the cap guard."""
+    _guard(max(hom_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
+    return product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
+
+
+def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
+    """The internal hom's op table and its cells, from weight rows of shapes
+    (|U|, |X|) and (|V|, |Y|).  The cells ((f, F), (u, y)) come in row-major
+    order, each one the op-table object at (u, f(u), F(y), y); they are
+    computed as they are read."""
+    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
+    table = _op_table(lin._imp, a_rows, b_rows, n_x, n_y)
+    n_big_f = n_x**n_y
+    # per F, and within it per u, the entries F(y) * |Y| + y of every y
+    picks = [[x * n_y + y for y, x in enumerate(big_f)]
+             for big_f in itertools.product(range(n_x), repeat=n_y) for _ in range(n_u)]
+
+    def rows(f: tuple[int, ...]):  # the rows (f, F) of one f, for every F
+        at_f = [table[u][v].__getitem__ for u, v in enumerate(f)]
+        return itertools.chain.from_iterable(map(map, at_f * n_big_f, picks))
+
+    fs = itertools.product(range(n_v), repeat=n_u)
+    return table, itertools.chain.from_iterable(map(rows, fs))

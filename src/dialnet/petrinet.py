@@ -24,7 +24,7 @@ stored form out from counts of the distinct payloads: _net_from_cells
 from a fill payload, the cells listed off it (the arcs as they are if
 in index order and free of the default) and their count by value, which
 every caller hands over; _pointwise_net from the op tables and cells of
-the tensor or hom builder tensor_obj and hom_obj share.
+finset's tensor or hom builder, which dialset's tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
 cell into a block of result cells, so they cost time in the arcs (and
@@ -53,9 +53,8 @@ from itertools import chain, compress, count, islice, product, repeat
 from operator import eq, lt
 from typing import Iterable, Mapping, NamedTuple
 
-from .dialset import _hom_carriers, _hom_cells, _same_lineale, _tensor_carriers, _tensor_cells
-from .dialset import check_shapes
-from .finset import MAX_CELLS, FinSet, FnTable, _guard, coproduct_set, product_set
+from .finset import MAX_CELLS, FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
+from .finset import _tensor_carriers, _tensor_cells, check_shapes, coproduct_set, product_set
 from .lineale import Lineale, LinealeValue
 
 __all__ = [
@@ -259,7 +258,7 @@ def check_net_morphism(
 
 
 def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
-    """The stored form of a tensor or hom from the connective's dialset
+    """The stored form of a tensor or hom from the connective's finset
     carriers and cell builder, run on the pre and on the post relations.
     Every op-table entry fills equally many cells, so the entries count
     the payloads for _modal.

@@ -6,8 +6,10 @@ label, arc and map entry is checked one at a time, in the order the
 reader promises: syntax before semantics; keys, version, lineale,
 default, places, transitions, pre, post; then the lineale, the labels,
 the default weight, and per arc its place, its transition, whether it
-repeats, and its weight; for a morphism, both ends before f and F.  The
-tests compare the CLI's exit code and error line with these.
+repeats, and its weight; for a morphism, both ends before f and F.  A
+label in a message is echoed as the reader echoes it, cut to a bounded
+head and its length when long.  The tests compare the CLI's exit code
+and error line with these.
 """
 
 import json
@@ -18,13 +20,24 @@ NET_KEYS = ("format_version", "lineale", "default_weight", "places", "transition
 MOR_KEYS = ("format_version", "source", "target", "f", "F")
 
 
+def _echo(text: str, limit: int = 60) -> str:
+    """The repr of text when it is at most limit bytes of UTF-8; otherwise the
+    repr of the longest head whose repr is at most limit bytes between its
+    quotes, then an ellipsis and the length of text in characters."""
+    if len(text.encode("utf-8", "surrogatepass")) <= limit:
+        return repr(text)
+    # a head over limit characters never fits, so the search stops there
+    n = max(k for k in range(limit + 1) if len(repr(text[:k]).encode()) <= limit + 2)
+    return f"{text[:n]!r}… ({len(text)} characters)"
+
+
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen = set()
         for k, _ in pairs:
             if k in seen:
-                raise DocumentSyntaxError(f"repeated key {k!r} in a JSON object")
+                raise DocumentSyntaxError(f"repeated key {_echo(k)} in a JSON object")
             seen.add(k)
     return obj
 
@@ -79,7 +92,7 @@ def _check_keys(obj: dict, keys: tuple, what: str) -> None:
         raise DocumentSyntaxError(f"{what} has unknown keys: {', '.join(extra)}")
     version = _expect_str(obj["format_version"], "format_version")
     if version != "1":
-        raise DocumentSyntaxError(f"unsupported format_version {version!r}; this tool reads '1'")
+        raise DocumentSyntaxError(f"unsupported format_version {_echo(version)}; this tool reads '1'")
 
 
 def net_syntax(obj, what: str = "net document") -> dict:
@@ -116,18 +129,18 @@ def net_semantics(doc: dict) -> None:
             if not lbl:
                 raise DocumentSemanticError(f"empty {kind} label")
             if lbl in seen:
-                raise DocumentSemanticError(f"duplicate {kind} label {lbl!r}")
+                raise DocumentSemanticError(f"duplicate {kind} label {_echo(lbl)}")
             seen.add(lbl)
     _parse_weight(lin, doc["default_weight"], "default_weight")
     for part in ("pre", "post"):
         arcs = set()
         for i, (p, t, v) in enumerate(doc[part]):
             if p not in doc["places"]:
-                raise DocumentSemanticError(f"{part}[{i}]: unknown place label {p!r}")
+                raise DocumentSemanticError(f"{part}[{i}]: unknown place label {_echo(p)}")
             if t not in doc["transitions"]:
-                raise DocumentSemanticError(f"{part}[{i}]: unknown transition label {t!r}")
+                raise DocumentSemanticError(f"{part}[{i}]: unknown transition label {_echo(t)}")
             if (p, t) in arcs:
-                raise DocumentSemanticError(f"{part}[{i}]: duplicate arc for ({p!r}, {t!r})")
+                raise DocumentSemanticError(f"{part}[{i}]: duplicate arc for ({_echo(p)}, {_echo(t)})")
             arcs.add((p, t))
             _parse_weight(lin, v, f"{part}[{i}]")
 
@@ -137,7 +150,7 @@ def _expect_label_map(value, where: str) -> tuple:
         raise DocumentSyntaxError(f"{where} must be an object of label pairs")
     out = []
     for k, v in value.items():
-        out.append((_expect_str(k, f"{where} key"), _expect_str(v, f"{where}[{k!r}]")))
+        out.append((_expect_str(k, f"{where} key"), _expect_str(v, f"{where}[{_echo(k)}]")))
     return tuple(out)
 
 
@@ -145,16 +158,19 @@ def _map_semantics(pairs, dom, cod, name: str, dom_kind: str, cod_kind: str) -> 
     mapping = {}
     for k, v in pairs:
         if k in mapping:
-            raise DocumentSemanticError(f"{name}: duplicate entry for {k!r}")
+            raise DocumentSemanticError(f"{name}: duplicate entry for {_echo(k)}")
         mapping[k] = v
     for lbl in dom:
         if lbl not in mapping:
-            raise DocumentSemanticError(f"{name}: no entry for {dom_kind} {lbl!r}")
+            raise DocumentSemanticError(f"{name}: no entry for {dom_kind} {_echo(lbl)}")
         img = mapping.pop(lbl)
         if img not in cod:
-            raise DocumentSemanticError(f"{name}: unknown {cod_kind} {img!r} (image of {lbl!r})")
+            raise DocumentSemanticError(f"{name}: unknown {cod_kind} {_echo(img)} (image of {_echo(lbl)})")
     if mapping:
-        stray = ", ".join(repr(k) for k in mapping)
+        # the first three strays, each echoed in 40 bytes, and a count of the rest
+        shown = [_echo(k, 40) for k in mapping][:3]
+        rest = len(mapping) - len(shown)
+        stray = ", ".join(shown) + (f" and {rest} more" if rest else "")
         raise DocumentSemanticError(f"{name}: unknown {dom_kind}(s) {stray}")
 
 

@@ -17,13 +17,20 @@ from pathlib import Path
 import dialnet
 
 ALLOWED = {
+    # the tensor / hom cell builders live in finset, so that petrinet, and with
+    # it every net command, needs no dialset
     ("dialset", "finset", "_guard"),
+    ("dialset", "finset", "_hom_carriers"),
+    ("dialset", "finset", "_hom_cells"),
+    ("dialset", "finset", "_same_lineale"),
+    ("dialset", "finset", "_tensor_carriers"),
+    ("dialset", "finset", "_tensor_cells"),
     ("petrinet", "finset", "_guard"),
-    ("petrinet", "dialset", "_hom_carriers"),
-    ("petrinet", "dialset", "_hom_cells"),
-    ("petrinet", "dialset", "_same_lineale"),
-    ("petrinet", "dialset", "_tensor_carriers"),
-    ("petrinet", "dialset", "_tensor_cells"),
+    ("petrinet", "finset", "_hom_carriers"),
+    ("petrinet", "finset", "_hom_cells"),
+    ("petrinet", "finset", "_same_lineale"),
+    ("petrinet", "finset", "_tensor_carriers"),
+    ("petrinet", "finset", "_tensor_cells"),
     ("laws", "dialset", "_hom_counts"),
     ("laws", "dialset", "_hom_tables"),
     ("laws", "dialset", "_shared"),
@@ -52,15 +59,23 @@ def test_private_imports_are_the_allowed_ones():
     assert private_imports() == ALLOWED
 
 
-# what `import dialnet.cli` loads: every module a net command runs, not the law suites
+# what `import dialnet.cli` loads: every module a net command runs, not the
+# category of relations or the law suites, which only `laws` loads
 NET_MODULES = [
-    "dialnet", "dialnet.cli", "dialnet.dialset", "dialnet.errors", "dialnet.finset",
-    "dialnet.lineale", "dialnet.netdoc", "dialnet.petrinet",
+    "dialnet", "dialnet.cli", "dialnet.errors", "dialnet.finset", "dialnet.lineale",
+    "dialnet.netdoc", "dialnet.petrinet",
 ]
 LAW_NAMES = [
     "DEFAULT_SEED", "LawResult", "adjunction_oracle", "category_laws", "coherence_laws",
     "functoriality_laws", "lineale_laws", "mutate_imp", "mutated_kleene3", "run_all",
     "universal_laws",
+]
+DIALSET_NAMES = [
+    "DialMorphism", "DialObject", "Violation", "associator", "check_morphism", "compose",
+    "curry_dial", "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity",
+    "inverse", "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr",
+    "right_unitor", "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial",
+    "with_pairing", "with_product", "with_proj1", "with_proj2",
 ]
 
 
@@ -88,9 +103,10 @@ maps = {"f": {p: p for p in ("H2", "O2", "H2O")}, "F": {"t": "t"}}
 with tempfile.TemporaryDirectory() as d, redirect_stdout(io.StringIO()):
     mor = Path(d, "id.mor")
     mor.write_text(json.dumps({"format_version": "1", "source": water, "target": water, **maps}))
+    combine = [["combine", "--op", op, water, water, "--out", str(Path(d, op + ".net"))]
+               for op in ("tensor", "hom", "with", "oplus")]
     for argv in (["validate", water], ["export-dot", water], ["check-morphism", str(mor)],
-                 ["combine", "--op", "tensor", water, water, "--out", str(Path(d, "ww.net"))],
-                 ["example", "--name", "water"]):
+                 *combine, ["example", "--name", "water"]):
         codes.append(dialnet.cli.main(argv))
     seen.append(loaded())
     codes.append(dialnet.cli.main(["laws", "--lineale", "nat", "--cases", "1"]))
@@ -103,8 +119,8 @@ def test_net_commands_never_load_the_law_suites():
     (at_import, after_nets, after_laws), codes = fresh(COMMANDS)
     assert at_import == NET_MODULES
     assert after_nets == NET_MODULES
-    assert after_laws == sorted([*NET_MODULES, "dialnet.laws"])
-    assert codes == [0] * 6
+    assert after_laws == sorted([*NET_MODULES, "dialnet.dialset", "dialnet.laws"])
+    assert codes == [0] * 9
 
 
 def test_the_law_names_read_from_the_package_are_those_of_laws():
@@ -121,3 +137,33 @@ same = [getattr(dialnet, n) is getattr(dialnet.laws, n) for n in {LAW_NAMES!r}]
 print(json.dumps([unknown, same, hasattr(dialnet, "random_object")]))
 """
     assert fresh(code) == ["not loaded", [True] * len(LAW_NAMES), False]
+
+
+def test_the_category_names_read_from_the_package_are_those_of_dialset():
+    code = f"""
+import json, sys
+import dialnet
+try:
+    dialnet.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = [m for m in ("dialnet.dialset", "dialnet.laws") if m in sys.modules]
+import dialnet.dialset
+same = [getattr(dialnet, n) is getattr(dialnet.dialset, n) for n in {DIALSET_NAMES!r}]
+print(json.dumps([unknown, same, hasattr(dialnet, "_pointwise")]))
+"""
+    assert fresh(code) == [[], [True] * len(DIALSET_NAMES), False]
+
+
+def test_dir_lists_the_lazy_names_without_loading_them():
+    code = """
+import json, sys
+import dialnet
+names = dir(dialnet)
+loaded = [m for m in ("dialnet.dialset", "dialnet.laws") if m in sys.modules]
+print(json.dumps([names, loaded]))
+"""
+    names, loaded = fresh(code)
+    assert loaded == []
+    assert names == sorted(names)
+    assert {*LAW_NAMES, *DIALSET_NAMES, "PetriNet", "FinSet", "__version__"} <= {*names}

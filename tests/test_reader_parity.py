@@ -175,6 +175,11 @@ def _assert_as_oracle(read, argv, obj) -> None:
      "transitions": ["t0"], "pre": [["q", "t0", "x"]], "post": [["p0", "t0"]]},
     ["validate", "{doc}"],
 )
+@example(  # a long unknown label is echoed cut, with its length
+    {"format_version": "1", "lineale": " nat ", "default_weight": "0", "places": ["p0", "p1", "p2"],
+     "transitions": ["t0", "t1"], "pre": [], "post": [["p0", "9" * 70 + "x", "p0"]]},
+    ["validate", "{doc}"],
+)
 def test_net_documents_are_refused_as_the_oracle_refuses_them(obj, argv):
     _assert_as_oracle(reader_oracle.read_net, argv, obj)
 
