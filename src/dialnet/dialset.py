@@ -1,10 +1,11 @@
 """Lineale-weighted relations and the lax maps between them.
 
-An object is a pair of finite carriers with a weight matrix over a
-lineale: a "positive" carrier (rows) and a "negative" carrier
-(columns).  A morphism is a forward function on positive carriers and
-a backward function on negative carriers, subject to a pointwise order
-condition:
+An object is a pair of finite carriers, "positive" and "negative", and
+a relation between them over a lineale: the weight of each pair (u, x),
+stored as one tuple of cells in the nets' row-major order, cell (u, x)
+at u * |neg| + x.  A morphism is a forward function on positive carriers
+and a backward function on negative carriers, subject to a pointwise
+order condition:
 
     weight_A(u, bwd(y))  <=  weight_B(fwd(u), y)   for all u, y.
 
@@ -20,9 +21,9 @@ The connectives:
 
 tensor and hom are adjoint; curry_dial / uncurry_dial realize the
 bijection between hom-sets.  Each has one cell builder in finset, which
-the net layer shares: from plain weight rows it gives the op table, one
-payload per pair of input cells, and the result cells in row-major order,
-each an op-table object; _pointwise, their one assembly, cuts them into rows.
+the net layer shares: from the two objects' cells it gives the op table,
+one payload per pair of input cells, and the result cells in row-major
+order, each an op-table object; _pointwise, their one assembly, keeps them.
 Every constructor here returns morphisms that are valid by the
 corresponding proof, but nothing is trusted: check_morphism recomputes
 the condition pointwise and the test suite always rechecks constructor
@@ -36,9 +37,9 @@ last, as the exhaustive identity law reads them unless a table breaks it.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs), carrier shapes and the morphism
-shape check come from the finset module; every constructor checks the
-shape against the fixed cap finset.DEFAULT_CAP before it builds any
-label or row.
+shape check come from the finset module, as does _rows, the one place a
+relation is cut into rows; every constructor checks the shape against
+the fixed cap finset.DEFAULT_CAP before it builds any label or cell.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
+from .finset import FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _rows, _same_lineale
 from .finset import _tensor_carriers, _tensor_cells, check_shapes, copair, coproduct_set
 from .finset import digit_table, fn_pair_digits, fn_pair_weights, hom_shape, inl, inr, pairing
 from .finset import product_fn, product_set, proj1, proj2, tensor_shape
@@ -97,36 +98,27 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class DialObject:
-    """Two finite carriers and a weight matrix between them.
+    """Two finite carriers and the relation between them, as one tuple of cells.
 
-    ``weight[u][x]`` is the payload of the lineale value attached to the
-    pair (u, x) -- for a product lineale a plain pair of component
-    payloads.  Rows run over the positive carrier, columns over the
-    negative one.
+    ``cells[u * |neg| + x]`` is the payload of the lineale value attached
+    to the pair (u, x) -- for a product lineale a plain pair of component
+    payloads -- in the row-major order of a net's relations.
     """
 
     lin: Lineale
     pos: FinSet
     neg: FinSet
-    weight: tuple[tuple[object, ...], ...]
+    cells: tuple[object, ...]
 
     def __post_init__(self):
-        if len(self.weight) != self.pos.size:
+        if len(self.cells) != self.pos.size * self.neg.size:
             raise ShapeMismatch(
-                f"{len(self.weight)} weight rows for positive carrier "
-                f"of size {self.pos.size}"
+                f"{len(self.cells)} cells for carriers of sizes "
+                f"{self.pos.size} x {self.neg.size}"
             )
-        for row in self.weight:
-            if len(row) != self.neg.size:
-                raise ShapeMismatch(
-                    f"weight row of length {len(row)} for negative carrier "
-                    f"of size {self.neg.size}"
-                )
-            # a wrapped value would silently compare unequal to every payload
-            if LinealeValue in map(type, row):
-                raise TagMismatch(
-                    f"weight rows hold {self.lin.tag} payloads, not tagged values"
-                )
+        # a wrapped value would silently compare unequal to every payload
+        if LinealeValue in map(type, self.cells):
+            raise TagMismatch(f"cells hold {self.lin.tag} payloads, not tagged values")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -152,12 +144,12 @@ def check_morphism(
     """
     check_shapes(source, target, fwd, bwd)
     tag, leq = source.lin.tag, source.lin._leq
+    sc, tc, n_x, n_y = source.cells, target.cells, source.neg.size, target.neg.size
     out = []
-    for u in range(source.pos.size):
-        fu = fwd.table[u]
-        for y in range(target.neg.size):
-            a = source.weight[u][bwd.table[y]]
-            b = target.weight[fu][y]
+    for u, fu in enumerate(fwd.table):
+        a0, b0 = u * n_x, fu * n_y  # the first cells of source row u and target row fu
+        for y, x in enumerate(bwd.table):
+            a, b = sc[a0 + x], tc[b0 + y]
             if not leq(a, b):
                 out.append(Violation(u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
     return out
@@ -233,7 +225,10 @@ def with_product(a: DialObject, b: DialObject) -> DialObject:
     _guard(a.pos.size * b.pos.size)
     pos = product_set(a.pos, b.pos)
     neg = coproduct_set(a.neg, b.neg)
-    return DialObject(lin, pos, neg, tuple(ra + rb for ra in a.weight for rb in b.weight))
+    # row (u, v) is a's row u, then b's row v
+    rows = itertools.product(_rows(a.cells, *a.shape), _rows(b.cells, *b.shape))
+    cells = itertools.chain.from_iterable(ra + rb for ra, rb in rows)
+    return DialObject(lin, pos, neg, tuple(cells))
 
 
 def with_proj1(a: DialObject, b: DialObject) -> DialMorphism:
@@ -262,12 +257,9 @@ def oplus(a: DialObject, b: DialObject) -> DialObject:
     neg = product_set(a.neg, b.neg)
     # column (x, y) of row inl u is a(u, x), of row inr v is b(v, y)
     n_x, n_y = a.neg.size, b.neg.size
-    rows = [
-        tuple(itertools.chain.from_iterable(map(itertools.repeat, row, itertools.repeat(n_y))))
-        for row in a.weight
-    ]
-    rows += [row * n_x for row in b.weight]
-    return DialObject(lin, pos, neg, tuple(rows))
+    left = itertools.chain.from_iterable(map(itertools.repeat, a.cells, itertools.repeat(n_y)))
+    right = (row * n_x for row in _rows(b.cells, *b.shape))
+    return DialObject(lin, pos, neg, tuple(itertools.chain(left, *right)))
 
 
 def oplus_inl(a: DialObject, b: DialObject) -> DialMorphism:
@@ -300,13 +292,11 @@ def _landing(weights, reads, n: int) -> list[int]:
 
 
 def _pointwise(a: DialObject, b: DialObject, carriers, build) -> DialObject:
-    """The tensor or hom of a and b from the connective's carriers and cell
-    builder; zip cuts the cells into rows, reading their iterator |neg| times a row."""
+    """The tensor or hom of a and b from the connective's carriers and cell builder."""
     lin = _same_lineale(a, b)
     pos, neg = carriers(a, b)
-    _, cells = build(lin, a.weight, b.weight, a.shape, b.shape)
-    rows = tuple(zip(*[cells] * neg.size)) if neg.size else ((),) * pos.size
-    return DialObject(lin, pos, neg, rows)
+    _, cells = build(lin, a.cells, b.cells, a.shape, b.shape)
+    return DialObject(lin, pos, neg, tuple(cells))
 
 
 # (builder, *ids of its arguments) -> (object, arguments) while a _shared() block
@@ -345,7 +335,7 @@ def _once(build):
 @_once
 def tensor_unit(lin: Lineale) -> DialObject:
     """One-element carriers weighted by the lineale's unit."""
-    return DialObject(lin, FinSet(1), FinSet(1), ((lin.unit_payload,),))
+    return DialObject(lin, FinSet(1), FinSet(1), (lin.unit_payload,))
 
 
 @_once
@@ -557,7 +547,7 @@ def _hom_search(sources, targets):
             _guard(hom_shape(shape, b.shape)[0], "morphism candidate space")
             if (n, j) not in by_shape:
                 # with no rows every column reads the empty value tuple
-                empty, row = ((),) * b.neg.size, b.weight.__getitem__
+                empty, row = ((),) * b.neg.size, _rows(b.cells, *b.shape).__getitem__
                 fs = itertools.product(range(b.pos.size), repeat=n)
                 by_shape[n, j] = [(f, tuple(zip(*map(row, f))) if f else empty) for f in fs]
             yield b, by_shape[n, j]
@@ -567,7 +557,8 @@ def _hom_search(sources, targets):
 
 
 def _column(a):
-    leq, cols = a.lin._leq, [(x, [r[x] for r in a.weight]) for x in range(a.neg.size)]
+    n_x = a.neg.size
+    leq, cols = a.lin._leq, [(x, a.cells[x::n_x]) for x in range(n_x)]
     fits = lambda vy: tuple(x for x, col in cols if all(map(leq, col, vy)))
     return functools.cache(fits)
 

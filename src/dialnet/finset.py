@@ -31,7 +31,10 @@ connectives also refuse one over MAX_CELLS (2**20) cells.
 The last section serves dialset's objects and petrinet's nets alike, so a
 net command never loads dialset: check_shapes, the one morphism shape
 check, and the carriers and cell builders of the tensor and the internal
-hom, which turn plain weight rows into an op table and the result cells.
+hom, which turn two relations' cells into an op table and the result cells.
+A relation of shape (|U|, |X|) is one sequence of |U| * |X| payloads in
+row-major order, cell (u, x) at u * |X| + x; _rows is the one place that
+cuts it into rows.
 """
 
 from __future__ import annotations
@@ -322,15 +325,23 @@ def check_shapes(source, target, fwd: FnTable, bwd: FnTable) -> None:
         raise ShapeMismatch("backward table does not map the negative carriers")
 
 
-def _op_table(op, a_rows, b_rows, n_x: int, n_y: int) -> list[list[list]]:
-    """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)): one payload per
-    pair of input cells, so cells with equal inputs share one object."""
+def _rows(cells, n_rows: int, n_cols: int) -> list:
+    """The row-major cells of an n_rows x n_cols relation, cut into its rows."""
+    return [cells[r * n_cols : r * n_cols + n_cols] for r in range(n_rows)]
+
+
+def _op_table(op, a_cells, b_cells, a_shape, b_shape) -> list[list[list]]:
+    """table[u][v][x * |Y| + y] = op(a(u, x), b(v, y)), from the cells of
+    relations of shapes (|U|, |X|) and (|V|, |Y|): one payload per pair of
+    input cells, so cells with equal inputs share one object."""
+    (n_u, n_x), (n_v, n_y) = a_shape, b_shape
+    b_rows = _rows(b_cells, n_v, n_y)
 
     def row(au) -> list[list]:  # each a(u, x) |Y| times against b's rows |X| times
         ax = list(itertools.chain.from_iterable(map(itertools.repeat, au, itertools.repeat(n_y))))
         return [list(map(op, ax, bv * n_x)) for bv in b_rows]
 
-    return list(map(row, a_rows))
+    return list(map(row, _rows(a_cells, n_u, n_x)))
 
 
 def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
@@ -339,13 +350,13 @@ def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
     return product_set(a.pos, b.pos), product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
 
 
-def _tensor_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
-    """The tensor's op table and its cells, from weight rows of shapes
-    (|U|, |X|) and (|V|, |Y|).  The cells ((u, v), (f, g)) come in row-major
-    order, each one the op-table object at (u, v, f(v), g(u)); they are
-    computed as they are read."""
+def _tensor_cells(lin: Lineale, a_cells, b_cells, a_shape, b_shape):
+    """The tensor's op table and its cells, from the row-major cells of
+    relations of shapes (|U|, |X|) and (|V|, |Y|).  The cells ((u, v), (f, g))
+    come in row-major order, each one the op-table object at (u, v, f(v),
+    g(u)); they are computed as they are read."""
     (n_u, n_x), (n_v, n_y) = a_shape, b_shape
-    table = _op_table(lin._tensor, a_rows, b_rows, n_x, n_y)
+    table = _op_table(lin._tensor, a_cells, b_cells, a_shape, b_shape)
     # f_at[v]: f(v) for every table f of X^V in index order, empty when
     # X^V is (X empty, V not); g_at[u] likewise for Y^U
     f_at = list(zip(*itertools.product(range(n_x), repeat=n_v))) or [()] * n_v
@@ -366,13 +377,13 @@ def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
     return product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
 
 
-def _hom_cells(lin: Lineale, a_rows, b_rows, a_shape, b_shape):
-    """The internal hom's op table and its cells, from weight rows of shapes
-    (|U|, |X|) and (|V|, |Y|).  The cells ((f, F), (u, y)) come in row-major
-    order, each one the op-table object at (u, f(u), F(y), y); they are
-    computed as they are read."""
+def _hom_cells(lin: Lineale, a_cells, b_cells, a_shape, b_shape):
+    """The internal hom's op table and its cells, from the row-major cells of
+    relations of shapes (|U|, |X|) and (|V|, |Y|).  The cells ((f, F), (u, y))
+    come in row-major order, each one the op-table object at (u, f(u), F(y),
+    y); they are computed as they are read."""
     (n_u, n_x), (n_v, n_y) = a_shape, b_shape
-    table = _op_table(lin._imp, a_rows, b_rows, n_x, n_y)
+    table = _op_table(lin._imp, a_cells, b_cells, a_shape, b_shape)
     n_big_f = n_x**n_y
     # per F, and within it per u, the entries F(y) * |Y| + y of every y
     picks = [[x * n_y + y for y, x in enumerate(big_f)]

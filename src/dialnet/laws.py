@@ -115,9 +115,8 @@ class _Law:
 
 
 def _show_obj(a: DialObject) -> str:
-    grid = "; ".join(
-        ",".join(format_payload(v) for v in row) for row in a.weight
-    )
+    rows = finset._rows(a.cells, *a.shape)
+    grid = "; ".join(",".join(map(format_payload, row)) for row in rows)
     return f"{a.pos.size}x{a.neg.size}[{grid}]"
 
 
@@ -158,11 +157,8 @@ def _bound(lin: Lineale, a, b, upper: bool):
 def _random_object_on(
     lin: Lineale, rng: random.Random, pos: FinSet, neg: FinSet
 ) -> DialObject:
-    rows = tuple(
-        tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(neg.size))
-        for _ in range(pos.size)
-    )
-    return DialObject(lin, pos, neg, rows)
+    cells = tuple(lin._sample(rng, _VALUE_BOUND) for _ in range(pos.size * neg.size))
+    return DialObject(lin, pos, neg, cells)
 
 
 def random_object(lin: Lineale, rng: random.Random) -> DialObject:
@@ -182,20 +178,21 @@ def random_morphism(lin: Lineale, rng: random.Random, end: DialObject, into=Fals
     (src_pos, src_neg), (tgt_pos, tgt_neg) = ends if into else ends[::-1]
     f = tuple(rng.randrange(tgt_pos.size) for _ in range(src_pos.size))
     bt = tuple(rng.randrange(src_neg.size) for _ in range(tgt_neg.size))
+    n = end.neg.size
 
     def weight(i: int, j: int):
         val = lin._sample(rng, _VALUE_BOUND)
         # the weights of end that the order condition holds this one to
         if into:
-            bounds = [end.weight[f[i]][y] for y in range(end.neg.size) if bt[y] == j]
+            bounds = [end.cells[f[i] * n + y] for y in range(n) if bt[y] == j]
         else:
-            bounds = [end.weight[u][bt[j]] for u in range(end.pos.size) if f[u] == i]
+            bounds = [end.cells[u * n + bt[j]] for u in range(end.pos.size) if f[u] == i]
         for w in bounds:
             val = _bound(lin, val, w, upper=not into)
         return val
 
-    rows = tuple(tuple(weight(i, j) for j in range(neg.size)) for i in range(pos.size))
-    fresh = DialObject(lin, pos, neg, rows)
+    cells = tuple(weight(i, j) for i in range(pos.size) for j in range(neg.size))
+    fresh = DialObject(lin, pos, neg, cells)
     source, target = (fresh, end) if into else (end, fresh)
     return dial_morphism(source, target, FnTable(src_pos, tgt_pos, f), FnTable(tgt_neg, src_neg, bt))
 
@@ -209,9 +206,8 @@ def all_objects(lin: Lineale, max_size: int = 2) -> list[DialObject]:
     for pu in range(max_size + 1):
         for nx in range(max_size + 1):
             pos, neg = FinSet(pu), FinSet(nx)
-            for flat in itertools.product(carrier, repeat=pu * nx):
-                rows = tuple(flat[u * nx : u * nx + nx] for u in range(pu))
-                out.append(DialObject(lin, pos, neg, rows))
+            for cells in itertools.product(carrier, repeat=pu * nx):
+                out.append(DialObject(lin, pos, neg, cells))
     return out
 
 
@@ -265,7 +261,7 @@ def category_laws(
     rng = random.Random(seed)
     results = []
 
-    carrier = lin.carrier()
+    carrier = lin._carrier
     if carrier is not None and len(carrier) <= 3:
         # id_b . m == m and m . id_a == m on table tuples, each through the pure
         # finset.compose once per pair of identity tables.  If every table space
@@ -546,7 +542,7 @@ def coherence_laws(
             lu = left_unitor(a2)
             ru = right_unitor(a2)
             unitor_w.check(
-                lu.source.weight == a2.weight and ru.source.weight == a2.weight,
+                lu.source.cells == a2.cells and ru.source.cells == a2.cells,
                 ctx2,
             )
             unitor_iso.check(all([_iso(lu), _iso(ru)]), ctx2)

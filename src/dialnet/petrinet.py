@@ -259,9 +259,9 @@ def check_net_morphism(
 
 def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
     """The stored form of a tensor or hom from the connective's finset
-    carriers and cell builder, run on the pre and on the post relations.
-    Every op-table entry fills equally many cells, so the entries count
-    the payloads for _modal.
+    carriers and cell builder, run on the dense row-major cells of the pre
+    and of the post relations.  Every op-table entry fills equally many
+    cells, so the entries count the payloads for _modal.
     """
     _same_lineale(a, b)
     places, transitions = carriers(a, b)
@@ -269,17 +269,15 @@ def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
     arc_free = not (a.pre_arcs or a.post_arcs or b.pre_arcs or b.post_arcs)
     if arc_free and places.size * transitions.size:
         # every cell holds op(a.default, b.default): the op table of one-cell inputs
-        table, _ = build(a.lin, [[a.default]], [[b.default]], (1, 1), (1, 1))
+        table, _ = build(a.lin, [a.default], [b.default], (1, 1), (1, 1))
         return PetriNet(a.lin, places, transitions, table[0][0][0], {}, {})
 
-    def rows(net: PetriNet, arcs: dict[int, object]) -> list[list[object]]:
-        n_t = net.neg.size
-        cells = list(map(arcs.get, range(net.pos.size * n_t), repeat(net.default)))
-        return [cells[k * n_t : k * n_t + n_t] for k in range(net.pos.size)]
+    def dense(net: PetriNet, arcs: dict[int, object]) -> list[object]:
+        return list(map(arcs.get, range(net.pos.size * net.neg.size), repeat(net.default)))
 
     shapes = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
     tables, cells = map(list, zip(*[
-        build(a.lin, rows(a, a_arcs), rows(b, b_arcs), *shapes)
+        build(a.lin, dense(a, a_arcs), dense(b, b_arcs), *shapes)
         for a_arcs, b_arcs in ((a.pre_arcs, b.pre_arcs), (a.post_arcs, b.post_arcs))
     ]))
 

@@ -658,7 +658,7 @@ def test_export_dot_to_file(tmp_path):
     p = str(tmp_path / "water.dot")
     code, out, _ = run("export-dot", WATER, "--out", p)
     assert code == 0
-    text = open(p, encoding="utf-8").read()
+    text = Path(p).read_text(encoding="utf-8")
     assert text.startswith("digraph")
 
 
@@ -708,7 +708,7 @@ def test_example_writes_file(tmp_path):
     p = str(tmp_path / "c.net")
     code, _, _ = run("example", "--name", "circadian", "--out", p)
     assert code == 0
-    assert open(p, encoding="utf-8").read() == example_path("circadian").read_text(
+    assert Path(p).read_text(encoding="utf-8") == example_path("circadian").read_text(
         encoding="utf-8"
     )
 

@@ -60,20 +60,25 @@ T = BOOL2.value(True)
 F = BOOL2.value(False)
 
 # objects store raw payloads, not tagged values
-BOTTOM = DialObject(BOOL2, FinSet(1), FinSet(1), ((False,),))
-TOP = DialObject(BOOL2, FinSet(1), FinSet(1), ((True,),))
+BOTTOM = DialObject(BOOL2, FinSet(1), FinSet(1), (False,))
+TOP = DialObject(BOOL2, FinSet(1), FinSet(1), (True,))
 
 ID1 = FnTable(FinSet(1), FinSet(1), (0,))
 
 
 def nat_obj(rows):
-    m = [[NAT.value(v).payload for v in row] for row in rows]
-    return DialObject(NAT, FinSet(len(m)), FinSet(len(m[0])), tuple(map(tuple, m)))
+    cells = tuple(NAT.value(v).payload for row in rows for v in row)
+    return DialObject(NAT, FinSet(len(rows)), FinSet(len(rows[0])), cells)
 
 
 def bool_obj(rows):
-    m = [[bool(v) for v in row] for row in rows]
-    return DialObject(BOOL2, FinSet(len(m)), FinSet(len(m[0])), tuple(map(tuple, m)))
+    cells = tuple(bool(v) for row in rows for v in row)
+    return DialObject(BOOL2, FinSet(len(rows)), FinSet(len(rows[0])), cells)
+
+
+def cell(o: DialObject, u: int, x: int):
+    """The payload at (u, x) of o's row-major cells."""
+    return o.cells[u * o.neg.size + x]
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +88,21 @@ def bool_obj(rows):
 
 def test_object_shape_is_checked():
     with pytest.raises(ShapeMismatch):
-        DialObject(BOOL2, FinSet(2), FinSet(1), ((T,),))
+        DialObject(BOOL2, FinSet(2), FinSet(1), (T,))
     with pytest.raises(ShapeMismatch):
-        DialObject(BOOL2, FinSet(1), FinSet(2), ((T,),))
+        DialObject(BOOL2, FinSet(1), FinSet(2), (T,))
     # cells are payloads; a tagged value, of any lineale, is refused
     with pytest.raises(TagMismatch):
-        DialObject(BOOL2, FinSet(1), FinSet(1), ((NAT.value(1),),))
+        DialObject(BOOL2, FinSet(1), FinSet(1), (NAT.value(1),))
     with pytest.raises(TagMismatch):
-        DialObject(BOOL2, FinSet(1), FinSet(1), ((T,),))
+        DialObject(BOOL2, FinSet(1), FinSet(1), (T,))
 
 
 def test_dial_object_tabulates():
-    rows = tuple(tuple(u * 3 + x for x in range(3)) for u in range(2))
-    a = DialObject(NAT, FinSet(2), FinSet(3), rows)
-    assert a.weight[1][2] == 5
+    a = DialObject(NAT, FinSet(2), FinSet(3), tuple(range(6)))
+    assert cell(a, 1, 2) == a.cells[5] == 5
     with pytest.raises(TagMismatch):
-        DialObject(BOOL2, FinSet(1), FinSet(1), ((NAT.value(1),),))
+        DialObject(BOOL2, FinSet(1), FinSet(1), (NAT.value(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def test_with_product_blocks():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     p = with_product(a, b)
     assert p.pos.size == 1 and p.neg.size == 2
-    assert list(p.weight[0]) == [3, 7]
+    assert list(p.cells) == [3, 7]
 
 
 def test_projections_and_pairing_mediate():
@@ -183,7 +187,7 @@ def test_oplus_blocks_and_injections():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     s = oplus(a, b)
     assert s.pos.size == 2 and s.neg.size == 1
-    assert [row[0] for row in s.weight] == [3, 7]
+    assert list(s.cells) == [3, 7]
     i1, i2 = oplus_inl(a, b), oplus_inr(a, b)
     assert check_morphism(a, s, i1.fwd, i1.bwd) == []
     assert check_morphism(b, s, i2.fwd, i2.bwd) == []
@@ -195,7 +199,7 @@ def test_cap_is_checked_before_building_labels():
     def labelled(n_pos, n_neg):
         pos = FinSet(n_pos, tuple(f"p{i}" for i in range(n_pos)))
         neg = FinSet(n_neg, tuple(f"t{i}" for i in range(n_neg)))
-        return DialObject(BOOL2, pos, neg, ((False,) * n_neg,) * n_pos)
+        return DialObject(BOOL2, pos, neg, (False,) * (n_pos * n_neg))
 
     tall, wide = labelled(2000, 1), labelled(1, 2000)
     for build, a in ((with_product, tall), (oplus, wide)):
@@ -229,7 +233,7 @@ def test_tensor_of_singletons_multiplies_weights():
     a, b = nat_obj([[3]]), nat_obj([[7]])
     t = tensor_obj(a, b)
     assert t.pos.size == 1 and t.neg.size == 1
-    assert t.weight[0][0] == 10  # nat tensor is addition
+    assert t.cells == (10,)  # nat tensor is addition
 
 
 def test_tensor_weight_formula():
@@ -241,23 +245,23 @@ def test_tensor_weight_formula():
     for u, v in itertools.product(range(2), range(1)):
         for fi in range(2):
             for gi in range(4):
-                w = t.weight[u * 1 + v][fi * 4 + gi]
+                w = cell(t, u * 1 + v, fi * 4 + gi)
                 fv = fi  # f has one entry
                 gu = (gi >> (1 - u)) & 1  # base-2 numeral, position 0 high
-                assert w == a.weight[u][fv] + b.weight[v][gu]
+                assert w == cell(a, u, fv) + cell(b, v, gu)
 
 
 def test_tensor_unit_weight():
     i = tensor_unit(NAT)
     assert i.pos.size == i.neg.size == 1
-    assert i.weight[0][0] == NAT.unit_payload
+    assert i.cells == (NAT.unit_payload,)
 
 
 def test_hom_of_singletons_is_residual():
     a, b = nat_obj([[3]]), nat_obj([[5]])
     h = hom_obj(a, b)
     assert h.pos.size == 1 and h.neg.size == 1
-    assert h.weight[0][0] == 2  # max(5 - 3, 0)
+    assert h.cells == (2,)  # max(5 - 3, 0)
 
 
 def test_hom_row_all_true_iff_morphism():
@@ -271,7 +275,7 @@ def test_hom_row_all_true_iff_morphism():
         fi, ki = divmod(p, 2**2)
         fwd = FnTable(a.pos, b.pos, fn_from_index(fi, 2, 1))
         bwd = FnTable(b.neg, a.neg, fn_from_index(ki, 2, 2))
-        row_true = all(h.weight[p])
+        row_true = all(cell(h, p, c) for c in range(h.neg.size))
         assert row_true == (check_morphism(a, b, fwd, bwd) == [])
 
 
@@ -375,8 +379,8 @@ def _small_object_pairs(draw):
 
     def obj():
         pos, neg = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        rows = tuple(tuple(lin.sample(rng, 3).payload for _ in range(neg)) for _ in range(pos))
-        return DialObject(lin, FinSet(pos), FinSet(neg), rows)
+        cells = tuple(lin.sample(rng, 3).payload for _ in range(pos * neg))
+        return DialObject(lin, FinSet(pos), FinSet(neg), cells)
 
     return obj(), obj()
 
@@ -402,8 +406,8 @@ def test_enumerate_matches_the_brute_force_oracle(pair):
 )
 def test_enumerate_over_the_cap_raises_what_the_oracle_raises(sizes):
     u, x, v, y = sizes
-    a = DialObject(BOOL2, FinSet(u), FinSet(x), ((True,) * x,) * u)
-    b = DialObject(BOOL2, FinSet(v), FinSet(y), ((True,) * y,) * v)
+    a = DialObject(BOOL2, FinSet(u), FinSet(x), (True,) * (u * x))
+    b = DialObject(BOOL2, FinSet(v), FinSet(y), (True,) * (v * y))
     with pytest.raises(CapExceeded) as got:
         enumerate_morphisms(a, b)
     with pytest.raises(CapExceeded) as want:
@@ -437,8 +441,8 @@ def _seeded_objects(tag, seed, n):
     objs = []
     for _ in range(n):
         pos, neg = rng.randrange(3), rng.randrange(3)
-        rows = tuple(tuple(lin.sample(rng, 3).payload for _ in range(neg)) for _ in range(pos))
-        objs.append(DialObject(lin, FinSet(pos), FinSet(neg), rows))
+        cells = tuple(lin.sample(rng, 3).payload for _ in range(pos * neg))
+        objs.append(DialObject(lin, FinSet(pos), FinSet(neg), cells))
     return objs
 
 
@@ -448,13 +452,13 @@ def _twin_payload_objects():
     prob, nat = get_lineale("prob"), get_lineale("nat")
     half, big = (lambda: Fraction(1, 2)), (lambda: int("1" + "0" * 30))
     return [
-        DialObject(prob, FinSet(2), FinSet(2), ((half(), Fraction(1, 3)), (half(), half()))),
-        DialObject(prob, FinSet(2), FinSet(1), ((half(),), (Fraction(2, 3),))),
-        DialObject(prob, FinSet(1), FinSet(2), ((half(), half()),)),
+        DialObject(prob, FinSet(2), FinSet(2), (half(), Fraction(1, 3), half(), half())),
+        DialObject(prob, FinSet(2), FinSet(1), (half(), Fraction(2, 3))),
+        DialObject(prob, FinSet(1), FinSet(2), (half(), half())),
     ], [
-        DialObject(nat, FinSet(2), FinSet(2), ((big(), 3), (big(), big()))),
-        DialObject(nat, FinSet(1), FinSet(2), ((big(), 0),)),
-        DialObject(nat, FinSet(2), FinSet(1), ((big(),), (big() + 1,))),
+        DialObject(nat, FinSet(2), FinSet(2), (big(), 3, big(), big())),
+        DialObject(nat, FinSet(1), FinSet(2), (big(), 0)),
+        DialObject(nat, FinSet(2), FinSet(1), (big(), big() + 1)),
     ]
 
 
@@ -481,7 +485,7 @@ def test_hom_tables_keep_nothing_from_one_call_to_the_next():
     bools = all_objects(BOOL2, 2)
     to_kleene = {False: 1, True: -1}
     kleenes = [
-        DialObject(KLEENE3, o.pos, o.neg, tuple(tuple(map(to_kleene.get, r)) for r in o.weight))
+        DialObject(KLEENE3, o.pos, o.neg, tuple(map(to_kleene.get, o.cells)))
         for o in bools
     ]
     for objs in (kleenes, bools):
@@ -491,7 +495,7 @@ def test_hom_tables_keep_nothing_from_one_call_to_the_next():
 def test_a_share_builds_each_object_once_and_is_dropped_with_its_block():
     a, b = random_object(KLEENE3, random.Random(3)), random_object(KLEENE3, random.Random(4))
     assert tensor_obj(a, b) is not tensor_obj(a, b)
-    twin = DialObject(b.lin, b.pos, b.neg, b.weight)  # equal to b, another object
+    twin = DialObject(b.lin, b.pos, b.neg, b.cells)  # equal to b, another object
     with pytest.raises(RuntimeError):
         with _shared():
             ab = tensor_obj(a, b)
@@ -546,10 +550,10 @@ def test_hom_counts_match_the_oracle_source_by_source():
 
 
 class _UnreadWeights(tuple):
-    """Weight rows that the object checks may walk but no search may index."""
+    """Cells that the object checks may walk but no search may index or slice."""
 
     def __getitem__(self, i):
-        raise AssertionError("a weight row was read")
+        raise AssertionError("a cell was read")
 
 
 def test_hom_tables_raise_the_oracle_cap_error_when_the_target_is_reached():
@@ -567,7 +571,7 @@ def test_hom_tables_raise_the_oracle_cap_error_when_the_target_is_reached():
     )
     assert _oracle_hom_tables((a,), (small,)) != []
     # the over-cap pair is refused before its value tuples are read
-    unread = DialObject(BOOL2, big.pos, big.neg, _UnreadWeights(big.weight))
+    unread = DialObject(BOOL2, big.pos, big.neg, _UnreadWeights(big.cells))
     with pytest.raises(CapExceeded) as got:
         _found_hom_tables((a,), (small, unread), [])
     assert str(got.value) == str(want.value)
@@ -616,14 +620,14 @@ def _object_pairs(draw):
 
     def obj(pos, neg):
         rng = draw(st.randoms(use_true_random=False))
-        rows = tuple(tuple(lin.sample(rng, 4).payload for _ in range(neg)) for _ in range(pos))
-        return DialObject(lin, FinSet(pos), FinSet(neg), rows)
+        cells = tuple(lin.sample(rng, 4).payload for _ in range(pos * neg))
+        return DialObject(lin, FinSet(pos), FinSet(neg), cells)
 
     return obj(u, x), obj(v, y)
 
 
 def _distinct_objects(o: DialObject) -> int:
-    return len({id(c) for row in o.weight for c in row})
+    return len(set(map(id, o.cells)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -642,7 +646,7 @@ def test_tensor_and_hom_share_results_of_equal_input_pairs(pair):
             u, v = divmod(r, v_n)
             for c in range(t.neg.size):
                 f, g = fn_pair_from_index(c, v_n, x_n, u_n, y_n)
-                assert t.weight[r][c] == lin._tensor(a.weight[u][f[v]], b.weight[v][g[u]])
+                assert cell(t, r, c) == lin._tensor(cell(a, u, f[v]), cell(b, v, g[u]))
         assert _distinct_objects(t) <= pairs_of_cells
     try:
         h = hom_obj(a, b)
@@ -652,7 +656,7 @@ def test_tensor_and_hom_share_results_of_equal_input_pairs(pair):
         f, big_f = fn_pair_from_index(r, u_n, v_n, y_n, x_n)
         for c in range(h.neg.size):
             u, y = divmod(c, y_n)
-            assert h.weight[r][c] == lin._imp(a.weight[u][big_f[y]], b.weight[f[u]][y])
+            assert cell(h, r, c) == lin._imp(cell(a, u, big_f[y]), cell(b, f[u], y))
     assert _distinct_objects(h) <= pairs_of_cells
 
 
@@ -666,7 +670,7 @@ _SHAPES = list(itertools.product(range(3), repeat=2))  # every (|pos|, |neg|) in
 def _flat(shape) -> DialObject:
     # constant weights: every pair of tables of the right shapes is a morphism
     p, n = shape
-    return DialObject(BOOL2, FinSet(p), FinSet(n), ((False,) * n,) * p)
+    return DialObject(BOOL2, FinSet(p), FinSet(n), (False,) * (p * n))
 
 
 def _any_table(rng, dom: int, cod: int) -> tuple[int, ...] | None:
@@ -718,9 +722,9 @@ def test_tensor_mor_and_hom_mor_tables_match_the_oracle_on_every_small_shape():
     assert collapsing > 1000  # non-injective f, g, fb and gb are well covered
 
 
-_ONE = DialObject(NAT, FinSet(1), FinSet(1), ((0,),))
-_TWO = DialObject(NAT, FinSet(2), FinSet(1), ((0,), (0,)))
-_BOOL_ONE = DialObject(BOOL2, FinSet(1), FinSet(1), ((True,),))
+_ONE = DialObject(NAT, FinSet(1), FinSet(1), (0,))
+_TWO = DialObject(NAT, FinSet(2), FinSet(1), (0, 0))
+_BOOL_ONE = DialObject(BOOL2, FinSet(1), FinSet(1), (True,))
 _ONTO_ONE = FnTable(FinSet(2), FinSet(1), (0, 0))
 _ID_ONE = FnTable(FinSet(1), FinSet(1), (0,))
 

@@ -312,7 +312,7 @@ def test_shapes_match_built_carriers(a, b):
     from dialnet import BOOL2, DialObject, hom_obj, tensor_obj
 
     a_obj, b_obj = (
-        DialObject(BOOL2, FinSet(p), FinSet(n), ((False,) * n,) * p) for p, n in (a, b)
+        DialObject(BOOL2, FinSet(p), FinSet(n), (False,) * (p * n)) for p, n in (a, b)
     )
     for shape, build in ((tensor_shape, tensor_obj), (hom_shape, hom_obj)):
         built = build(a_obj, b_obj)  # carriers of at most 3**3 * 3**3, under the cap

@@ -228,6 +228,14 @@ def test_exhaustive_identity_law_catches_broken_composition(monkeypatch, lin, br
     assert law.counterexample == BROKEN_IDENTITY_COUNTEREXAMPLES[broken, lin.tag]
 
 
+def test_show_obj_cuts_non_square_cells_into_rows():
+    # the pinned counterexamples are 2x2, 0xn or 2x0, which print the same
+    # with rows and columns swapped; these do not
+    show = dialnet.laws._show_obj
+    assert show(DialObject(NAT, FinSet(2), FinSet(3), (0, 1, 2, 3, 4, 5))) == "2x3[0,1,2; 3,4,5]"
+    assert show(DialObject(NAT, FinSet(3), FinSet(1), (0, 1, 2))) == "3x1[0; 1; 2]"
+
+
 @pytest.mark.parametrize(
     "lin, bottom, counterexample",
     [
@@ -242,7 +250,7 @@ def test_exhaustive_identity_law_composes_the_last_case_out_of_each_source(
     # a constant forward table for every composite out of one 1 x 1 object:
     # only the last case out of that object goes through dialset.compose,
     # so that case alone fails and is the law's counterexample
-    source = DialObject(lin, FinSet(1), FinSet(1), ((bottom,),))
+    source = DialObject(lin, FinSet(1), FinSet(1), (bottom,))
 
     def broken(m2, m1, compose=dialnet.dialset.compose):
         m = compose(m2, m1)

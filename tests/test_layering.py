@@ -22,6 +22,8 @@ ALLOWED = {
     ("dialset", "finset", "_guard"),
     ("dialset", "finset", "_hom_carriers"),
     ("dialset", "finset", "_hom_cells"),
+    # the one place a relation's row-major cells are cut into rows
+    ("dialset", "finset", "_rows"),
     ("dialset", "finset", "_same_lineale"),
     ("dialset", "finset", "_tensor_carriers"),
     ("dialset", "finset", "_tensor_cells"),

@@ -5,6 +5,7 @@ round-trip tests compare raw bytes, not parsed structures.
 """
 
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -126,7 +127,7 @@ def test_default_weight_fills_unlisted_arcs():
     doc = parse_net_document(WATER_TEXT)
     net = document_to_net(doc)
     u = net.places.index_of("H2O")
-    assert dense.pre(net).weight[u][0] == 0
+    assert dense.pre(net).cells[u * net.transitions.size + 0] == 0
 
 
 def test_modal_default_when_unspecified():
@@ -150,8 +151,7 @@ def test_randomized_nets_roundtrip():
             places = FinSet(rng.randint(1, 4), None)
             transitions = FinSet(rng.randint(1, 3), None)
             mk = lambda: DialObject(lin, places, transitions, tuple(
-                tuple(lin.sample(rng, 6).payload for _ in range(transitions.size))
-                for _ in range(places.size)
+                lin.sample(rng, 6).payload for _ in range(places.size * transitions.size)
             ))
             net = dense.net_from_relations(mk(), mk())
             doc = net_to_document(net)
@@ -455,9 +455,8 @@ def _oracle_document(net: PetriNet, default=None) -> NetDocument:
     if default is None:
         counts = {}
         for obj in (dense.pre(net), dense.post(net)):
-            for row in obj.weight:
-                for v in row:
-                    counts[v] = counts.get(v, 0) + 1
+            for v in obj.cells:
+                counts[v] = counts.get(v, 0) + 1
         d = max(counts, key=counts.__getitem__) if counts else net.lin.unit_payload
     else:
         d = default.payload
@@ -467,8 +466,7 @@ def _oracle_document(net: PetriNet, default=None) -> NetDocument:
     def arcs(obj):
         return tuple(
             (p, t, format_payload(v))
-            for p, row in zip(places, obj.weight)
-            for t, v in zip(transitions, row)
+            for (p, t), v in zip(itertools.product(places, transitions), obj.cells)
             if v != d
         )
 
@@ -551,8 +549,7 @@ def _nets(draw, tag=None, max_places=4, max_transitions=4):
         return shared[text] if draw(st.booleans()) else lin.parse(text).payload
 
     def obj(places, transitions):
-        weight = tuple(tuple(cell() for _ in range(n_t)) for _ in range(n_p))
-        return DialObject(lin, places, transitions, weight)
+        return DialObject(lin, places, transitions, tuple(cell() for _ in range(n_p * n_t)))
 
     places, transitions = carrier(n_p, "p"), carrier(n_t, "t")
     return dense.net_from_relations(obj(places, transitions), obj(places, transitions))
@@ -702,13 +699,13 @@ def test_modal_default_merges_equal_payload_objects():
     # a per-object count would see 1/3 first, the value count sees a tie
     # that the first appearance, 1/2, wins
     third = Fraction(1, 3)
-    pre = DialObject(prob, places, transitions, ((Fraction(1, 2), third, third, Fraction(1, 2)),))
+    pre = DialObject(prob, places, transitions, (Fraction(1, 2), third, third, Fraction(1, 2)))
     net = dense.net_from_relations(pre, pre)
     assert net_to_document(net).default_weight == "1/2"
     _assert_write_path_matches_oracle(net)
     # a majority spread over distinct objects still wins
     many = (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3))
-    net = dense.net_from_relations(pre, DialObject(prob, places, transitions, (many,)))
+    net = dense.net_from_relations(pre, DialObject(prob, places, transitions, many))
     assert net_to_document(net).default_weight == "2/3"
     _assert_write_path_matches_oracle(net)
 

@@ -56,7 +56,7 @@ def weight(net, part, place, transition):
     obj = dense.relation(net, part)
     u = net.places.index_of(place)
     x = net.transitions.index_of(transition)
-    return obj.weight[u][x]
+    return obj.cells[u * net.transitions.size + x]
 
 
 def certified(source, target, f, F):
@@ -81,7 +81,7 @@ def test_pre_and_post_share_carriers():
     with pytest.raises(ShapeMismatch):
         dense.net_from_relations(pre, tensor_obj(post, post))
     # the relations' labels do not count
-    assert DialObject(pre.lin, FinSet(3), FinSet(1), pre.weight) == pre
+    assert DialObject(pre.lin, FinSet(3), FinSet(1), pre.cells) == pre
     # the net read from its document is the net built from its arcs
     doc = json.loads(example_path("water").read_text(encoding="utf-8"))
     lin = get_lineale(doc["lineale"])
@@ -460,7 +460,7 @@ def random_nat_net(rng, n_places, n_transitions):
     places = FinSet(n_places, tuple(f"p{i}" for i in range(n_places)))
     transitions = FinSet(n_transitions, tuple(f"t{i}" for i in range(n_transitions)))
     mk = lambda: DialObject(NAT, places, transitions, tuple(
-        tuple(rng.randint(0, 5) for _ in range(n_transitions)) for _ in range(n_places)
+        rng.randint(0, 5) for _ in range(n_places * n_transitions)
     ))
     return dense.net_from_relations(mk(), mk())
 
@@ -476,11 +476,12 @@ def random_net_morphism_from(rng, source):
 
     def lowered(obj):
         def weight(v, y):
-            hits = [obj.weight[u][F.table[y]] for u in range(source.places.size) if f.table[u] == v]
+            n_x = source.transitions.size
+            hits = [obj.cells[u * n_x + F.table[y]] for u in range(source.places.size) if f.table[u] == v]
             return min(hits) if hits else 0
 
-        rows = tuple(tuple(weight(v, y) for y in range(nt_t)) for v in range(np_t))
-        return DialObject(NAT, places, transitions, rows)
+        cells = tuple(weight(v, y) for v in range(np_t) for y in range(nt_t))
+        return DialObject(NAT, places, transitions, cells)
 
     target = dense.net_from_relations(lowered(dense.pre(source)), lowered(dense.post(source)))
     return certified(source, target, f, F)
@@ -557,16 +558,16 @@ def _documents(draw, tag, n_places, n_transitions):
 
 
 def _dense_relations(doc):
-    """The pre and post matrices a document denotes, filled cell by cell."""
+    """The dense pre and post relations a document denotes, filled cell by cell."""
     lin = get_lineale(doc.lineale)
     places = FinSet(len(doc.places), doc.places)
     transitions = FinSet(len(doc.transitions), doc.transitions)
 
     def matrix(triples):
-        grid = [[lin.parse(doc.default_weight).payload] * transitions.size for _ in doc.places]
+        cells = [lin.parse(doc.default_weight).payload] * (places.size * transitions.size)
         for p, t, v in triples:
-            grid[places.index_of(p)][transitions.index_of(t)] = lin.parse(v).payload
-        return DialObject(lin, places, transitions, tuple(map(tuple, grid)))
+            cells[places.index_of(p) * transitions.size + transitions.index_of(t)] = lin.parse(v).payload
+        return DialObject(lin, places, transitions, tuple(cells))
 
     return matrix(doc.pre), matrix(doc.post)
 
@@ -574,9 +575,8 @@ def _dense_relations(doc):
 def _modal_oracle(pre, post):
     counts = {}
     for obj in (pre, post):
-        for row in obj.weight:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
+        for v in obj.cells:
+            counts[v] = counts.get(v, 0) + 1
     return max(counts, key=counts.__getitem__) if counts else pre.lin.unit_payload
 
 
@@ -823,20 +823,20 @@ def _assert_cells_follow_the_formula(net_op, a, b, net):
     (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
     lin = a.lin
     for part in ("pre", "post"):
-        wa, wb = dense.relation(a, part).weight, dense.relation(b, part).weight
-        w = dense.relation(net, part).weight
+        wa, wb = dense.relation(a, part).cells, dense.relation(b, part).cells
+        w, n_t = dense.relation(net, part).cells, net.transitions.size
         if net_op is net_tensor:
             for c in range(net.transitions.size):
                 f, g = fn_pair_from_index(c, n_v, n_x, n_u, n_y)
                 for r in range(net.places.size):
                     u, v = divmod(r, n_v)
-                    assert w[r][c] == lin._tensor(wa[u][f[v]], wb[v][g[u]])
+                    assert w[r * n_t + c] == lin._tensor(wa[u * n_x + f[v]], wb[v * n_y + g[u]])
         else:
             for r in range(net.places.size):
                 f, big_f = fn_pair_from_index(r, n_u, n_v, n_y, n_x)
                 for c in range(net.transitions.size):
                     u, y = divmod(c, n_y)
-                    assert w[r][c] == lin._imp(wa[u][big_f[y]], wb[f[u]][y])
+                    assert w[r * n_t + c] == lin._imp(wa[u * n_x + big_f[y]], wb[f[u] * n_y + y])
 
 
 def _assert_equals_dense_route(net_op, dense_op, a, b):
