@@ -49,7 +49,6 @@ import contextvars
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
 from operator import mul
 from typing import NamedTuple
 
@@ -62,6 +61,7 @@ from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .finset import swap as table_swap
 from .lineale import Lineale, LinealeValue
+from .record import record
 
 __all__ = [
     "DialObject",
@@ -96,8 +96,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class DialObject:
+@record
+class DialObject(NamedTuple):
     """Two finite carriers and the relation between them, as one tuple of cells.
 
     ``cells[u * |neg| + x]`` is the payload of the lineale value attached
@@ -155,8 +155,8 @@ def check_morphism(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class DialMorphism:
+@record
+class DialMorphism(NamedTuple):
     """A forward/backward pair of tables between two objects or two nets.
 
     The ends are anything :func:`check_shapes` accepts, so one type serves
@@ -503,12 +503,14 @@ def associator(a: DialObject, b: DialObject, c: DialObject) -> DialMorphism:
 
 def left_unitor(a: DialObject) -> DialMorphism:
     """tensor(I, a) -> a.  Both tables are identities under our indexing."""
-    return replace(identity(a), source=tensor_obj(tensor_unit(a.lin), a))
+    source = tensor_obj(tensor_unit(a.lin), a)
+    return DialMorphism(source, a, table_identity(a.pos), table_identity(a.neg))
 
 
 def right_unitor(a: DialObject) -> DialMorphism:
     """tensor(a, I) -> a.  Both tables are identities under our indexing."""
-    return replace(identity(a), source=tensor_obj(a, tensor_unit(a.lin)))
+    source = tensor_obj(a, tensor_unit(a.lin))
+    return DialMorphism(source, a, table_identity(a.pos), table_identity(a.neg))
 
 
 def symmetry(a: DialObject, b: DialObject) -> DialMorphism:

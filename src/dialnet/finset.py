@@ -40,10 +40,10 @@ cuts it into rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import CapExceeded, ShapeMismatch, TagMismatch
+from .record import Frozen, record
 
 if TYPE_CHECKING:
     from .lineale import Lineale
@@ -84,28 +84,38 @@ def _guard(n: int, what: str = "carrier", cap: int = DEFAULT_CAP, unit: str = "e
         raise CapExceeded(n, cap, what, unit)
 
 
-@dataclass(frozen=True, slots=True)
-class FinSet:
+class FinSet(Frozen):
     """A finite set {0, .., size-1}, optionally carrying distinct labels;
-    index is the one label -> element map, read-only, None when unlabelled."""
+    index is the one label -> element map, read-only, None when unlabelled.
 
-    size: int
-    labels: Optional[tuple[str, ...]] = field(default=None, compare=False)  # presentation only
-    index: Optional[dict[str, int]] = field(init=False, repr=False, compare=False)
+    Two sets are equal, and hash alike, when their sizes are: labels are
+    presentation only.
+    """
 
-    def __post_init__(self):
-        if self.size < 0:
-            raise ShapeMismatch(f"set size must be nonnegative, got {self.size}")
+    __slots__ = ("size", "labels", "index")
+
+    def __init__(self, size: int, labels: Optional[tuple[str, ...]] = None):
+        if size < 0:
+            raise ShapeMismatch(f"set size must be nonnegative, got {size}")
         index = None
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ShapeMismatch(
-                    f"{len(self.labels)} labels for a set of size {self.size}"
-                )
-            index = dict(zip(self.labels, range(self.size)))
-            if len(index) != self.size:
+        if labels is not None:
+            if len(labels) != size:
+                raise ShapeMismatch(f"{len(labels)} labels for a set of size {size}")
+            index = dict(zip(labels, range(size)))
+            if len(index) != size:
                 raise ShapeMismatch("labels must be distinct")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", index)
+
+    def __repr__(self) -> str:
+        return f"FinSet(size={self.size!r}, labels={self.labels!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return other.size == self.size if type(other) is FinSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size,))
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -121,8 +131,8 @@ class FinSet:
             raise ShapeMismatch(f"no element labelled {label!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class FnTable:
+@record
+class FnTable(NamedTuple):
     """A function between finite sets, tabulated: table[i] is the image of i.
 
     Equality compares the carrier sizes and the images; labels do not

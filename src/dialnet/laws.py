@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from typing import NamedTuple, Optional
 
 from .dialset import (
@@ -639,7 +638,8 @@ def mutate_imp(lin: Lineale) -> Lineale:
     tag, which get_lineale does not resolve, so its values never mix with
     those of the honest lineale.
     """
-    return replace(lin, tag=f"mutate_imp({lin.tag})", _imp=lambda a, b: lin.unit_payload)
+    fields = {name: getattr(lin, name) for name in Lineale.__slots__}
+    return Lineale(**{**fields, "tag": f"mutate_imp({lin.tag})", "_imp": lambda a, b: lin.unit_payload})
 
 
 def mutated_kleene3() -> Lineale:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import (
     CapExceeded,
@@ -32,6 +31,7 @@ from .errors import (
     UnknownLineale,
     ValueSyntaxError,
 )
+from .record import Frozen, record
 
 __all__ = [
     "LinealeValue",
@@ -48,8 +48,8 @@ __all__ = [
     "MAX_PRODUCT_FACTORS",
 ]
 
-@dataclass(frozen=True, slots=True)
-class LinealeValue:
+@record
+class LinealeValue(NamedTuple):
     """An element of a lineale: a tag naming the lineale plus a payload.
 
     Payloads by tag: ``bool2`` holds a bool, ``kleene3`` an int in
@@ -65,26 +65,27 @@ class LinealeValue:
         return format_value(self)
 
 
-@dataclass(eq=False, slots=True)
-class Lineale:
+class Lineale(Frozen):
     """A lineale instance: the order, product, unit, and implication.
 
-    Instances are immutable records of payload-level operations; the
-    public methods wrap and unwrap :class:`LinealeValue` and enforce
-    that both arguments carry this instance's tag.
+    Instances are immutable records of payload-level operations, equal
+    when their tags are; the public methods wrap and unwrap
+    :class:`LinealeValue` and enforce that both arguments carry this
+    instance's tag.  ``__slots__`` lists the fields in constructor order.
     """
 
-    tag: str
-    unit_payload: Any
-    _leq: Callable[[Any, Any], bool]
-    _tensor: Callable[[Any, Any], Any]
-    _imp: Callable[[Any, Any], Any]
-    _sample: Callable[[random.Random, int], Any]
-    _validate: Callable[[Any], None]
-    _parse: Callable[[str], Any]
-    _coerce: Callable[[Any], Any] = lambda p: p
-    _carrier: Optional[tuple] = None
-    factors: Optional[tuple["Lineale", "Lineale"]] = None
+    __slots__ = ("tag", "unit_payload", "_leq", "_tensor", "_imp", "_sample", "_validate",
+                 "_parse", "_coerce", "_carrier", "factors")
+
+    def __init__(self, tag: str, unit_payload: Any, _leq: Callable[[Any, Any], bool],
+                 _tensor: Callable[[Any, Any], Any], _imp: Callable[[Any, Any], Any],
+                 _sample: Callable[[random.Random, int], Any], _validate: Callable[[Any], None],
+                 _parse: Callable[[str], Any], _coerce: Callable[[Any], Any] = lambda p: p,
+                 _carrier: Optional[tuple] = None, factors: Optional[tuple[Lineale, Lineale]] = None):
+        fields = (tag, unit_payload, _leq, _tensor, _imp, _sample, _validate, _parse, _coerce,
+                  _carrier, factors)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return f"Lineale({self.tag!r})"
@@ -167,7 +168,7 @@ def format_payload(p: Any) -> str:
         except ValueError:  # a number with more digits than Python writes as text
             digits = max(Decimal(n).adjusted() + 1 for n in (p.numerator, p.denominator))
             raise CapExceeded(digits, sys.get_int_max_str_digits(), "weight text", "digits") from None
-    if isinstance(p, tuple):
+    if type(p) is tuple:  # a product's plain pair, not a LinealeValue
         return f"({format_payload(p[0])},{format_payload(p[1])})"
     raise InvalidValue(f"unprintable payload {_shown_payload(p)}")
 
@@ -358,13 +359,13 @@ def product_lineale(first: Lineale, second: Lineale) -> Lineale:
     tag = f"prod({first.tag},{second.tag})"
 
     def validate(p):
-        if not (isinstance(p, tuple) and len(p) == 2):
+        if not (type(p) is tuple and len(p) == 2):
             raise InvalidValue(f"{tag} payload must be a pair, got {_shown_payload(p)}")
         first._validate(p[0])
         second._validate(p[1])
 
     def coerce(p):
-        if isinstance(p, (tuple, list)) and len(p) == 2:
+        if isinstance(p, (tuple, list)) and len(p) == 2 and type(p) is not LinealeValue:
             return (first._coerce(p[0]), second._coerce(p[1]))
         return p
 

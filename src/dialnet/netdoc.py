@@ -59,7 +59,6 @@ import os
 import stat
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -77,6 +76,7 @@ from .errors import (
 from .finset import FinSet, FnTable
 from .lineale import LinealeValue, _echo, _shown, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
+from .record import record
 
 __all__ = [
     "FORMAT_VERSION",
@@ -123,8 +123,8 @@ _NET_KEYS = (
 _MOR_KEYS = ("format_version", "source", "target", "f", "F")
 
 
-@dataclass(frozen=True)
-class NetDocument:
+@record
+class NetDocument(NamedTuple):
     """The parsed, still-textual form of a net file."""
 
     lineale: str
@@ -135,8 +135,8 @@ class NetDocument:
     post: tuple[tuple[str, str, str], ...]
 
 
-@dataclass(frozen=True)
-class MorphismDocument:
+@record
+class MorphismDocument(NamedTuple):
     """A morphism file: two nets plus the forward and backward label maps.
 
     place_map follows f (source place to target place); transition_map
@@ -379,7 +379,7 @@ def _net_from_fields(fields: dict) -> PetriNet:
 
 def document_to_net(doc: NetDocument) -> PetriNet:
     """Validate a document and build the net it denotes."""
-    return _net_from_fields(dict(vars(doc)))
+    return _net_from_fields(doc._asdict())
 
 
 class NetSummary(NamedTuple):

@@ -48,7 +48,6 @@ arc not above that default.  When the defaults fail, all cells are compared.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, product, repeat
 from operator import eq, lt
 from typing import Iterable, Mapping, NamedTuple
@@ -56,6 +55,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .finset import MAX_CELLS, FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
 from .finset import _tensor_carriers, _tensor_cells, check_shapes, coproduct_set, product_set
 from .lineale import Lineale, LinealeValue
+from .record import record
 
 __all__ = [
     "PetriNet",
@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PetriNet:
+@record
+class PetriNet(NamedTuple):
     """A net in its stored form: the modal default plus the arcs off it.
 
     pre_arcs and post_arcs map row-major cell indices (finset's product
@@ -84,18 +84,15 @@ class PetriNet:
     places: FinSet
     transitions: FinSet
     default: object
-    pre_arcs: dict[int, object] = field(hash=False)
-    post_arcs: dict[int, object] = field(hash=False)
+    pre_arcs: dict[int, object]
+    post_arcs: dict[int, object]
 
-    @property
-    def pos(self) -> FinSet:
-        """The places: the positive carrier of both relations."""
-        return self.places
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
-    @property
-    def neg(self) -> FinSet:
-        """The transitions: the negative carrier of both relations."""
-        return self.transitions
+
+# pos and neg, the carriers check_shapes reads, are the places and the transitions
+PetriNet.pos, PetriNet.neg = PetriNet.places, PetriNet.transitions
 
 def _off(keys, payloads, default, objects, fits=eq) -> dict[int, object]:
     """The cells keys[i] -> payloads[i] with not fits(default, payload), in order.

@@ -14,7 +14,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import dialnet
-from dialnet import BOOL2, cli, dialset, example_path
+from dialnet import BOOL2, NAT, cli, dialset, example_path, net_from_arcs
 from dialnet.laws import all_objects
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -86,3 +86,26 @@ def test_tracer_counts_every_enumeration_the_laws_make(monkeypatch):
     morphisms = sum(len(original(a, b)) for a in objs for b in objs)
     assert morphisms == 2901
     assert f"pass  category.identity.exhaustive ({morphisms} cases)\n" in out.getvalue()
+
+
+def test_the_per_value_counters_count():
+    # the tracer counts FnTable and DialObject constructions through the
+    # __post_init__ each one calls, and label lookups through FinSet.index_of;
+    # a record that stopped calling its hook would read zero here.  No command
+    # calls index_of (a document's labels are read through FinSet.index), so
+    # net_from_arcs, which looks each arc's labels up with it, is run as well
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["laws", "--lineale", "kleene3", "--cases", "1"]),
+                cli.main(["validate", str(example_path("water"))]),
+            ]
+        net_from_arcs(NAT, ("p",), ("t",), NAT.value(0), {("p", "t"): NAT.value(1)}, {})
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    metrics = tracer.metrics()
+    for name in ("finset.fntable_builds", "dialset.objects_built", "finset.index_of_calls"):
+        assert metrics[name][0] > 0, name
