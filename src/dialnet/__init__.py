@@ -12,63 +12,20 @@ The package has three layers:
 * petrinet / netdoc / cli: Petri nets as pre/post relation pairs,
   simulation checking, a JSON file format, DOT export, and the
   `dialnet` command.
+
+The package binds the `__all__` of lineale, petrinet and netdoc, the
+exceptions of errors and three names of finset on import, and the
+dialset and laws names in `_LAZY` on first read.
 """
 
 import importlib
 
-from .errors import (
-    CapExceeded,
-    DialnetError,
-    DocumentSemanticError,
-    DocumentSyntaxError,
-    InvalidMorphism,
-    InvalidValue,
-    ShapeMismatch,
-    TagMismatch,
-    UnknownLineale,
-    ValueSyntaxError,
-)
+from .errors import *
+# not *: finset's identity and compose would hide dialset's, which _LAZY names
 from .finset import DEFAULT_CAP, FinSet, FnTable
-from .lineale import (
-    BOOL2,
-    INT,
-    KLEENE3,
-    NAT,
-    PROB,
-    Lineale,
-    LinealeValue,
-    format_value,
-    get_lineale,
-    product_lineale,
-)
-from .petrinet import (
-    NetViolation,
-    PetriNet,
-    check_net_morphism,
-    net_from_arcs,
-    net_hom,
-    net_oplus,
-    net_tensor,
-    net_with,
-)
-from .netdoc import (
-    EXAMPLE_NAMES,
-    MorphismDocument,
-    NetDocument,
-    build_example,
-    document_to_net,
-    example_default,
-    example_path,
-    export_dot,
-    load_net,
-    net_to_document,
-    parse_morphism_document,
-    parse_net_document,
-    resolve_morphism_document,
-    save_net,
-    serialize_net,
-    serialize_net_document,
-)
+from .lineale import *
+from .petrinet import *
+from .netdoc import *
 
 __version__ = "0.1.0"
 

@@ -69,9 +69,11 @@ class Lineale(Frozen):
     """A lineale instance: the order, product, unit, and implication.
 
     Instances are immutable records of payload-level operations, equal
-    when their tags are; the public methods wrap and unwrap
-    :class:`LinealeValue` and enforce that both arguments carry this
-    instance's tag.  ``__slots__`` lists the fields in constructor order.
+    when their tags are; the fields (unit_payload, _carrier, _sample, ...)
+    are the API.  value, unwrap and parse cross the tagged edge of
+    :class:`LinealeValue`, and leq, tensor and imp enforce that both
+    arguments carry this instance's tag.  ``__slots__`` lists the fields
+    in constructor order.
     """
 
     __slots__ = ("tag", "unit_payload", "_leq", "_tensor", "_imp", "_sample", "_validate",
@@ -104,16 +106,6 @@ class Lineale(Frozen):
         self._validate(p)
         return LinealeValue(self.tag, p)
 
-    @property
-    def unit(self) -> LinealeValue:
-        return LinealeValue(self.tag, self.unit_payload)
-
-    def carrier(self) -> Optional[tuple[LinealeValue, ...]]:
-        """All elements, for finite lineales; None when the carrier is infinite."""
-        if self._carrier is None:
-            return None
-        return tuple(LinealeValue(self.tag, p) for p in self._carrier)
-
     def unwrap(self, v: LinealeValue) -> Any:
         """The payload of a value of this lineale; TagMismatch for any other value."""
         if not isinstance(v, LinealeValue) or v.tag != self.tag:
@@ -134,12 +126,6 @@ class Lineale(Frozen):
     def imp(self, a: LinealeValue, b: LinealeValue) -> LinealeValue:
         """Internal hom: the largest c with tensor(c, a) below b."""
         return LinealeValue(self.tag, self._imp(self.unwrap(a), self.unwrap(b)))
-
-    def sample(self, rng: random.Random, size_bound: int) -> LinealeValue:
-        """Draw a pseudo-random value; finite carriers sample uniformly."""
-        if size_bound <= 0:
-            raise InvalidValue("size_bound must be positive")
-        return LinealeValue(self.tag, self._sample(rng, size_bound))
 
     # -- text syntax ----------------------------------------------------------
 

@@ -30,7 +30,8 @@ The worked example nets exist only as documents in the package data
 (EXAMPLE_NAMES); build_example reads one by name.
 
 Serialization is canonical: the layout is exactly that of
-json.dumps(indent=2, ensure_ascii=False) -- fixed key order, two-space
+json.dumps(indent=2, ensure_ascii=False) -- the key order of the example
+above, format_version then NetDocument's fields in order, two-space
 indent, arcs in row-major (place, transition) order, values in
 canonical form -- plus one trailing newline, written directly rather
 than through json.dumps, whose indenting encoder is pure Python.
@@ -111,15 +112,6 @@ MAX_DOCUMENT_BYTES = 32 * 2**20
 
 EXAMPLE_NAMES = ("water", "sir", "circadian", "inhibitor", "catalysis")
 
-_NET_KEYS = (
-    "format_version",
-    "lineale",
-    "default_weight",
-    "places",
-    "transitions",
-    "pre",
-    "post",
-)
 _MOR_KEYS = ("format_version", "source", "target", "f", "F")
 
 
@@ -133,6 +125,9 @@ class NetDocument(NamedTuple):
     transitions: tuple[str, ...]
     pre: tuple[tuple[str, str, str], ...]
     post: tuple[tuple[str, str, str], ...]
+
+
+_NET_KEYS = ("format_version", *NetDocument._fields)
 
 
 @record
@@ -276,17 +271,17 @@ def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -
     def labels(texts) -> list[str]:
         return array([_ELEMENT.format(encode_basestring(t)) for t in texts])
 
-    fields = (
-        ("format_version", [encode_basestring(FORMAT_VERSION)]),
-        ("lineale", [encode_basestring(lineale)]),
-        ("default_weight", [encode_basestring(default_weight)]),
-        ("places", labels(places)),
-        ("transitions", labels(transitions)),
-        ("pre", array(*pre)),
-        ("post", array(*post)),
+    values = (
+        [encode_basestring(FORMAT_VERSION)],
+        [encode_basestring(lineale)],
+        [encode_basestring(default_weight)],
+        labels(places),
+        labels(transitions),
+        array(*pre),
+        array(*post),
     )
     text = []
-    for sep, (key, value) in zip(chain(["{\n"], repeat(",\n")), fields):
+    for sep, key, value in zip(chain(["{\n"], repeat(",\n")), _NET_KEYS, values):
         text.append(f'{sep}  "{key}": ')
         text += value
     text.append("\n}\n")
@@ -396,7 +391,7 @@ def read_net(path: Union[str, Path]) -> tuple[PetriNet, NetSummary]:
     """The net a file holds, and the file's NetSummary."""
     fields = _net_fields(_load_json(read_text(path)))
     net = _net_from_fields(fields)
-    return net, NetSummary(*map(fields.get, ("lineale", "default_weight", "pre", "post")))
+    return net, NetSummary(*map(fields.get, NetSummary._fields))
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:

@@ -379,7 +379,7 @@ def _small_object_pairs(draw):
 
     def obj():
         pos, neg = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        cells = tuple(lin.sample(rng, 3).payload for _ in range(pos * neg))
+        cells = tuple(lin._sample(rng, 3) for _ in range(pos * neg))
         return DialObject(lin, FinSet(pos), FinSet(neg), cells)
 
     return obj(), obj()
@@ -441,7 +441,7 @@ def _seeded_objects(tag, seed, n):
     objs = []
     for _ in range(n):
         pos, neg = rng.randrange(3), rng.randrange(3)
-        cells = tuple(lin.sample(rng, 3).payload for _ in range(pos * neg))
+        cells = tuple(lin._sample(rng, 3) for _ in range(pos * neg))
         objs.append(DialObject(lin, FinSet(pos), FinSet(neg), cells))
     return objs
 
@@ -620,7 +620,7 @@ def _object_pairs(draw):
 
     def obj(pos, neg):
         rng = draw(st.randoms(use_true_random=False))
-        cells = tuple(lin.sample(rng, 4).payload for _ in range(pos * neg))
+        cells = tuple(lin._sample(rng, 4) for _ in range(pos * neg))
         return DialObject(lin, FinSet(pos), FinSet(neg), cells)
 
     return obj(u, x), obj(v, y)

@@ -170,3 +170,21 @@ print(json.dumps([names, loaded]))
     assert loaded == []
     assert names == sorted(names)
     assert {*LAW_NAMES, *DIALSET_NAMES, "PetriNet", "FinSet", "__version__"} <= {*names}
+
+
+def test_the_package_binds_each_public_name_of_the_net_stack_once():
+    code = """
+import importlib, json
+import dialnet
+early = [n for n in dialnet._LAZY if n in vars(dialnet)]
+from dialnet import errors, finset, lineale, netdoc, petrinet
+exceptions = [n for n, v in vars(errors).items() if isinstance(v, type) and n[0] != "_"]
+public = [(m, n) for m in (lineale, petrinet, netdoc) for n in m.__all__]
+public += [(errors, n) for n in exceptions]
+public += [(finset, n) for n in ("DEFAULT_CAP", "FinSet", "FnTable")]
+unbound = [n for m, n in public if n not in vars(dialnet) or vars(dialnet)[n] is not getattr(m, n)]
+lazy_modules = {m: importlib.import_module(f"dialnet.{m}") for m in {*dialnet._LAZY.values()}}
+stray = [n for n, m in dialnet._LAZY.items() if n not in lazy_modules[m].__all__]
+print(json.dumps([early, unbound, stray, len(exceptions)]))
+"""
+    assert fresh(code) == [[], [], [], 10]

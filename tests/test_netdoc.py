@@ -151,7 +151,7 @@ def test_randomized_nets_roundtrip():
             places = FinSet(rng.randint(1, 4), None)
             transitions = FinSet(rng.randint(1, 3), None)
             mk = lambda: DialObject(lin, places, transitions, tuple(
-                lin.sample(rng, 6).payload for _ in range(places.size * transitions.size)
+                lin._sample(rng, 6) for _ in range(places.size * transitions.size)
             ))
             net = dense.net_from_relations(mk(), mk())
             doc = net_to_document(net)
