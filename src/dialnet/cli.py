@@ -69,11 +69,14 @@ def _cmd_check_morphism(args) -> int:
     if not violations:
         print("ok: (f, F) is a net morphism")
         return 0
-    print(f"not a net morphism: {len(violations)} violation(s)")
-    for v in violations:
+    print(f"not a net morphism: {sum(v.cells for v in violations)} violation(s)")
+    for v in violations:  # a record with no point counts the cells over no arc
+        at = f"{v.cells} cells over no arc" if v.u is None else (
+            f"place {_echo(source.places.label(v.u))} / "
+            f"transition {_echo(target.transitions.label(v.y))}"
+        )
         print(
-            f"  [{v.part}] place {_echo(source.places.label(v.u))} / "
-            f"transition {_echo(target.transitions.label(v.y))}: "
+            f"  [{v.part}] {at}: "
             f"source weight {_shown(str(v.source_weight))} is not below "
             f"target weight {_shown(str(v.target_weight))}"
         )

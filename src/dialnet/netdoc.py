@@ -214,10 +214,9 @@ def _net_fields(obj, what: str = "net document") -> dict:
 
 
 def _net_document_from_json(obj, what: str = "net document") -> NetDocument:
-    f = _net_fields(obj, what)
-    labels = (tuple(f[k]) for k in ("places", "transitions"))
-    arcs = (tuple(map(tuple, f[k])) for k in ("pre", "post"))
-    return NetDocument(f["lineale"], f["default_weight"], *labels, *arcs)
+    f = _net_fields(obj, what)  # each field a string, a list of labels or a list of arc triples
+    values = [f[k] if type(f[k]) is str else tuple(f[k]) for k in NetDocument._fields]
+    return NetDocument(*(tuple(map(tuple, v)) if v and type(v[0]) is list else v for v in values))
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -42,15 +42,16 @@ arcs and their F-preimages, the distinct target payloads and the
 f-preimages of the target arcs that fail, not in the cells: one pass
 compares each cell (u, y) over a source arc (u, F(y)); every other cell
 holds the source default, so the other pass lists it only under a target
-arc not above that default.  When the defaults fail, all cells are compared.
+arc not above that default.  When the defaults fail, every cell over no
+arc fails too, and one record per part counts them from the arcs' preimages.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, count, islice, product, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, lt
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .finset import MAX_CELLS, FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
 from .finset import _tensor_carriers, _tensor_cells, check_shapes, coproduct_set, product_set
@@ -192,13 +193,15 @@ def net_from_arcs(
 
 
 class NetViolation(NamedTuple):
-    """A morphism-condition failure, tagged with the relation it violates."""
+    """A morphism-condition failure in the relation part: at the cell (u, y),
+    or, with u and y None, at all its cells over no arc, which cells counts."""
 
     part: str  # "pre" or "post"
-    u: int
-    y: int
+    u: Optional[int]
+    y: Optional[int]
     source_weight: LinealeValue
     target_weight: LinealeValue
+    cells: int = 1
 
 
 def _preimages(table: tuple[int, ...], size: int) -> list[list[int]]:
@@ -212,45 +215,42 @@ def check_net_morphism(
     source: PetriNet, target: PetriNet, fwd: FnTable, bwd: FnTable
 ) -> list[NetViolation]:
     """All points where (fwd, bwd) fails for the pre or the post relation,
-    pre before post, then by u, then by y.  Two passes over the arcs find
-    them (see the module docstring); only the points found are sorted."""
+    pre before post, then by u, then by y, and per part one last record for
+    the failing cells over no arc.  Two passes over the arcs find the points."""
     check_shapes(source, target, fwd, bwd)
     leq, ds, dt = source.lin._leq, source.default, target.default
     f, F = fwd.table, bwd.table
-    n_x, n_y = source.transitions.size, target.transitions.size
+    n_u, n_x, n_y = source.places.size, source.transitions.size, target.transitions.size
     f_inv, F_inv = _preimages(f, target.places.size), _preimages(F, n_x)
     tag = source.lin.tag
-
-    def every_cell(s_arcs, t_arcs):  # the defaults fail, so every cell is compared
-        for u, y in product(range(source.places.size), range(n_y)):
-            a = s_arcs.get(u * n_x + F[y], ds)
-            b = t_arcs.get(f[u] * n_y + y, dt)
-            if not leq(a, b):
-                yield u, y, a, b
 
     out = []
     for part, s_arcs, t_arcs in (
         ("pre", source.pre_arcs, target.pre_arcs),
         ("post", source.post_arcs, target.post_arcs),
     ):
-        if not leq(ds, dt):
-            found = every_cell(s_arcs, t_arcs)
-        else:  # (u, y, a, b) per failing cell; pass one: the cells over a source arc (u, F(y))
-            found = []
-            for (u, x), a in zip(map(divmod, s_arcs, repeat(n_x)), s_arcs.values()):
-                for y in F_inv[x]:
-                    b = t_arcs.get(f[u] * n_y + y, dt)
-                    if not leq(a, b):
-                        found.append((u, y, a, b))
-            # pass two: the other cells hold ds, so fail only at target arcs not above it
-            failing = _off(t_arcs, t_arcs.values(), ds, t_arcs.values(), leq)
-            for (v, y), b in zip(map(divmod, failing, repeat(n_y)), failing.values()):
-                for u in f_inv[v]:
-                    if u * n_x + F[y] not in s_arcs:
-                        found.append((u, y, ds, b))
-            found.sort()  # the cells (u, y) are distinct, so no weights are compared
+        found = []  # (u, y, a, b) per failing cell; pass one: the cells over a source arc (u, F(y))
+        for (u, x), a in zip(map(divmod, s_arcs, repeat(n_x)), s_arcs.values()):
+            for y in F_inv[x]:
+                b = t_arcs.get(f[u] * n_y + y, dt)
+                if not leq(a, b):
+                    found.append((u, y, a, b))
+        # pass two: the other cells hold ds, so fail only at target arcs not above it
+        failing = _off(t_arcs, t_arcs.values(), ds, t_arcs.values(), leq)
+        for (v, y), b in zip(map(divmod, failing, repeat(n_y)), failing.values()):
+            for u in f_inv[v]:
+                if u * n_x + F[y] not in s_arcs:
+                    found.append((u, y, ds, b))
+        found.sort()  # the cells (u, y) are distinct, so no weights are compared
         for u, y, a, b in found:
             out.append(NetViolation(part, u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
+        if not leq(ds, dt):  # every cell over no arc holds (ds, dt) and fails
+            cells = n_u * n_y - sum(len(f_inv[v]) for v, _ in map(divmod, t_arcs, repeat(n_y)))
+            targets = (f[u] * n_y + y for u, x in map(divmod, s_arcs, repeat(n_x)) for y in F_inv[x])
+            cells -= sum(1 for k in targets if k not in t_arcs)  # over a source arc only
+            if cells:
+                weights = LinealeValue(tag, ds), LinealeValue(tag, dt)
+                out.append(NetViolation(part, None, None, *weights, cells))
     return out
 
 

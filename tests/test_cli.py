@@ -452,11 +452,11 @@ def test_combine_over_the_cell_budget_is_refused_before_building(tmp_path, op, a
     assert not out_path.exists()
 
 
-def run_child(*argv):
-    """One command in a child process: (process, peak RSS in KiB, seconds
-    main took).  The child reads VmHWM, not ru_maxrss: Linux carries the
-    parent's high-water mark over exec into ru_maxrss, VmHWM is the new
-    image's own."""
+def run_child(*argv, exit_code=0):
+    """One command in a child process, which must end with exit_code:
+    (process, peak RSS in KiB, seconds main took).  The child reads VmHWM,
+    not ru_maxrss: Linux carries the parent's high-water mark over exec
+    into ru_maxrss, VmHWM is the new image's own."""
     code = (
         "import sys, time; from dialnet.cli import main; t = time.perf_counter(); "
         "rc = main(sys.argv[1:]); t = time.perf_counter() - t; "
@@ -467,7 +467,7 @@ def run_child(*argv):
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     hwm, seconds = proc.stderr.split()
     return proc, int(hwm), float(seconds)
 
@@ -494,6 +494,27 @@ def test_combine_at_the_cell_budget_stays_small(tmp_path):
         assert net.places.size * net.transitions.size == dialnet.finset.MAX_CELLS
         assert (net.default, net.pre_arcs, net.post_arcs) == (default, {}, {})
         assert hwm < 100 * 1024 and seconds < 0.3, op
+
+
+def test_check_morphism_counts_the_cells_over_no_arc_in_one_line_per_part(tmp_path):
+    # arc-free 3000 x 300 nat nets with defaults 0 and 1 under identity maps:
+    # 0 is not below 1, so each of the 900,000 cells of each relation fails
+    places, transitions = [f"p{i}" for i in range(3000)], [f"t{i}" for i in range(300)]
+    for side, default in (("source", "0"), ("target", "1")):
+        doc = {
+            "format_version": "1", "lineale": "nat", "default_weight": default,
+            "places": places, "transitions": transitions, "pre": [], "post": [],
+        }
+        (tmp_path / f"{side}.net").write_text(json.dumps(doc))
+    ids = {p: p for p in places}, {t: t for t in transitions}
+    m = write_morphism(tmp_path, "m.mor", "source.net", "target.net", *ids)
+    proc, hwm, seconds = run_child("check-morphism", m, exit_code=3)
+    assert seconds < 1.0 and hwm < 50 * 1024
+    assert proc.stdout == (
+        "not a net morphism: 1800000 violation(s)\n"
+        "  [pre] 900000 cells over no arc: source weight 0 is not below target weight 1\n"
+        "  [post] 900000 cells over no arc: source weight 0 is not below target weight 1\n"
+    )
 
 
 def test_validate_of_a_30_mb_document_stays_small(tmp_path):

@@ -494,6 +494,29 @@ def _dense_check(a, b, f, big_f):
     ]
 
 
+def _expanded(violations, a, b, f, big_f):
+    """check_net_morphism's violations with each record of the cells over no
+    arc listed densely as those cells, the cells whose source and target
+    cells hold the two defaults, in row-major order among the points; each
+    record's count must equal the number of cells it lists."""
+    n_x, n_y = a.transitions.size, b.transitions.size
+    out = []
+    for v in violations:
+        if v.u is not None:
+            assert v.cells == 1
+            out.append(v)
+            continue
+        s, t = dense.relation(a, v.part).cells, dense.relation(b, v.part).cells
+        block = [
+            NetViolation(v.part, u, y, v.source_weight, v.target_weight)
+            for u in range(a.places.size) for y in range(n_y)
+            if s[u * n_x + big_f.table[y]] == a.default and t[f.table[u] * n_y + y] == b.default
+        ]
+        assert v.cells == len(block) > 0
+        out.extend(block)
+    return sorted(out, key=lambda v: (v.part == "post", v.u, v.y))
+
+
 def test_net_condition_is_the_relation_condition_on_both_parts():
     import random
 
@@ -503,7 +526,7 @@ def test_net_condition_is_the_relation_condition_on_both_parts():
         b = random_nat_net(rng, rng.randint(1, 3), rng.randint(1, 3))
         f = FnTable(a.places, b.places, tuple(rng.randrange(b.places.size) for _ in range(a.places.size)))
         F = FnTable(b.transitions, a.transitions, tuple(rng.randrange(a.transitions.size) for _ in range(b.transitions.size)))
-        assert check_net_morphism(a, b, f, F) == _dense_check(a, b, f, F)
+        assert _expanded(check_net_morphism(a, b, f, F), a, b, f, F) == _dense_check(a, b, f, F)
 
 
 def test_net_compose_is_associative():
@@ -660,13 +683,13 @@ def _net_morphisms(draw):
     return source, target, f, big_f
 
 
-def _nat_morphism(places, transitions, pre, post, f, big_f):
-    """A nat morphism between nets of default 0: places and transitions
+def _nat_morphism(places, transitions, pre, post, f, big_f, defaults=(0, 0)):
+    """A nat morphism between nets of the given defaults: places and transitions
     are (source labels, target labels) pairs, pre and post (source arcs,
     target arcs) pairs of {(place, transition): weight}, f and big_f tables."""
     n = NAT.value
     source, target = (
-        net_from_arcs(NAT, places[i], transitions[i], n(0),
+        net_from_arcs(NAT, places[i], transitions[i], n(defaults[i]),
                       {k: n(w) for k, w in pre[i].items()}, {k: n(w) for k, w in post[i].items()})
         for i in (0, 1)
     )
@@ -692,6 +715,19 @@ _UNDER_BOTH = _nat_morphism(
     (("p0", "p1"), ("q0", "q1")), (("t0", "t1"), ("s0", "s1")),
     ({("p0", "t0"): 1}, {("q0", "s0"): 2}), ({}, {}), (0, 1), (0, 1),
 )
+# The source default 0 is not below the target default 1.  f merges p0 and
+# p1; in pre, (p0, t0) and (q0, s0) fail as one cell, (q0, s0) fails again
+# at (p1, t0), the target arcs of 0 at s2 hold, and three cells lie over
+# no arc; post has no arcs, so its nine cells lie over none.
+_FAILING_DEFAULTS = _nat_morphism(
+    (("p0", "p1", "p2"), ("q0", "q1")),
+    (("t0", "t1"), ("s0", "s1", "s2")),
+    ({("p0", "t0"): 2, ("p2", "t1"): 3}, {("q0", "s0"): 5, ("q0", "s2"): 0, ("q1", "s2"): 0}),
+    ({}, {}),
+    (0, 0, 1),
+    (0, 1, 1),
+    defaults=(0, 1),
+)
 _NO_PLACES = _nat_morphism(((), ("q0",)), (("t0",), ("s0",)), ({}, {}), ({}, {}), (), (0,))
 _NO_TRANSITIONS = _nat_morphism(
     (("p0", "p1"), ("q0",)), ((), ()), ({}, {}), ({}, {}), (0, 0), (),
@@ -702,11 +738,12 @@ _NO_TRANSITIONS = _nat_morphism(
 @given(_net_morphisms())
 @example(_TWO_PASSES)
 @example(_UNDER_BOTH)
+@example(_FAILING_DEFAULTS)
 @example(_NO_PLACES)
 @example(_NO_TRANSITIONS)
 def test_sparse_check_equals_dense_oracle(case):
-    source, target, f, big_f = case
-    assert check_net_morphism(source, target, f, big_f) == _dense_check(source, target, f, big_f)
+    violations = check_net_morphism(*case)
+    assert _expanded(violations, *case) == _dense_check(*case)
 
 
 def test_the_two_passes_list_each_failing_cell_once_in_row_major_order():
@@ -750,21 +787,34 @@ def test_the_check_compares_each_source_arc_cell_and_each_target_payload_once():
     assert len(compared) <= 2 * (5 + 1 + 1)
 
 
-def test_failing_default_comparison_lists_every_cell():
-    # over nat 0 is not below 1, so every cell off the arcs is a violation
+def test_failing_defaults_give_point_records_and_one_block_per_part():
+    # over nat 0 is not below 1, so every cell over no arc is a violation
     n = NAT.value
     source = net_from_arcs(NAT, ("a", "b"), ("t", "u"), n(0), {("a", "t"): n(3)}, {})
     target = net_from_arcs(NAT, ("c",), ("s", "r", "q"), n(1), {}, {("c", "q"): n(0)})
     f = FnTable(source.places, target.places, (0, 0))
     big_f = FnTable(target.transitions, source.transitions, (0, 0, 1))
     violations = check_net_morphism(source, target, f, big_f)
-    assert violations == _dense_check(source, target, f, big_f)
-    # pre: all six cells but the two over the source arc (3 sits below 1);
+    # no point fails: pre's two cells over the source arc hold (3 sits below
+    # 1), and so do post's two cells at the target's 0 arc
+    assert violations == [
+        NetViolation("pre", None, None, n(0), n(1), 4), NetViolation("post", None, None, n(0), n(1), 4),
+    ]
+    expanded = _expanded(violations, source, target, f, big_f)
+    assert expanded == _dense_check(source, target, f, big_f)
+    # pre: all six cells but the two over the source arc;
     # post: all six cells but the two at the target's 0 arc
-    assert [(v.part, v.u, v.y) for v in violations] == [
+    assert [(v.part, v.u, v.y) for v in expanded] == [
         ("pre", 0, 2), ("pre", 1, 0), ("pre", 1, 1), ("pre", 1, 2),
         ("post", 0, 0), ("post", 0, 1), ("post", 1, 0), ("post", 1, 1),
     ]
+    # the points come first in each part, sorted, then the part's one block
+    assert check_net_morphism(*_FAILING_DEFAULTS) == [
+        NetViolation("pre", 0, 0, n(2), n(5)), NetViolation("pre", 1, 0, n(0), n(5)),
+        NetViolation("pre", None, None, n(0), n(1), 3), NetViolation("post", None, None, n(0), n(1), 9),
+    ]
+    assert [(v.u, v.y) for v in _expanded(check_net_morphism(*_FAILING_DEFAULTS), *_FAILING_DEFAULTS)
+            if v.part == "pre"] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
 
 def test_violations_come_in_row_major_order():
@@ -806,7 +856,7 @@ def test_shape_check_and_sparse_check_do_not_densify(monkeypatch):
     # 0 is not below 1, so every cell off the source arcs fails
     m = identity(small)
     violations = check_net_morphism(small, raised, m.fwd, m.bwd)
-    assert len(violations) == 2 * 60 * 50 - len(few)
+    assert sum(v.cells for v in violations) == 2 * 60 * 50 - len(few)
     assert net_with(small, raised).places.size == 3600
     assert net_oplus(small, raised).transitions.size == 2500
 
