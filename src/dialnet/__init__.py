@@ -4,7 +4,7 @@ The package has three layers:
 
 * lineale / finset: weight values with ordered-monoid structure, and
   finite carriers with tabulated functions, the morphism shape check and
-  the tensor and hom cell builders;
+  violation record, and the tensor and hom cell builders;
 * dialset: weighted relations between carriers, the lax morphisms
   between them, and the cartesian / cocartesian / monoidal closed
   structure, each law machine-checked by the suites in `laws`; both load
@@ -14,7 +14,7 @@ The package has three layers:
   `dialnet` command.
 
 The package binds the `__all__` of lineale, petrinet and netdoc, the
-exceptions of errors and three names of finset on import, and the
+exceptions of errors and four names of finset on import, and the
 dialset and laws names in `_LAZY` on first read.
 """
 
@@ -22,7 +22,7 @@ import importlib
 
 from .errors import *
 # not *: finset's identity and compose would hide dialset's, which _LAZY names
-from .finset import DEFAULT_CAP, FinSet, FnTable
+from .finset import DEFAULT_CAP, FinSet, FnTable, Violation
 from .lineale import *
 from .petrinet import *
 from .netdoc import *
@@ -33,11 +33,11 @@ __version__ = "0.1.0"
 # `import dialnet.cli` loads neither the category nor the law suites
 _LAZY = {
     **dict.fromkeys((
-        "DialMorphism", "DialObject", "Violation", "associator", "check_morphism", "compose",
-        "curry_dial", "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity",
-        "inverse", "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr",
-        "right_unitor", "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial",
-        "with_pairing", "with_product", "with_proj1", "with_proj2",
+        "DialMorphism", "DialObject", "associator", "check_morphism", "compose", "curry_dial",
+        "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity", "inverse",
+        "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr", "right_unitor",
+        "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial", "with_pairing",
+        "with_product", "with_proj1", "with_proj2",
     ), "dialset"),
     **dict.fromkeys((
         "DEFAULT_SEED", "LawResult", "adjunction_oracle", "category_laws", "coherence_laws",

@@ -36,10 +36,10 @@ builds a morphism from each; _hom_counts counts them and finds each source's
 last, as the exhaustive identity law reads them unless a table breaks it.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
-exponentials, response-table pairs), carrier shapes and the morphism
-shape check come from the finset module, as does _rows, the one place a
-relation is cut into rows; every constructor checks the shape against
-the fixed cap finset.DEFAULT_CAP before it builds any label or cell.
+exponentials, response-table pairs), carrier shapes, the morphism shape
+check and its Violation record come from finset, as does _rows, the one
+place a relation is cut into rows; every constructor checks the shape
+against the fixed cap finset.DEFAULT_CAP before it builds any label or cell.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
 from .finset import FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _rows, _same_lineale
-from .finset import _tensor_carriers, _tensor_cells, check_shapes, copair, coproduct_set
-from .finset import digit_table, fn_pair_digits, fn_pair_weights, hom_shape, inl, inr, pairing
-from .finset import product_fn, product_set, proj1, proj2, tensor_shape
+from .finset import Violation, _tensor_carriers, _tensor_cells, check_shapes, copair
+from .finset import coproduct_set, digit_table, fn_pair_digits, fn_pair_weights, hom_shape, inl, inr
+from .finset import pairing, product_fn, product_set, proj1, proj2, tensor_shape
 from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .finset import swap as table_swap
@@ -66,8 +66,6 @@ from .record import record
 __all__ = [
     "DialObject",
     "DialMorphism",
-    "Violation",
-    "check_shapes",
     "check_morphism",
     "dial_morphism",
     "identity",
@@ -126,15 +124,6 @@ class DialObject(NamedTuple):
         return self.pos.size, self.neg.size
 
 
-class Violation(NamedTuple):
-    """One point where the morphism condition fails."""
-
-    u: int
-    y: int
-    source_weight: LinealeValue
-    target_weight: LinealeValue
-
-
 def check_morphism(
     source: DialObject, target: DialObject, fwd: FnTable, bwd: FnTable
 ) -> list[Violation]:
@@ -151,7 +140,7 @@ def check_morphism(
         for y, x in enumerate(bwd.table):
             a, b = sc[a0 + x], tc[b0 + y]
             if not leq(a, b):
-                out.append(Violation(u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
+                out.append(Violation(None, u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
     return out
 
 
@@ -163,7 +152,7 @@ class DialMorphism(NamedTuple):
     DialObjects and PetriNets, and :func:`identity` and :func:`compose`
     work on both.  Construction checks shapes only; :func:`dial_morphism`
     also enforces the order condition, and :func:`check_morphism` (for
-    nets, ``petrinet.check_net_morphism``) lists where it fails.
+    nets, ``petrinet.check_net_morphism``) lists where it fails as Violations.
     """
 
     source: DialObject

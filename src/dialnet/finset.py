@@ -30,8 +30,9 @@ connectives also refuse one over MAX_CELLS (2**20) cells.
 
 The last section serves dialset's objects and petrinet's nets alike, so a
 net command never loads dialset: check_shapes, the one morphism shape
-check, and the carriers and cell builders of the tensor and the internal
-hom, which turn two relations' cells into an op table and the result cells.
+check; Violation, the one record of where a morphism fails; and the
+carriers and cell builders of the tensor and the internal hom, which turn
+two relations' cells into an op table and the result cells.
 A relation of shape (|U|, |X|) is one sequence of |U| * |X| payloads in
 row-major order, cell (u, x) at u * |X| + x; _rows is the one place that
 cuts it into rows.
@@ -46,7 +47,7 @@ from .errors import CapExceeded, ShapeMismatch, TagMismatch
 from .record import Frozen, record
 
 if TYPE_CHECKING:
-    from .lineale import Lineale
+    from .lineale import Lineale, LinealeValue
 
 __all__ = [
     "DEFAULT_CAP",
@@ -72,6 +73,7 @@ __all__ = [
     "tensor_shape",
     "hom_shape",
     "check_shapes",
+    "Violation",
 ]
 
 DEFAULT_CAP = 4096
@@ -333,6 +335,19 @@ def check_shapes(source, target, fwd: FnTable, bwd: FnTable) -> None:
         raise ShapeMismatch("forward table does not map the positive carriers")
     if bwd.dom.size != target.neg.size or bwd.cod.size != source.neg.size:
         raise ShapeMismatch("backward table does not map the negative carriers")
+
+
+class Violation(NamedTuple):
+    """A failure of the morphism condition at the cell (u, y) of relation
+    part: None for an object's, "pre" or "post" for a net's.  With u and y
+    None it stands for all of part's failing cells over no arc, cells many."""
+
+    part: Optional[str]
+    u: Optional[int]
+    y: Optional[int]
+    source_weight: LinealeValue
+    target_weight: LinealeValue
+    cells: int = 1
 
 
 def _rows(cells, n_rows: int, n_cols: int) -> list:

@@ -586,7 +586,8 @@ def universal_laws(
         pair = with_pairing(m1, m2)
         p1, p2 = with_proj1(a, b), with_proj2(a, b)
         ctx = lambda: f"{_show_mor(m1)} & {_show_mor(m2)}"
-        p_med.check(compose(p1, pair) == m1 and compose(p2, pair) == m2 and _valid(pair), ctx)
+        projected = compose(p1, pair) == m1 and compose(p2, pair) == m2
+        p_med.check(projected and all(map(_valid, (pair, p1, p2))), ctx)
         mediating = [
             m
             for m in enumerate_morphisms(src, with_product(a, b))
@@ -601,7 +602,8 @@ def universal_laws(
         cop = oplus_copair(n1, n2)
         i1, i2 = oplus_inl(a, b), oplus_inr(a, b)
         ctx = lambda: f"{_show_mor(n1)} (+) {_show_mor(n2)}"
-        s_med.check(compose(cop, i1) == n1 and compose(cop, i2) == n2 and _valid(cop), ctx)
+        injected = compose(cop, i1) == n1 and compose(cop, i2) == n2
+        s_med.check(injected and all(map(_valid, (cop, i1, i2))), ctx)
         mediating = [
             m
             for m in enumerate_morphisms(oplus(a, b), tgt)

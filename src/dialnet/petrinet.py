@@ -44,6 +44,7 @@ compares each cell (u, y) over a source arc (u, F(y)); every other cell
 holds the source default, so the other pass lists it only under a target
 arc not above that default.  When the defaults fail, every cell over no
 arc fails too, and one record per part counts them from the arcs' preimages.
+Its records are finset's Violation (alias NetViolation), part "pre" or "post".
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, lt
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .finset import MAX_CELLS, FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
-from .finset import _tensor_carriers, _tensor_cells, check_shapes, coproduct_set, product_set
+from .finset import Violation, _tensor_carriers, _tensor_cells, check_shapes, coproduct_set
+from .finset import product_set
 from .lineale import Lineale, LinealeValue
 from .record import record
 
@@ -192,16 +194,7 @@ def net_from_arcs(
     return _net_from_cells(lin, places, transitions, fill, pre, post, listed)
 
 
-class NetViolation(NamedTuple):
-    """A morphism-condition failure in the relation part: at the cell (u, y),
-    or, with u and y None, at all its cells over no arc, which cells counts."""
-
-    part: str  # "pre" or "post"
-    u: Optional[int]
-    y: Optional[int]
-    source_weight: LinealeValue
-    target_weight: LinealeValue
-    cells: int = 1
+NetViolation = Violation  # the name the net layer's callers first had for it
 
 
 def _preimages(table: tuple[int, ...], size: int) -> list[list[int]]:
@@ -213,7 +206,7 @@ def _preimages(table: tuple[int, ...], size: int) -> list[list[int]]:
 
 def check_net_morphism(
     source: PetriNet, target: PetriNet, fwd: FnTable, bwd: FnTable
-) -> list[NetViolation]:
+) -> list[Violation]:
     """All points where (fwd, bwd) fails for the pre or the post relation,
     pre before post, then by u, then by y, and per part one last record for
     the failing cells over no arc.  Two passes over the arcs find the points."""
@@ -243,14 +236,14 @@ def check_net_morphism(
                     found.append((u, y, ds, b))
         found.sort()  # the cells (u, y) are distinct, so no weights are compared
         for u, y, a, b in found:
-            out.append(NetViolation(part, u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
+            out.append(Violation(part, u, y, LinealeValue(tag, a), LinealeValue(tag, b)))
         if not leq(ds, dt):  # every cell over no arc holds (ds, dt) and fails
             cells = n_u * n_y - sum(len(f_inv[v]) for v, _ in map(divmod, t_arcs, repeat(n_y)))
             targets = (f[u] * n_y + y for u, x in map(divmod, s_arcs, repeat(n_x)) for y in F_inv[x])
             cells -= sum(1 for k in targets if k not in t_arcs)  # over a source arc only
             if cells:
                 weights = LinealeValue(tag, ds), LinealeValue(tag, dt)
-                out.append(NetViolation(part, None, None, *weights, cells))
+                out.append(Violation(part, None, None, *weights, cells))
     return out
 
 

@@ -116,7 +116,7 @@ def test_false_maps_into_true():
 
 def test_true_does_not_map_into_false():
     vs = check_morphism(TOP, BOTTOM, ID1, ID1)
-    assert vs == [Violation(0, 0, T, F)]
+    assert vs == [Violation(None, 0, 0, T, F)]
     with pytest.raises(InvalidMorphism) as exc:
         dial_morphism(TOP, BOTTOM, ID1, ID1)
     assert "1 point(s)" in str(exc.value)

@@ -515,6 +515,18 @@ def test_broken_construction_fails_the_law_that_names_it(monkeypatch, constructi
     assert not verdict()
 
 
+@pytest.mark.parametrize("construction", ["with_proj1", "oplus_inl.fwd"])
+def test_a_broken_projection_or_injection_fails_a_law(monkeypatch, construction):
+    # product.mediating and coproduct.mediating check that the maps they
+    # compose with are morphisms: at this seed both mutants compose to the
+    # right maps on every case, but they are not morphisms
+    name, _, side = construction.partition(".")
+    mutant = _reversed(getattr(dialnet.dialset, name), side or "bwd")
+    for module in (dialnet.dialset, dialnet.laws):
+        monkeypatch.setattr(module, name, mutant)
+    assert failing(run_all(KLEENE3, seed=1, cases=8))
+
+
 def _flaky(cells_of):
     # the cell builder with its first cell changed to another carrier value
     # on every second call: equal factors no longer give equal objects

@@ -74,11 +74,11 @@ LAW_NAMES = [
     "universal_laws",
 ]
 DIALSET_NAMES = [
-    "DialMorphism", "DialObject", "Violation", "associator", "check_morphism", "compose",
-    "curry_dial", "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity",
-    "inverse", "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr",
-    "right_unitor", "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial",
-    "with_pairing", "with_product", "with_proj1", "with_proj2",
+    "DialMorphism", "DialObject", "associator", "check_morphism", "compose", "curry_dial",
+    "dial_morphism", "enumerate_morphisms", "hom_mor", "hom_obj", "identity", "inverse",
+    "left_unitor", "oplus", "oplus_copair", "oplus_inl", "oplus_inr", "right_unitor",
+    "symmetry", "tensor_mor", "tensor_obj", "tensor_unit", "uncurry_dial", "with_pairing",
+    "with_product", "with_proj1", "with_proj2",
 ]
 
 
@@ -158,6 +158,16 @@ print(json.dumps([unknown, same, hasattr(dialnet, "_pointwise")]))
     assert fresh(code) == [[], [True] * len(DIALSET_NAMES), False]
 
 
+def test_the_violation_record_is_read_without_loading_the_category():
+    code = """
+import json, sys
+import dialnet
+dialnet.Violation
+print(json.dumps([m for m in ("dialnet.dialset", "dialnet.laws") if m in sys.modules]))
+"""
+    assert fresh(code) == []
+
+
 def test_dir_lists_the_lazy_names_without_loading_them():
     code = """
 import json, sys
@@ -181,7 +191,7 @@ from dialnet import errors, finset, lineale, netdoc, petrinet
 exceptions = [n for n, v in vars(errors).items() if isinstance(v, type) and n[0] != "_"]
 public = [(m, n) for m in (lineale, petrinet, netdoc) for n in m.__all__]
 public += [(errors, n) for n in exceptions]
-public += [(finset, n) for n in ("DEFAULT_CAP", "FinSet", "FnTable")]
+public += [(finset, n) for n in ("DEFAULT_CAP", "FinSet", "FnTable", "Violation")]
 unbound = [n for m, n in public if n not in vars(dialnet) or vars(dialnet)[n] is not getattr(m, n)]
 lazy_modules = {m: importlib.import_module(f"dialnet.{m}") for m in {*dialnet._LAZY.values()}}
 stray = [n for n, m in dialnet._LAZY.items() if n not in lazy_modules[m].__all__]

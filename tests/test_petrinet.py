@@ -318,6 +318,20 @@ def test_weight_raising_fails_with_one_violation():
     assert vs == [NetViolation("pre", 0, 0, NAT.value(1), NAT.value(2))]
 
 
+def test_objects_and_nets_report_a_failure_with_one_record():
+    # the net's pre relation as an object fails at the same point, in a
+    # record of the same class whose part is None
+    water, variant = build_example("water"), lowered_water()
+    f = FnTable(variant.places, water.places, (0, 1, 2))
+    F = FnTable(water.transitions, variant.transitions, (0,))
+    (on_object,) = check_morphism(dense.pre(variant), dense.pre(water), f, F)
+    (on_net,) = check_net_morphism(variant, water, f, F)
+    assert type(on_object) is type(on_net)
+    assert dialnet.Violation is dialnet.NetViolation is dialnet.finset.Violation
+    assert on_object.part is None and on_object.cells == 1
+    assert on_object == on_net._replace(part=None)
+
+
 def test_refinement_by_added_place():
     # target has one more place; the forward map need not be onto
     water = build_example("water")
@@ -489,8 +503,8 @@ def random_net_morphism_from(rng, source):
 
 def _dense_check(a, b, f, big_f):
     """The net condition as the dense relation check on pre, then on post."""
-    return [NetViolation("pre", *v) for v in check_morphism(dense.pre(a), dense.pre(b), f, big_f)] + [
-        NetViolation("post", *v) for v in check_morphism(dense.post(a), dense.post(b), f, big_f)
+    return [v._replace(part="pre") for v in check_morphism(dense.pre(a), dense.pre(b), f, big_f)] + [
+        v._replace(part="post") for v in check_morphism(dense.post(a), dense.post(b), f, big_f)
     ]
 
 
