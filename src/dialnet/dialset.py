@@ -23,7 +23,7 @@ tensor and hom are adjoint; curry_dial / uncurry_dial realize the
 bijection between hom-sets.  Each has one cell builder in finset, which
 the net layer shares: from the two objects' cells it gives the op table,
 one payload per pair of input cells, and the result cells in row-major
-order, each an op-table object; _pointwise, their one assembly, keeps them.
+order, each an op-table object.
 Every constructor here returns morphisms that are valid by the
 corresponding proof, but nothing is trusted: check_morphism recomputes
 the condition pointwise and the test suite always rechecks constructor
@@ -38,8 +38,8 @@ last, as the exhaustive identity law reads them unless a table breaks it.
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs), carrier shapes, the morphism shape
 check and its Violation record come from finset, as does _rows, the one
-place a relation is cut into rows; every constructor checks the shape
-against the fixed cap finset.DEFAULT_CAP before it builds any label or cell.
+place a relation is cut into rows.  The four connectives take their
+carriers from finset._carriers, which states the one size rule.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _rows, _same_lineale
-from .finset import Violation, _tensor_carriers, _tensor_cells, check_shapes, copair
-from .finset import coproduct_set, digit_table, fn_pair_digits, fn_pair_weights, hom_shape, inl, inr
-from .finset import pairing, product_fn, product_set, proj1, proj2, tensor_shape
+from .finset import FinSet, FnTable, _carriers, _guard, _hom_cells, _rows, _tensor_cells
+from .finset import Violation, check_shapes, copair, digit_table, fn_pair_digits, fn_pair_weights
+from .finset import hom_shape, inl, inr, pairing, product_fn, proj1, proj2, tensor_shape
 from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .finset import swap as table_swap
@@ -210,10 +209,7 @@ def inverse(m: DialMorphism) -> DialMorphism:
 
 def with_product(a: DialObject, b: DialObject) -> DialObject:
     """The cartesian product: pairs of rows, disjoint union of columns."""
-    lin = _same_lineale(a, b)
-    _guard(a.pos.size * b.pos.size)
-    pos = product_set(a.pos, b.pos)
-    neg = coproduct_set(a.neg, b.neg)
+    lin, pos, neg = _carriers("with", a, b)
     # row (u, v) is a's row u, then b's row v
     rows = itertools.product(_rows(a.cells, *a.shape), _rows(b.cells, *b.shape))
     cells = itertools.chain.from_iterable(ra + rb for ra, rb in rows)
@@ -240,10 +236,7 @@ def with_pairing(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
 
 def oplus(a: DialObject, b: DialObject) -> DialObject:
     """The coproduct: disjoint union of rows, pairs of columns."""
-    lin = _same_lineale(a, b)
-    _guard(a.neg.size * b.neg.size)
-    pos = coproduct_set(a.pos, b.pos)
-    neg = product_set(a.neg, b.neg)
+    lin, pos, neg = _carriers("oplus", a, b)
     # column (x, y) of row inl u is a(u, x), of row inr v is b(v, y)
     n_x, n_y = a.neg.size, b.neg.size
     left = itertools.chain.from_iterable(map(itertools.repeat, a.cells, itertools.repeat(n_y)))
@@ -278,14 +271,6 @@ def _landing(weights, reads, n: int) -> list[int]:
     for w, i in zip(weights, reads):
         out[i] += w
     return out
-
-
-def _pointwise(a: DialObject, b: DialObject, carriers, build) -> DialObject:
-    """The tensor or hom of a and b from the connective's carriers and cell builder."""
-    lin = _same_lineale(a, b)
-    pos, neg = carriers(a, b)
-    _, cells = build(lin, a.cells, b.cells, a.shape, b.shape)
-    return DialObject(lin, pos, neg, tuple(cells))
 
 
 # (builder, *ids of its arguments) -> (object, arguments) while a _shared() block
@@ -335,7 +320,9 @@ def tensor_obj(a: DialObject, b: DialObject) -> DialObject:
     of response tables.  The weight at ((u, v), (f, g)) is
     tensor(weight_a(u, f(v)), weight_b(v, g(u))).
     """
-    return _pointwise(a, b, _tensor_carriers, _tensor_cells)
+    lin, pos, neg = _carriers("tensor", a, b)
+    _, cells = _tensor_cells(lin, a.cells, b.cells, a.shape, b.shape)
+    return DialObject(lin, pos, neg, tuple(cells))
 
 
 def tensor_mor(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
@@ -368,7 +355,9 @@ def hom_obj(a: DialObject, b: DialObject) -> DialObject:
     weight_b(f(u), y)), so a candidate is a morphism exactly when all
     its weights sit above the unit.
     """
-    return _pointwise(a, b, _hom_carriers, _hom_cells)
+    lin, pos, neg = _carriers("hom", a, b)
+    _, cells = _hom_cells(lin, a.cells, b.cells, a.shape, b.shape)
+    return DialObject(lin, pos, neg, tuple(cells))
 
 
 def hom_mor(m_in: DialMorphism, m_out: DialMorphism) -> DialMorphism:

@@ -20,19 +20,20 @@ This module is the one place for that index arithmetic.  A structure map
 between such carriers sends each input digit to fixed output digits, so
 its output index is a sum of per-digit contributions; digit_table is the
 one place where those contributions become a table, for the projections,
-swap and product_fn as for the maps between function spaces.  tensor_shape
-and hom_shape give the carrier sizes of the tensor and the internal hom
-from the sizes of their factors, so callers can check the cap before they
-build anything.  Exponential carriers blow up quickly, so any
-constructor that builds one raises CapExceeded beyond DEFAULT_CAP (4096).
-A net connective's result relation has up to DEFAULT_CAP**2 cells, so the
-connectives also refuse one over MAX_CELLS (2**20) cells.
+swap and product_fn as for the maps between function spaces.
+
+One size rule holds for objects and nets: every connective (with, oplus,
+tensor, hom) of dialset and of petrinet takes its carriers from _carriers,
+which works the result shape out from the factors' shapes alone (as
+tensor_shape and hom_shape do) and, before any label or cell exists,
+refuses a product or function-space carrier over DEFAULT_CAP (4096)
+elements, then a result relation over MAX_CELLS (2**20) cells.
 
 The last section serves dialset's objects and petrinet's nets alike, so a
 net command never loads dialset: check_shapes, the one morphism shape
-check; Violation, the one record of where a morphism fails; and the
-carriers and cell builders of the tensor and the internal hom, which turn
-two relations' cells into an op table and the result cells.
+check; Violation, the one record of where a morphism fails; _carriers; and
+the cell builders of the tensor and the internal hom, which turn two
+relations' cells into an op table and the result cells.
 A relation of shape (|U|, |X|) is one sequence of |U| * |X| payloads in
 row-major order, cell (u, x) at u * |X| + x; _rows is the one place that
 cuts it into rows.
@@ -311,7 +312,7 @@ def hom_shape(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     (u, x), (v, y) = a, b
     return v**u * x**y, u * y
 
-# -- morphism shapes, and the tensor and hom cells ------------------------------
+# -- morphism shapes, the connectives' carriers, and the tensor and hom cells ----
 # The ends of a morphism and the factors of a connective are objects or nets:
 # anything with a ``lin`` and ``pos`` / ``neg`` carriers.
 
@@ -350,6 +351,32 @@ class Violation(NamedTuple):
     cells: int = 1
 
 
+def _carriers(op: str, a, b, what: str = "relation") -> tuple[Lineale, FinSet, FinSet]:
+    """The shared lineale of a and b and the carriers of their connective op,
+    "with", "oplus", "tensor" or "hom", under the one size rule above; what
+    names the result relation when it is refused."""
+    lin = _same_lineale(a, b)
+    (u, x), (v, y) = shapes = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    if op == "with":  # (U x V, X + Y)
+        pos, neg = u * v, x + y
+        _guard(pos)
+    elif op == "oplus":  # (U + V, X x Y)
+        pos, neg = u + v, x * y
+        _guard(neg)
+    else:
+        pos, neg = (tensor_shape if op == "tensor" else hom_shape)(*shapes)
+        _guard(max(pos, neg))
+    _guard(pos * neg, what, MAX_CELLS, "cells")
+    if op == "with":
+        return lin, product_set(a.pos, b.pos), coproduct_set(a.neg, b.neg)
+    if op == "oplus":
+        return lin, coproduct_set(a.pos, b.pos), product_set(a.neg, b.neg)
+    if op == "tensor":
+        responses = product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
+        return lin, product_set(a.pos, b.pos), responses
+    return lin, product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
+
+
 def _rows(cells, n_rows: int, n_cols: int) -> list:
     """The row-major cells of an n_rows x n_cols relation, cut into its rows."""
     return [cells[r * n_cols : r * n_cols + n_cols] for r in range(n_rows)]
@@ -367,12 +394,6 @@ def _op_table(op, a_cells, b_cells, a_shape, b_shape) -> list[list[list]]:
         return [list(map(op, ax, bv * n_x)) for bv in b_rows]
 
     return list(map(row, _rows(a_cells, n_u, n_x)))
-
-
-def _tensor_carriers(a, b) -> tuple[FinSet, FinSet]:
-    """The tensor's carriers U x V and X^V x Y^U, after the cap guard."""
-    _guard(max(tensor_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
-    return product_set(a.pos, b.pos), product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
 
 
 def _tensor_cells(lin: Lineale, a_cells, b_cells, a_shape, b_shape):
@@ -394,12 +415,6 @@ def _tensor_cells(lin: Lineale, a_cells, b_cells, a_shape, b_shape):
 
     pairs = itertools.product(range(n_u), range(n_v))
     return table, itertools.chain.from_iterable(itertools.starmap(row, pairs))
-
-
-def _hom_carriers(a, b) -> tuple[FinSet, FinSet]:
-    """The internal hom's carriers V^U x X^Y and U x Y, after the cap guard."""
-    _guard(max(hom_shape((a.pos.size, a.neg.size), (b.pos.size, b.neg.size))))
-    return product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
 
 
 def _hom_cells(lin: Lineale, a_cells, b_cells, a_shape, b_shape):

@@ -447,9 +447,17 @@ def example_path(name: str) -> Path:
     return Path(__file__).parent / "data" / f"{name}.net"
 
 
-def _open_nonblocking(path: str, flags: int) -> int:
-    # a FIFO with no writer would block the open itself
-    return os.open(path, flags | os.O_NONBLOCK)
+def _open_regular(path: str, flags: int) -> int:
+    """os.open of a regular file, or of a new one for a write, that cannot
+    block: a FIFO with no writer, or no reader, would block the open itself,
+    and a pipe or device may never end, so anything else is refused."""
+    if flags & os.O_CREAT and os.path.exists(path) and not os.path.isfile(path):
+        raise OSError("not a regular file")  # before a write's open can block
+    fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):  # also one swapped in since the check
+        os.close(fd)
+        raise OSError("not a regular file")
+    return fd
 
 
 def _cannot(verb: str, path, why) -> DocumentSyntaxError:
@@ -466,10 +474,8 @@ def read_text(path: Union[str, Path]) -> str:
     the path is a DocumentSyntaxError."""
     too_large = f"larger than {MAX_DOCUMENT_BYTES} bytes"
     try:
-        with open(path, encoding="utf-8", opener=_open_nonblocking) as f:
+        with open(path, encoding="utf-8", opener=_open_regular) as f:
             st = os.fstat(f.fileno())
-            if not stat.S_ISREG(st.st_mode):
-                raise _cannot("read", path, "not a regular file")
             if st.st_size > MAX_DOCUMENT_BYTES:
                 raise _cannot("read", path, too_large)
             # a file that grew since fstat is read on to one character past the
@@ -485,10 +491,12 @@ def read_text(path: Union[str, Path]) -> str:
 
 
 def write_text(path: Union[str, Path], text: Union[str, bytes]) -> None:
-    """Write an output file, text as UTF-8; an unwritable path is a DocumentSyntaxError."""
+    """Write an output file, text as UTF-8; an unwritable path, or one there
+    that is not a regular file, is a DocumentSyntaxError."""
     data = text.encode("utf-8") if isinstance(text, str) else text
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb", opener=_open_regular) as f:
+            f.write(data)
     except (OSError, ValueError) as e:  # ValueError: a NUL or lone surrogate in the path
         raise _cannot("write", path, e) from None
 

@@ -32,10 +32,9 @@ in all of b's cells when its default differs from a's).  tensor and hom
 count the default over their op tables, one payload per pair of input
 cells, and pick the arcs out of a relation's cells in one C pass,
 unless nothing in the relation is off the default; when neither input
-has an arc, every cell holds one payload and no table is built.
-Before it builds anything, each connective refuses a product or
-exponential carrier over DEFAULT_CAP elements and a result relation
-over MAX_CELLS cells.
+has an arc, every cell holds one payload and no table is built.  Each
+connective takes its carriers from finset._carriers, which states the one
+size rule for objects and nets.
 
 Checking a net morphism costs time in the carrier sizes plus the source
 arcs and their F-preimages, the distinct target payloads and the
@@ -54,9 +53,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import eq, lt
 from typing import Iterable, Mapping, NamedTuple
 
-from .finset import MAX_CELLS, FinSet, FnTable, _guard, _hom_carriers, _hom_cells, _same_lineale
-from .finset import Violation, _tensor_carriers, _tensor_cells, check_shapes, coproduct_set
-from .finset import product_set
+from .finset import FinSet, FnTable, Violation, _carriers, _hom_cells, _tensor_cells, check_shapes
 from .lineale import Lineale, LinealeValue
 from .record import record
 
@@ -247,15 +244,13 @@ def check_net_morphism(
     return out
 
 
-def _pointwise_net(a: PetriNet, b: PetriNet, carriers, build) -> PetriNet:
-    """The stored form of a tensor or hom from the connective's finset
-    carriers and cell builder, run on the dense row-major cells of the pre
+def _pointwise_net(a: PetriNet, b: PetriNet, op: str, build) -> PetriNet:
+    """The stored form of the tensor or hom op from finset's carriers and the
+    connective's cell builder, run on the dense row-major cells of the pre
     and of the post relations.  Every op-table entry fills equally many
     cells, so the entries count the payloads for _modal.
     """
-    _same_lineale(a, b)
-    places, transitions = carriers(a, b)
-    _guard(places.size * transitions.size, "net relation", MAX_CELLS, "cells")
+    _, places, transitions = _carriers(op, a, b, "net relation")
     arc_free = not (a.pre_arcs or a.post_arcs or b.pre_arcs or b.post_arcs)
     if arc_free and places.size * transitions.size:
         # every cell holds op(a.default, b.default): the op table of one-cell inputs
@@ -290,15 +285,14 @@ def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
     """The monoidal product: places U x V, transitions the pairs (f, g) of
     response tables in X^V x Y^U; ((u, v), (f, g)) holds a(u, f(v)) tensor
     b(v, g(u))."""
-    return _pointwise_net(a, b, _tensor_carriers, _tensor_cells)
+    return _pointwise_net(a, b, "tensor", _tensor_cells)
 
 
-def _block_net(
-    a: PetriNet, b: PetriNet, places: FinSet, transitions: FinSet, a_at, b_at
-) -> PetriNet:
-    """The net each of whose cells copies one cell of a or of b.  a_at and
-    b_at are (first, step, copies): input cell (r, c) goes to the result
-    cells first(r, c) + i * step for i < copies."""
+def _block_net(a: PetriNet, b: PetriNet, op: str, a_at, b_at) -> PetriNet:
+    """The with or oplus op of a and b, each of whose cells copies one cell
+    of a or of b.  a_at and b_at are (first, step, copies): input cell (r, c)
+    goes to the result cells first(r, c) + i * step for i < copies."""
+    _, places, transitions = _carriers(op, a, b, "net relation")
     n_b = b.places.size * b.transitions.size
     listed: dict[object, int] = {}  # the result's listed cells by payload value
 
@@ -321,34 +315,24 @@ def _block_net(
 def net_with(a: PetriNet, b: PetriNet) -> PetriNet:
     """The cartesian product: ((u, v), inl x) holds a(u, x) and ((u, v),
     inr y) holds b(v, y), so a's arcs are copied |V| times, b's |U| times."""
-    _same_lineale(a, b)
     n_u, n_v = a.places.size, b.places.size
     n_x, n_t = a.transitions.size, a.transitions.size + b.transitions.size
-    _guard(n_u * n_v)
-    _guard(n_u * n_v * n_t, "net relation", MAX_CELLS, "cells")
-    places = product_set(a.places, b.places)
-    transitions = coproduct_set(a.transitions, b.transitions)
     a_at = (lambda u, x: u * n_v * n_t + x, n_t, n_v)
     b_at = (lambda v, y: v * n_t + n_x + y, n_v * n_t, n_u)
-    return _block_net(a, b, places, transitions, a_at, b_at)
+    return _block_net(a, b, "with", a_at, b_at)
 
 
 def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
     """The coproduct: (inl u, (x, y)) holds a(u, x) and (inr v, (x, y))
     holds b(v, y), so a's arcs are copied |Y| times, b's |X| times."""
-    _same_lineale(a, b)
     n_u, n_x, n_y = a.places.size, a.transitions.size, b.transitions.size
     n_t = n_x * n_y
-    _guard(n_t)
-    _guard((n_u + b.places.size) * n_t, "net relation", MAX_CELLS, "cells")
-    places = coproduct_set(a.places, b.places)
-    transitions = product_set(a.transitions, b.transitions)
     a_at = (lambda u, x: u * n_t + x * n_y, 1, n_y)
     b_at = (lambda v, y: (n_u + v) * n_t + y, n_y, n_x)
-    return _block_net(a, b, places, transitions, a_at, b_at)
+    return _block_net(a, b, "oplus", a_at, b_at)
 
 
 def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:
     """The internal hom: places the pairs (f, F) in V^U x X^Y, transitions
     U x Y; ((f, F), (u, y)) holds a(u, F(y)) implies b(f(u), y)."""
-    return _pointwise_net(a, b, _hom_carriers, _hom_cells)
+    return _pointwise_net(a, b, "hom", _hom_cells)

@@ -14,6 +14,7 @@ import os
 import random
 import re
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -811,6 +812,22 @@ def test_devices_and_pipes_are_refused(tmp_path):
         assert proc.stderr.startswith("error: cannot read "), argv
         assert proc.stderr.endswith(": not a regular file\n"), argv
         assert proc.stderr.count("\n") == 1, argv
+
+
+def test_an_out_path_that_is_a_pipe_or_directory_is_refused(tmp_path):
+    fifo, folder = tmp_path / "fifo", tmp_path / "folder"
+    os.mkfifo(fifo)  # no reader: a blocking open would never return
+    folder.mkdir()
+    for out in (fifo, folder):
+        for argv in (
+            ("example", "--name", "water", "--out", str(out)),
+            ("export-dot", WATER, "--out", str(out)),
+            ("combine", "--op", "with", WATER, WATER, "--out", str(out)),
+        ):
+            proc = run_limited(*argv, timeout=10)
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            assert proc.stderr == f"error: cannot write {out}: not a regular file\n", argv
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.listdir(folder) == []
 
 
 def test_documents_over_the_size_bound_are_refused(tmp_path):

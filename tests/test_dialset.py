@@ -201,8 +201,11 @@ def test_cap_is_checked_before_building_labels():
         neg = FinSet(n_neg, tuple(f"t{i}" for i in range(n_neg)))
         return DialObject(BOOL2, pos, neg, (False,) * (n_pos * n_neg))
 
-    tall, wide = labelled(2000, 1), labelled(1, 2000)
-    for build, a in ((with_product, tall), (oplus, wide)):
+    # 4M product labels; 8M cells over MAX_CELLS from a product of 1024 labels
+    tall, wide, broad = labelled(2000, 1), labelled(1, 2000), labelled(32, 4096)
+    for build, a, required in (
+        (with_product, tall, 4_000_000), (oplus, wide, 4_000_000), (with_product, broad, 8_388_608)
+    ):
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded) as exc:
@@ -210,8 +213,8 @@ def test_cap_is_checked_before_building_labels():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.required == 4_000_000
-        # the 4M product labels alone would take hundreds of MiB
+        assert exc.value.required == required
+        # the 4M product labels alone would take hundreds of MiB, the 8M cells 64 MiB
         assert peak < 2 * 2**20, (build.__name__, peak)
 
 

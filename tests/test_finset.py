@@ -309,14 +309,28 @@ def test_digit_table_is_the_sum_of_per_digit_contributions(digits):
 
 @given(shapes, shapes)
 def test_shapes_match_built_carriers(a, b):
-    from dialnet import BOOL2, DialObject, hom_obj, tensor_obj
+    from dialnet import BOOL2, DialObject, hom_obj, oplus, tensor_obj, with_product
+    from dialnet import net_from_arcs, net_hom, net_oplus, net_tensor, net_with
+
+    def labels(n):
+        return tuple(map(str, range(n)))
 
     a_obj, b_obj = (
         DialObject(BOOL2, FinSet(p), FinSet(n), (False,) * (p * n)) for p, n in (a, b)
     )
-    for shape, build in ((tensor_shape, tensor_obj), (hom_shape, hom_obj)):
+    a_net, b_net = (
+        net_from_arcs(BOOL2, labels(p), labels(n), BOOL2.value(False), {}, {}) for p, n in (a, b)
+    )
+    for shape, build, net_op in (
+        (lambda a, b: (a[0] * b[0], a[1] + b[1]), with_product, net_with),  # (U x V, X + Y)
+        (lambda a, b: (a[0] + b[0], a[1] * b[1]), oplus, net_oplus),  # (U + V, X x Y)
+        (tensor_shape, tensor_obj, net_tensor),
+        (hom_shape, hom_obj, net_hom),
+    ):
         built = build(a_obj, b_obj)  # carriers of at most 3**3 * 3**3, under the cap
         assert (built.pos.size, built.neg.size) == shape(a, b)
+        net = net_op(a_net, b_net)  # labelled carriers, as a net's are
+        assert (len(net.places.labels), len(net.transitions.labels)) == shape(a, b)
 
 
 @pytest.mark.parametrize(

@@ -430,25 +430,40 @@ def test_with_and_oplus_over_the_cap_raise_as_the_dense_route_does():
             net_op(a, b)
 
 
-def test_connectives_refuse_a_result_relation_over_the_cell_budget():
+def test_connectives_refuse_a_result_relation_over_the_cell_budget(monkeypatch):
+    from dialnet import hom_obj
     from dialnet.finset import MAX_CELLS
 
     def net(n_p, n_t):
         places, transitions = tuple(f"p{i}" for i in range(n_p)), tuple(f"t{i}" for i in range(n_t))
         return net_from_arcs(NAT, places, transitions, NAT.value(0), {}, {})
 
-    # every result carrier is within DEFAULT_CAP; only the cells are over
+    # the carrier labels a refused connective builds: none, by the one size rule
+    built = []
+    for name in ("product_set", "exp_set"):
+        build = getattr(dialnet.finset, name)
+        monkeypatch.setattr(dialnet.finset, name, lambda *s, build=build: built.append(s) or build(*s))
+    # every result carrier is within DEFAULT_CAP; only the cells are over.  A
+    # dense twin, where one is given, refuses the same cells as an object's relation
     over = (
-        (net_with, net(64, 128), net(64, 129), 4096 * 257),
-        (net_oplus, net(129, 64), net(128, 64), 257 * 4096),
-        (net_tensor, net(4096, 4096), net(1, 1), 4096 * 4096),
-        (net_hom, net(1, 1), net(4096, 4096), 4096 * 4096),
+        (net_with, with_product, net(64, 128), net(64, 129), 4096 * 257),
+        (net_oplus, oplus, net(129, 64), net(128, 64), 257 * 4096),
+        (net_tensor, None, net(4096, 4096), net(1, 1), 4096 * 4096),
+        (net_hom, None, net(1, 1), net(4096, 4096), 4096 * 4096),
+        (net_tensor, tensor_obj, net(2048, 64), net(2, 1), 4096 * 4096),
+        (net_hom, hom_obj, net(2, 1), net(64, 2048), 4096 * 4096),
     )
-    for net_op, a, b, cells in over:
+    for net_op, dense_op, a, b, cells in over:
         with pytest.raises(CapExceeded) as raised:
             net_op(a, b)
         assert (raised.value.required, raised.value.cap) == (cells, MAX_CELLS)
         assert str(raised.value) == f"net relation needs {cells} cells, cap is {MAX_CELLS}"
+        if dense_op is not None:
+            with pytest.raises(CapExceeded) as raised:
+                dense_op(dense.pre(a), dense.pre(b))
+            assert (raised.value.required, raised.value.cap) == (cells, MAX_CELLS)
+            assert str(raised.value) == f"relation needs {cells} cells, cap is {MAX_CELLS}"
+        assert built == [], net_op.__name__
     # exactly at the budget is built
     assert net_with(net(64, 128), net(64, 128)).transitions.size * 4096 == MAX_CELLS
     assert net_oplus(net(128, 64), net(128, 64)).places.size * 4096 == MAX_CELLS
