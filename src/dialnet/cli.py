@@ -84,8 +84,8 @@ def _cmd_check_morphism(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    a = load_net(args.net_a)
-    b = load_net(args.net_b)
+    load = functools.cache(load_net)  # a file named twice is read once
+    a, b = load(args.net_a), load(args.net_b)
     combined = getattr(petrinet, f"net_{args.op}")(a, b)
     save_net(combined, args.out)
     print(

@@ -20,10 +20,10 @@ The connectives:
 * hom_obj:                  carriers (V^U x X^Y, U x Y)
 
 tensor and hom are adjoint; curry_dial / uncurry_dial realize the
-bijection between hom-sets.  Each has one cell builder in finset, which
-the net layer shares: from the two objects' cells it gives the op table,
-one payload per pair of input cells, and the result cells in row-major
-order, each an op-table object.
+bijection between hom-sets.  finset states each connective's cells for
+this layer and the net layer: _blocks places with's and oplus's, and a
+cell builder gives tensor's or hom's op table, one payload per pair of
+input cells, and its cells in row-major order, each an op-table object.
 Every constructor here returns morphisms that are valid by the
 corresponding proof, but nothing is trusted: check_morphism recomputes
 the condition pointwise and the test suite always rechecks constructor
@@ -53,7 +53,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
-from .finset import FinSet, FnTable, _carriers, _guard, _hom_cells, _rows, _tensor_cells
+from .finset import FinSet, FnTable, _blocks, _carriers, _guard, _hom_cells, _rows, _tensor_cells
 from .finset import Violation, check_shapes, copair, digit_table, fn_pair_digits, fn_pair_weights
 from .finset import hom_shape, inl, inr, pairing, product_fn, proj1, proj2, tensor_shape
 from .finset import compose as table_compose
@@ -207,13 +207,18 @@ def inverse(m: DialMorphism) -> DialMorphism:
 # -- cartesian and cocartesian structure -------------------------------------
 
 
+def _placed(op: str, a: DialObject, b: DialObject) -> DialObject:
+    """a op b, "with" or "oplus", each cell where finset._blocks places it."""
+    lin, pos, neg = _carriers(op, a, b)
+    cells = [None] * (pos.size * neg.size)
+    for span, w in _blocks(op, a, b, enumerate(a.cells), enumerate(b.cells)):
+        cells[span.start : span.stop : span.step] = [w] * len(span)
+    return DialObject(lin, pos, neg, tuple(cells))
+
+
 def with_product(a: DialObject, b: DialObject) -> DialObject:
     """The cartesian product: pairs of rows, disjoint union of columns."""
-    lin, pos, neg = _carriers("with", a, b)
-    # row (u, v) is a's row u, then b's row v
-    rows = itertools.product(_rows(a.cells, *a.shape), _rows(b.cells, *b.shape))
-    cells = itertools.chain.from_iterable(ra + rb for ra, rb in rows)
-    return DialObject(lin, pos, neg, tuple(cells))
+    return _placed("with", a, b)
 
 
 def with_proj1(a: DialObject, b: DialObject) -> DialMorphism:
@@ -236,12 +241,7 @@ def with_pairing(m1: DialMorphism, m2: DialMorphism) -> DialMorphism:
 
 def oplus(a: DialObject, b: DialObject) -> DialObject:
     """The coproduct: disjoint union of rows, pairs of columns."""
-    lin, pos, neg = _carriers("oplus", a, b)
-    # column (x, y) of row inl u is a(u, x), of row inr v is b(v, y)
-    n_x, n_y = a.neg.size, b.neg.size
-    left = itertools.chain.from_iterable(map(itertools.repeat, a.cells, itertools.repeat(n_y)))
-    right = (row * n_x for row in _rows(b.cells, *b.shape))
-    return DialObject(lin, pos, neg, tuple(itertools.chain(left, *right)))
+    return _placed("oplus", a, b)
 
 
 def oplus_inl(a: DialObject, b: DialObject) -> DialMorphism:

@@ -17,26 +17,26 @@ with fixed index conventions so that independently built tables agree:
   fn_pair_weights, digits from fn_pair_digits
 
 This module is the one place for that index arithmetic.  A structure map
-between such carriers sends each input digit to fixed output digits, so
-its output index is a sum of per-digit contributions; digit_table is the
-one place where those contributions become a table, for the projections,
-swap and product_fn as for the maps between function spaces.
+sends each input digit to fixed output digits, so its output index is a
+sum of per-digit contributions; digit_table alone turns them into a table,
+for the projections, swap, product_fn and the maps between function
+spaces.  _blocks alone says where with and oplus put each input cell.
 
 One size rule holds for objects and nets: every connective (with, oplus,
 tensor, hom) of dialset and of petrinet takes its carriers from _carriers,
 which works the result shape out from the factors' shapes alone (as
 tensor_shape and hom_shape do) and, before any label or cell exists,
 refuses a product or function-space carrier over DEFAULT_CAP (4096)
-elements, then a result relation over MAX_CELLS (2**20) cells.
+elements, then a result relation over MAX_CELLS (2**20) cells; netdoc's
+reader refuses a net over MAX_CELLS cells before it reads an arc.
 
 The last section serves dialset's objects and petrinet's nets alike, so a
 net command never loads dialset: check_shapes, the one morphism shape
-check; Violation, the one record of where a morphism fails; _carriers; and
-the cell builders of the tensor and the internal hom, which turn two
-relations' cells into an op table and the result cells.
-A relation of shape (|U|, |X|) is one sequence of |U| * |X| payloads in
-row-major order, cell (u, x) at u * |X| + x; _rows is the one place that
-cuts it into rows.
+check; Violation, the one record of where a morphism fails; _carriers;
+_blocks; and the tensor and hom cell builders, which turn two relations'
+cells into an op table and the result cells.  A relation of shape (|U|,
+|X|) is one sequence of |U| * |X| payloads in row-major order, cell (u, x)
+at u * |X| + x; _rows is the one place that cuts it into rows.
 """
 
 from __future__ import annotations
@@ -375,6 +375,22 @@ def _carriers(op: str, a, b, what: str = "relation") -> tuple[Lineale, FinSet, F
         responses = product_set(exp_set(a.neg, b.pos), exp_set(b.neg, a.pos))
         return lin, product_set(a.pos, b.pos), responses
     return lin, product_set(exp_set(b.pos, a.pos), exp_set(a.neg, b.neg)), product_set(a.pos, b.neg)
+
+
+def _blocks(op: str, a, b, a_cells, b_cells):
+    """(span, w) for each row-major cell k -> w of a_cells, then of b_cells: the
+    range span of the cells of a op b that hold w.  with puts a(u, x) at ((u, v),
+    inl x) for every v and b(v, y) at ((u, v), inr y) for every u; oplus puts
+    a(u, x) at (inl u, (x, y)) for every y and b(v, y) at (inr v, (x, y)) for every x."""
+    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    n = n_x + n_y if op == "with" else n_x * n_y  # the result's columns
+    # per factor (row, col, first, step, copies): cell (r, c) starts at r * row + c * col + first
+    plan = ((n_v * n, 1, 0, n, n_v), (n, 1, n_x, n_v * n, n_u)) if op == "with" else (
+        (n, n_y, 0, 1, n_y), (n, 1, n_u * n, n_y, n_x))
+    for cells, n_c, (row, col, first, step, copies) in zip((a_cells, b_cells), (n_x, n_y), plan):
+        for k, w in cells:
+            start = k // n_c * row + k % n_c * col + first
+            yield range(start, start + step * copies, step), w
 
 
 def _rows(cells, n_rows: int, n_cols: int) -> list:

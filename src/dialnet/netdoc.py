@@ -74,7 +74,7 @@ from .errors import (
     DocumentSyntaxError,
     ShapeMismatch,
 )
-from .finset import FinSet, FnTable
+from .finset import MAX_CELLS, FinSet, FnTable, _guard
 from .lineale import LinealeValue, _echo, _shown, format_payload, get_lineale
 from .petrinet import PetriNet, _net_from_cells, _rebased
 from .record import record
@@ -361,6 +361,7 @@ def _net_from_fields(fields: dict) -> PetriNet:
     except DialnetError as e:
         raise DocumentSemanticError(str(e)) from None
     places, transitions = (_carrier(fields[kind + "s"], kind) for kind in ("place", "transition"))
+    _guard(places.size * transitions.size, "net relation", MAX_CELLS, "cells")  # before any arc
     default = _parse_weight(lin, fields["default_weight"], "default_weight")
     payloads, cells, listed = {fields["default_weight"]: default}, [], {}
     for part in ("pre", "post"):

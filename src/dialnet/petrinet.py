@@ -27,14 +27,14 @@ every caller hands over; _pointwise_net from the op tables and cells of
 finset's tensor or hom builder, which dialset's tensor_obj and hom_obj share.
 
 No connective builds a dense result.  with and oplus copy each input
-cell into a block of result cells, so they cost time in the arcs (and
-in all of b's cells when its default differs from a's).  tensor and hom
-count the default over their op tables, one payload per pair of input
-cells, and pick the arcs out of a relation's cells in one C pass,
-unless nothing in the relation is off the default; when neither input
-has an arc, every cell holds one payload and no table is built.  Each
-connective takes its carriers from finset._carriers, which states the one
-size rule for objects and nets.
+cell into the result cells that finset._blocks gives, so they cost time
+in the arcs (and in all of b's cells when its default differs from a's).
+tensor and hom count the default over their op tables, one payload per
+pair of input cells, and pick the arcs out of a relation's cells in one
+C pass, unless nothing in the relation is off the default; when neither
+input has an arc, every cell holds one payload and no table is built.
+Each connective takes its carriers from finset._carriers, the one size
+rule for objects and nets.
 
 Checking a net morphism costs time in the carrier sizes plus the source
 arcs and their F-preimages, the distinct target payloads and the
@@ -53,7 +53,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import eq, lt
 from typing import Iterable, Mapping, NamedTuple
 
-from .finset import FinSet, FnTable, Violation, _carriers, _hom_cells, _tensor_cells, check_shapes
+from .finset import FinSet, FnTable, Violation, _blocks, _carriers, _hom_cells, _tensor_cells, check_shapes
 from .lineale import Lineale, LinealeValue
 from .record import record
 
@@ -288,24 +288,20 @@ def net_tensor(a: PetriNet, b: PetriNet) -> PetriNet:
     return _pointwise_net(a, b, "tensor", _tensor_cells)
 
 
-def _block_net(a: PetriNet, b: PetriNet, op: str, a_at, b_at) -> PetriNet:
-    """The with or oplus op of a and b, each of whose cells copies one cell
-    of a or of b.  a_at and b_at are (first, step, copies): input cell (r, c)
-    goes to the result cells first(r, c) + i * step for i < copies."""
+def _block_net(a: PetriNet, b: PetriNet, op: str) -> PetriNet:
+    """The with or oplus op of a and b, each of whose cells copies the cell
+    of a or of b that finset._blocks places there."""
     _, places, transitions = _carriers(op, a, b, "net relation")
-    n_b = b.places.size * b.transitions.size
     listed: dict[object, int] = {}  # the result's listed cells by payload value
 
     def cells(a_arcs: dict[int, object], b_arcs: dict[int, object]) -> dict[int, object]:
         if b.default != a.default:
             # b's unlisted cells do not hold a's default, so list b's cells off it
-            b_arcs = _rebased(b_arcs, n_b, b.default, a.default)
+            b_arcs = _rebased(b_arcs, b.pos.size * b.neg.size, b.default, a.default)
         out: dict[int, object] = {}
-        for net, arcs, (first, step, copies) in ((a, a_arcs, a_at), (b, b_arcs, b_at)):
-            for k, w in arcs.items():
-                start = first(*divmod(k, net.transitions.size))
-                out.update(zip(range(start, start + step * copies, step), repeat(w)))
-                listed[w] = listed.get(w, 0) + copies
+        for span, w in _blocks(op, a, b, a_arcs.items(), b_arcs.items()):
+            out.update(zip(span, repeat(w)))
+            listed[w] = listed.get(w, 0) + len(span)
         return out
 
     pre, post = cells(a.pre_arcs, b.pre_arcs), cells(a.post_arcs, b.post_arcs)
@@ -315,21 +311,13 @@ def _block_net(a: PetriNet, b: PetriNet, op: str, a_at, b_at) -> PetriNet:
 def net_with(a: PetriNet, b: PetriNet) -> PetriNet:
     """The cartesian product: ((u, v), inl x) holds a(u, x) and ((u, v),
     inr y) holds b(v, y), so a's arcs are copied |V| times, b's |U| times."""
-    n_u, n_v = a.places.size, b.places.size
-    n_x, n_t = a.transitions.size, a.transitions.size + b.transitions.size
-    a_at = (lambda u, x: u * n_v * n_t + x, n_t, n_v)
-    b_at = (lambda v, y: v * n_t + n_x + y, n_v * n_t, n_u)
-    return _block_net(a, b, "with", a_at, b_at)
+    return _block_net(a, b, "with")
 
 
 def net_oplus(a: PetriNet, b: PetriNet) -> PetriNet:
     """The coproduct: (inl u, (x, y)) holds a(u, x) and (inr v, (x, y))
     holds b(v, y), so a's arcs are copied |Y| times, b's |X| times."""
-    n_u, n_x, n_y = a.places.size, a.transitions.size, b.transitions.size
-    n_t = n_x * n_y
-    a_at = (lambda u, x: u * n_t + x * n_y, 1, n_y)
-    b_at = (lambda v, y: (n_u + v) * n_t + y, n_y, n_x)
-    return _block_net(a, b, "oplus", a_at, b_at)
+    return _block_net(a, b, "oplus")
 
 
 def net_hom(a: PetriNet, b: PetriNet) -> PetriNet:

@@ -549,6 +549,58 @@ def test_validate_of_a_30_mb_document_stays_small(tmp_path):
     assert hwm < 190 * 1024
 
 
+def _labels_only(path: Path, n_places: int, n_transitions: int, pre=()) -> str:
+    doc = {
+        "format_version": "1", "lineale": "nat", "default_weight": "0",
+        "places": [f"p{i}" for i in range(n_places)],
+        "transitions": [f"t{i}" for i in range(n_transitions)], "pre": list(pre), "post": [],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_the_reader_refuses_a_relation_over_the_cell_budget(tmp_path):
+    # 5,200 x 300 is 1,560,000 cells, over MAX_CELLS; the size refusal comes
+    # before the arcs are read, so it wins over the unknown label in pre
+    big = _labels_only(tmp_path / "big.net", 5200, 300, pre=[["nowhere", "t0", "1"]])
+    mor = tmp_path / "m.mor"
+    refused = (4, "", "error: net relation needs 1560000 cells, cap is 1048576\n")
+    out = str(tmp_path / "out")
+    for source in (big, json.loads(Path(big).read_text(encoding="utf-8"))):  # a file and an inline end
+        mor.write_text(json.dumps({"format_version": "1", "source": source, "target": WATER,
+                                   "f": {}, "F": {}}), encoding="utf-8")
+        assert run("check-morphism", str(mor)) == refused
+    assert run("validate", big) == refused
+    assert run("export-dot", big, "--out", out) == refused
+    for op in ("with", "oplus", "tensor", "hom"):
+        assert run("combine", "--op", op, big, WATER, "--out", out) == refused
+        assert run("combine", "--op", op, WATER, big, "--out", out) == refused
+    assert not Path(out).exists()
+
+
+def test_the_reader_reads_a_relation_at_the_cell_budget(tmp_path):
+    path = _labels_only(tmp_path / "square.net", 1024, 1024)
+    code, out, err = run("validate", path)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"ok: {path}\n") and "places (1024)" in out and "transitions (1024)" in out
+
+
+def test_combine_reads_a_file_named_twice_once(tmp_path, monkeypatch):
+    copy = tmp_path / "copy.net"
+    copy.write_bytes(Path(WATER).read_bytes())
+    reads = []
+    read_net = dialnet.netdoc.read_net
+    monkeypatch.setattr(dialnet.netdoc, "read_net", lambda path: reads.append(path) or read_net(path))
+    outputs = []
+    for b, count in ((WATER, 1), (str(copy), 2)):
+        reads.clear()
+        out_path = tmp_path / f"out{count}.net"
+        assert run("combine", "--op", "tensor", WATER, b, "--out", str(out_path))[0] == 0
+        assert len(reads) == count
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ ALLOWED = {
     ("dialset", "finset", "_guard"),
     # the one place a relation's row-major cells are cut into rows
     ("dialset", "finset", "_rows"),
+    # with and oplus place each input cell by the one plan in finset
+    ("dialset", "finset", "_blocks"),
+    ("petrinet", "finset", "_blocks"),
+    # the reader refuses a relation over MAX_CELLS as the connectives do
+    ("netdoc", "finset", "_guard"),
     ("petrinet", "finset", "_carriers"),
     ("petrinet", "finset", "_hom_cells"),
     ("petrinet", "finset", "_tensor_cells"),

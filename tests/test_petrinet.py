@@ -4,6 +4,7 @@ descriptions by hand and act as the oracle for the shipped example
 documents: every cell of every example is compared with them.
 """
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -667,6 +668,46 @@ def test_modal_tie_counts_an_unlisted_default_cell_first():
     net = document_to_net(doc)
     assert net.default == 0 == _modal_oracle(pre, post)
     assert net == dense.net_from_relations(pre, post)
+
+
+def _indexed(shape, first, side):
+    """A nat relation of the shape whose cells are first, first + 1, .. in
+    row-major order, so that a misplaced cell shows."""
+    n_u, n_x = shape
+    pos = FinSet(n_u, tuple(f"{side}p{i}" for i in range(n_u)))
+    neg = FinSet(n_x, tuple(f"{side}t{i}" for i in range(n_x)))
+    return DialObject(NAT, pos, neg, tuple(range(first, first + n_u * n_x)))
+
+
+def _with_formula(a, b):
+    """Cell ((u, v), t) is a(u, t) for t < |X|, else b(v, t - |X|)."""
+    (n_u, n_x), (n_v, n_y) = a.shape, b.shape
+    return tuple(a.cells[u * n_x + t] if t < n_x else b.cells[v * n_y + t - n_x]
+                 for u in range(n_u) for v in range(n_v) for t in range(n_x + n_y))
+
+
+def _oplus_formula(a, b):
+    """Cell (s, (x, y)) is a(s, x) for s < |U|, else b(s - |U|, y)."""
+    (n_u, n_x), (n_v, n_y) = a.shape, b.shape
+    return tuple(a.cells[s * n_x + x] if s < n_u else b.cells[(s - n_u) * n_y + y]
+                 for s in range(n_u + n_v) for x in range(n_x) for y in range(n_y))
+
+
+@pytest.mark.parametrize(
+    "net_op, dense_op, formula", [(net_with, with_product, _with_formula), (net_oplus, oplus, _oplus_formula)]
+)
+def test_with_and_oplus_place_every_cell_by_the_formula(net_op, dense_op, formula):
+    shapes = [(n_p, n_t) for n_p in range(4) for n_t in range(4)]
+    for a_shape, b_shape in itertools.product(shapes, repeat=2):
+        n_a = a_shape[0] * a_shape[1]
+        a, b = _indexed(a_shape, 0, "a"), _indexed(b_shape, n_a, "b")
+        expected = formula(a, b)
+        assert dense_op(a, b).cells == expected, (a_shape, b_shape)
+        # post's cells are offset, so that pre and post differ
+        a_post, b_post = _indexed(a_shape, 100, "a"), _indexed(b_shape, 100 + n_a, "b")
+        net = net_op(dense.net_from_relations(a, a_post), dense.net_from_relations(b, b_post))
+        assert dense.pre(net).cells == expected, (a_shape, b_shape)
+        assert dense.post(net).cells == formula(a_post, b_post), (a_shape, b_shape)
 
 
 @st.composite
