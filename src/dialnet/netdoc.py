@@ -250,10 +250,16 @@ _ELEMENT = "{},\n    "
 _ARC_PIECES = ("[\n      {},\n      ", "{},\n      ", "{}\n    ],\n    ")
 
 
+def _quoted(labels, *forms: str) -> list[list[str]]:
+    """Per form, form.format(label) for each of labels, each label JSON-quoted once."""
+    quoted = list(map(encode_basestring, labels))
+    return [list(map(form.format, quoted)) for form in forms]
+
+
 def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -> str:
-    """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a
-    newline; pre and post list the place, transition and value pieces of arcs.
-    Every piece is joined once, in C, so the text is built in one copy."""
+    """The canonical text: json.dumps(indent=2, ensure_ascii=False) plus a newline;
+    places and transitions list the labels' _ELEMENT pieces, pre and post the
+    place, transition and value pieces of arcs, every piece joined once, in C."""
 
     def array(*columns: list[str]) -> list[str]:
         # the pieces of every element in turn; the last drops its separator
@@ -267,18 +273,8 @@ def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -
         joined.append("\n  ]")
         return joined
 
-    def labels(texts) -> list[str]:
-        return array([_ELEMENT.format(encode_basestring(t)) for t in texts])
-
-    values = (
-        [encode_basestring(FORMAT_VERSION)],
-        [encode_basestring(lineale)],
-        [encode_basestring(default_weight)],
-        labels(places),
-        labels(transitions),
-        array(*pre),
-        array(*post),
-    )
+    scalars = ([encode_basestring(v)] for v in (FORMAT_VERSION, lineale, default_weight))
+    values = chain(scalars, (array(places), array(transitions), array(*pre), array(*post)))
     text = []
     for sep, key, value in zip(chain(["{\n"], repeat(",\n")), _NET_KEYS, values):
         text.append(f'{sep}  "{key}": ')
@@ -292,10 +288,10 @@ def serialize_net_document(doc: NetDocument) -> str:
 
     def pieces(triples) -> list[list[str]]:
         cols = zip(*triples) if triples else ((), (), ())
-        return [[f.format(encode_basestring(t)) for t in c] for f, c in zip(_ARC_PIECES, cols)]
+        return [_quoted(c, form)[0] for form, c in zip(_ARC_PIECES, cols)]
 
-    pre, post = pieces(doc.pre), pieces(doc.post)
-    return _layout(doc.lineale, doc.default_weight, doc.places, doc.transitions, pre, post)
+    labels = (_quoted(doc.places, _ELEMENT)[0], _quoted(doc.transitions, _ELEMENT)[0])
+    return _layout(doc.lineale, doc.default_weight, *labels, pieces(doc.pre), pieces(doc.post))
 
 
 def _parse_weight(lin, text: str, where: str) -> object:
@@ -395,7 +391,7 @@ def read_net(path: Union[str, Path]) -> tuple[PetriNet, NetSummary]:
 
 
 def _labels(s: FinSet) -> tuple[str, ...]:
-    return tuple(s.label(i) for i in range(s.size))
+    return s.labels if s.labels is not None else tuple(map(str, range(s.size)))
 
 
 def _arc_columns(net: PetriNet, arcs, default, places, transitions, text):
@@ -407,8 +403,7 @@ def _arc_columns(net: PetriNet, arcs, default, places, transitions, text):
     """
     if default != net.default:
         arcs = _rebased(arcs, len(places) * len(transitions), net.default, default)
-    n_t = len(transitions)
-    payloads = list(arcs.values())
+    n_t, payloads = len(transitions), arcs.values()
     texts = {i: text(v) for i, v in dict(zip(map(id, payloads), payloads)).items()}
     return [
         list(map(places.__getitem__, map(floordiv, arcs, repeat(n_t)))),
@@ -422,15 +417,11 @@ def serialize_net(net: PetriNet, default: Optional[LinealeValue] = None) -> str:
     explicit default the net's own, its modal payload, is used; a default
     of another lineale raises TagMismatch."""
     default = net.default if default is None else net.lin.unwrap(default)
-    places, transitions = _labels(net.places), _labels(net.transitions)
-    p_piece, t_piece, v_piece = _ARC_PIECES
-    pieces = (
-        [p_piece.format(encode_basestring(p)) for p in places],
-        [t_piece.format(encode_basestring(t)) for t in transitions],
-        lambda v: v_piece.format(encode_basestring(format_payload(v))),
-    )
-    pre = _arc_columns(net, net.pre_arcs, default, *pieces)
-    post = _arc_columns(net, net.post_arcs, default, *pieces)
+    # per carrier, the labels array's pieces and the arcs' pieces of its labels
+    carriers = zip((net.places, net.transitions), _ARC_PIECES)
+    (places, p_pieces), (transitions, t_pieces) = (_quoted(_labels(s), _ELEMENT, f) for s, f in carriers)
+    text = lambda v: _ARC_PIECES[2].format(encode_basestring(format_payload(v)))
+    pre, post = (_arc_columns(net, r, default, p_pieces, t_pieces, text) for r in (net.pre_arcs, net.post_arcs))
     return _layout(net.lin.tag, format_payload(default), places, transitions, pre, post)
 
 

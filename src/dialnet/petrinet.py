@@ -29,12 +29,13 @@ finset's tensor or hom builder, which dialset's tensor_obj and hom_obj share.
 No connective builds a dense result.  with and oplus copy each input
 cell into the result cells that finset._blocks gives, so they cost time
 in the arcs (and in all of b's cells when its default differs from a's).
-tensor and hom count the default over their op tables, one payload per
-pair of input cells, and pick the arcs out of a relation's cells in one
-C pass, unless nothing in the relation is off the default; when neither
-input has an arc, every cell holds one payload and no table is built.
-Each connective takes its carriers from finset._carriers, the one size
-rule for objects and nets.
+tensor and hom merge their op tables (one payload per pair of input
+cells) to one object per value and count the default over them, so a
+cell equals the default exactly when it is that object: _off picks the
+arcs in one C pass of is_not, and never reads a relation's cells if none
+is off the default.  When neither input has an arc, every cell holds one
+payload and no table is built.  Each connective takes its carriers from
+finset._carriers, the one size rule for objects and nets.
 
 Checking a net morphism costs time in the carrier sizes plus the source
 arcs and their F-preimages, the distinct target payloads and the
@@ -49,8 +50,8 @@ Its records are finset's Violation (alias NetViolation), part "pre" or "post".
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, lt
+from itertools import chain, compress, count, islice, repeat, tee
+from operator import eq, is_not, lt
 from typing import Iterable, Mapping, NamedTuple
 
 from .finset import FinSet, FnTable, Violation, _blocks, _carriers, _hom_cells, _tensor_cells, check_shapes
@@ -96,16 +97,21 @@ PetriNet.pos, PetriNet.neg = PetriNet.places, PetriNet.transitions
 
 def _off(keys, payloads, default, objects, fits=eq) -> dict[int, object]:
     """The cells keys[i] -> payloads[i] with not fits(default, payload), in order.
-    objects holds every object in payloads: each distinct one is tested once,
-    cells are picked by id in C, and payloads is not read if none is off."""
+    objects holds every object in payloads, each distinct one tested once.  If
+    none is off, payloads is not read; if all are, a map keys (whose values are
+    payloads) is returned as it is.  Else a C pass picks the cells by id, or
+    as not being the one object that fits."""
     distinct = dict(zip(map(id, objects), objects))
     off = {i for i, v in distinct.items() if not fits(default, v)}
     if not off:
         return {}
     if len(off) == len(distinct):
-        return dict(zip(keys, payloads))
-    payloads = list(payloads)
-    return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, payloads))))
+        return keys if type(keys) is dict else dict(zip(keys, payloads))
+    payloads, picked = tee(payloads)
+    if len(off) + 1 == len(distinct):
+        [fit] = (v for i, v in distinct.items() if i not in off)
+        return dict(compress(zip(keys, payloads), map(is_not, picked, repeat(fit))))
+    return dict(compress(zip(keys, payloads), map(off.__contains__, map(id, picked))))
 
 
 def _rebased(arcs: dict[int, object], n: int, held: object, default: object) -> dict[int, object]:
@@ -273,6 +279,9 @@ def _pointwise_net(a: PetriNet, b: PetriNet, op: str, build) -> PetriNet:
         cells[:] = [list(c) for c in cells]
         yield from chain(*cells)
 
+    one: dict[object, object] = {}  # each payload value's one object, which the cells then are
+    for part in chain.from_iterable(chain.from_iterable(tables)):
+        part[:] = map(one.setdefault, part, part)
     counts = Counter(chain(*map(entries, tables)))
     # with no entries, which is exactly when there are no cells, it is the unit
     default = _modal(counts, in_order()) if counts else a.lin.unit_payload

@@ -386,6 +386,44 @@ def test_self_combined_shipped_nets_are_byte_stable(tmp_path, name, op):
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected_sha
 
 
+# sha256 of the repr of (exit code, stdout, stderr, bytes of out.net or None)
+# of each shipped net combined with itself into out.net in the working
+# directory, recorded before tensor and hom results held one object per
+# payload value and the writer quoted each label once
+SELF_COMBINED_RUNS = {
+    ("water", "tensor"): "14c605c47d5c927587b7084254148ea8c426a8d63b3a986846a72819259ab751",
+    ("water", "hom"): "0fc15336d6cc6e4bed37af32681dabfd75b221863c7434d634b6b609f47c7334",
+    ("water", "with"): "0de6a65315bcf07c6c921d2626136d282019f5801898202a0046108d99ed0bcb",
+    ("water", "oplus"): "95448dd9295e1566619b6fade1885473d009e638c70fa0f986345799fab5783b",
+    ("sir", "tensor"): "7ab1747de04d24bf5189456b1fd9d5988093f87b61660cbb2b170f993ce96600",
+    ("sir", "hom"): "1cf476b95154797d0e073e0da4d772e52093049e11945ce4b894dbefebda6d32",
+    ("sir", "with"): "b8d1bbb3fdd6ab7ba8849094fc81f42e8139a1841912f73be0569dcc853f93b5",
+    ("sir", "oplus"): "3503f6ba770d303e5715ee5442cba2fd9898fd4231996f8db583c4f0dfaa1e87",
+    ("circadian", "tensor"): "dfd5962933cec15ad9af6dc6aad95507938330ef92308f7805be9dfb072b6fe8",
+    ("circadian", "hom"): "06616f7d6fbb515dfc5881aed7bd3ad616b5ebf035e51f87bbe8d78b3d20bbb5",
+    ("circadian", "with"): "55e3a77b69dd5c3d858f5e72fab653ee9853f5235f2809849ee504df9e54264e",
+    ("circadian", "oplus"): "1d1ed0f08f1a53fc25c37b21155263976230b4fd61e745616919708f789b9361",
+    ("inhibitor", "tensor"): "70563a2fce1f6b6d94144e6efdb36c0f4937f6c890dcfe7685fed9d2cc2c4b37",
+    ("inhibitor", "hom"): "42027306375a678265acaad50c75174c311d253f89898395658f4dfaf63c8a2b",
+    ("inhibitor", "with"): "d775fa4605b6c06b2d8651e95318cf6b41eb9a5f36a8651c64d124c79326c261",
+    ("inhibitor", "oplus"): "9b8765e9977620c8e1cfb711634c759c2937657af684177ebef6b9a2c96283dc",
+    ("catalysis", "tensor"): "bc332364c4b4878626178f250576a18f3a23a160b7fa2f7b93286e59e87798c8",
+    ("catalysis", "hom"): "9e23c5ffecd459ce7dd327f422675fdb12bbdec1c58519caca2ecb213ae03000",
+    ("catalysis", "with"): "d38309f4e906cba9db15e55465b8d4eb06b4aef42d3796423e6a8bf6e0b02a9f",
+    ("catalysis", "oplus"): "5dbddf01b12adba85e719df624b9b5e3c0036b829c042dddf03536e7d6f0a407",
+}
+
+
+@pytest.mark.parametrize("name, op", sorted(SELF_COMBINED_RUNS))
+def test_self_combined_shipped_nets_run_byte_stable(tmp_path, monkeypatch, name, op):
+    monkeypatch.chdir(tmp_path)
+    path = str(example_path(name))
+    code, out, err = run("combine", "--op", op, path, path, "--out", "out.net")
+    written = Path("out.net").read_bytes() if Path("out.net").exists() else None
+    digest = hashlib.sha256(repr((code, out, err, written)).encode("utf-8")).hexdigest()
+    assert digest == SELF_COMBINED_RUNS[name, op], (code, out, err)
+
+
 def test_combine_refuses_a_text_the_reader_would_refuse(tmp_path, monkeypatch):
     # the bound counts UTF-8 bytes, which these labels make more than characters
     doc = {
@@ -430,7 +468,13 @@ def test_combine_of_two_320_kb_nets_is_refused_not_written(tmp_path):
 
 @pytest.mark.parametrize(
     "op, a_shape, b_shape, cells",
-    [("with", (64, 2000), (64, 2000), 4096 * 4000), ("tensor", (4096, 4096), (1, 1), 4096 * 4096)],
+    [
+        ("with", (64, 2000), (64, 2000), 4096 * 4000),
+        # the reader refuses a 4096 x 4096 input; a (2048, 64) one passes it, so
+        # its tensor with a (2, 1) net (carriers 4096 and 4096) reaches net_tensor's guard
+        ("tensor", (4096, 4096), (1, 1), 4096 * 4096),
+        ("tensor", (2048, 64), (2, 1), 4096 * 4096),
+    ],
 )
 def test_combine_over_the_cell_budget_is_refused_before_building(tmp_path, op, a_shape, b_shape, cells):
     # label-only nets whose result relation has millions of cells; with's

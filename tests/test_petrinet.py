@@ -1136,6 +1136,54 @@ def test_tensor_and_hom_of_arc_free_nets_build_no_op_table(monkeypatch):
             assert tuple((n.places.size, n.transitions.size) for n in (a, b)) in shapes
 
 
+def test_tensor_and_hom_results_hold_one_object_per_payload_value():
+    from dialnet import hom_obj
+    from dialnet.finset import _hom_cells, _tensor_cells
+
+    # op tables that give the default from several distinct products, such as
+    # 1/2 * 1 and 1 * 1/2, or (1/2, 1) (x) (1, 0) and (1, 0) (x) (1/2, 1)
+    pairs = [
+        (
+            _doc_net("prob", ("p0", "p1"), ("t0", "t1"), "1", pre=(("p0", "t1", "1/2"),), post=(("p1", "t0", "1/2"),)),
+            _doc_net("prob", ("q0",), ("s0", "s1"), "1/2", pre=(("q0", "s0", "1"),), post=(("q0", "s1", "1/4"),)),
+        ),
+        (
+            _doc_net("prod(prob,int)", ("p0", "p1"), ("t0",), "(1,0)",
+                     pre=(("p0", "t0", "(1/2,1)"),), post=(("p1", "t0", "(1/2,-1)"),)),
+            _doc_net("prod(prob,int)", ("q0", "q1"), ("s0", "s1"), "(1/2,1)",
+                     pre=(("q1", "s0", "(1,0)"),), post=(("q0", "s1", "(1,2)"),)),
+        ),
+    ]
+    for a, b in pairs:
+        shapes = (a.places.size, a.transitions.size), (b.places.size, b.transitions.size)
+        for net_op, dense_op, build in ((net_tensor, tensor_obj, _tensor_cells), (net_hom, hom_obj, _hom_cells)):
+            net = net_op(a, b)
+            tables = [
+                build(a.lin, dense.relation(a, part).cells, dense.relation(b, part).cells, *shapes)[0]
+                for part in ("pre", "post")
+            ]
+            entries = itertools.chain.from_iterable(itertools.chain.from_iterable(itertools.chain(*tables)))
+            assert len({id(v) for v in entries if v == net.default}) > 1
+            arcs = [*net.pre_arcs.values(), *net.post_arcs.values()]
+            assert arcs and net.default not in arcs
+            assert len({id(v) for v in arcs}) == len(set(arcs))  # equal payloads are one object
+            _assert_equals_dense_route(net_op, dense_op, a, b)
+
+
+def test_off_picks_by_identity_and_returns_an_all_off_map_as_it_is():
+    from dialnet.petrinet import _off
+
+    half, other_half, one = Fraction(1, 2), Fraction(1, 2), Fraction(1)
+    arcs = {1: half, 4: one, 6: other_half, 9: one}
+    # every payload is off: the map itself, not a copy
+    assert _off(arcs, arcs.values(), Fraction(0), arcs.values()) is arcs
+    # one object fits, so a cell is off exactly when it is not that object
+    assert _off(arcs, arcs.values(), one, arcs.values()) == {1: half, 6: other_half}
+    # two equal objects fit: the cells are picked by id
+    assert _off(arcs, arcs.values(), half, arcs.values()) == {4: one, 9: one}
+    assert _off(range(3), iter([one, half, one]), one, [one, half]) == {1: half}
+
+
 def test_combine_builds_no_dialobject(tmp_path, monkeypatch):
     from dialnet import example_path
     from dialnet.cli import main
