@@ -8,14 +8,16 @@
     dialnet example --name <water|sir|circadian|inhibitor|catalysis> [--out <f.json>]
 
 Exit codes: 0 success, 2 unreadable/malformed document or unwritable
-output file, 3 semantic failure (bad labels or values, failed morphism
-check, failed law, unknown lineale), 4 size cap exceeded.
+output (a file, or a stdout whose reader closed it early), 3 semantic
+failure (bad labels or values, failed morphism check, failed law, unknown
+lineale), 4 size cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -204,10 +206,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return status
     except DialnetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, DocumentSyntaxError) else 4 if isinstance(e, CapExceeded) else 3
+    except BrokenPipeError:  # the reader is gone, so the rest of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

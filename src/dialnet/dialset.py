@@ -210,9 +210,7 @@ def inverse(m: DialMorphism) -> DialMorphism:
 def _placed(op: str, a: DialObject, b: DialObject) -> DialObject:
     """a op b, "with" or "oplus", each cell where finset._blocks places it."""
     lin, pos, neg = _carriers(op, a, b)
-    cells = [None] * (pos.size * neg.size)
-    for span, w in _blocks(op, a, b, enumerate(a.cells), enumerate(b.cells)):
-        cells[span.start : span.stop : span.step] = [w] * len(span)
+    _, cells = _blocks(op, a, b, (range(len(a.cells)), a.cells), (range(len(b.cells)), b.cells))
     return DialObject(lin, pos, neg, tuple(cells))
 
 

@@ -20,7 +20,8 @@ This module is the one place for that index arithmetic.  A structure map
 sends each input digit to fixed output digits, so its output index is a
 sum of per-digit contributions; digit_table alone turns them into a table,
 for the projections, swap, product_fn and the maps between function
-spaces.  _blocks alone says where with and oplus put each input cell.
+spaces.  _blocks alone says where with and oplus put each input cell, and
+yields their cells in row-major order, so a net's arcs need no sort.
 
 One size rule holds for objects and nets: every connective (with, oplus,
 tensor, hom) of dialset and of petrinet takes its carriers from _carriers,
@@ -42,6 +43,10 @@ at u * |X| + x; _rows is the one place that cuts it into rows.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from functools import cache
+from itertools import accumulate, chain, count, repeat
+from operator import add, mod, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import CapExceeded, ShapeMismatch, TagMismatch
@@ -185,9 +190,9 @@ def product_set(a: FinSet, b: FinSet) -> FinSet:
     and lb so that distinct pairs always get distinct labels."""
     labels = None
     if a.labels is not None and b.labels is not None:
-        left = [_escape(la) for la in a.labels]
-        right = [_escape(lb) for lb in b.labels]
-        labels = tuple(f"({la},{lb})" for la in left for lb in right)
+        left = [f"({_escape(la)},".__add__ for la in a.labels]
+        right = [f"{_escape(lb)})" for lb in b.labels]
+        labels = tuple(chain.from_iterable(map(map, left, repeat(right))))
     return FinSet(a.size * b.size, labels)
 
 
@@ -378,19 +383,49 @@ def _carriers(op: str, a, b, what: str = "relation") -> tuple[Lineale, FinSet, F
 
 
 def _blocks(op: str, a, b, a_cells, b_cells):
-    """(span, w) for each row-major cell k -> w of a_cells, then of b_cells: the
-    range span of the cells of a op b that hold w.  with puts a(u, x) at ((u, v),
-    inl x) for every v and b(v, y) at ((u, v), inr y) for every u; oplus puts
-    a(u, x) at (inl u, (x, y)) for every y and b(v, y) at (inr v, (x, y)) for every x."""
+    """The listed cells of a op b in row-major order, as lazy iterators of
+    their indices and payloads, from a's and b's as (indices, payloads) in
+    index order.  oplus: row inl u spreads each a(u, x) over (x, y) for every
+    y, row inr v repeats b's row v for every x.  with: row (u, v) is a's row
+    u, then b's row v; the rows of one u gather from b's cells and a's row u
+    repeated |V| times, at positions that depend only on the row's length."""
     (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
-    n = n_x + n_y if op == "with" else n_x * n_y  # the result's columns
-    # per factor (row, col, first, step, copies): cell (r, c) starts at r * row + c * col + first
-    plan = ((n_v * n, 1, 0, n, n_v), (n, 1, n_x, n_v * n, n_u)) if op == "with" else (
-        (n, n_y, 0, 1, n_y), (n, 1, n_u * n, n_y, n_x))
-    for cells, n_c, (row, col, first, step, copies) in zip((a_cells, b_cells), (n_x, n_y), plan):
-        for k, w in cells:
-            start = k // n_c * row + k % n_c * col + first
-            yield range(start, start + step * copies, step), w
+    (a_keys, a_pays), (b_keys, b_pays) = a_cells, b_cells
+    shape = (n_u * n_v, n_x + n_y) if op == "with" else (n_u + n_v, n_x * n_y)
+    if len(a_keys) == n_u * n_x and len(b_keys) == n_v * n_y:  # and so is every cell of a op b
+        a_rows, b_rows = _rows(a_pays, n_u, n_x), _rows(b_pays, n_v, n_y)
+        if op == "with":
+            rows = map(add, chain.from_iterable(map(repeat, a_rows, repeat(n_v))), b_rows * n_u)
+        else:
+            rows = chain(map(repeat, a_pays, repeat(n_y)), map(mul, b_rows, repeat(n_x)))
+        return range(shape[0] * shape[1]), chain.from_iterable(rows)
+    (b_cols, b_rows), n = _cut(b_cells, n_v, n_y), shape[1]
+    if op == "oplus":
+        spans = (range(k * n_y, k * n_y + n_y) for k in a_keys)  # a's cell k fills |Y| cells from k * |Y|
+        tiles = ([s + x * n_y + y for x in range(n_x) for y in c] for s, c in zip(count(n_u * n, n), b_cols))
+        pays = chain(map(repeat, a_pays, repeat(n_y)), map(mul, b_rows, repeat(n_x)))
+        return chain.from_iterable(chain(spans, tiles)), chain.from_iterable(pays)
+    (a_cols, a_rows), b_pays = _cut(a_cells, n_u, n_x), [*chain(*b_rows)]
+    b_rel, n_b = [v * n + n_x + y for v, c in enumerate(b_cols) for y in c], len(b_pays)
+    ends = [*accumulate(map(len, b_cols), initial=0)]
+    # a block is, per v, a's row and then b's row v: at(la) says where each of its cells
+    # is in b's cells followed by a's row |V| times, and rows_at(la) adds v * n to the latter
+    at = cache(lambda la: [*chain(*chain(*zip(
+        map(range, count(n_b, la), count(n_b + la, la)), map(range, ends, ends[1:]))))])
+    rows_at = cache(lambda la: [s for s in range(0, n_v * n, n) for _ in range(la)])
+    keys = (map([*map(f.__add__, b_rel), *map(add, rows_at(len(c)), [f + x for x in c] * n_v)].__getitem__,
+                at(len(c))) for f, c in zip(count(0, n_v * n), a_cols))
+    pays = (map([*b_pays, *list(row) * n_v].__getitem__, at(len(row))) for row in a_rows)
+    return chain.from_iterable(keys), chain.from_iterable(pays)
+
+
+def _cut(cells, n_rows: int, n_cols: int) -> tuple[list, list]:
+    """The (indices, payloads) cells of an n_rows x n_cols relation, in index
+    order, cut into rows by bisection: per row, its cells' columns and payloads."""
+    keys, pays = cells
+    ends = list(map(bisect_left, repeat(keys), map(mul, range(n_rows + 1), repeat(n_cols))))
+    cols, cuts = list(map(mod, keys, repeat(n_cols))), list(map(slice, ends, ends[1:]))
+    return list(map(cols.__getitem__, cuts)), list(map(pays.__getitem__, cuts))
 
 
 def _rows(cells, n_rows: int, n_cols: int) -> list:

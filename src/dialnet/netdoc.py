@@ -45,9 +45,10 @@ relation's arcs are looked up, keyed and counted in C passes, each
 distinct weight text is parsed once, and the relation's list is dropped
 once it is built.  Only when a pass fails does a per-arc loop run, in
 the order of the checks, to name the first defect.  A net is written
-straight from its arc maps: each label and each distinct payload object
-is encoded once and every piece of the text is joined in one C call;
-only an explicit default other than the net's own visits every cell.
+straight from its arc maps, in their row-major order, in C passes: each
+label and each distinct payload is encoded once, and every piece of the
+text is joined in one call; only an explicit default other than the
+net's own visits every cell.
 save_net refuses what it could not read back: a text over
 MAX_DOCUMENT_BYTES (CapExceeded) and a lone-surrogate label
 (DocumentSyntaxError).
@@ -58,12 +59,13 @@ from __future__ import annotations
 import json
 import os
 import stat
+from bisect import bisect_left
 from collections import Counter
 from contextlib import suppress
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, floordiv, itemgetter, lt, mod, mul, sub
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -251,9 +253,11 @@ _ARC_PIECES = ("[\n      {},\n      ", "{},\n      ", "{}\n    ],\n    ")
 
 
 def _quoted(labels, *forms: str) -> list[list[str]]:
-    """Per form, form.format(label) for each of labels, each label JSON-quoted once."""
+    """Per form, form.format(label) for each of labels, each label JSON-quoted
+    once; a form's pieces are cut at NULs out of one text, as JSON escapes NUL."""
     quoted = list(map(encode_basestring, labels))
-    return [list(map(form.format, quoted)) for form in forms]
+    cut = lambda head, tail: (head + (tail + "\0" + head).join(quoted) + tail).split("\0") if quoted else []
+    return [cut(*form.split("{}")) for form in forms]
 
 
 def _layout(lineale: str, default_weight: str, places, transitions, pre, post) -> str:
@@ -345,6 +349,9 @@ def _cells(lin, triples, part: str, places: dict, transitions: dict, payloads: d
                 _parse_weight(lin, v, f"{part}[{i}]")
     for text, k in texts.items():  # texts of equal values merge
         listed[payloads[text]] = listed.get(payloads[text], 0) + k
+    if not all(map(lt, cells, islice(cells, 1, None))):  # a file may list them in any order
+        keys = sorted(cells)  # the keys alone: sorting the items makes a tuple per cell
+        cells = dict(zip(keys, map(cells.__getitem__, keys)))
     return cells
 
 
@@ -395,21 +402,31 @@ def _labels(s: FinSet) -> tuple[str, ...]:
 
 
 def _arc_columns(net: PetriNet, arcs, default, places, transitions, text):
-    """places[u], transitions[x] and text(payload) for the cells of a
-    relation off the default payload, in row-major order, as three lists.
-
-    With the net's own default these are its arcs.  text runs once per
-    distinct payload object; the rest runs in C.
-    """
+    """places[u], transitions[x] and text(payload) for the cells of a relation
+    off the default payload (its arcs with the net's own), as three lists.
+    The cells come in row-major order: where places hold 16 or more on
+    average, one bisection per place finds its run, else |X| divides each
+    index; where over one cell in 16 is listed, each index reads transitions
+    repeated per place, else is taken modulo |X|.  text runs once per payload,
+    told apart by value for ints and bools, which hash in C, else by identity."""
+    n_p, n_t = len(places), len(transitions)
     if default != net.default:
-        arcs = _rebased(arcs, len(places) * len(transitions), net.default, default)
-    n_t, payloads = len(transitions), arcs.values()
-    texts = {i: text(v) for i, v in dict(zip(map(id, payloads), payloads)).items()}
-    return [
-        list(map(places.__getitem__, map(floordiv, arcs, repeat(n_t)))),
-        list(map(transitions.__getitem__, map(mod, arcs, repeat(n_t)))),
-        list(map(texts.__getitem__, map(id, payloads))),
-    ]
+        arcs = _rebased(arcs, n_p * n_t, net.default, default)
+    if len(arcs) < 16 * n_p:
+        by_place = list(map(places.__getitem__, map(floordiv, arcs, repeat(n_t))))
+    else:
+        ends = list(map(bisect_left, repeat(list(arcs)), map(mul, range(n_p + 1), repeat(n_t))))
+        by_place = list(chain.from_iterable(map(repeat, places, map(sub, ends[1:], ends))))
+    if 16 * len(arcs) > n_p * n_t:
+        by_transition = list(map((transitions * n_p).__getitem__, arcs))
+    else:
+        by_transition = list(map(transitions.__getitem__, map(mod, arcs, repeat(n_t))))
+    # ints and bools hash in C, so each is its text's key; other payloads are
+    # keyed by id, taken in each of two passes so that no list of ids is held
+    payloads = arcs.values()
+    keys = (lambda: payloads) if type(default) in (int, bool) else (lambda: map(id, payloads))
+    texts = {k: text(v) for k, v in dict(zip(keys(), payloads)).items()}
+    return [by_place, by_transition, list(map(texts.__getitem__, keys()))]
 
 
 def serialize_net(net: PetriNet, default: Optional[LinealeValue] = None) -> str:

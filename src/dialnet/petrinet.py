@@ -21,14 +21,15 @@ stored form, and two nets are equal exactly when their relations are.
 _modal is the one place that picks the default, and _off the one place
 that picks a relation's cells off a default.  Two builders work the
 stored form out from counts of the distinct payloads: _net_from_cells
-from a fill payload, the cells listed off it (the arcs as they are if
-in index order and free of the default) and their count by value, which
+from a fill payload, the cells listed off it in index order (the arcs
+as they are if free of the default) and their count by value, which
 every caller hands over; _pointwise_net from the op tables and cells of
 finset's tensor or hom builder, which dialset's tensor_obj and hom_obj share.
 
-No connective builds a dense result.  with and oplus copy each input
-cell into the result cells that finset._blocks gives, so they cost time
-in the arcs (and in all of b's cells when its default differs from a's).
+No connective builds a dense result.  with and oplus take each
+relation's cells in row-major order from finset._blocks into one map, so
+no sort runs and they cost time in the arcs (and in all of b's cells
+when its default differs from a's).
 tensor and hom merge their op tables (one payload per pair of input
 cells) to one object per value and count the default over them, so a
 cell equals the default exactly when it is that object: _off picks the
@@ -50,8 +51,8 @@ Its records are finset's Violation (alias NetViolation), part "pre" or "post".
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, count, islice, repeat, tee
-from operator import eq, is_not, lt
+from itertools import chain, compress, count, repeat, tee
+from operator import eq, is_not
 from typing import Iterable, Mapping, NamedTuple
 
 from .finset import FinSet, FnTable, Violation, _blocks, _carriers, _hom_cells, _tensor_cells, check_shapes
@@ -142,10 +143,10 @@ def _net_from_cells(
     listed: Mapping[object, int],
 ) -> PetriNet:
     """The net whose relations hold fill except at the cells listed in pre
-    and post (index -> payload maps in any order; a listed cell may equal
-    fill), which listed counts by payload value.  A map that lists its
-    cells in index order, none equal to the default, becomes the
-    relation's arcs as it is, so the caller hands it over."""
+    and post (index -> payload maps in index order; a listed cell may equal
+    fill), which listed counts by payload value.  A map none of whose cells
+    equals the default becomes the relation's arcs as it is, so the caller
+    hands it over."""
     n = places.size * transitions.size
     default = lin.unit_payload
     if n:
@@ -162,9 +163,6 @@ def _net_from_cells(
         return PetriNet(lin, places, transitions, default, *arcs)
 
     def arcs(cells: dict[int, object]) -> dict[int, object]:
-        if not all(map(lt, cells, islice(cells, 1, None))):
-            keys = sorted(cells)  # the keys alone: sorting the items makes a tuple per cell
-            cells = dict(zip(keys, map(cells.__getitem__, keys)))
         if default in listed:
             cells = _off(cells, cells.values(), default, cells.values())
         return cells
@@ -187,10 +185,11 @@ def net_from_arcs(
     n_t = transitions.size
 
     def cells(arcs: Mapping[tuple[str, str], LinealeValue]) -> dict[int, object]:
-        return {
-            places.index_of(p) * n_t + transitions.index_of(t): lin.unwrap(v)
+        # in index order: the keys are distinct, so no two payloads are compared
+        return dict(sorted(
+            (places.index_of(p) * n_t + transitions.index_of(t), lin.unwrap(v))
             for (p, t), v in arcs.items()
-        }
+        ))
 
     pre, post = cells(pre_arcs), cells(post_arcs)
     listed = Counter(chain(pre.values(), post.values()))
@@ -302,16 +301,18 @@ def _block_net(a: PetriNet, b: PetriNet, op: str) -> PetriNet:
     of a or of b that finset._blocks places there."""
     _, places, transitions = _carriers(op, a, b, "net relation")
     listed: dict[object, int] = {}  # the result's listed cells by payload value
+    (n_u, n_x), (n_v, n_y) = (a.pos.size, a.neg.size), (b.pos.size, b.neg.size)
+    copies = (n_v, n_u) if op == "with" else (n_y, n_x)  # of each cell of a, of b
 
     def cells(a_arcs: dict[int, object], b_arcs: dict[int, object]) -> dict[int, object]:
         if b.default != a.default:
             # b's unlisted cells do not hold a's default, so list b's cells off it
-            b_arcs = _rebased(b_arcs, b.pos.size * b.neg.size, b.default, a.default)
-        out: dict[int, object] = {}
-        for span, w in _blocks(op, a, b, a_arcs.items(), b_arcs.items()):
-            out.update(zip(span, repeat(w)))
-            listed[w] = listed.get(w, 0) + len(span)
-        return out
+            b_arcs = _rebased(b_arcs, n_v * n_y, b.default, a.default)
+        for arcs, k in zip((a_arcs, b_arcs), copies):
+            for w in arcs.values():
+                listed[w] = listed.get(w, 0) + k
+        a_cells, b_cells = ((list(arcs), list(arcs.values())) for arcs in (a_arcs, b_arcs))
+        return dict(zip(*_blocks(op, a, b, a_cells, b_cells)))  # in index order
 
     pre, post = cells(a.pre_arcs, b.pre_arcs), cells(a.post_arcs, b.post_arcs)
     return _net_from_cells(a.lin, places, transitions, a.default, pre, post, listed)

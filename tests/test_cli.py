@@ -883,6 +883,27 @@ def test_module_entry_point_runs():
     assert "cannot read" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["export-dot", "validate"])
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_no_traceback(tmp_path, command):
+    # the read end of stdout's pipe is closed before the child has started,
+    # so its writes meet a broken pipe: export-dot's text of 729 places is
+    # far larger than a pipe's buffer, validate's few lines sit in stdout's
+    # buffer until the flush
+    ww = net_with(load_net(WATER), load_net(WATER))
+    big = tmp_path / "big.net"
+    dialnet.save_net(net_with(ww, net_with(ww, ww)), big)
+    with subprocess.Popen(
+        [sys.executable, "-m", "dialnet", command, str(big)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(dialnet.__file__).parents[1])),
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def run_limited(*argv, timeout=30):
     """main(argv) in a child process whose address space is capped at
     256 MiB, so a read without end fails fast instead of filling memory."""

@@ -44,6 +44,7 @@ from dialnet import (
     TagMismatch,
     get_lineale,
     net_from_arcs,
+    net_hom,
     net_oplus,
     net_tensor,
     net_with,
@@ -572,6 +573,44 @@ def test_write_path_matches_oracle_on_combined_nets(pair):
     a, b = pair
     for combine in (net_with, net_oplus, net_tensor):
         _assert_write_path_matches_oracle(combine(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_VALUE_TEXTS)).flatmap(
+    lambda tag: st.tuples(_nets(tag, 3, 2), _nets(tag, 3, 2))
+), st.data())
+def test_write_path_matches_oracle_on_hom_results(pair, data):
+    net = net_hom(*pair)
+    default = None
+    if data.draw(st.booleans()):
+        default = net.lin.parse(data.draw(st.sampled_from(_VALUE_TEXTS[net.lin.tag])))
+    _assert_write_path_matches_oracle(net, default)
+
+
+# (places, transitions, the cells (u, x) that pre lists): the writer cuts a
+# relation with many arcs per place into runs, one per place, and looks a
+# dense one's transitions up in the labels repeated once per place
+_EDGE_SHAPES = {
+    "first and last rows empty": (4, 40, [(u, x) for u in (1, 2) for x in range(40)]),
+    "a full row": (2, 40, [(0, x) for x in range(40)] + [(1, 7)]),
+    "one column": (50, 1, [(u, 0) for u in range(50)]),
+    "zero arcs": (3, 50, []),
+    "tall": (300, 3, [(u, u % 3) for u in range(0, 300, 29)]),
+}
+
+
+@pytest.mark.parametrize("tag", ["nat", "prob"])
+@pytest.mark.parametrize("shape", sorted(_EDGE_SHAPES))
+def test_write_path_matches_oracle_on_edge_shapes(shape, tag):
+    n_p, n_t, cells = _EDGE_SHAPES[shape]
+    lin = get_lineale(tag)
+    places, transitions = tuple(f"p{u}" for u in range(n_p)), tuple(f"t{x}" for x in range(n_t))
+    weights = [lin.parse(text) for text in _VALUE_TEXTS[tag][1:]]  # never the default 0
+    pre = {(places[u], transitions[x]): weights[(u + x) % 3] for u, x in cells}
+    net = net_from_arcs(lin, places, transitions, lin.parse("0"), pre, {})
+    assert net.default == lin.parse("0").payload and len(net.pre_arcs) == len(cells)
+    for default in (None, weights[0]):  # another default lists every other cell
+        _assert_write_path_matches_oracle(net, default)
 
 
 @st.composite

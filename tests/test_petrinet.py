@@ -737,6 +737,34 @@ def test_with_and_oplus_copy_arcs_as_the_dense_route_does(case, ops):
     _assert_stored_form(net)
 
 
+def test_with_and_oplus_hand_their_arcs_over_in_index_order(monkeypatch):
+    # _block_net builds each relation's map in index order, so the stored
+    # form takes it as it is: no sort runs, and every map handed over is in order
+    def net(shape, first, default):  # cells first, first + 1, .. on every third cell, else default
+        cells = [first + k if k % 3 == 1 else default for k in range(shape[0] * shape[1])]
+        obj = _indexed(shape, 0, "x")._replace(cells=tuple(cells))
+        return dense.net_from_relations(obj, obj._replace(cells=tuple(reversed(cells))))
+
+    shapes = [(n_p, n_t) for n_p in range(4) for n_t in range(4)]
+    pairs = [(net(a, 10, 0), net(b, 40, d)) for a, b in itertools.product(shapes, repeat=2) for d in (0, 7)]
+    handed, build = [], dialnet.petrinet._net_from_cells
+
+    def spy(lin, places, transitions, fill, pre, post, listed):
+        handed.append((pre, post))
+        return build(lin, places, transitions, fill, pre, post, listed)
+
+    monkeypatch.setattr(dialnet.petrinet, "_net_from_cells", spy)
+    monkeypatch.setattr(dialnet.petrinet, "sorted", lambda cells: pytest.fail("re-sorted"), raising=False)
+    for a, b in pairs:
+        for net_op, dense_op in ((net_with, with_product), (net_oplus, oplus)):
+            result = net_op(a, b)
+            assert all(list(cells) == sorted(cells) for cells in handed.pop())
+            assert result == dense.net_from_relations(
+                dense_op(dense.pre(a), dense.pre(b)), dense_op(dense.post(a), dense.post(b))
+            )
+    assert any(a.default != b.default for a, b in pairs)
+
+
 @st.composite
 def _net_morphisms(draw):
     """Two nets of one lineale and arbitrary (often non-injective) tables."""
