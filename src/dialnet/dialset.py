@@ -34,6 +34,9 @@ one pass, from per-column candidate sets, not by testing every table pair
 (the tests' oracle).  _hom_tables lists them in order, and enumerate_morphisms
 builds a morphism from each; _hom_counts counts them and finds each source's
 last, as the exhaustive identity law reads them unless a table breaks it.
+The adjunction oracle and the uniqueness laws read hom-sets as tables from
+_hom_tables too; the oracle's round trip runs _uncurried, uncurry_dial's table
+rule, and it compares its two tensor(A, B) once per case.
 
 Index conventions (row-major pairs, left-block coproducts, numeral
 exponentials, response-table pairs), carrier shapes, the morphism shape
@@ -55,7 +58,7 @@ from typing import NamedTuple
 from .errors import InvalidMorphism, ShapeMismatch, TagMismatch
 from .finset import FinSet, FnTable, _blocks, _carriers, _guard, _hom_cells, _rows, _tensor_cells
 from .finset import Violation, check_shapes, copair, digit_table, fn_pair_digits, fn_pair_weights
-from .finset import hom_shape, inl, inr, pairing, product_fn, proj1, proj2, tensor_shape
+from .finset import fn_pair_join, hom_shape, inl, inr, pairing, product_fn, proj1, proj2, tensor_shape
 from .finset import compose as table_compose
 from .finset import identity as table_identity
 from .finset import swap as table_swap
@@ -404,22 +407,29 @@ def curry_dial(m: DialMorphism, a: DialObject, b: DialObject) -> DialMorphism:
     (au, ax), (bv, by) = a.shape, b.shape
     tgt = hom_obj(b, c)
 
-    f = m.fwd.table
     # digit p of the response pair (f_z, g_z) that m's backward map sends
     # each z to: f_z(v) at p = v, g_z(u) at p = |V| + u
     cols = fn_pair_digits(m.bwd.table, bv, ax, au, by)
-    h_w, big_h_w = fn_pair_weights(bv, c.pos.size, c.neg.size, by)
-    fwd_table = [
-        sum(map(mul, f[u * bv : (u + 1) * bv], h_w)) + sum(map(mul, cols[bv + u], big_h_w))
-        for u in range(au)
-    ]
-    bwd_table = [fz_v for col in cols[:bv] for fz_v in col]
+    fwd_table = fn_pair_join(_rows(m.fwd.table, au, bv), c.pos.size, cols[bv:], by)
+    bwd_table = tuple(itertools.chain.from_iterable(cols[:bv]))
     return DialMorphism(
         a,
         tgt,
         FnTable(a.pos, tgt.pos, tuple(fwd_table)),
-        FnTable(tgt.neg, a.neg, tuple(bwd_table)),
+        FnTable(tgt.neg, a.neg, bwd_table),
     )
+
+
+def _uncurried(fwd, bwd, a_shape, b_shape, c_shape) -> tuple[tuple, tuple]:
+    """The tables of the transpose of (fwd, bwd): a -> hom(b, c) back into
+    tensor(a, b) -> c, for objects of these shapes."""
+    (_, ax), (bv, by), (cw, cz) = a_shape, b_shape, c_shape
+    # digit p of the candidate pair (h_u, H_u) that fwd sends each u to:
+    # h_u(v) at p = v, H_u(z) at p = |V| + z
+    cols = fn_pair_digits(fwd, bv, cw, cz, by)
+    # bwd runs over the row-major B.pos x C.neg; bwd[z::cz] is its column z
+    g_table = fn_pair_join([bwd[z::cz] for z in range(cz)], ax, cols[bv:], by)
+    return tuple(itertools.chain.from_iterable(zip(*cols[:bv]))), tuple(g_table)
 
 
 def uncurry_dial(m: DialMorphism, b: DialObject, c: DialObject) -> DialMorphism:
@@ -428,27 +438,9 @@ def uncurry_dial(m: DialMorphism, b: DialObject, c: DialObject) -> DialMorphism:
         raise TagMismatch("factors are over a different lineale than the morphism")
     if m.target.shape != hom_shape(b.shape, c.shape):
         raise ShapeMismatch("morphism target is not shaped like the hom of the factors")
-    a = m.source
-    bv, by = b.shape
-    cw, cz = c.shape
-    src = tensor_obj(a, b)
-
-    G = m.bwd.table
-    # digit p of the candidate pair (h_u, H_u) that m's forward map sends
-    # each u to: h_u(v) at p = v, H_u(z) at p = |V| + z
-    cols = fn_pair_digits(m.fwd.table, bv, cw, cz, by)
-    fwd_table = [cols[v][u] for u in range(a.pos.size) for v in range(bv)]
-    # G runs over the row-major B.pos x C.neg; G[z::cz] is its column z
-    f_w, g_w = fn_pair_weights(bv, a.neg.size, a.pos.size, by)
-    bwd_table = [
-        sum(map(mul, G[z::cz], f_w)) + sum(map(mul, cols[bv + z], g_w)) for z in range(cz)
-    ]
-    return DialMorphism(
-        src,
-        c,
-        FnTable(src.pos, c.pos, tuple(fwd_table)),
-        FnTable(c.neg, src.neg, tuple(bwd_table)),
-    )
+    src = tensor_obj(m.source, b)
+    fwd, bwd = _uncurried(m.fwd.table, m.bwd.table, m.source.shape, b.shape, c.shape)
+    return DialMorphism(src, c, FnTable(src.pos, c.pos, fwd), FnTable(c.neg, src.neg, bwd))
 
 
 # -- structural isomorphisms ----------------------------------------------------

@@ -14,7 +14,7 @@ with fixed index conventions so that independently built tables agree:
   constant-0 function and the top index is constant |X|-1
 * pair of response tables (f, g) in X^V x Y^U: one mixed-radix numeral
   with digits f(0), .., f(|V|-1), g(0), .., g(|U|-1), place values from
-  fn_pair_weights, digits from fn_pair_digits
+  fn_pair_weights, digits from fn_pair_digits, and back by fn_pair_join
 
 This module is the one place for that index arithmetic.  A structure map
 sends each input digit to fixed output digits, so its output index is a
@@ -75,6 +75,7 @@ __all__ = [
     "exp_set",
     "fn_pair_weights",
     "fn_pair_digits",
+    "fn_pair_join",
     "digit_table",
     "tensor_shape",
     "hom_shape",
@@ -279,9 +280,28 @@ def fn_pair_weights(f_dom: int, f_base: int, g_dom: int, g_base: int) -> tuple[l
 def fn_pair_digits(indices, f_dom: int, f_base: int, g_dom: int, g_base: int) -> list[list[int]]:
     """Per digit f(0), .., f(f_dom-1), g(0), .., g(g_dom-1) of an index into
     f_base^f_dom x g_base^g_dom, that digit of each of indices."""
-    f_w, g_w = fn_pair_weights(f_dom, f_base, g_dom, g_base)
-    radix = [f_base] * f_dom + [g_base] * g_dom
-    return [[k // w % r for k in indices] for w, r in zip(f_w + g_w, radix)]
+    radix = [g_base] * g_dom + [f_base] * f_dom  # the least significant digit first
+    cols = [[] for _ in radix]
+    for k in indices:
+        for r, col in zip(radix, cols):
+            col.append(k % r)
+            k //= r
+    cols.reverse()
+    return cols
+
+
+def fn_pair_join(f_rows, f_base: int, g_rows, g_base: int) -> list[int]:
+    """Per pair of digit rows (f(0), ..) and (g(0), ..), the index into
+    f_base^|f| x g_base^|g| whose digits fn_pair_digits reads back."""
+    out = []
+    for fs, gs in zip(f_rows, g_rows):
+        k = 0
+        for d in fs:
+            k = k * f_base + d
+        for d in gs:
+            k = k * g_base + d
+        out.append(k)
+    return out
 
 
 def digit_table(digits) -> tuple[int, ...]:

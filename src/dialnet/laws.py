@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .dialset import (
@@ -27,6 +28,7 @@ from .dialset import (
     _hom_counts,
     _hom_tables,
     _shared,
+    _uncurried,
     associator,
     check_morphism,
     compose,
@@ -38,7 +40,6 @@ from .dialset import (
     identity,
     inverse,
     left_unitor,
-    oplus,
     oplus_copair,
     oplus_inl,
     oplus_inr,
@@ -47,9 +48,7 @@ from .dialset import (
     tensor_mor,
     tensor_obj,
     tensor_unit,
-    uncurry_dial,
     with_pairing,
-    with_product,
     with_proj1,
     with_proj2,
 )
@@ -128,6 +127,10 @@ def _show_mor(m: DialMorphism) -> str:
 
 def _valid(m: DialMorphism) -> bool:
     return not check_morphism(m.source, m.target, m.fwd, m.bwd)
+
+
+def _tables(m: DialMorphism) -> tuple:
+    return m.fwd.table, m.bwd.table
 
 
 def _iso(m: DialMorphism) -> bool:
@@ -350,11 +353,11 @@ def adjunction_oracle(
     """Brute-force comparison of the two hom-sets of the adjunction.
 
     For random object triples (A, B, C): enumerate every morphism
-    tensor(A,B) -> C and every morphism A -> hom(B,C); the counts must
-    agree, currying must be an injection of the first set into the
-    second (hence a bijection), transposing back must be the identity,
-    and the transpose must itself be valid.  Also checks naturality of
-    the transpose in the first argument.
+    tensor(A,B) -> C, and every morphism A -> hom(B,C) as a pair of tables;
+    the counts must agree, currying must be an injection of the first set
+    into the second (hence a bijection), transposing back (by uncurry_dial's
+    table rule) must be the identity, and the transpose must be valid.
+    Also checks naturality of the transpose in the first argument.
 
     Three triples in four take C to be the target of a random morphism
     out of tensor(A, B), so that the hom-sets are not empty; every
@@ -369,8 +372,8 @@ def adjunction_oracle(
     for i in range(cases):
         a = random_object(lin, rng)
         b = random_object(lin, rng)
-        # built outside the share, so that the round trip holds the shared
-        # tensor(A, B) that uncurry_dial builds to one built on its own
+        # built outside the share, so that each case compares it once with the
+        # shared tensor(A, B) that the left hom-set is read out of
         ab = tensor_obj(a, b)
         with _shared():  # one case's objects are built once and kept no longer
             if i % 4 == 3:
@@ -378,26 +381,25 @@ def adjunction_oracle(
             else:
                 c = random_morphism(lin, rng, ab).target
             h = hom_obj(b, c)
-            left = enumerate_morphisms(ab, c)
-            right = enumerate_morphisms(a, h)
+            same = tensor_obj(a, b) == ab  # folded into every round trip of the case
+            left = enumerate_morphisms(tensor_obj(a, b), c)
+            right = [(f, bt) for _, _, f, bwds in _hom_tables((a,), (h,)) for bt in bwds]
             ctx = lambda: (
                 f"A={_show_obj(a)} B={_show_obj(b)} C={_show_obj(c)} "
                 f"|left|={len(left)} |right|={len(right)}"
             )
             counts.check(len(left) == len(right), ctx)
-            right_keys = {(m.fwd.table, m.bwd.table) for m in right}
-            seen = set()
+            right_keys, seen, shapes = set(right), set(), (a.shape, b.shape, c.shape)
             for m in left:
                 im = curry_dial(m, a, b)
-                key = (im.fwd.table, im.bwd.table)
+                key = _tables(im)
                 bijection.check(
                     key in right_keys and key not in seen,
                     lambda: f"{ctx()} curried={_show_mor(im)}",
                 )
                 seen.add(key)
-                roundtrip.check(
-                    uncurry_dial(im, b, c) == m, lambda: _show_mor(m)
-                )
+                back = _uncurried(*key, *shapes)
+                roundtrip.check(same and back == _tables(m), lambda: _show_mor(m))
                 validity.check(
                     not check_morphism(a, h, im.fwd, im.bwd),
                     lambda: _show_mor(im),
@@ -471,14 +473,23 @@ def functoriality_laws(
 _PENTAGON_ENTRY_BUDGET = 80_000
 
 
-def _pentagon_stages(sz) -> list[tuple[int, int]]:
-    """Shapes of every tensor built along both pentagon paths."""
+def _shape_tables(sides) -> tuple[dict, dict]:
+    """The tensor shapes of each pair of sides, pair[x][y], and of both
+    bracketings of each triple, triple[x][y][z] = ((x y) z, x (y z))."""
+    pair = {x: {y: tensor_shape(x, y) for y in sides} for x in sides}
+    brackets = lambda x, y, z: (tensor_shape(pair[x][y], z), tensor_shape(x, pair[y][z]))
+    return pair, {x: {y: {z: brackets(x, y, z) for z in sides} for y in sides} for x in sides}
+
+
+def _pentagon_stages(sz, tables=None) -> list[tuple[int, int]]:
+    """Shapes of every tensor built along both pentagon paths, those of two
+    and three sides read from tables (_shape_tables of sz's sides if None)."""
+    pair, triple = tables or _shape_tables(sz)
     a, b, c, d = sz
-    ab, bc, cd = tensor_shape(a, b), tensor_shape(b, c), tensor_shape(c, d)
-    abc, a_bc = tensor_shape(ab, c), tensor_shape(a, bc)
-    b_cd, bc_d = tensor_shape(b, cd), tensor_shape(bc, d)
-    four = [tensor_shape(x, y) for x, y in ((abc, d), (a_bc, d), (a, bc_d), (a, b_cd))]
-    return [ab, bc, cd, abc, a_bc, b_cd, bc_d, tensor_shape(ab, cd)] + four
+    ab, bc, cd = pair[a][b], pair[b][c], pair[c][d]
+    (abc, a_bc), (bc_d, b_cd) = triple[a][b][c], triple[b][c][d]
+    four = tensor_shape(abc, d), tensor_shape(a_bc, d), tensor_shape(a, bc_d), tensor_shape(a, b_cd)
+    return [ab, bc, cd, abc, a_bc, b_cd, bc_d, tensor_shape(ab, cd), *four]
 
 
 def coherence_laws(
@@ -492,9 +503,10 @@ def coherence_laws(
     """
     rng = random.Random(seed)
     sides = tuple(itertools.product(_SIZES, repeat=2))  # (pos, neg) choices per object
+    tables = _shape_tables(sides)
 
     def fits(combo) -> bool:  # by its total weight entries; sizes in {1, 2} keep them small ints
-        return sum(p * n for p, n in _pentagon_stages(combo)) <= _PENTAGON_ENTRY_BUDGET
+        return sum(itertools.starmap(mul, _pentagon_stages(combo, tables))) <= _PENTAGON_ENTRY_BUDGET
 
     pentagon_sizes = list(filter(fits, itertools.product(sides, repeat=4)))
 
@@ -569,10 +581,28 @@ def coherence_laws(
 # -- universal properties ---------------------------------------------------------------
 
 
+def _mediating(source: DialObject, target: DialObject, legs, out: bool) -> list[tuple]:
+    """The (fwd, bwd) tables of each valid morphism m: source -> target whose
+    composite with each leg, leg . m if out else m . leg, has the tables of
+    that leg's given map; tables compose by finset.compose's rule."""
+    after = lambda g, f: tuple(map(g.__getitem__, f))  # g . f
+    legs = [(leg.fwd.table, leg.bwd.table, _tables(given)) for leg, given in legs]
+    return [
+        (f, bt)
+        for _, _, f, bwds in _hom_tables((source,), (target,))
+        for bt in bwds
+        if all(
+            ((after(lf, f), after(bt, lb)) if out else (after(f, lf), after(lb, bt))) == given
+            for lf, lb, given in legs
+        )
+    ]
+
+
 def universal_laws(
     lin: Lineale, seed: int = DEFAULT_SEED, cases: int = 100
 ) -> list[LawResult]:
-    """Pairing and copairing are mediating and unique (by enumeration)."""
+    """Pairing and copairing are mediating and unique (by enumeration, on
+    tables, into the projections' product and out of the injections' coproduct)."""
     rng = random.Random(seed)
     p_med = _Law("product.mediating")
     p_unq = _Law("product.unique")
@@ -588,12 +618,8 @@ def universal_laws(
         ctx = lambda: f"{_show_mor(m1)} & {_show_mor(m2)}"
         projected = compose(p1, pair) == m1 and compose(p2, pair) == m2
         p_med.check(projected and all(map(_valid, (pair, p1, p2))), ctx)
-        mediating = [
-            m
-            for m in enumerate_morphisms(src, with_product(a, b))
-            if compose(p1, m) == m1 and compose(p2, m) == m2
-        ]
-        p_unq.check(mediating == [pair], ctx)
+        mediating = _mediating(src, p1.source, ((p1, m1), (p2, m2)), out=True)
+        p_unq.check(mediating == [_tables(pair)] and (pair.source, pair.target) == (src, p1.source), ctx)
 
         tgt = random_object(lin, rng)
         n1 = random_morphism(lin, rng, tgt, into=True)
@@ -604,12 +630,8 @@ def universal_laws(
         ctx = lambda: f"{_show_mor(n1)} (+) {_show_mor(n2)}"
         injected = compose(cop, i1) == n1 and compose(cop, i2) == n2
         s_med.check(injected and all(map(_valid, (cop, i1, i2))), ctx)
-        mediating = [
-            m
-            for m in enumerate_morphisms(oplus(a, b), tgt)
-            if compose(m, i1) == n1 and compose(m, i2) == n2
-        ]
-        s_unq.check(mediating == [cop], ctx)
+        mediating = _mediating(i1.target, tgt, ((i1, n1), (i2, n2)), out=False)
+        s_unq.check(mediating == [_tables(cop)] and (cop.source, cop.target) == (i1.target, tgt), ctx)
     return [law.result() for law in (p_med, p_unq, s_med, s_unq)]
 
 

@@ -346,3 +346,17 @@ def test_shapes_match_built_carriers(a, b):
 def test_a_set_or_table_builder_refuses_ill_shaped_input(call, fragment):
     with pytest.raises(ShapeMismatch, match=fragment):
         call()
+
+
+from dialnet.finset import fn_pair_join  # noqa: E402
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_fn_pair_join_reads_back_what_fn_pair_digits_split(f_dom, f_base, g_dom, g_base):
+    size = f_base**f_dom * g_base**g_dom
+    cols = fn_pair_digits(range(size), f_dom, f_base, g_dom, g_base)
+    rows = list(zip(*cols)) or [()] * size  # per index its digits, f's then g's
+    f_rows, g_rows = [r[:f_dom] for r in rows], [r[f_dom:] for r in rows]
+    assert fn_pair_join(f_rows, f_base, g_rows, g_base) == list(range(size))
+    want = [fn_pair_index(f, f_base, g, g_base) for f, g in zip(f_rows, g_rows)]
+    assert fn_pair_join(f_rows, f_base, g_rows, g_base) == want

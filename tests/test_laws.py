@@ -634,3 +634,71 @@ _UNORDERED = _with(NAT, _leq=lambda a, b: False)
 def test_a_law_helper_refuses_a_lineale_it_cannot_serve(call, fragment):
     with pytest.raises(DialnetError, match=fragment):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the adjunction and uniqueness laws read hom-sets as tables; the record-level
+# loops in laws_oracle must give the same results
+# ---------------------------------------------------------------------------
+
+import laws_oracle  # noqa: E402
+
+_ORACLE_LINEALES = [
+    *map(get_lineale, (*ALL_TAGS, "prod(bool2,kleene3)")),
+    mutate_imp(KLEENE3),
+    mutate_imp(NAT),
+]
+
+
+@pytest.mark.parametrize("lin", _ORACLE_LINEALES, ids=lambda lin: lin.tag)
+@pytest.mark.parametrize("suite", ["adjunction_oracle", "universal_laws"])
+def test_the_table_reading_gives_the_record_oracles_results(lin, suite):
+    for seed in range(1, 6):
+        got = getattr(dialnet.laws, suite)(lin, seed, 8)
+        assert got == getattr(laws_oracle, suite)(lin, seed, 8)
+        assert all(r.cases > 0 for r in got)
+
+
+def _verdicts(suite, *names):
+    by_name = {r.name: r for r in suite(KLEENE3, seed=1, cases=8)}
+    return [by_name[name].passed for name in names]
+
+
+def test_a_reversed_uncurry_table_rule_fails_the_round_trip(monkeypatch):
+    # the round trip runs laws' own reading of uncurry_dial's table rule
+    assert _verdicts(adjunction_oracle, "adjunction.roundtrip") == [True]
+    rule = dialnet.laws._uncurried
+
+    def mutant(*args):
+        fwd, bwd = rule(*args)
+        return fwd, bwd[::-1]
+
+    monkeypatch.setattr(dialnet.laws, "_uncurried", mutant)
+    assert _verdicts(adjunction_oracle, "adjunction.roundtrip") == [False]
+
+
+def test_a_right_hom_set_reader_that_drops_its_last_table_fails_the_counts(monkeypatch):
+    assert _verdicts(adjunction_oracle, "adjunction.homset.counts") == [True]
+    read = dialnet.laws._hom_tables
+
+    def mutant(*args):  # every table but the last backward table of the last forward one
+        found = [(a, b, f, [*bwds]) for a, b, f, bwds in read(*args)]
+        if found:
+            found[-1][3].pop()
+        return iter(found)
+
+    monkeypatch.setattr(dialnet.laws, "_hom_tables", mutant)
+    assert _verdicts(adjunction_oracle, "adjunction.homset.counts") == [False]
+
+
+def test_a_candidate_reader_that_yields_the_mediating_map_twice_fails_uniqueness(monkeypatch):
+    names = ("product.unique", "coproduct.unique")
+    assert _verdicts(universal_laws, *names) == [True, True]
+    read = dialnet.laws._hom_tables
+
+    def mutant(*args):  # every backward table twice over
+        for a, b, f, bwds in read(*args):
+            yield a, b, f, (bt for bt in bwds for _ in range(2))
+
+    monkeypatch.setattr(dialnet.laws, "_hom_tables", mutant)
+    assert _verdicts(universal_laws, *names) == [False, False]
